@@ -85,7 +85,7 @@ def main():
         program, graph, problem, entry = describe(name)
         if name == "tracker.tjs":
             placement = Placement(fixed=dict(problem.fixed), searched={})
-            advices = advise(graph, placement, program)
+            advices = advise(graph, problem, placement, program)
             entry["advice"] = {
                 "replicate": [a.target for a in advices if a.kind.value == "replicate-declaration"],
                 "move": [a.target for a in advices if a.kind.value == "move-function-to-new-slice"],

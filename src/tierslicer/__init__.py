@@ -6,8 +6,8 @@ placement validity, and emits refinement advice.
 """
 
 from .advisor import AdvisorConfig, advise, apply_advice, refine_loop
-from .depgraph import build_pdg, call_inventory, collapse_to_slice_graph, placement_problem
-from .fitness import evaluate, program_offline, slice_offline
+from .depgraph import build_pdg, collapse_to_slice_graph, placement_problem
+from .fitness import evaluate
 from .frontend import emit, parse, resolve_calls
 from .model import SHARED, CallRecord, Direction, PlacementProblem, Tier
 from .placement import Placement, classify_calls, is_valid
@@ -27,7 +27,6 @@ __all__ = [
     "advise",
     "apply_advice",
     "build_pdg",
-    "call_inventory",
     "classify_calls",
     "collapse_to_slice_graph",
     "emit",
@@ -36,10 +35,8 @@ __all__ = [
     "is_valid",
     "parse",
     "placement_problem",
-    "program_offline",
     "refine_loop",
     "resolve_calls",
     "run",
     "run_many",
-    "slice_offline",
 ]

@@ -16,7 +16,7 @@ from . import frontend
 from .depgraph import DATA, DECLARATION, DependenceGraph, build_pdg, placement_problem
 from .errors import TargetNotFoundError
 from .fitness import offline_percent
-from .model import SHARED, Tier
+from .model import SHARED, PlacementProblem
 from .placement import Placement, classify_calls
 from .search import GaConfig, SearchResult, run
 from .syntax import Annotation, AnnotationKind, FunctionDecl, SliceDecl, SourceProgram, VarDecl
@@ -46,10 +46,10 @@ class AdvisorConfig:
             raise ValueError("move threshold must lie in [0, 1)")
 
 
-def _incoming_counts(problem, classified):
+def incoming_counts(problem: PlacementProblem, placement: Placement) -> dict:
     """(local, remote) incoming call counts per (callee slice, function name)."""
     counts: dict[tuple, list] = {}
-    for c in classified:
+    for c in classify_calls(problem, placement):
         key = (c.record.callee, c.record.callee_name)
         entry = counts.setdefault(key, [0, 0])
         entry[0 if c.local else 1] += 1
@@ -63,11 +63,7 @@ def _tier_mask(placement: Placement, slice_name: str) -> int:
 
 
 def advise_replication(graph: DependenceGraph, placement: Placement,
-                       program: SourceProgram) -> list:
-    problem = placement_problem(graph)
-    classified = classify_calls(problem, placement)
-    incoming = _incoming_counts(problem, classified)
-
+                       program: SourceProgram, incoming: dict) -> list:
     by_start = {}
     for n in graph.nodes:
         if n.kind == DECLARATION:
@@ -102,17 +98,11 @@ def advise_replication(graph: DependenceGraph, placement: Placement,
     return out
 
 
-def advise_function_moves(graph: DependenceGraph, placement: Placement,
-                          program: SourceProgram,
+def advise_function_moves(problem: PlacementProblem, program: SourceProgram, incoming: dict,
                           config: AdvisorConfig = AdvisorConfig()) -> list:
-    problem = placement_problem(graph)
-    classified = classify_calls(problem, placement)
-    incoming = _incoming_counts(problem, classified)
-
-    fixed_slices = set(problem.fixed)
     out = []
     for decl in program.declarations:
-        if decl.kind != "function" or decl.owner not in fixed_slices:
+        if decl.kind != "function" or decl.owner not in problem.fixed:
             continue
         local, remote = incoming.get((decl.owner, decl.name), (0, 0))
         if remote > local and (remote - local) / (remote + local) > config.move_threshold:
@@ -121,10 +111,12 @@ def advise_function_moves(graph: DependenceGraph, placement: Placement,
     return out
 
 
-def advise(graph: DependenceGraph, placement: Placement, program: SourceProgram,
-           config: AdvisorConfig = AdvisorConfig()) -> list:
-    return (advise_replication(graph, placement, program)
-            + advise_function_moves(graph, placement, program, config))
+def advise(graph: DependenceGraph, problem: PlacementProblem, placement: Placement,
+           program: SourceProgram, config: AdvisorConfig = AdvisorConfig()) -> list:
+    """Both advice kinds, from one classification of ``problem``'s calls."""
+    incoming = incoming_counts(problem, placement)
+    return (advise_replication(graph, placement, program, incoming)
+            + advise_function_moves(problem, program, incoming, config))
 
 
 # --- Applying advice ------------------------------------------------------
@@ -196,7 +188,7 @@ def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
         history.append(result.best_fitness)
         if result.best_fitness == 1.0 and result.best_valid:
             break
-        advices = advise(graph, result.best_placement, program, advisor_config)
+        advices = advise(graph, problem, result.best_placement, program, advisor_config)
         if not advices or iterations >= max_iterations:
             break
         program = apply_advice(program, advices)

@@ -8,7 +8,7 @@ failure.
 from __future__ import annotations
 
 import csv
-import io
+import json
 import statistics
 import sys
 
@@ -16,14 +16,9 @@ import click
 
 from . import advisor as advisor_mod
 from . import depgraph, frontend
-from .errors import (
-    AllInvalidError,
-    InvalidPlacementError,
-    TierSlicerError,
-    TooManySlicesError,
-)
+from .errors import AllInvalidError, TierSlicerError, TooManySlicesError
 from .fitness import evaluate, offline_percent
-from .model import SHARED, Tier
+from .model import PlacementProblem, Tier
 from .placement import Placement, classify_calls, is_valid
 from .search import GaConfig, exhaustive_oracle, run, run_many
 from .syntax import (
@@ -57,13 +52,38 @@ def load_program(path: str):
     return program
 
 
-def load_placement(path: str) -> Placement:
+def load_placement(path: str, problem: PlacementProblem) -> Placement:
+    """Read a placement file that gives every slice of ``problem`` a tier and
+    keeps its @config tiers; a file that does not exits 3."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return Placement.from_json(fh.read())
+            placement = Placement.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         click.echo(f"{path}: cannot read placement: {exc}", err=True)
         sys.exit(EXIT_USAGE)
+    named = {**placement.fixed, **placement.searched}
+    missing = [s for s in problem.slices if s not in named]
+    unknown = [s for s in named if s not in problem.slices]
+    moved = [s for s, tier in problem.fixed.items() if s in named and named[s] is not tier]
+    if missing:
+        reason = f"no tier for slice {missing[0]!r}"
+    elif unknown:
+        reason = f"unknown slice {unknown[0]!r}"
+    elif moved:
+        s = moved[0]
+        reason = (f"slice {s!r} is fixed to {problem.fixed[s].value} by @config, "
+                  f"not {named[s].value}")
+    else:
+        return placement
+    click.echo(f"{path}: {reason}", err=True)
+    sys.exit(EXIT_INVALID_PLACEMENT)
+
+
+def advisor_config(threshold) -> advisor_mod.AdvisorConfig:
+    try:
+        return advisor_mod.AdvisorConfig(move_threshold=threshold)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def ga_options(fn):
@@ -96,7 +116,18 @@ def make_config(population, generations, crossover_prob, mutation_prob,
         raise click.UsageError(str(exc))
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps a search that finds no valid placement to exit code 4."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AllInvalidError as exc:
+            click.echo(f"search failed: {exc}", err=True)
+            sys.exit(EXIT_SEARCH_FAILURE)
+
+
+@click.group(cls=_Main)
 @click.version_option()
 def main():
     """Analyze slice-structured TierJS programs and assign slices to tiers."""
@@ -170,17 +201,14 @@ def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
                tournament_size, seed, runs, jobs, csv_path, output):
     """Search a tier placement for PATH and report its fitness."""
     program = load_program(path)
-    problem = depgraph.placement_problem(depgraph.build_pdg(program))
+    graph = depgraph.build_pdg(program)
+    problem = depgraph.placement_problem(graph)
     config = make_config(population, generations, crossover_prob, mutation_prob,
                          tournament_size, seed)
     if runs > 1:
-        _stats_mode(program, problem, config, runs, jobs, csv_path)
+        _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
         return
-    try:
-        result = run(problem, config)
-    except AllInvalidError as exc:
-        click.echo(f"search failed: {exc}", err=True)
-        sys.exit(EXIT_SEARCH_FAILURE)
+    result = run(problem, config)
     placement_json = result.best_placement.to_json()
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -202,18 +230,15 @@ def cmd_stats(path, population, generations, crossover_prob, mutation_prob,
               tournament_size, seed, runs, jobs, csv_path):
     """Run the search many times and summarize the tier distribution."""
     program = load_program(path)
-    problem = depgraph.placement_problem(depgraph.build_pdg(program))
+    graph = depgraph.build_pdg(program)
+    problem = depgraph.placement_problem(graph)
     config = make_config(population, generations, crossover_prob, mutation_prob,
                          tournament_size, seed)
-    _stats_mode(program, problem, config, runs, jobs, csv_path)
+    _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
 
 
-def _stats_mode(program, problem, config, runs, jobs, csv_path):
-    try:
-        results = run_many(problem, config, runs, jobs)
-    except AllInvalidError as exc:
-        click.echo(f"search failed: {exc}", err=True)
-        sys.exit(EXIT_SEARCH_FAILURE)
+def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
+    results = run_many(problem, config, runs, jobs)
 
     per_tier = {Tier.CLIENT: [], Tier.SERVER: [], Tier.BOTH: []}
     for r in results:
@@ -224,8 +249,7 @@ def _stats_mode(program, problem, config, runs, jobs, csv_path):
     gens = [r.generations_used for r in results]
     fits = [r.best_fitness for r in results]
 
-    graph = depgraph.build_pdg(program)
-    advices = advisor_mod.advise(graph, results[0].best_placement, program)
+    advices = advisor_mod.advise(graph, problem, results[0].best_placement, program)
     data_adv = sum(1 for a in advices if a.kind is advisor_mod.AdviceKind.REPLICATE_DECLARATION)
     slice_adv = sum(1 for a in advices if a.kind is advisor_mod.AdviceKind.MOVE_FUNCTION)
 
@@ -267,9 +291,6 @@ def cmd_oracle(path, oracle_cap, output):
         placement, fitness_value = exhaustive_oracle(problem, cap=oracle_cap)
     except TooManySlicesError as exc:
         raise click.UsageError(str(exc))
-    except AllInvalidError as exc:
-        click.echo(f"search failed: {exc}", err=True)
-        sys.exit(EXIT_SEARCH_FAILURE)
     placement_json = placement.to_json()
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -293,31 +314,25 @@ def cmd_advise(path, placement_path, do_search, threshold, as_json, population,
                generations, crossover_prob, mutation_prob, tournament_size, seed):
     """Print refinement advice for PATH under a placement."""
     program = load_program(path)
-    graph = depgraph.build_pdg(program)
-    problem = depgraph.placement_problem(graph)
     if placement_path:
-        placement = load_placement(placement_path)
+        config = None
     elif do_search:
         config = make_config(population, generations, crossover_prob, mutation_prob,
                              tournament_size, seed)
-        try:
-            placement = run(problem, config).best_placement
-        except AllInvalidError as exc:
-            click.echo(f"search failed: {exc}", err=True)
-            sys.exit(EXIT_SEARCH_FAILURE)
     else:
         raise click.UsageError("either --placement or --search is required")
-    try:
-        cfg = advisor_mod.AdvisorConfig(move_threshold=threshold)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    adv_cfg = advisor_config(threshold)
+    graph = depgraph.build_pdg(program)
+    problem = depgraph.placement_problem(graph)
+    if placement_path:
+        placement = load_placement(placement_path, problem)
+    else:
+        placement = run(problem, config).best_placement
     fitness_value = evaluate(problem, placement).program
-    advices = advisor_mod.advise(graph, placement, program, cfg)
+    advices = advisor_mod.advise(graph, problem, placement, program, adv_cfg)
     if as_json:
-        import json as json_mod
-
-        click.echo(json_mod.dumps(advisor_mod.report_json(fitness_value, advices),
-                                  indent=2, sort_keys=True))
+        click.echo(json.dumps(advisor_mod.report_json(fitness_value, advices),
+                              indent=2, sort_keys=True))
     else:
         click.echo(advisor_mod.render_report(fitness_value, advices), nl=False)
 
@@ -331,33 +346,22 @@ def cmd_advise(path, placement_path, do_search, threshold, as_json, population,
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Write the refined source to a file.")
 @ga_options
-def cmd_refine(path, do_apply, max_iters, threshold, output, population,
+@click.pass_context
+def cmd_refine(ctx, path, do_apply, max_iters, threshold, output, population,
                generations, crossover_prob, mutation_prob, tournament_size, seed):
-    """Iterate search + advice; with --apply, advice is integrated automatically."""
-    program = load_program(path)
-    config = make_config(population, generations, crossover_prob, mutation_prob,
-                         tournament_size, seed)
-    try:
-        adv_cfg = advisor_mod.AdvisorConfig(move_threshold=threshold)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    """Iterate search + advice; with --apply, advice is integrated automatically.
+
+    Without --apply this is ``advise PATH``: one search, one advice report.
+    """
+    ga = dict(population=population, generations=generations, crossover_prob=crossover_prob,
+              mutation_prob=mutation_prob, tournament_size=tournament_size, seed=seed)
     if not do_apply:
-        # report-only mode: one search, one advice report
-        graph = depgraph.build_pdg(program)
-        problem = depgraph.placement_problem(graph)
-        try:
-            result = run(problem, config)
-        except AllInvalidError as exc:
-            click.echo(f"search failed: {exc}", err=True)
-            sys.exit(EXIT_SEARCH_FAILURE)
-        advices = advisor_mod.advise(graph, result.best_placement, program, adv_cfg)
-        click.echo(advisor_mod.render_report(result.best_fitness, advices), nl=False)
+        ctx.invoke(cmd_advise, path=path, threshold=threshold, **ga)
         return
-    try:
-        result = advisor_mod.refine_loop(program, config, adv_cfg, max_iterations=max_iters)
-    except AllInvalidError as exc:
-        click.echo(f"search failed: {exc}", err=True)
-        sys.exit(EXIT_SEARCH_FAILURE)
+    program = load_program(path)
+    config = make_config(**ga)
+    adv_cfg = advisor_config(threshold)
+    result = advisor_mod.refine_loop(program, config, adv_cfg, max_iterations=max_iters)
     refined = frontend.emit(result.program)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -376,12 +380,8 @@ def cmd_split(path, placement_path):
     """Structural per-tier listing for PATH under a placement."""
     program = load_program(path)
     problem = depgraph.placement_problem(depgraph.build_pdg(program))
-    placement = load_placement(placement_path)
-    try:
-        valid, bad = is_valid(problem, placement)
-    except TierSlicerError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_INVALID_PLACEMENT)
+    placement = load_placement(placement_path, problem)
+    valid, bad = is_valid(problem, placement)
     if not valid:
         click.echo("invalid placement:", err=True)
         for c in bad:

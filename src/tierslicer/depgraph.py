@@ -346,22 +346,21 @@ def collapse_to_slice_graph(graph: DependenceGraph) -> SliceGraph:
     return SliceGraph(tuple(vertices), counts)
 
 
-def call_inventory(graph: DependenceGraph):
-    """Per-slice call table: the sole input to fitness classification.
+def placement_problem(graph: DependenceGraph) -> PlacementProblem:
+    """Slice list, fixed tiers and call table: the sole input to fitness.
 
-    Returns (table, diagnostics) where table maps slice name -> list of
-    CallRecord and diagnostics counts unresolved in-slice call sites.
-    Shared-owned callees are recorded as SHARED (always local); call sites in
-    shared code and unresolved/external calls are excluded from the table.
+    Calls are listed in node order, ``site_id`` being the index.  Shared-owned
+    callees are recorded as SHARED (always local); call sites in shared code
+    and unresolved/external calls are left out, and the unresolved in-slice
+    call sites are counted.
     """
     entry_owner = {}
     for n in graph.nodes:
         if n.kind == FUNCTION_ENTRY:
             entry_owner[n.id] = n.slice
 
-    table = {name: [] for name in graph.slice_order}
+    calls = []
     unresolved = 0
-    site_id = 0
     for n in graph.nodes:
         if n.kind != CALL_SITE:
             continue
@@ -375,18 +374,9 @@ def call_inventory(graph: DependenceGraph):
         callee_slice = entry_owner[call_edges[0].dst]
         annotated = bool({"reply", "broadcast"} & set(n.annotations))
         label = f"{n.span[2]}:{n.span[3]}"
-        table[n.slice].append(
-            CallRecord(site_id, n.slice, callee_slice, n.name or "", annotated, label)
+        calls.append(
+            CallRecord(len(calls), n.slice, callee_slice, n.name or "", annotated, label)
         )
-        site_id += 1
-    return table, unresolved
-
-
-def placement_problem(graph: DependenceGraph) -> PlacementProblem:
-    table, unresolved = call_inventory(graph)
-    calls = [rec for name in graph.slice_order for rec in table[name]]
-    calls = [CallRecord(i, c.caller, c.callee, c.callee_name, c.annotated, c.label)
-             for i, c in enumerate(sorted(calls, key=lambda c: c.site_id))]
     fixed = {name: Tier(tier) for name, tier in graph.fixed.items()}
     return PlacementProblem(tuple(graph.slice_order), fixed, tuple(calls), unresolved)
 

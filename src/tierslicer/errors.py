@@ -34,14 +34,6 @@ class MissingPlacementError(TierSlicerError):
     pass
 
 
-class GenomeLengthMismatchError(TierSlicerError):
-    pass
-
-
-class NoUnplacedSlicesError(TierSlicerError):
-    pass
-
-
 class AllInvalidError(TierSlicerError):
     """Seeding produced no valid individual after the retry budget."""
 

@@ -1,9 +1,10 @@
 """Offline-availability fitness of a placement.
 
 Per slice: the fraction of its calls that stay local (1.0 for call-free
-slices, which then carry zero weight).  Per program: the call-count-weighted
-mean over slices, which is algebraically the flat ratio of local calls to
-total calls.
+slices, which then carry zero weight).  Per program: the ratio of local calls
+to total calls (1.0 with no calls), which is the call-count-weighted mean over
+slices and the same double ``kernels.eval_population`` returns for the
+placement's genome.
 """
 
 from __future__ import annotations
@@ -27,55 +28,23 @@ class FitnessReport:
     program: float = 1.0
     valid: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "program": self.program,
-            "valid": self.valid,
-            "perSlice": {
-                name: {
-                    "offlineFraction": sf.offline_fraction,
-                    "localCalls": sf.local_calls,
-                    "totalCalls": sf.total_calls,
-                }
-                for name, sf in self.per_slice.items()
-            },
-        }
-
-
-def slice_offline(slice_name: str, classified) -> float:
-    """local/total for one slice; 1.0 when the slice performs no calls."""
-    local = total = 0
-    for c in classified:
-        if c.record.caller == slice_name:
-            total += 1
-            local += c.local
-    return local / total if total else 1.0
-
-
-def program_offline(problem: PlacementProblem, classified) -> float:
-    """Call-count-weighted mean of per-slice offline fractions."""
-    weighted = weight = 0.0
-    for name in problem.slices:
-        total = sum(1 for c in classified if c.record.caller == name)
-        weighted += slice_offline(name, classified) * total
-        weight += total
-    return weighted / weight if weight else 1.0
-
 
 def evaluate(problem: PlacementProblem, placement: Placement) -> FitnessReport:
     classified = classify_calls(problem, placement)
-    per_slice = {}
-    for name in problem.slices:
-        mine = [c for c in classified if c.record.caller == name]
-        local = sum(1 for c in mine if c.local)
-        per_slice[name] = SliceFitness(
-            offline_fraction=local / len(mine) if mine else 1.0,
-            local_calls=local,
-            total_calls=len(mine),
-        )
+    counts = {name: [0, 0] for name in problem.slices}  # name -> [local, total]
+    local = 0
+    for c in classified:
+        entry = counts[c.record.caller]
+        entry[0] += c.local
+        entry[1] += 1
+        local += c.local
+    per_slice = {
+        name: SliceFitness(mine / total if total else 1.0, mine, total)
+        for name, (mine, total) in counts.items()
+    }
     return FitnessReport(
         per_slice=per_slice,
-        program=program_offline(problem, classified),
+        program=local / len(classified) if classified else 1.0,
         valid=not violations(classified),
     )
 

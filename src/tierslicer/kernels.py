@@ -1,42 +1,23 @@
-"""Hot kernels: batch fitness + validity evaluation over placement genomes.
+"""Hot kernel: batch fitness + validity evaluation over placement genomes.
 
 The genetic search and the exhaustive oracle both evaluate thousands to
 millions of candidate placements; this module compiles a placement problem's
-call table into flat arrays and evaluates whole genome batches at once.
+call table into flat arrays and evaluates whole genome batches at once with
+numpy.
 
 Genomes are int8 vectors of tier masks (client=1, server=2, both=3), one
-gene per unplaced slice in problem order.  Two interchangeable paths exist:
-a numba ``@njit`` kernel and a pure-numpy fallback.  Set ``TIERSLICER_JIT=0``
-to force the fallback; both produce bit-identical results.
+gene per unplaced slice in problem order.  A row's fitness is its local call
+count divided by the call count, the same double ``fitness.evaluate``
+computes for the placement.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SHARED, PlacementProblem
-
-JIT_ENABLED = os.environ.get("TIERSLICER_JIT", "1").lower() not in ("0", "false", "no")
-
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        JIT_ENABLED = False
-
-if not JIT_ENABLED:
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 @dataclass
@@ -81,28 +62,6 @@ def compile_problem(problem: PlacementProblem) -> CompiledProblem:
     )
 
 
-@njit(cache=True)
-def _eval_jit(genomes, cg, cm, eg, em, ann):  # pragma: no cover - timed separately
-    pop = genomes.shape[0]
-    ncalls = cg.shape[0]
-    fitness = np.ones(pop, dtype=np.float64)
-    valid = np.ones(pop, dtype=np.bool_)
-    for p in range(pop):
-        local = 0
-        ok = True
-        for i in range(ncalls):
-            a = genomes[p, cg[i]] if cg[i] >= 0 else cm[i]
-            b = genomes[p, eg[i]] if eg[i] >= 0 else em[i]
-            if (a & (3 ^ b)) == 0:
-                local += 1
-            elif (a & 2) != 0 and (b & 2) == 0 and not ann[i]:
-                ok = False
-        if ncalls > 0:
-            fitness[p] = local / ncalls
-        valid[p] = ok
-    return fitness, valid
-
-
 def _eval_numpy(genomes, cg, cm, eg, em, ann):
     pop = genomes.shape[0]
     ncalls = cg.shape[0]
@@ -121,20 +80,6 @@ def eval_population(compiled: CompiledProblem, genomes: np.ndarray):
     genomes = np.ascontiguousarray(genomes, dtype=np.int8)
     if genomes.ndim != 2 or genomes.shape[1] != compiled.n_genes:
         raise ValueError("genome matrix shape does not match the problem")
-    impl = _eval_jit if JIT_ENABLED else _eval_numpy
-    return impl(
-        genomes,
-        compiled.caller_gene,
-        compiled.caller_mask,
-        compiled.callee_gene,
-        compiled.callee_mask,
-        compiled.annotated,
-    )
-
-
-def eval_population_numpy(compiled: CompiledProblem, genomes: np.ndarray):
-    """Fallback path, exposed for benchmarks and equivalence tests."""
-    genomes = np.ascontiguousarray(genomes, dtype=np.int8)
     return _eval_numpy(
         genomes,
         compiled.caller_gene,

@@ -35,9 +35,6 @@ class Placement:
     def mask(self, slice_name: str) -> int:
         return self.tier(slice_name).mask
 
-    def covers(self, slices) -> bool:
-        return all(s in self.fixed or s in self.searched for s in slices)
-
     def to_json(self) -> str:
         payload = {
             "fixed": {k: v.value for k, v in sorted(self.fixed.items())},

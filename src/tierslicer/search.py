@@ -1,11 +1,13 @@
 """Genetic search over tier placements, plus an exhaustive oracle.
 
-Individuals are tier-mask genomes over the unplaced slices.  Selection is
-tournament over the valid subset only; invalid individuals stay in the
-population (they may mutate back to validity) but never parent.  Replacement
-is generational with 1-elitism on the best valid individual.  The search
-stops at the first valid individual with fitness 1.0 or after the generation
-budget.
+Individuals are tier-mask genomes over the unplaced slices.  Each generation
+is bred in one batch by ``_next_generation``: tournament selection over the
+valid subset only (fitness ties go to the lexicographically lower genome),
+uniform crossover of each parent pair, and mutation that rewrites one
+position per child.  Invalid individuals stay in the population (they may
+mutate back to validity) but never parent.  Replacement is generational with
+1-elitism on the best valid individual.  The search stops at the first valid
+individual with fitness 1.0 or after the generation budget.
 """
 
 from __future__ import annotations
@@ -15,14 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    AllInvalidError,
-    GenomeLengthMismatchError,
-    TooManySlicesError,
-)
-from .fitness import FitnessReport, evaluate
-from .kernels import CompiledProblem, compile_problem, eval_population
-from .model import TIER_FROM_MASK, PlacementProblem, Tier
+from .errors import AllInvalidError, TooManySlicesError
+from .fitness import evaluate
+from .kernels import compile_problem, eval_population
+from .model import TIER_FROM_MASK, PlacementProblem
 from .placement import Placement
 
 _SEED_RETRIES = 10
@@ -69,8 +67,7 @@ def placement_to_genome(problem: PlacementProblem, placement: Placement) -> np.n
     return np.array([placement.tier(s).mask for s in problem.unplaced], dtype=np.int8)
 
 
-# --- Spec-level operators (also used by tests; run() uses the vectorized
-# equivalents below for whole generations at once) --------------------------
+# --- Operators --------------------------------------------------------------
 
 
 def seed_population(config: GaConfig, n_genes: int, rng: np.random.Generator) -> np.ndarray:
@@ -80,43 +77,6 @@ def seed_population(config: GaConfig, n_genes: int, rng: np.random.Generator) ->
     return rng.integers(1, 4, size=(config.population_size, n_genes), dtype=np.int8)
 
 
-def mutate(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Rewrite exactly one gene to a uniformly random tier (possibly equal)."""
-    out = np.array(genome, dtype=np.int8, copy=True)
-    pos = int(rng.integers(0, len(out)))
-    out[pos] = rng.integers(1, 4)
-    return out
-
-
-def crossover(a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
-    """Uniform crossover: each position swapped between children w.p. 0.5."""
-    if len(a) != len(b):
-        raise GenomeLengthMismatchError(f"genome lengths differ: {len(a)} vs {len(b)}")
-    swap = rng.integers(0, 2, size=len(a)).astype(bool)
-    c1 = np.where(swap, b, a).astype(np.int8)
-    c2 = np.where(swap, a, b).astype(np.int8)
-    return c1, c2
-
-
-def tournament_select(genomes, fitness, valid, config: GaConfig, rng: np.random.Generator) -> int:
-    """Index of the tournament winner; invalid individuals never compete."""
-    valid_idx = np.flatnonzero(valid)
-    if len(valid_idx) == 0:
-        raise AllInvalidError("no valid individual available for selection")
-    picks = valid_idx[rng.integers(0, len(valid_idx), size=config.tournament_size)]
-    best = picks[0]
-    for i in picks[1:]:
-        if _beats(genomes[i], fitness[i], genomes[best], fitness[best]):
-            best = i
-    return int(best)
-
-
-def _beats(g_a, f_a, g_b, f_b) -> bool:
-    if f_a != f_b:
-        return f_a > f_b
-    return tuple(g_a) < tuple(g_b)  # fitness tie: lexicographically lower wins
-
-
 def _ranking(genomes: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     """rank[i] = position of individual i under (fitness desc, genome lex asc)."""
     keys = tuple(genomes[:, i] for i in reversed(range(genomes.shape[1]))) + (-fitness,)
@@ -124,14 +84,6 @@ def _ranking(genomes: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
     return rank
-
-
-def _best_index(genomes, fitness, valid) -> int:
-    pool = np.flatnonzero(valid)
-    if len(pool) == 0:
-        pool = np.arange(len(fitness))
-    rank = _ranking(genomes[pool], fitness[pool])
-    return int(pool[np.argmin(rank)])
 
 
 def run(problem: PlacementProblem, config: GaConfig) -> SearchResult:
@@ -160,33 +112,35 @@ def run(problem: PlacementProblem, config: GaConfig) -> SearchResult:
     history = []
     generation = 1
     while True:
-        best = _best_index(pop, fitness, valid)
+        # Never empty: the seeding ensures a valid row and elitism keeps one.
+        pool = np.flatnonzero(valid)
+        rank = _ranking(pop[pool], fitness[pool])
+        best = int(pool[np.argmin(rank)])
         history.append(float(fitness[best]))
-        done = (valid[best] and fitness[best] == 1.0) or generation >= config.max_generations
-        if done:
+        if fitness[best] == 1.0 or generation >= config.max_generations:
             return SearchResult(
                 best_placement=genome_to_placement(problem, pop[best]),
                 best_fitness=float(fitness[best]),
-                best_valid=bool(valid[best]),
+                best_valid=True,
                 generations_used=generation,
                 history=history,
                 best_genome=pop[best].copy(),
             )
-        pop, fitness, valid = _next_generation(compiled, pop, fitness, valid, best, config, rng)
+        pop, fitness, valid = _next_generation(compiled, pop, pool, rank, config, rng)
         generation += 1
 
 
-def _next_generation(compiled, pop, fitness, valid, best, config, rng):
+def _next_generation(compiled, pop, pool, rank, config, rng):
+    """Breed and evaluate the next population from the valid rows ``pool`` and
+    their ``_ranking``: the best of them (the elite) first, then children of
+    tournament winners, crossed pairwise and mutated at one position each."""
     P, n = pop.shape
-    elite = pop[best] if valid[best] else None
-    n_children = P - (1 if elite is not None else 0)
-    n_pairs = (n_children + 1) // 2
+    elite = pop[pool[np.argmin(rank)]]
+    n_pairs = P // 2  # enough pairs for the P - 1 children
 
-    valid_idx = np.flatnonzero(valid)
-    rank = _ranking(pop[valid_idx], fitness[valid_idx])
-    draws = rng.integers(0, len(valid_idx), size=(2 * n_pairs, config.tournament_size))
+    draws = rng.integers(0, len(pool), size=(2 * n_pairs, config.tournament_size))
     winners = draws[np.arange(2 * n_pairs), np.argmin(rank[draws], axis=1)]
-    parents = pop[valid_idx[winners]]
+    parents = pop[pool[winners]]
 
     p1, p2 = parents[0::2], parents[1::2]
     do_cross = rng.random(n_pairs) < config.crossover_prob
@@ -201,8 +155,7 @@ def _next_generation(compiled, pop, fitness, valid, best, config, rng):
     rows = np.flatnonzero(do_mut)
     children[rows, pos[rows]] = val[rows]
 
-    children = children[:n_children]
-    new_pop = children if elite is None else np.vstack([elite[None, :], children])
+    new_pop = np.vstack([elite[None, :], children[:P - 1]])
     new_fit, new_valid = eval_population(compiled, new_pop)
     return new_pop, new_fit, new_valid
 

@@ -17,7 +17,8 @@ from click.testing import CliRunner
 
 from conftest import fixture_path, fixture_problem, load_fixture
 from genprog import random_flat_problem, random_full_placement, random_problems
-from tierslicer.advisor import AdviceKind, advise, advise_function_moves, apply_advice, refine_loop, render_report
+from tierslicer.advisor import (AdviceKind, advise, advise_function_moves, apply_advice,
+                                incoming_counts, refine_loop, render_report)
 from tierslicer.cli import main as cli_main
 from tierslicer.depgraph import build_pdg, placement_problem
 from tierslicer.fitness import evaluate
@@ -136,7 +137,7 @@ def test_criterion_4_refinement_trajectory(manifest):
     v6_problem = fixture_problem("unicorn_v6.tjs")
     v6_graph = build_pdg(load_fixture("unicorn_v6.tjs"))
     best_v6, _ = exhaustive_oracle(v6_problem)
-    advice_count = len(advise(v6_graph, best_v6, load_fixture("unicorn_v6.tjs")))
+    advice_count = len(advise(v6_graph, v6_problem, best_v6, load_fixture("unicorn_v6.tjs")))
     ok = (monotone and fitnesses[-1] == 1.0 and final.fitness == 1.0
           and final.iterations == 0 and advice_count == 0)
     trend = " -> ".join(f"{f:.4f}" for f in fitnesses)
@@ -148,7 +149,7 @@ def test_criterion_5_auto_apply_slice_growth(manifest):
     graph = build_pdg(program)
     problem = placement_problem(graph)
     placement = Placement(fixed=dict(problem.fixed), searched={})
-    moves = advise_function_moves(graph, placement, program)
+    moves = advise_function_moves(problem, program, incoming_counts(problem, placement))
     k = len(manifest["tracker.tjs"]["advice"]["move"])
     refined = apply_advice(program, moves)
     ok = len(moves) == k and len(refined.slices) == len(program.slices) + k
@@ -161,7 +162,7 @@ def test_criterion_6_advice_report_golden(manifest):
     graph = build_pdg(program)
     problem = placement_problem(graph)
     placement = Placement(fixed=dict(problem.fixed), searched={})
-    advices = advise(graph, placement, program)
+    advices = advise(graph, problem, placement, program)
     replicate = [a.target for a in advices if a.kind is AdviceKind.REPLICATE_DECLARATION]
     moved = [a.target for a in advices if a.kind is AdviceKind.MOVE_FUNCTION]
     rendered = render_report(evaluate(problem, placement).program, advices)

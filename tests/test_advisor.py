@@ -11,6 +11,7 @@ from tierslicer.advisor import (
     advise_function_moves,
     advise_replication,
     apply_advice,
+    incoming_counts,
     refine_loop,
     render_report,
     report_json,
@@ -28,28 +29,28 @@ def tracker_setup():
     graph = build_pdg(program)
     problem = placement_problem(graph)
     placement = Placement(fixed=dict(problem.fixed), searched={})
-    return program, graph, placement
+    return program, graph, problem, placement
 
 
 def test_tracker_advice_matches_manifest(manifest):
-    program, graph, placement = tracker_setup()
-    advices = advise(graph, placement, program)
+    program, graph, problem, placement = tracker_setup()
+    advices = advise(graph, problem, placement, program)
     expected = manifest["tracker.tjs"]["advice"]
     assert [a.target for a in advices if a.kind is AdviceKind.REPLICATE_DECLARATION] == expected["replicate"]
     assert [a.target for a in advices if a.kind is AdviceKind.MOVE_FUNCTION] == expected["move"]
 
 
 def test_replication_advice_lists_dependent_functions():
-    program, graph, placement = tracker_setup()
-    advices = advise_replication(graph, placement, program)
+    program, graph, problem, placement = tracker_setup()
+    advices = advise_replication(graph, placement, program, incoming_counts(problem, placement))
     by_target = {a.target: a for a in advices}
     assert "getMeetings" in by_target["meetings"].dependent_functions
     assert "getTasks" in by_target["tasks"].dependent_functions
 
 
 def test_move_advice_carries_incoming_counts():
-    program, graph, placement = tracker_setup()
-    advices = advise_function_moves(graph, placement, program)
+    program, graph, problem, placement = tracker_setup()
+    advices = advise_function_moves(problem, program, incoming_counts(problem, placement))
     counts = {a.target: (a.local_incoming, a.remote_incoming) for a in advices}
     assert counts["getMeetings"] == (0, 4)
     assert counts["getTasks"] == (0, 3)
@@ -72,11 +73,12 @@ def test_move_threshold_arithmetic():
         "}\n"
     )
     program = resolve_calls(parse(src))
-    graph = build_pdg(program)
+    problem = placement_problem(build_pdg(program))
     placement = Placement(fixed={"hub": Tier.SERVER, "ui": Tier.CLIENT}, searched={})
-    below = advise_function_moves(graph, placement, program, AdvisorConfig(move_threshold=0.2))
+    incoming = incoming_counts(problem, placement)
+    below = advise_function_moves(problem, program, incoming, AdvisorConfig(move_threshold=0.2))
     assert [a.target for a in below] == ["work"]
-    above = advise_function_moves(graph, placement, program, AdvisorConfig(move_threshold=0.7))
+    above = advise_function_moves(problem, program, incoming, AdvisorConfig(move_threshold=0.7))
     assert above == []
 
 
@@ -86,7 +88,7 @@ def test_replicated_vars_get_no_replication_advice():
     problem = placement_problem(graph)
     placement = Placement(fixed=dict(problem.fixed),
                           searched={s: Tier.CLIENT for s in problem.unplaced})
-    assert advise_replication(graph, placement, program) == []
+    assert advise_replication(graph, placement, program, incoming_counts(problem, placement)) == []
 
 
 def test_advisor_config_validation():
@@ -97,8 +99,8 @@ def test_advisor_config_validation():
 
 
 def test_apply_advice_grows_one_slice_per_move(manifest):
-    program, graph, placement = tracker_setup()
-    moves = advise_function_moves(graph, placement, program)
+    program, _, problem, placement = tracker_setup()
+    moves = advise_function_moves(problem, program, incoming_counts(problem, placement))
     refined = apply_advice(program, moves)
     assert len(refined.slices) == len(program.slices) + len(moves)
     new_names = [s.name for s in refined.slices if s.name.startswith("auto_")]
@@ -110,8 +112,8 @@ def test_apply_advice_grows_one_slice_per_move(manifest):
 
 
 def test_apply_advice_marks_declarations_replicated():
-    program, graph, placement = tracker_setup()
-    replicate = advise_replication(graph, placement, program)
+    program, graph, problem, placement = tracker_setup()
+    replicate = advise_replication(graph, placement, program, incoming_counts(problem, placement))
     refined = apply_advice(program, replicate)
     data = next(s for s in refined.slices if s.name == "data")
     from tierslicer.syntax import AnnotationKind, VarDecl
@@ -127,9 +129,9 @@ def test_apply_advice_marks_declarations_replicated():
 
 
 def test_apply_advice_leaves_the_input_program_untouched():
-    program, graph, placement = tracker_setup()
+    program, graph, problem, placement = tracker_setup()
     before = len(program.slices)
-    apply_advice(program, advise(graph, placement, program))
+    apply_advice(program, advise(graph, problem, placement, program))
     assert len(program.slices) == before
 
 
@@ -147,7 +149,7 @@ def test_fresh_slice_names_avoid_collisions():
 
 
 def test_apply_advice_unknown_target_raises():
-    program, _, _ = tracker_setup()
+    program, _, _, _ = tracker_setup()
     with pytest.raises(TargetNotFoundError):
         apply_advice(program, [Advice(AdviceKind.MOVE_FUNCTION, "nope", "data")])
 
@@ -169,12 +171,11 @@ def test_refine_loop_improves_the_tracker():
 
 
 def test_render_report_golden_bytes(manifest):
-    program, graph, placement = tracker_setup()
-    problem = placement_problem(graph)
+    program, graph, problem, placement = tracker_setup()
     from tierslicer.fitness import evaluate
 
     fitness = evaluate(problem, placement).program
-    advices = advise(graph, placement, program)
+    advices = advise(graph, problem, placement, program)
     assert render_report(fitness, advices) == manifest["tracker.tjs"]["report"]
 
 
@@ -183,8 +184,8 @@ def test_render_report_omits_empty_sections():
 
 
 def test_report_json_shape():
-    program, graph, placement = tracker_setup()
-    advices = advise(graph, placement, program)
+    program, graph, problem, placement = tracker_setup()
+    advices = advise(graph, problem, placement, program)
     payload = report_json(0.1, advices)
     assert payload["offlinePercent"] == 10
     assert [r["name"] for r in payload["replicate"]] == ["meetings", "tasks"]

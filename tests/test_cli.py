@@ -65,17 +65,33 @@ def test_assign_is_deterministic(runner):
     assert invoke(runner, *args).output == invoke(runner, *args).output
 
 
+HOPELESS = (
+    "/* @config srv : server, cli : client */\n"
+    "/* @slice srv */\n{ function push() { show(1); } }\n"
+    "/* @slice cli */\n{ function show(x) { return x; } }\n"
+    "/* @slice spare */\n{ var pad = 1; }\n"
+)
+
+
 def test_assign_search_failure_exits_4(runner, tmp_path):
     hopeless = tmp_path / "hopeless.tjs"
-    hopeless.write_text(
-        "/* @config srv : server, cli : client */\n"
-        "/* @slice srv */\n{ function push() { show(1); } }\n"
-        "/* @slice cli */\n{ function show(x) { return x; } }\n"
-        "/* @slice spare */\n{ var pad = 1; }\n"
-    )
+    hopeless.write_text(HOPELESS)
     result = invoke(runner, "assign", hopeless)
     assert result.exit_code == 4
     assert "search failed" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ("assign", "--runs", 2), ("stats", "--runs", 2), ("oracle",), ("advise",),
+    ("refine",), ("refine", "--apply"),
+])
+def test_every_search_command_exits_4_on_search_failure(runner, tmp_path, command):
+    hopeless = tmp_path / "hopeless.tjs"
+    hopeless.write_text(HOPELESS)
+    result = invoke(runner, command[0], hopeless, *command[1:])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("search failed: ")
 
 
 def test_stats_mode_table_and_csv(runner, tmp_path):
@@ -165,6 +181,44 @@ def test_split_invalid_placement_exits_3(runner, tmp_path):
     assert result.exit_code == 3
     assert "invalid placement" in result.output
     assert "server-to-client" in result.output
+
+
+UNICORN_V2_FIXED = {"data": "server", "browser": "client"}
+
+
+@pytest.mark.parametrize("command", ["advise", "split"])
+@pytest.mark.parametrize("payload, message", [
+    ({"fixed": UNICORN_V2_FIXED, "searched": {"query": "client"}},
+     "no tier for slice 'mutate'"),
+    ({"searched": {"query": "client", "mutate": "client"}},
+     "no tier for slice 'data'"),
+    ({"fixed": UNICORN_V2_FIXED, "searched": {"query": "client", "mutate": "client",
+                                                "ghost": "both"}},
+     "unknown slice 'ghost'"),
+    ({"fixed": {"data": "client", "browser": "client"},
+      "searched": {"query": "client", "mutate": "client"}},
+     "slice 'data' is fixed to server by @config, not client"),
+], ids=["missing-searched", "missing-fixed", "unknown", "config-conflict"])
+def test_placement_file_must_match_the_program(runner, tmp_path, command, payload, message):
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps(payload))
+    result = invoke(runner, command, fixture_path("unicorn_v2.tjs"), "--placement", placement)
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == f"{placement}: {message}\n"
+
+
+@pytest.mark.parametrize("name", [
+    "meetings.tjs", "relay.tjs", "relay_reply.tjs", "tracker.tjs", "unicorn_v1.tjs",
+    "unicorn_v2.tjs", "unicorn_v3.tjs", "unicorn_v4.tjs", "unicorn_v5.tjs", "unicorn_v6.tjs",
+])
+def test_refine_without_apply_prints_what_advise_prints(runner, name):
+    advised = invoke(runner, "advise", fixture_path(name), "--seed", 6)
+    refined = invoke(runner, "refine", fixture_path(name), "--seed", 6)
+    assert advised.exit_code == refined.exit_code == 0
+    assert refined.stdout == advised.stdout
+    assert refined.stdout.startswith("Application level of offline availability: ")
 
 
 def test_unresolved_call_warning_goes_to_stderr(runner, tmp_path):

@@ -11,7 +11,6 @@ from tierslicer.depgraph import (
     ENTRY,
     FUNCTION_ENTRY,
     build_pdg,
-    call_inventory,
     collapse_to_slice_graph,
     from_json,
     placement_problem,
@@ -78,16 +77,17 @@ def test_call_site_count_matches_resolver(tmp_path):
 
 
 def test_tracker_call_inventory():
-    graph = build_pdg(load_fixture("tracker.tjs"))
-    table, unresolved = call_inventory(graph)
-    assert unresolved == 0
-    assert len(table["browser"]) == 10
-    assert table["data"] == []
-    callees = sorted(rec.callee_name for rec in table["browser"])
+    problem = placement_problem(build_pdg(load_fixture("tracker.tjs")))
+    assert problem.unresolved_calls == 0
+    assert [rec.site_id for rec in problem.calls] == list(range(len(problem.calls)))
+    browser = [rec for rec in problem.calls if rec.caller == "browser"]
+    assert len(browser) == 10
+    assert [rec for rec in problem.calls if rec.caller == "data"] == []
+    callees = sorted(rec.callee_name for rec in browser)
     assert callees.count("getMeetings") == 4
     assert callees.count("getTasks") == 3
     assert callees.count("displayAgenda") == 1
-    local_targets = [rec for rec in table["browser"] if rec.callee == "browser"]
+    local_targets = [rec for rec in browser if rec.callee == "browser"]
     assert len(local_targets) == 1
 
 
@@ -98,10 +98,9 @@ def test_shared_code_callee_is_marked_shared():
     )
     from tierslicer import parse, resolve_calls
 
-    graph = build_pdg(resolve_calls(parse(src)))
-    table, _ = call_inventory(graph)
-    (rec,) = table["a"]
-    assert rec.callee == SHARED
+    problem = placement_problem(build_pdg(resolve_calls(parse(src))))
+    (rec,) = problem.calls
+    assert (rec.caller, rec.callee) == ("a", SHARED)
 
 
 def test_placement_problem_from_tracker(manifest):

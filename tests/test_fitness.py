@@ -5,7 +5,7 @@ import pytest
 
 from conftest import fixture_problem
 from genprog import random_flat_problem, random_full_placement
-from tierslicer.fitness import evaluate, offline_percent, program_offline, slice_offline
+from tierslicer.fitness import evaluate, offline_percent
 from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer.placement import Placement, classify_calls
 
@@ -20,8 +20,9 @@ def test_slice_offline_two_local_three_remote():
         ),
     )
     placement = Placement(fixed=dict(problem.fixed), searched={"a": Tier.CLIENT})
-    classified = classify_calls(problem, placement)
-    assert slice_offline("a", classified) == pytest.approx(0.4)
+    a = evaluate(problem, placement).per_slice["a"]
+    assert (a.local_calls, a.total_calls) == (2, 5)
+    assert a.offline_fraction == 0.4
 
 
 def test_call_free_slice_scores_one_with_zero_weight():
@@ -64,7 +65,11 @@ def test_program_offline_equals_flat_ratio_on_random_problems():
         placement = random_full_placement(problem, rng)
         classified = classify_calls(problem, placement)
         flat = sum(c.local for c in classified) / len(classified)
-        assert program_offline(problem, classified) == pytest.approx(flat, abs=1e-12)
+        report = evaluate(problem, placement)
+        assert report.program == flat
+        # ... which is the call-count-weighted mean of the per-slice fractions
+        weighted = sum(sf.offline_fraction * sf.total_calls for sf in report.per_slice.values())
+        assert report.program == pytest.approx(weighted / len(classified), abs=1e-12)
 
 
 def test_offline_percent_rounding():

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import fixture_problem
-from tierslicer.errors import AllInvalidError, GenomeLengthMismatchError, TooManySlicesError
-from tierslicer.kernels import compile_problem, eval_population
+from tierslicer.errors import AllInvalidError, TooManySlicesError
+from tierslicer.kernels import compile_problem
 from tierslicer.model import CallRecord, PlacementProblem, Tier
 from tierslicer.search import (
     GaConfig,
-    crossover,
+    _next_generation,
+    _ranking,
     exhaustive_oracle,
     genome_to_placement,
-    mutate,
     placement_to_genome,
     run,
     run_many,
     seed_population,
-    tournament_select,
 )
 
 
@@ -41,54 +40,63 @@ def test_seed_population_shape_and_alphabet():
     np.testing.assert_array_equal(pop, again)
 
 
+def breed(pop, fitness, valid, seed=0, **config):
+    """One batched generation over a call-free problem, ranked as run() ranks."""
+    pop = np.asarray(pop, dtype=np.int8)
+    problem = PlacementProblem(slices=tuple(f"s{i}" for i in range(pop.shape[1])))
+    config = GaConfig(population_size=len(pop), **config)
+    pool = np.flatnonzero(valid)
+    rank = _ranking(pop[pool], np.asarray(fitness, dtype=float)[pool])
+    new_pop, _, _ = _next_generation(compile_problem(problem), pop, pool, rank,
+                                     config, np.random.default_rng(seed))
+    assert new_pop.shape == pop.shape
+    return new_pop
+
+
 def test_mutate_rewrites_exactly_one_position():
-    rng = np.random.default_rng(0)
-    genome = np.array([1, 2, 3, 1, 2], dtype=np.int8)
-    for _ in range(50):
-        child = mutate(genome, rng)
-        assert (child != genome).sum() <= 1  # the new value may equal the old
-        assert set(np.unique(child)) <= {1, 2, 3}
-    assert (mutate(np.array([2], dtype=np.int8), rng) != 0).all()
+    genome = [1, 2, 3, 1, 2]
+    for seed in range(5):
+        children = breed([genome] * 30, [1.0] * 30, [True] * 30, seed,
+                         crossover_prob=0.0, mutation_prob=1.0)
+        np.testing.assert_array_equal(children[0], genome)  # the elite
+        changed = (children[1:] != genome).sum(axis=1)
+        assert (changed <= 1).all()  # the new value may equal the old
+        assert changed.any()
+        assert set(np.unique(children)) <= {1, 2, 3}
+    single = breed([[2]] * 4, [1.0] * 4, [True] * 4, crossover_prob=0.0, mutation_prob=1.0)
+    assert set(np.unique(single)) <= {1, 2, 3}
 
 
 def test_crossover_is_a_positionwise_swap():
-    rng = np.random.default_rng(5)
-    a = np.array([1, 1, 1, 1], dtype=np.int8)
-    b = np.array([2, 2, 2, 2], dtype=np.int8)
-    c1, c2 = crossover(a, b, rng)
-    np.testing.assert_array_equal(np.sort(np.stack([c1, c2]), axis=0),
-                                  np.sort(np.stack([a, b]), axis=0))
-    same1, same2 = crossover(a, a.copy(), rng)
-    np.testing.assert_array_equal(same1, a)
-    np.testing.assert_array_equal(same2, a)
-    with pytest.raises(GenomeLengthMismatchError):
-        crossover(a, np.array([1, 2], dtype=np.int8), rng)
+    a, b = [1, 1, 1, 1], [2, 2, 2, 2]
+    children = breed([a, b] * 15, [1.0] * 30, [True] * 30, seed=5, tournament_size=1,
+                     crossover_prob=1.0, mutation_prob=0.0)
+    # rows 1, 2 | 3, 4 | ... are sibling pairs (row 0 is the elite); each
+    # column of a pair holds its parents' two values, swapped or not
+    pairs = children[1:29].reshape(14, 2, 4)
+    assert set(np.unique(children)) <= {1, 2}
+    column_sums = pairs.sum(axis=1)
+    assert (column_sums == column_sums[:, :1]).all()
+    assert any(len(set(child)) > 1 for child in children[1:])  # some column swapped
+    same = breed([a] * 30, [1.0] * 30, [True] * 30, crossover_prob=1.0, mutation_prob=0.0)
+    assert (same == a).all()
 
 
 def test_tournament_ignores_invalid_individuals():
-    genomes = np.array([[1], [2], [3]], dtype=np.int8)
-    fitness = np.array([0.2, 0.9, 0.5])
-    valid = np.array([True, False, True])
-    rng = np.random.default_rng(1)
-    config = GaConfig(tournament_size=30)  # large sample: every valid index drawn
-    winners = {tournament_select(genomes, fitness, valid, config, rng) for _ in range(20)}
-    assert winners == {2}  # 0.9 is invalid, 0.5 beats 0.2
+    pop = [[1], [2], [3]] * 10
+    fitness = [0.2, 0.9, 0.5] * 10
+    valid = [True, False, True] * 10
+    # a tournament as large as the population: every valid genome competes
+    children = breed(pop, fitness, valid, seed=1, tournament_size=30,
+                     crossover_prob=0.0, mutation_prob=0.0)
+    assert (children == 3).all()  # 0.9 is invalid, 0.5 beats 0.2
 
 
 def test_tournament_tie_breaks_toward_lexicographically_lower_genome():
-    genomes = np.array([[3, 1], [1, 2], [2, 1]], dtype=np.int8)
-    fitness = np.array([0.5, 0.5, 0.5])
-    valid = np.array([True, True, True])
-    config = GaConfig(tournament_size=30)
-    rng = np.random.default_rng(2)
-    winners = {tournament_select(genomes, fitness, valid, config, rng) for _ in range(20)}
-    assert winners == {1}
-
-
-def test_tournament_with_no_valid_individual_raises():
-    genomes = np.array([[1]], dtype=np.int8)
-    with pytest.raises(AllInvalidError):
-        tournament_select(genomes, np.array([1.0]), np.array([False]), GaConfig(), np.random.default_rng(0))
+    pop = [[3, 1], [1, 2], [2, 1]] * 10
+    children = breed(pop, [0.5] * 30, [True] * 30, seed=2, tournament_size=30,
+                     crossover_prob=0.0, mutation_prob=0.0)
+    assert (children == [1, 2]).all()
 
 
 def test_genome_placement_round_trip():
