@@ -62,13 +62,20 @@ def compile_problem(problem: PlacementProblem) -> CompiledProblem:
     )
 
 
+def _endpoint(genomes, gene, mask):
+    """Each row's tier mask at one end of every call: its gene, or its fixed mask."""
+    if genomes.shape[1] == 0:  # no genes: every end is fixed
+        return np.broadcast_to(mask, (genomes.shape[0], len(mask)))
+    return np.where(gene >= 0, genomes[:, np.maximum(gene, 0)], mask)
+
+
 def _eval_numpy(genomes, cg, cm, eg, em, ann):
     pop = genomes.shape[0]
     ncalls = cg.shape[0]
     if ncalls == 0:
         return np.ones(pop, dtype=np.float64), np.ones(pop, dtype=np.bool_)
-    a = np.where(cg >= 0, genomes[:, np.maximum(cg, 0)], cm)
-    b = np.where(eg >= 0, genomes[:, np.maximum(eg, 0)], em)
+    a = _endpoint(genomes, cg, cm)
+    b = _endpoint(genomes, eg, em)
     local = (a & (3 ^ b)) == 0
     fitness = local.sum(axis=1) / ncalls
     bad = ~local & ((a & 2) != 0) & ((b & 2) == 0) & ~ann

@@ -1,19 +1,29 @@
 """Genetic search over tier placements, plus an exhaustive oracle.
 
-Individuals are tier-mask genomes over the unplaced slices.  Each generation
-is bred in one batch by ``_next_generation``: tournament selection over the
-valid subset only (fitness ties go to the lexicographically lower genome),
-uniform crossover of each parent pair, and mutation that rewrites one
-position per child.  Invalid individuals stay in the population (they may
-mutate back to validity) but never parent.  Replacement is generational with
-1-elitism on the best valid individual.  The search stops at the first valid
-individual with fitness 1.0 or after the generation budget.
+Individuals are tier-mask genomes over the unplaced slices.  ``run_many``
+advances all its independent runs together: their populations are stacked
+into one ``(runs * population, genes)`` array, and each generation is one
+batched step by ``_next_generation``.  One ``np.lexsort`` ranks every row
+(by run, valid rows first, fitness descending, genome ascending); one
+gather does every run's tournament selection over that run's valid rows
+only; then one uniform crossover of each parent pair, one mutation that
+rewrites one position per child, and one ``eval_population`` call on all
+rows.  Invalid individuals stay in the population (they may mutate back to
+validity) but never parent.  Replacement is generational with 1-elitism on
+the best valid individual.  A run stops at its first valid individual with
+fitness 1.0 or after the generation budget, and then leaves the batch.
+
+Each run owns its random stream, ``np.random.default_rng(seed)``, and makes
+the same draws in the same order and shapes as it would alone, so a seed's
+``SearchResult`` does not depend on the other runs in its batch, on the
+batch size or on the worker count.  ``run`` is a batch of one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,87 +87,157 @@ def seed_population(config: GaConfig, n_genes: int, rng: np.random.Generator) ->
     return rng.integers(1, 4, size=(config.population_size, n_genes), dtype=np.int8)
 
 
-def _ranking(genomes: np.ndarray, fitness: np.ndarray) -> np.ndarray:
-    """rank[i] = position of individual i under (fitness desc, genome lex asc)."""
-    keys = tuple(genomes[:, i] for i in reversed(range(genomes.shape[1]))) + (-fitness,)
-    order = np.lexsort(keys)
-    rank = np.empty(len(order), dtype=np.int64)
+def _ranking(pop: np.ndarray, fitness: np.ndarray, valid: np.ndarray, size: int) -> np.ndarray:
+    """Order the rows of stacked runs of ``size`` rows each: by run, then
+    valid rows first, then fitness descending, then genome ascending; equal
+    rows keep their index order.  Run r's rows fill positions r*size onward,
+    so ``order[::size]`` is each run's best row (every run holds a valid one)."""
+    return np.lexsort((*pop.T[::-1], -fitness, ~valid, np.arange(len(pop)) // size))
+
+
+def _seed_populations(compiled, config: GaConfig, rngs) -> tuple:
+    """Each run's first population, stacked: its first seeding that holds a valid row."""
+    R, P, n = len(rngs), config.population_size, compiled.n_genes
+    pop = np.empty((R, P, n), dtype=np.int8)
+    fitness = np.empty((R, P))
+    valid = np.empty((R, P), dtype=bool)
+    pending = list(range(R))
+    for _ in range(_SEED_RETRIES):
+        for r in pending:
+            pop[r] = seed_population(config, n, rngs[r])
+        f, v = eval_population(compiled, pop[pending].reshape(-1, n))
+        fitness[pending] = f.reshape(-1, P)
+        valid[pending] = v.reshape(-1, P)
+        pending = [r for r in pending if not valid[r].any()]
+        if not pending:
+            return pop.reshape(R * P, n), fitness.ravel(), valid.ravel()
+    raise AllInvalidError(
+        f"no valid individual after {_SEED_RETRIES} seedings "
+        f"(population {P}, {n} unplaced slices)"
+    )
+
+
+def _next_generation(compiled, pop, valid, order, rngs, config: GaConfig):
+    """Breed and evaluate the next stacked population of the runs drawing
+    from ``rngs``, given their rows' validity and ``_ranking``.  Each run's
+    next rows are its best row (the elite), then children of tournament
+    winners among its own valid rows, crossed pairwise and mutated at one
+    position each.  Every run makes the draws a lone run would make, in the
+    same order and shapes, so its stream does not depend on the batch."""
+    P, T = config.population_size, config.tournament_size
+    R, n = len(rngs), pop.shape[1]
+    n_pairs = P // 2  # enough pairs for the P - 1 children
+
+    draws = np.empty((R, 2 * n_pairs, T), dtype=np.int64)
+    cross_u = np.empty((R, n_pairs))
+    swap = np.empty((R, n_pairs, n), dtype=bool)
+    mut_u = np.empty((R, 2 * n_pairs))
+    pos = np.empty((R, 2 * n_pairs), dtype=np.int64)
+    val = np.empty((R, 2 * n_pairs), dtype=np.int8)
+    n_valid = valid.reshape(R, P).sum(axis=1).tolist()
+    for r, (rng, k) in enumerate(zip(rngs, n_valid)):
+        draws[r] = rng.integers(0, k, size=(2 * n_pairs, T))
+        rng.random(out=cross_u[r])
+        swap[r] = rng.integers(0, 2, size=(n_pairs, n))
+        rng.random(out=mut_u[r])
+        pos[r] = rng.integers(0, n, size=2 * n_pairs)
+        val[r] = rng.integers(1, 4, size=2 * n_pairs)
+
+    # Run r's draws index its own valid rows, which follow those of the runs
+    # before it; a tournament's winner is the entrant ranked first.
+    first = np.array(list(accumulate(n_valid[:-1], initial=0)))
+    rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return rank
+    entrants = np.flatnonzero(valid)[draws + first[:, None, None]]
+    parents = pop[order[rank[entrants].min(axis=2)]]
+
+    p1, p2 = parents[:, 0::2], parents[:, 1::2]
+    swap &= (cross_u < config.crossover_prob)[..., None]
+    children = np.empty((R, 2 * n_pairs, n), dtype=np.int8)
+    children[:, 0::2] = np.where(swap, p2, p1)
+    children[:, 1::2] = np.where(swap, p1, p2)
+
+    rows = np.flatnonzero(mut_u < config.mutation_prob)  # rows of all R * 2 * n_pairs children
+    pos, val = pos.ravel(), val.ravel()
+    children.reshape(-1, n)[rows, pos[rows]] = val[rows]
+
+    new_pop = np.empty((R, P, n), dtype=np.int8)
+    new_pop[:, 0] = pop[order[::P]]
+    new_pop[:, 1:] = children[:, :P - 1]
+    new_pop = new_pop.reshape(R * P, n)
+    new_fit, new_valid = eval_population(compiled, new_pop)
+    return new_pop, new_fit, new_valid
+
+
+# --- Genetic search -------------------------------------------------------
 
 
 def run(problem: PlacementProblem, config: GaConfig) -> SearchResult:
     """Full genetic search; degenerates gracefully with zero unplaced slices."""
+    return run_many(problem, config, 1)[0]
+
+
+def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int = 1):
+    """``runs`` independent searches with seeds ``config.rng_seed + i``, in seed order.
+
+    With ``jobs > 1`` the seeds are split into that many contiguous blocks,
+    one batch per worker process.  Results are bit-identical for any worker
+    count because every run owns its stream and the output order is fixed.
+    """
+    if jobs > 1 and runs > 1:
+        jobs = min(jobs, runs)
+        counts = [runs // jobs + (j < runs % jobs) for j in range(jobs)]
+        configs = [replace(config, rng_seed=seed)
+                   for seed in accumulate(counts[:-1], initial=config.rng_seed)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            blocks = pool.map(run_many, [problem] * jobs, configs, counts)
+            return [result for block in blocks for result in block]
     n = len(problem.unplaced)
     if n == 0:
-        placement = Placement(fixed=dict(problem.fixed), searched={})
-        report = evaluate(problem, placement)
-        return SearchResult(placement, report.program, report.valid, 0, [],
-                            np.zeros(0, dtype=np.int8))
+        report = evaluate(problem, Placement(fixed=dict(problem.fixed), searched={}))
+        return [SearchResult(Placement(fixed=dict(problem.fixed), searched={}), report.program,
+                             report.valid, 0, [], np.zeros(0, dtype=np.int8))
+                for _ in range(runs)]
+    if runs < 1:
+        return []
 
+    P = config.population_size
     compiled = compile_problem(problem)
-    rng = np.random.default_rng(config.rng_seed)
-
-    for _ in range(_SEED_RETRIES):
-        pop = seed_population(config, n, rng)
-        fitness, valid = eval_population(compiled, pop)
-        if valid.any():
-            break
-    else:
-        raise AllInvalidError(
-            f"no valid individual after {_SEED_RETRIES} seedings "
-            f"(population {config.population_size}, {n} unplaced slices)"
-        )
-
-    history = []
+    rngs = [np.random.default_rng(config.rng_seed + i) for i in range(runs)]
+    pop, fitness, valid = _seed_populations(compiled, config, rngs)
+    active = list(range(runs))  # the runs in the batch, in stacking order
+    histories = [[] for _ in range(runs)]
+    results = [None] * runs
     generation = 1
     while True:
-        # Never empty: the seeding ensures a valid row and elitism keeps one.
-        pool = np.flatnonzero(valid)
-        rank = _ranking(pop[pool], fitness[pool])
-        best = int(pool[np.argmin(rank)])
-        history.append(float(fitness[best]))
-        if fitness[best] == 1.0 or generation >= config.max_generations:
-            return SearchResult(
-                best_placement=genome_to_placement(problem, pop[best]),
-                best_fitness=float(fitness[best]),
-                best_valid=True,
-                generations_used=generation,
-                history=history,
-                best_genome=pop[best].copy(),
-            )
-        pop, fitness, valid = _next_generation(compiled, pop, pool, rank, config, rng)
+        order = _ranking(pop, fitness, valid, P)
+        best = order[::P]
+        best_fit = fitness[best].tolist()
+        for r, f in zip(active, best_fit):
+            histories[r].append(f)
+        last = generation >= config.max_generations
+        if last or 1.0 in best_fit:  # some runs stop and leave the batch
+            keep = [not last and f != 1.0 for f in best_fit]
+            for i, r in enumerate(active):
+                if not keep[i]:
+                    genome = pop[best[i]]
+                    results[r] = SearchResult(
+                        best_placement=genome_to_placement(problem, genome),
+                        best_fitness=best_fit[i],
+                        best_valid=True,
+                        generations_used=generation,
+                        history=histories[r],
+                        best_genome=genome.copy(),
+                    )
+            if not any(keep):
+                return results
+            rows = np.repeat(keep, P)
+            pop, fitness, valid = pop[rows], fitness[rows], valid[rows]
+            active = [r for r, k in zip(active, keep) if k]
+            rngs = [rng for rng, k in zip(rngs, keep) if k]
+            order = _ranking(pop, fitness, valid, P)
+        pop, fitness, valid = _next_generation(compiled, pop, valid, order, rngs, config)
         generation += 1
-
-
-def _next_generation(compiled, pop, pool, rank, config, rng):
-    """Breed and evaluate the next population from the valid rows ``pool`` and
-    their ``_ranking``: the best of them (the elite) first, then children of
-    tournament winners, crossed pairwise and mutated at one position each."""
-    P, n = pop.shape
-    elite = pop[pool[np.argmin(rank)]]
-    n_pairs = P // 2  # enough pairs for the P - 1 children
-
-    draws = rng.integers(0, len(pool), size=(2 * n_pairs, config.tournament_size))
-    winners = draws[np.arange(2 * n_pairs), np.argmin(rank[draws], axis=1)]
-    parents = pop[pool[winners]]
-
-    p1, p2 = parents[0::2], parents[1::2]
-    do_cross = rng.random(n_pairs) < config.crossover_prob
-    swap = rng.integers(0, 2, size=(n_pairs, n)).astype(bool) & do_cross[:, None]
-    children = np.empty((2 * n_pairs, n), dtype=np.int8)
-    children[0::2] = np.where(swap, p2, p1)
-    children[1::2] = np.where(swap, p1, p2)
-
-    do_mut = rng.random(2 * n_pairs) < config.mutation_prob
-    pos = rng.integers(0, n, size=2 * n_pairs)
-    val = rng.integers(1, 4, size=2 * n_pairs).astype(np.int8)
-    rows = np.flatnonzero(do_mut)
-    children[rows, pos[rows]] = val[rows]
-
-    new_pop = np.vstack([elite[None, :], children[:P - 1]])
-    new_fit, new_valid = eval_population(compiled, new_pop)
-    return new_pop, new_fit, new_valid
 
 
 # --- Exhaustive oracle ----------------------------------------------------
@@ -193,24 +273,3 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = 12):
     if best_genome is None or best_fit < 0.0:
         raise AllInvalidError("every searched placement is invalid")
     return genome_to_placement(problem, best_genome), best_fit
-
-
-# --- Multi-run harness ----------------------------------------------------
-
-
-def _run_with_seed(args):
-    problem, config, seed = args
-    return run(problem, replace(config, rng_seed=seed))
-
-
-def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int = 1):
-    """N independent searches with derived seeds (base + i), in seed order.
-
-    Results are bit-identical regardless of the worker count because every
-    run owns its seed and the output order is fixed.
-    """
-    tasks = [(problem, config, config.rng_seed + i) for i in range(runs)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_with_seed, tasks))
-    return [_run_with_seed(t) for t in tasks]

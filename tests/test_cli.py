@@ -108,6 +108,15 @@ def test_stats_mode_table_and_csv(runner, tmp_path):
     assert len(csv_lines) == 2 and csv_lines[0].startswith("runs,gen,")
 
 
+@pytest.mark.parametrize("name", ["relay_reply.tjs", "unicorn_v4.tjs"])
+def test_stats_output_does_not_depend_on_jobs(runner, name):
+    serial = invoke(runner, "stats", fixture_path(name), "--runs", 10, "--jobs", 1)
+    parallel = invoke(runner, "stats", fixture_path(name), "--runs", 10, "--jobs", 2)
+    assert serial.exit_code == parallel.exit_code == 0
+    assert parallel.stdout == serial.stdout
+    assert serial.stdout.splitlines()[1].split()[0] == "10"
+
+
 def test_oracle_reports_best_fitness(runner):
     result = invoke(runner, "oracle", fixture_path("meetings.tjs"))
     assert result.exit_code == 0

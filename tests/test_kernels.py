@@ -36,6 +36,7 @@ def test_kernel_equals_evaluate_exactly_on_random_problems():
 @pytest.mark.parametrize("name", [
     "unicorn_v2.tjs", "unicorn_v4.tjs", "relay.tjs", "meetings.tjs",
     "relay_reply.tjs", "unicorn_v3.tjs", "unicorn_v5.tjs", "unicorn_v6.tjs",
+    "tracker.tjs", "unicorn_v1.tjs",  # no unplaced slice: one genome of length 0
 ])
 def test_kernel_matches_reference_evaluation(name):
     problem = fixture_problem(name)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import fixture_problem
+from genprog import random_flat_problem, random_problem
 from tierslicer.errors import AllInvalidError, TooManySlicesError
 from tierslicer.kernels import compile_problem
 from tierslicer.model import CallRecord, PlacementProblem, Tier
@@ -40,63 +44,103 @@ def test_seed_population_shape_and_alphabet():
     np.testing.assert_array_equal(pop, again)
 
 
-def breed(pop, fitness, valid, seed=0, **config):
-    """One batched generation over a call-free problem, ranked as run() ranks."""
+def breed(pop, fitness, valid, runs, seed=0, **config):
+    """One batched generation of ``runs`` stacked copies of a population over
+    a call-free problem, ranked as run_many ranks; returns (runs, P, n)."""
     pop = np.asarray(pop, dtype=np.int8)
-    problem = PlacementProblem(slices=tuple(f"s{i}" for i in range(pop.shape[1])))
-    config = GaConfig(population_size=len(pop), **config)
-    pool = np.flatnonzero(valid)
-    rank = _ranking(pop[pool], np.asarray(fitness, dtype=float)[pool])
-    new_pop, _, _ = _next_generation(compile_problem(problem), pop, pool, rank,
-                                     config, np.random.default_rng(seed))
-    assert new_pop.shape == pop.shape
-    return new_pop
+    P, n = pop.shape
+    problem = PlacementProblem(slices=tuple(f"s{i}" for i in range(n)))
+    config = GaConfig(population_size=P, **config)
+    stacked = np.tile(pop, (runs, 1))
+    fitness = np.tile(np.asarray(fitness, dtype=float), runs)
+    valid = np.tile(np.asarray(valid, dtype=bool), runs)
+    order = _ranking(stacked, fitness, valid, P)
+    rngs = [np.random.default_rng(seed + i) for i in range(runs)]
+    new_pop, _, _ = _next_generation(compile_problem(problem), stacked, valid, order,
+                                     rngs, config)
+    assert new_pop.shape == stacked.shape
+    return new_pop.reshape(runs, P, n)
+
+
+# The operator tests breed one run alone and three stacked runs (R = 1, 3);
+# each run of the batch must show the operator's behaviour.
+BATCHES = (1, 3)
 
 
 def test_mutate_rewrites_exactly_one_position():
     genome = [1, 2, 3, 1, 2]
-    for seed in range(5):
-        children = breed([genome] * 30, [1.0] * 30, [True] * 30, seed,
-                         crossover_prob=0.0, mutation_prob=1.0)
-        np.testing.assert_array_equal(children[0], genome)  # the elite
-        changed = (children[1:] != genome).sum(axis=1)
-        assert (changed <= 1).all()  # the new value may equal the old
-        assert changed.any()
-        assert set(np.unique(children)) <= {1, 2, 3}
-    single = breed([[2]] * 4, [1.0] * 4, [True] * 4, crossover_prob=0.0, mutation_prob=1.0)
-    assert set(np.unique(single)) <= {1, 2, 3}
+    for runs in BATCHES:
+        for seed in range(5):
+            for children in breed([genome] * 30, [1.0] * 30, [True] * 30, runs, seed,
+                                  crossover_prob=0.0, mutation_prob=1.0):
+                np.testing.assert_array_equal(children[0], genome)  # the elite
+                changed = (children[1:] != genome).sum(axis=1)
+                assert (changed <= 1).all()  # the new value may equal the old
+                assert changed.any()
+                assert set(np.unique(children)) <= {1, 2, 3}
+        single = breed([[2]] * 4, [1.0] * 4, [True] * 4, runs,
+                       crossover_prob=0.0, mutation_prob=1.0)
+        assert set(np.unique(single)) <= {1, 2, 3}
 
 
 def test_crossover_is_a_positionwise_swap():
     a, b = [1, 1, 1, 1], [2, 2, 2, 2]
-    children = breed([a, b] * 15, [1.0] * 30, [True] * 30, seed=5, tournament_size=1,
+    for runs in BATCHES:
+        for children in breed([a, b] * 15, [1.0] * 30, [True] * 30, runs, seed=5,
+                              tournament_size=1, crossover_prob=1.0, mutation_prob=0.0):
+            # rows 1, 2 | 3, 4 | ... are sibling pairs (row 0 is the elite); each
+            # column of a pair holds its parents' two values, swapped or not
+            pairs = children[1:29].reshape(14, 2, 4)
+            assert set(np.unique(children)) <= {1, 2}
+            column_sums = pairs.sum(axis=1)
+            assert (column_sums == column_sums[:, :1]).all()
+            assert any(len(set(child)) > 1 for child in children[1:])  # some column swapped
+        same = breed([a] * 30, [1.0] * 30, [True] * 30, runs,
                      crossover_prob=1.0, mutation_prob=0.0)
-    # rows 1, 2 | 3, 4 | ... are sibling pairs (row 0 is the elite); each
-    # column of a pair holds its parents' two values, swapped or not
-    pairs = children[1:29].reshape(14, 2, 4)
-    assert set(np.unique(children)) <= {1, 2}
-    column_sums = pairs.sum(axis=1)
-    assert (column_sums == column_sums[:, :1]).all()
-    assert any(len(set(child)) > 1 for child in children[1:])  # some column swapped
-    same = breed([a] * 30, [1.0] * 30, [True] * 30, crossover_prob=1.0, mutation_prob=0.0)
-    assert (same == a).all()
+        assert (same == a).all()
 
 
 def test_tournament_ignores_invalid_individuals():
     pop = [[1], [2], [3]] * 10
     fitness = [0.2, 0.9, 0.5] * 10
     valid = [True, False, True] * 10
-    # a tournament as large as the population: every valid genome competes
-    children = breed(pop, fitness, valid, seed=1, tournament_size=30,
-                     crossover_prob=0.0, mutation_prob=0.0)
-    assert (children == 3).all()  # 0.9 is invalid, 0.5 beats 0.2
+    for runs in BATCHES:
+        # a tournament as large as the population: every valid genome competes
+        children = breed(pop, fitness, valid, runs, seed=1, tournament_size=30,
+                         crossover_prob=0.0, mutation_prob=0.0)
+        assert (children == 3).all()  # 0.9 is invalid, 0.5 beats 0.2
+        # tournaments of one: every parent is a valid row drawn at random
+        children = breed(pop, fitness, valid, runs, seed=1, tournament_size=1,
+                         crossover_prob=0.0, mutation_prob=0.0)
+        assert set(np.unique(children)) == {1, 3}
 
 
 def test_tournament_tie_breaks_toward_lexicographically_lower_genome():
     pop = [[3, 1], [1, 2], [2, 1]] * 10
-    children = breed(pop, [0.5] * 30, [True] * 30, seed=2, tournament_size=30,
-                     crossover_prob=0.0, mutation_prob=0.0)
-    assert (children == [1, 2]).all()
+    for runs in BATCHES:
+        children = breed(pop, [0.5] * 30, [True] * 30, runs, seed=2, tournament_size=30,
+                         crossover_prob=0.0, mutation_prob=0.0)
+        assert (children == [1, 2]).all()
+
+
+def test_batched_step_keeps_runs_apart():
+    # run r holds only the value r + 1; with mutation off, a child of run r
+    # carrying another value got a parent, a crossover partner or an elite
+    # from another run.  Fitness interleaves across runs and each run has a
+    # different number of valid rows.
+    P, n = 30, 6
+    rng = np.random.default_rng(4)
+    pop = np.repeat(np.arange(1, 4, dtype=np.int8), P)[:, None].repeat(n, axis=1)
+    fitness = rng.random(3 * P)
+    valid = np.concatenate([rng.permutation(np.arange(P) < k) for k in (5, 29, 13)])
+    config = GaConfig(population_size=P, tournament_size=3, crossover_prob=1.0,
+                      mutation_prob=0.0)
+    order = _ranking(pop, fitness, valid, P)
+    rngs = [np.random.default_rng(s) for s in (7, 8, 9)]
+    problem = PlacementProblem(slices=tuple(f"s{i}" for i in range(n)))
+    children, _, _ = _next_generation(compile_problem(problem), pop, valid, order, rngs, config)
+    for r, run_children in enumerate(children.reshape(3, P, n)):
+        assert (run_children == r + 1).all(), r
 
 
 def test_genome_placement_round_trip():
@@ -183,12 +227,168 @@ def test_ga_never_beats_the_oracle(manifest):
             assert result.best_fitness <= oracle_fitness + 1e-12
 
 
+def assert_same_result(a, b):
+    assert a.best_placement == b.best_placement
+    assert a.best_fitness == b.best_fitness
+    assert a.best_valid == b.best_valid
+    assert a.generations_used == b.generations_used
+    assert a.history == b.history
+    np.testing.assert_array_equal(a.best_genome, b.best_genome)
+    assert a.best_genome.dtype == b.best_genome.dtype
+
+
+# With a 7-row population and a 50-generation budget, runs on
+# random_flat_problem(28) stop at many different generations: most reach
+# fitness 1.0 early, some use the whole budget.
+EARLY_STOP = GaConfig(population_size=7, tournament_size=3, max_generations=50)
+
+
 def test_run_many_is_parallel_safe():
-    problem = fixture_problem("unicorn_v4.tjs")
-    config = GaConfig(rng_seed=7)
-    serial = run_many(problem, config, runs=6, jobs=1)
-    parallel = run_many(problem, config, runs=6, jobs=3)
-    for a, b in zip(serial, parallel):
-        assert a.best_fitness == b.best_fitness
-        assert a.generations_used == b.generations_used
-        np.testing.assert_array_equal(a.best_genome, b.best_genome)
+    problem = random_flat_problem(np.random.default_rng(28))
+    config = replace(EARLY_STOP, rng_seed=7)
+    serial = run_many(problem, config, runs=7, jobs=1)
+    assert len({r.generations_used for r in serial}) > 2
+    for jobs in (2, 3):
+        parallel = run_many(problem, config, runs=7, jobs=jobs)
+        assert len(parallel) == 7
+        for a, b in zip(serial, parallel):
+            assert_same_result(a, b)
+
+
+@pytest.mark.parametrize("runs", [1, 7, 12])
+def test_a_run_does_not_depend_on_its_batch(runs):
+    problem = random_flat_problem(np.random.default_rng(28))
+    config = replace(EARLY_STOP, rng_seed=5)
+    batch = run_many(problem, config, runs)
+    assert len(batch) == runs
+    if runs > 1:  # runs leave the batch at different generations
+        assert len({r.generations_used for r in batch}) > 1
+    for i, result in enumerate(batch):
+        assert_same_result(result, run(problem, replace(config, rng_seed=config.rng_seed + i)))
+
+
+def test_run_many_with_no_unplaced_slices_degenerates():
+    results = run_many(fixture_problem("tracker.tjs"), GaConfig(), runs=3)
+    assert len(results) == 3
+    for result in results:
+        assert_same_result(result, results[0])
+        assert result.generations_used == 0 and result.history == []
+
+
+# (best_genome, generations_used, sha256(history as float64)[:16]) for seeds
+# rng_seed, rng_seed + 1 and rng_seed + 2, recorded before the GA was batched
+# across runs; the batched loop must reproduce every run bit for bit.
+GOLDEN_CONFIGS = {
+    "default": GaConfig(),
+    "criterion2": GaConfig(tournament_size=1, rng_seed=1000),
+    "early": EARLY_STOP,
+}
+GOLDEN = {
+    ('unicorn_v4.tjs', 'default'): [
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+    ],
+    ('unicorn_v4.tjs', 'criterion2'): [
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+    ],
+    ('unicorn_v4.tjs', 'early'): [
+        ([1, 1, 1], 50, 'd42abd9ce8079215'),
+        ([1, 1, 1], 50, 'd42abd9ce8079215'),
+        ([1, 1, 1], 50, 'd42abd9ce8079215'),
+    ],
+    ('unicorn_v5.tjs', 'default'): [
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+    ],
+    ('unicorn_v5.tjs', 'criterion2'): [
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+        ([1, 1, 1], 300, '16abd73efe481b06'),
+    ],
+    ('unicorn_v5.tjs', 'early'): [
+        ([1, 1, 1], 50, 'd42abd9ce8079215'),
+        ([1, 1, 1], 50, 'd42abd9ce8079215'),
+        ([1, 1, 1], 50, 'd42abd9ce8079215'),
+    ],
+    ('relay.tjs', 'default'): [
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 1], 1, '6c3c396ed6b5c36d'),
+    ],
+    ('relay.tjs', 'criterion2'): [
+        ([2, 1, 1], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 1], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+    ],
+    ('relay.tjs', 'early'): [
+        ([3, 3, 3], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+        ([3, 1, 1], 1, '6c3c396ed6b5c36d'),
+    ],
+    ('relay_reply.tjs', 'default'): [
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 1], 1, '6c3c396ed6b5c36d'),
+    ],
+    ('relay_reply.tjs', 'criterion2'): [
+        ([2, 1, 1], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 1], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+    ],
+    ('relay_reply.tjs', 'early'): [
+        ([3, 3, 3], 1, '6c3c396ed6b5c36d'),
+        ([2, 1, 3], 1, '6c3c396ed6b5c36d'),
+        ([3, 1, 1], 1, '6c3c396ed6b5c36d'),
+    ],
+    ('random_problem(0)', 'default'): [
+        ([3, 1, 1, 2, 1, 1, 3, 3], 300, 'fc1941a03d623ff1'),
+        ([1, 1, 1, 1, 1, 1, 3, 1], 300, 'bbf9ae288c8e4b85'),
+        ([3, 1, 1, 2, 1, 1, 3, 3], 300, '9d17e2f264b00a19'),
+    ],
+    ('random_problem(0)', 'criterion2'): [
+        ([1, 1, 1, 1, 1, 1, 3, 1], 300, 'ed531ca84df2e4bb'),
+        ([1, 1, 1, 1, 1, 1, 3, 1], 300, 'fbacaf0c02056f22'),
+        ([1, 1, 1, 1, 1, 1, 3, 1], 300, 'fe92ed49a557efe4'),
+    ],
+    ('random_problem(0)', 'early'): [
+        ([3, 1, 1, 2, 1, 1, 3, 3], 50, 'f5db0cb52396024b'),
+        ([3, 1, 1, 2, 1, 1, 3, 3], 50, 'fbad7f409b695b0e'),
+        ([3, 1, 1, 2, 1, 1, 3, 3], 50, '0161d6cae48afbb5'),
+    ],
+    ('random_flat_problem(28)', 'default'): [
+        ([3, 3, 3, 3, 3, 3], 4, '057ee5c4eca568cb'),
+        ([3, 3, 3, 3, 3, 3], 3, '54ab5f330671ec91'),
+        ([3, 3, 3, 3, 3, 3], 6, '5b53f91b7552ed9a'),
+    ],
+    ('random_flat_problem(28)', 'criterion2'): [
+        ([3, 3, 3, 3, 3, 3], 39, '0d257cecf8a68afb'),
+        ([3, 3, 3, 3, 3, 3], 15, 'c7c248abe1f12398'),
+        ([3, 3, 3, 3, 3, 3], 9, 'c91e908aeaa2f99b'),
+    ],
+    ('random_flat_problem(28)', 'early'): [
+        ([3, 3, 3, 3, 3, 3], 9, '7f5302d8888da653'),
+        ([3, 3, 3, 3, 3, 3], 6, 'de305daa975af1a5'),
+        ([2, 2, 2, 2, 2, 2], 50, '04a1bc423bfade46'),
+    ],
+}
+
+
+def golden_problem(name):
+    if name == "random_problem(0)":
+        return random_problem(0)
+    if name == "random_flat_problem(28)":
+        return random_flat_problem(np.random.default_rng(28))
+    return fixture_problem(name)
+
+
+@pytest.mark.parametrize("problem_name, config_name", list(GOLDEN))
+def test_search_results_are_frozen(problem_name, config_name):
+    results = run_many(golden_problem(problem_name), GOLDEN_CONFIGS[config_name], runs=3)
+    got = [(r.best_genome.tolist(), r.generations_used,
+            hashlib.sha256(np.asarray(r.history, dtype=np.float64).tobytes()).hexdigest()[:16])
+           for r in results]
+    assert got == GOLDEN[problem_name, config_name]
