@@ -18,7 +18,7 @@ from .errors import TargetNotFoundError
 from .fitness import offline_percent
 from .model import SHARED, PlacementProblem
 from .placement import Placement, classify_calls
-from .search import GaConfig, SearchResult, run
+from .search import GaConfig, run
 from .syntax import Annotation, AnnotationKind, FunctionDecl, SliceDecl, SourceProgram, VarDecl
 
 

@@ -35,6 +35,9 @@ EXIT_SEARCH_FAILURE = 4
 
 click.UsageError.exit_code = EXIT_USAGE
 
+# Run, job and iteration counts: zero or less is a usage error.
+COUNT = click.IntRange(min=1)
+
 
 def load_program(path: str):
     try:
@@ -193,8 +196,10 @@ def _print_fitness(report):
 @main.command("assign")
 @click.argument("path", type=click.Path())
 @ga_options
-@click.option("--runs", default=1, show_default=True, help="Number of independent searches.")
-@click.option("--jobs", default=1, show_default=True, help="Worker processes for --runs.")
+@click.option("--runs", default=1, show_default=True, type=COUNT,
+              help="Number of independent searches.")
+@click.option("--jobs", default=1, show_default=True, type=COUNT,
+              help="Worker processes for --runs.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None, help="Also write stats as CSV.")
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write placement JSON to file.")
 def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
@@ -223,8 +228,8 @@ def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
 @main.command("stats")
 @click.argument("path", type=click.Path())
 @ga_options
-@click.option("--runs", default=100, show_default=True)
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--runs", default=100, show_default=True, type=COUNT)
+@click.option("--jobs", default=1, show_default=True, type=COUNT)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def cmd_stats(path, population, generations, crossover_prob, mutation_prob,
               tournament_size, seed, runs, jobs, csv_path):
@@ -341,7 +346,7 @@ def cmd_advise(path, placement_path, do_search, threshold, as_json, population,
 @click.argument("path", type=click.Path())
 @click.option("--apply", "do_apply", is_flag=True,
               help="Automatically integrate the advice between runs.")
-@click.option("--max-iters", default=10, show_default=True)
+@click.option("--max-iters", default=10, show_default=True, type=COUNT)
 @click.option("--threshold", default=0.2, show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Write the refined source to a file.")

@@ -16,36 +16,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .frontend import (
-    _child_statements,
-    _iter_calls_in_expr,
-    _iter_func_exprs,
-    _stmt_expressions,
-)
+from .frontend import _child_statements, _iter_expr, _stmt_expressions
 from .model import SHARED, CallRecord, PlacementProblem, Tier
 from .syntax import (
-    Annotation,
-    AnnotationKind,
-    ArrayLit,
     Assign,
-    Binary,
-    BlockStmt,
     Call,
-    ExprStmt,
-    ForStmt,
     FuncExpr,
     FunctionDecl,
     Ident,
-    IfStmt,
-    Index,
-    Member,
-    ObjectLit,
-    ReturnStmt,
     SourceProgram,
-    Unary,
+    Span,
     UiBlock,
     VarDecl,
-    WhileStmt,
 )
 
 ENTRY = "entry"
@@ -85,24 +67,12 @@ class DependenceGraph:
     slice_order: list = field(default_factory=list)
     fixed: dict = field(default_factory=dict)  # name -> "client"/"server"
 
-    def node(self, node_id: int) -> PdgNode:
-        return self.nodes[node_id]
-
-    def call_site_nodes(self):
-        return [n for n in self.nodes if n.kind == CALL_SITE]
-
-    def out_edges(self, node_id: int, kind: str | None = None):
-        return [e for e in self.edges if e.src == node_id and (kind is None or e.kind == kind)]
-
 
 @dataclass
 class SliceGraph:
     vertices: tuple = ()
     # (from_slice, to_slice, edge_kind) -> count, cross-slice only
     edges: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        return isinstance(other, SliceGraph) and set(self.vertices) == set(other.vertices) and self.edges == other.edges
 
 
 def _span_tuple(span) -> tuple:
@@ -136,8 +106,6 @@ class _Builder:
     # -- structure pass ----------------------------------------------------
 
     def build(self) -> DependenceGraph:
-        from .syntax import Span
-
         entry = self.new_node(ENTRY, SHARED, Span.zero())
         for s in self.program.slices:
             for st in s.body:
@@ -167,24 +135,27 @@ class _Builder:
             return
 
         for expr in _stmt_expressions(st):
-            self.visit_expr_calls(expr, nid, owner, func)
-            for fx in _iter_func_exprs(expr):
-                for child in fx.body:
-                    self.visit_stmt(child, nid, owner, func)
+            nodes = list(_iter_expr(expr))
+            for call in nodes:
+                if isinstance(call, Call):
+                    self.visit_call(call, nid, owner, func)
+            for fx in nodes:
+                if isinstance(fx, FuncExpr):
+                    for child in fx.body:
+                        self.visit_stmt(child, nid, owner, func)
         for child in _child_statements(st):
             self.visit_stmt(child, nid, owner, func)
 
-    def visit_expr_calls(self, expr, stmt_node: int, owner: str, func: str | None):
-        for call in _iter_calls_in_expr(expr):
-            site = self.site_by_call.get(id(call))
-            callee = site.callee_name if site else None
-            cid = self.new_node(
-                CALL_SITE, owner, call.span, name=callee, function=func,
-                annotations=_annotation_kinds(site.stmt) if site else [],
-                unresolved=site.unresolved_reason if site else "non-identifier",
-            )
-            self.call_node[id(call)] = cid
-            self.edge(stmt_node, cid, CONTROL)
+    def visit_call(self, call, stmt_node: int, owner: str, func: str | None):
+        site = self.site_by_call.get(id(call))
+        callee = site.callee_name if site else None
+        cid = self.new_node(
+            CALL_SITE, owner, call.span, name=callee, function=func,
+            annotations=_annotation_kinds(site.stmt) if site else [],
+            unresolved=site.unresolved_reason if site else "non-identifier",
+        )
+        self.call_node[id(call)] = cid
+        self.edge(stmt_node, cid, CONTROL)
 
     def add_call_edges(self):
         for site in self.program.call_sites:
@@ -202,19 +173,17 @@ class _Builder:
         # across all slices and shared code (slice blocks do not scope vars).
         global_env: dict[str, VarDecl] = {}
 
-        def hoist(stmts, env, in_function):
+        def hoist(stmts, env):
             for st in stmts:
-                if isinstance(st, UiBlock):
-                    continue
                 if isinstance(st, VarDecl):
                     env.setdefault(st.name, st)
                 if isinstance(st, FunctionDecl):
                     continue  # its body is a fresh scope
-                hoist(_child_statements(st), env, in_function)
+                hoist(_child_statements(st), env)
 
         for s in self.program.slices:
-            hoist(s.body, global_env, False)
-        hoist(self.program.shared_top_level, global_env, False)
+            hoist(s.body, global_env)
+        hoist(self.program.shared_top_level, global_env)
 
         defs: dict[int, list[int]] = {}  # id(VarDecl) -> def node ids
         uses: dict[int, set[int]] = {}  # id(VarDecl) -> use node ids
@@ -225,38 +194,12 @@ class _Builder:
         def record_use(decl, node_id):
             uses.setdefault(id(decl), set()).add(node_id)
 
-        def reads_of(expr, out):
-            """Identifier reads in expr; skips callee idents and pure write targets."""
-            if expr is None:
-                return
-            if isinstance(expr, Ident):
-                out.append(expr.name)
-            elif isinstance(expr, Member):
-                reads_of(expr.obj, out)
-            elif isinstance(expr, Index):
-                reads_of(expr.obj, out)
-                reads_of(expr.index, out)
-            elif isinstance(expr, Call):
-                if not isinstance(expr.callee, Ident):
-                    reads_of(expr.callee, out)
-                for a in expr.args:
-                    reads_of(a, out)
-            elif isinstance(expr, Unary):
-                reads_of(expr.operand, out)
-            elif isinstance(expr, Binary):
-                reads_of(expr.left, out)
-                reads_of(expr.right, out)
-            elif isinstance(expr, Assign):
-                if not isinstance(expr.target, Ident):
-                    reads_of(expr.target, out)
-                reads_of(expr.value, out)
-            elif isinstance(expr, ObjectLit):
-                for _, v in expr.entries:
-                    reads_of(v, out)
-            elif isinstance(expr, ArrayLit):
-                for e in expr.elements:
-                    reads_of(e, out)
-            # FuncExpr bodies handled statement-wise below
+        def reads_of(nodes):
+            """Identifier reads among an expression's nodes: every Ident but
+            plain callees and assignment targets."""
+            named = {id(n.callee) for n in nodes if isinstance(n, Call)}
+            named.update(id(n.target) for n in nodes if isinstance(n, Assign))
+            return [n.name for n in nodes if isinstance(n, Ident) and id(n) not in named]
 
         def lookup(name, env_chain):
             for env in reversed(env_chain):
@@ -264,23 +207,26 @@ class _Builder:
                     return env[name]
             return None
 
-        def write_targets(expr, out):
-            if isinstance(expr, Assign):
+        def write_targets(expr):
+            """Names assigned by the chain of assignments at the top of expr."""
+            out = []
+            while isinstance(expr, Assign):
                 if isinstance(expr.target, Ident):
                     out.append(expr.target.name)
-                write_targets(expr.value, out)
+                expr = expr.value
+            return out
+
+        def walk_function(fn, env_chain):
+            """A function's body, in a fresh scope holding its params and vars."""
+            local = {p: ("param", id(fn), p) for p in fn.params}
+            hoist(fn.body, local)
+            walk(fn.body, env_chain + [local])
 
         def walk(stmts, env_chain):
             for st in stmts:
-                if isinstance(st, UiBlock):
-                    continue
                 nid = self.stmt_node.get(id(st))
                 if isinstance(st, FunctionDecl):
-                    local: dict[str, object] = {}
-                    for p in st.params:
-                        local.setdefault(p, ("param", id(st), p))
-                    hoist(st.body, local, True)
-                    walk(st.body, env_chain + [local])
+                    walk_function(st, env_chain)
                     continue
                 if isinstance(st, VarDecl):
                     decl = lookup(st.name, env_chain)
@@ -289,14 +235,12 @@ class _Builder:
                 reads: list[str] = []
                 writes: list[str] = []
                 for expr in _stmt_expressions(st):
-                    reads_of(expr, reads)
-                    write_targets(expr, writes)
-                    for fx in _iter_func_exprs(expr):
-                        local = {}
-                        for p in fx.params:
-                            local.setdefault(p, ("param", id(fx), p))
-                        hoist(fx.body, local, True)
-                        walk(fx.body, env_chain + [local])
+                    nodes = list(_iter_expr(expr))
+                    reads += reads_of(nodes)
+                    writes += write_targets(expr)
+                    for fx in nodes:
+                        if isinstance(fx, FuncExpr):
+                            walk_function(fx, env_chain)
                 if nid is not None:
                     for name in writes:
                         decl = lookup(name, env_chain)
@@ -354,28 +298,20 @@ def placement_problem(graph: DependenceGraph) -> PlacementProblem:
     and unresolved/external calls are left out, and the unresolved in-slice
     call sites are counted.
     """
-    entry_owner = {}
-    for n in graph.nodes:
-        if n.kind == FUNCTION_ENTRY:
-            entry_owner[n.id] = n.slice
-
+    callee_slice = {e.src: graph.nodes[e.dst].slice for e in graph.edges if e.kind == CALL}
     calls = []
     unresolved = 0
     for n in graph.nodes:
-        if n.kind != CALL_SITE:
+        if n.kind != CALL_SITE or n.slice == SHARED:
             continue
-        if n.slice == SHARED:
-            continue
-        call_edges = graph.out_edges(n.id, CALL)
-        if not call_edges:
+        if n.id not in callee_slice:
             if n.unresolved in ("undeclared", "ambiguous"):
                 unresolved += 1
             continue
-        callee_slice = entry_owner[call_edges[0].dst]
         annotated = bool({"reply", "broadcast"} & set(n.annotations))
         label = f"{n.span[2]}:{n.span[3]}"
         calls.append(
-            CallRecord(len(calls), n.slice, callee_slice, n.name or "", annotated, label)
+            CallRecord(len(calls), n.slice, callee_slice[n.id], n.name or "", annotated, label)
         )
     fixed = {name: Tier(tier) for name, tier in graph.fixed.items()}
     return PlacementProblem(tuple(graph.slice_order), fixed, tuple(calls), unresolved)
@@ -406,30 +342,6 @@ def to_json(graph: DependenceGraph) -> str:
         "edges": [{"from": e.src, "to": e.dst, "kind": e.kind} for e in graph.edges],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def from_json(text: str) -> DependenceGraph:
-    payload = json.loads(text)
-    graph = DependenceGraph(
-        slice_order=[s["name"] for s in payload["slices"]],
-        fixed={s["name"]: s["fixedTier"] for s in payload["slices"] if s.get("fixedTier")},
-    )
-    for n in sorted(payload["nodes"], key=lambda n: n["id"]):
-        graph.nodes.append(
-            PdgNode(
-                id=n["id"],
-                kind=n["kind"],
-                slice=n["slice"],
-                span=tuple(n.get("span", (0, 0, 1, 1))),
-                name=n.get("name"),
-                function=n.get("function"),
-                annotations=list(n.get("annotations", [])),
-                unresolved=n.get("unresolved"),
-            )
-        )
-    for e in payload["edges"]:
-        graph.edges.append(PdgEdge(e["from"], e["to"], e["kind"]))
-    return graph
 
 
 def to_dot(slice_graph: SliceGraph) -> str:

@@ -45,11 +45,3 @@ class TooManySlicesError(TierSlicerError):
 class TargetNotFoundError(TierSlicerError):
     pass
 
-
-class InvalidPlacementError(TierSlicerError):
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__(
-            "invalid placement: %d server-to-client call(s) lack @reply/@broadcast"
-            % len(self.violations)
-        )

@@ -5,6 +5,9 @@ starts with ``@``; one comment may carry several annotations (e.g. a
 ``@config`` line followed by ``@slice``).  An annotation comment attaches to
 the syntactically next block, declaration or statement.  Plain block comments
 and ``//`` line comments are ignored.
+
+AST equality ignores spans, so ``parse(emit(program))`` equals ``program``
+slice for slice and statement for statement.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .syntax import (
     Call,
     CallSiteInfo,
     Declaration,
+    Expr,
     ExprStmt,
     ForStmt,
     FuncExpr,
@@ -53,6 +57,7 @@ from .syntax import (
     Unary,
     VarDecl,
     WhileStmt,
+    subnodes,
 )
 
 KEYWORDS = {"var", "function", "if", "else", "while", "for", "return", "true", "false", "null", "this"}
@@ -597,19 +602,24 @@ def _iter_stmt_annotations(stmts):
             yield from _iter_stmt_annotations([child])
 
 
-def _child_statements(st: Stmt):
-    if isinstance(st, FunctionDecl):
-        return list(st.body)
-    if isinstance(st, BlockStmt):
-        return list(st.body)
-    if isinstance(st, IfStmt):
-        return list(st.then) + list(st.orelse)
-    if isinstance(st, WhileStmt):
-        return list(st.body)
-    if isinstance(st, ForStmt):
-        out = [st.init] if st.init is not None else []
-        return out + list(st.body)
-    return []
+def _child_statements(st: Stmt) -> list:
+    """The statements nested directly in ``st``.  Function-expression bodies
+    are not among them: they sit inside expressions."""
+    return [c for c in subnodes(st) if isinstance(c, Stmt)]
+
+
+def _stmt_expressions(st: Stmt) -> list:
+    """The expressions held directly by ``st`` (a ``for`` init is a statement)."""
+    return [c for c in subnodes(st) if isinstance(c, Expr)]
+
+
+def _iter_expr(expr):
+    """Pre-order walk of an expression tree.  A FuncExpr is yielded but not
+    entered: its body is walked as statements, in its own function scope."""
+    yield expr
+    if not isinstance(expr, FuncExpr):
+        for child in subnodes(expr):
+            yield from _iter_expr(child)
 
 
 def _collect_declarations(program: SourceProgram) -> None:
@@ -632,84 +642,6 @@ def _collect_declarations(program: SourceProgram) -> None:
 # --- Call resolution ------------------------------------------------------
 
 
-def _iter_calls_in_expr(expr):
-    """Yields every Call node in an expression tree, outermost first."""
-    if expr is None:
-        return
-    if isinstance(expr, Call):
-        yield expr
-        yield from _iter_calls_in_expr(expr.callee)
-        for a in expr.args:
-            yield from _iter_calls_in_expr(a)
-    elif isinstance(expr, (Member,)):
-        yield from _iter_calls_in_expr(expr.obj)
-    elif isinstance(expr, Index):
-        yield from _iter_calls_in_expr(expr.obj)
-        yield from _iter_calls_in_expr(expr.index)
-    elif isinstance(expr, (Unary,)):
-        yield from _iter_calls_in_expr(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _iter_calls_in_expr(expr.left)
-        yield from _iter_calls_in_expr(expr.right)
-    elif isinstance(expr, Assign):
-        yield from _iter_calls_in_expr(expr.target)
-        yield from _iter_calls_in_expr(expr.value)
-    elif isinstance(expr, ObjectLit):
-        for _, v in expr.entries:
-            yield from _iter_calls_in_expr(v)
-    elif isinstance(expr, ArrayLit):
-        for e in expr.elements:
-            yield from _iter_calls_in_expr(e)
-    # FuncExpr bodies are handled at the statement level so the enclosing
-    # function attribution stays correct.
-
-
-def _stmt_expressions(st: Stmt):
-    if isinstance(st, VarDecl):
-        return [st.init]
-    if isinstance(st, ExprStmt):
-        return [st.expr]
-    if isinstance(st, IfStmt):
-        return [st.cond]
-    if isinstance(st, WhileStmt):
-        return [st.cond]
-    if isinstance(st, ForStmt):
-        return [st.cond, st.update]
-    if isinstance(st, ReturnStmt):
-        return [st.value]
-    return []
-
-
-def _iter_func_exprs(expr):
-    if expr is None:
-        return
-    if isinstance(expr, FuncExpr):
-        yield expr
-    elif isinstance(expr, Call):
-        yield from _iter_func_exprs(expr.callee)
-        for a in expr.args:
-            yield from _iter_func_exprs(a)
-    elif isinstance(expr, Member):
-        yield from _iter_func_exprs(expr.obj)
-    elif isinstance(expr, Index):
-        yield from _iter_func_exprs(expr.obj)
-        yield from _iter_func_exprs(expr.index)
-    elif isinstance(expr, Unary):
-        yield from _iter_func_exprs(expr.operand)
-    elif isinstance(expr, Binary):
-        yield from _iter_func_exprs(expr.left)
-        yield from _iter_func_exprs(expr.right)
-    elif isinstance(expr, Assign):
-        yield from _iter_func_exprs(expr.target)
-        yield from _iter_func_exprs(expr.value)
-    elif isinstance(expr, ObjectLit):
-        for _, v in expr.entries:
-            yield from _iter_func_exprs(v)
-    elif isinstance(expr, ArrayLit):
-        for e in expr.elements:
-            yield from _iter_func_exprs(e)
-
-
 def resolve_calls(program: SourceProgram) -> SourceProgram:
     """Resolve plain-identifier calls against function declarations.
 
@@ -726,29 +658,18 @@ def resolve_calls(program: SourceProgram) -> SourceProgram:
     sites: list[CallSiteInfo] = []
     warnings: list[str] = []
 
-    def visit_stmts(stmts, owner, func_name):
+    def visit_stmts(stmts, owner):
         for st in stmts:
-            if isinstance(st, UiBlock):
-                continue
-            inner = func_name
-            if isinstance(st, FunctionDecl):
-                inner = st.name
             for expr in _stmt_expressions(st):
-                for call in _iter_calls_in_expr(expr):
-                    sites.append(_make_site(call, st, owner, inner if not isinstance(st, FunctionDecl) else func_name))
-                for fx in _iter_func_exprs(expr):
-                    visit_stmts(fx.body, owner, inner)
-            visit_stmts(_child_statements(st), owner, inner)
+                nodes = list(_iter_expr(expr))
+                sites.extend(_make_site(n, st, owner) for n in nodes if isinstance(n, Call))
+                for fx in nodes:
+                    if isinstance(fx, FuncExpr):
+                        visit_stmts(fx.body, owner)
+            visit_stmts(_child_statements(st), owner)
 
-    def _make_site(call, st, owner, func_name):
-        info = CallSiteInfo(
-            site_id=len(sites),
-            node=call,
-            stmt=st,
-            owner=owner,
-            enclosing_function=func_name,
-            span=call.span,
-        )
+    def _make_site(call, st, owner):
+        info = CallSiteInfo(node=call, stmt=st, owner=owner)
         if isinstance(call.callee, Ident):
             name = call.callee.name
             info.callee_name = name
@@ -767,8 +688,8 @@ def resolve_calls(program: SourceProgram) -> SourceProgram:
         return info
 
     for s in program.slices:
-        visit_stmts(s.body, s.name, None)
-    visit_stmts(program.shared_top_level, SHARED, None)
+        visit_stmts(s.body, s.name)
+    visit_stmts(program.shared_top_level, SHARED)
 
     program.call_sites = sites
     program.warnings = warnings
@@ -894,97 +815,3 @@ def emit(program: SourceProgram) -> str:
     for st in program.shared_top_level:
         parts.append(emit_stmt(st, ""))
     return "".join(parts)
-
-
-# --- Structural comparison (round-trip testing, advice targeting) ---------
-
-
-def structure(program: SourceProgram):
-    """Span-free structural summary: annotation kinds, slice names, shapes."""
-
-    def ann(anns):
-        out = []
-        for a in anns:
-            args = tuple(tuple(x) if isinstance(x, tuple) else x for x in a.args)
-            out.append((a.kind.value, args))
-        return tuple(out)
-
-    def expr(e):
-        if e is None:
-            return None
-        if isinstance(e, NumberLit):
-            return ("num", e.value)
-        if isinstance(e, StringLit):
-            return ("str", e.value)
-        if isinstance(e, BoolLit):
-            return ("bool", e.value)
-        if isinstance(e, NullLit):
-            return ("null",)
-        if isinstance(e, ThisExpr):
-            return ("this",)
-        if isinstance(e, Ident):
-            return ("id", e.name)
-        if isinstance(e, Member):
-            return ("member", expr(e.obj), e.attr)
-        if isinstance(e, Index):
-            return ("index", expr(e.obj), expr(e.index))
-        if isinstance(e, Call):
-            return ("call", expr(e.callee), tuple(expr(a) for a in e.args))
-        if isinstance(e, Unary):
-            return ("unary", e.op, expr(e.operand))
-        if isinstance(e, Binary):
-            return ("binary", e.op, expr(e.left), expr(e.right))
-        if isinstance(e, Assign):
-            return ("assign", expr(e.target), expr(e.value))
-        if isinstance(e, ObjectLit):
-            return ("object", tuple((k, expr(v)) for k, v in e.entries))
-        if isinstance(e, ArrayLit):
-            return ("array", tuple(expr(x) for x in e.elements))
-        if isinstance(e, FuncExpr):
-            return ("funcexpr", tuple(e.params), block(e.body))
-        raise TypeError(type(e).__name__)
-
-    def stmt(st):
-        a = ann(getattr(st, "annotations", []))
-        if isinstance(st, VarDecl):
-            return ("var", st.name, expr(st.init), a)
-        if isinstance(st, FunctionDecl):
-            return ("function", st.name, tuple(st.params), block(st.body), a)
-        if isinstance(st, ExprStmt):
-            return ("expr", expr(st.expr), a)
-        if isinstance(st, IfStmt):
-            return ("if", expr(st.cond), block(st.then), block(st.orelse), a)
-        if isinstance(st, WhileStmt):
-            return ("while", expr(st.cond), block(st.body), a)
-        if isinstance(st, ForStmt):
-            init = stmt(st.init) if st.init is not None else None
-            return ("for", init, expr(st.cond), expr(st.update), block(st.body), a)
-        if isinstance(st, ReturnStmt):
-            return ("return", expr(st.value), a)
-        if isinstance(st, BlockStmt):
-            return ("block", block(st.body), a)
-        if isinstance(st, UiBlock):
-            return ("ui", st.text.strip(), a)
-        raise TypeError(type(st).__name__)
-
-    def block(stmts):
-        return tuple(stmt(s) for s in stmts)
-
-    return (
-        tuple((s.name, s.fixed_tier, block(s.body), ann(s.annotations)) for s in program.slices),
-        block(program.shared_top_level),
-    )
-
-
-def count_statements(program: SourceProgram) -> tuple[dict, int]:
-    """Per-slice statement counts plus the shared count (all nesting levels)."""
-
-    def count(stmts) -> int:
-        total = 0
-        for st in stmts:
-            total += 1
-            total += count(_child_statements(st))
-        return total
-
-    per_slice = {s.name: count(s.body) for s in program.slices}
-    return per_slice, count(program.shared_top_level)

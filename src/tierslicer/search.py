@@ -51,6 +51,8 @@ class GaConfig:
             raise ValueError("probabilities must lie in [0, 1]")
         if self.population_size < 2:
             raise ValueError("population size must be >= 2")
+        if self.max_generations < 1:
+            raise ValueError("max generations must be >= 1")
         if not 1 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament size must be in [1, population size]")
 
@@ -71,10 +73,6 @@ def genome_to_placement(problem: PlacementProblem, genome) -> Placement:
         for name, mask in zip(problem.unplaced, genome)
     }
     return Placement(fixed=dict(problem.fixed), searched=searched)
-
-
-def placement_to_genome(problem: PlacementProblem, placement: Placement) -> np.ndarray:
-    return np.array([placement.tier(s).mask for s in problem.unplaced], dtype=np.int8)
 
 
 # --- Operators --------------------------------------------------------------

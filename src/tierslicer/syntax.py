@@ -4,12 +4,17 @@ TierJS is a statement-level subset of a C-like dynamic language.  Programs
 are divided into named slices (annotated blocks); everything outside a slice
 is shared top-level code.  Annotations live in block comments and attach to
 the syntactically next block, declaration or statement.
+
+AST equality is structural and ignores spans: a program re-parsed from its
+own ``emit`` output equals the original.  ``subnodes`` is the one way
+analysis code steps into a node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -22,6 +27,11 @@ class Span:
     @staticmethod
     def zero() -> "Span":
         return Span(0, 0, 1, 1)
+
+
+def _span():
+    """A node's source position, which takes no part in AST equality."""
+    return field(default_factory=Span.zero, compare=False)
 
 
 class AnnotationKind(Enum):
@@ -76,7 +86,7 @@ class Annotation:
     kind: AnnotationKind
     # Identifier arguments; @config args are (name, tier) pairs.
     args: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 # --- Expressions ----------------------------------------------------------
@@ -90,63 +100,63 @@ class Expr:
 @dataclass
 class NumberLit(Expr):
     value: float
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class StringLit(Expr):
     value: str
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class BoolLit(Expr):
     value: bool
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class NullLit(Expr):
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class ThisExpr(Expr):
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class Ident(Expr):
     name: str
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class Member(Expr):
     obj: Expr
     attr: str
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class Index(Expr):
     obj: Expr
     index: Expr
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class Call(Expr):
     callee: Expr
-    args: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    args: list[Expr] = field(default_factory=list)
+    span: Span = _span()
 
 
 @dataclass
 class Unary(Expr):
     op: str
     operand: Expr = None
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
@@ -154,34 +164,33 @@ class Binary(Expr):
     op: str
     left: Expr = None
     right: Expr = None
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class Assign(Expr):
     target: Expr = None
     value: Expr = None
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class ObjectLit(Expr):
-    # list of (key, Expr)
-    entries: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    entries: list[tuple[str, Expr]] = field(default_factory=list)
+    span: Span = _span()
 
 
 @dataclass
 class ArrayLit(Expr):
-    elements: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    elements: list[Expr] = field(default_factory=list)
+    span: Span = _span()
 
 
 @dataclass
 class FuncExpr(Expr):
     params: list = field(default_factory=list)
-    body: list = field(default_factory=list)  # statements
-    span: Span = field(default_factory=Span.zero)
+    body: list[Stmt] = field(default_factory=list)
+    span: Span = _span()
 
 
 # --- Statements -----------------------------------------------------------
@@ -197,40 +206,40 @@ class VarDecl(Stmt):
     name: str
     init: Expr | None = None
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class FunctionDecl(Stmt):
     name: str
     params: list = field(default_factory=list)
-    body: list = field(default_factory=list)
+    body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class ExprStmt(Stmt):
     expr: Expr = None
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class IfStmt(Stmt):
     cond: Expr = None
-    then: list = field(default_factory=list)
-    orelse: list = field(default_factory=list)
+    then: list[Stmt] = field(default_factory=list)
+    orelse: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class WhileStmt(Stmt):
     cond: Expr = None
-    body: list = field(default_factory=list)
+    body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
@@ -238,23 +247,23 @@ class ForStmt(Stmt):
     init: Stmt | None = None  # VarDecl or ExprStmt, semicolon-less
     cond: Expr | None = None
     update: Expr | None = None
-    body: list = field(default_factory=list)
+    body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class ReturnStmt(Stmt):
     value: Expr | None = None
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
 class BlockStmt(Stmt):
-    body: list = field(default_factory=list)
+    body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
@@ -263,7 +272,27 @@ class UiBlock(Stmt):
 
     text: str = ""
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
+
+
+@cache
+def _node_fields(cls) -> tuple:
+    """Names of the fields of ``cls`` whose declared type names Expr or Stmt."""
+    return tuple(f.name for f in fields(cls) if "Expr" in f.type or "Stmt" in f.type)
+
+
+def subnodes(node):
+    """The Expr and Stmt values held by ``node``'s fields, in field order.
+
+    List fields yield their items, and an ObjectLit entry yields its value.
+    """
+    for name in _node_fields(type(node)):
+        value = getattr(node, name)
+        if isinstance(value, list):
+            for item in value:
+                yield item[1] if isinstance(item, tuple) else item
+        elif value is not None:
+            yield value
 
 
 # --- Program structure ----------------------------------------------------
@@ -275,7 +304,7 @@ class SliceDecl:
     body: list = field(default_factory=list)
     fixed_tier: str | None = None  # "client" | "server" | None
     annotations: list = field(default_factory=list)
-    span: Span = field(default_factory=Span.zero)
+    span: Span = _span()
 
 
 @dataclass
@@ -292,16 +321,13 @@ class Declaration:
 class CallSiteInfo:
     """A call expression with its resolution result."""
 
-    site_id: int
     node: Call = None
     stmt: Stmt = None  # enclosing statement (annotation carrier)
     owner: str = ""  # slice name or model.SHARED
-    enclosing_function: str | None = None
     callee_name: str | None = None  # plain-identifier callee, if any
     resolved: FunctionDecl | None = None
     resolved_owner: str | None = None
     unresolved_reason: str | None = None  # None | "undeclared" | "ambiguous" | "non-identifier"
-    span: Span = field(default_factory=Span.zero)
 
 
 @dataclass
@@ -315,9 +341,3 @@ class SourceProgram:
 
     def slice_names(self):
         return [s.name for s in self.slices]
-
-    def slice(self, name: str) -> SliceDecl:
-        for s in self.slices:
-            if s.name == name:
-                return s
-        raise KeyError(name)

@@ -7,7 +7,6 @@ from click.testing import CliRunner
 
 from conftest import fixture_path
 from tierslicer.cli import main
-from tierslicer.depgraph import from_json
 
 
 @pytest.fixture()
@@ -48,8 +47,8 @@ def test_graph_json_round_trips(runner, tmp_path):
     out = tmp_path / "graph.json"
     result = invoke(runner, "graph", fixture_path("meetings.tjs"), "--json", "-o", out)
     assert result.exit_code == 0
-    graph = from_json(out.read_text())
-    assert graph.slice_order == ["data", "sorting", "statistics", "browser"]
+    payload = json.loads(out.read_text())
+    assert [s["name"] for s in payload["slices"]] == ["data", "sorting", "statistics", "browser"]
 
 
 def test_assign_emits_placement_and_fitness(runner):
@@ -154,6 +153,26 @@ def test_advise_json_mode(runner, tmp_path):
 def test_advise_bad_threshold_is_usage_error(runner):
     result = invoke(runner, "advise", fixture_path("tracker.tjs"), "--threshold", 2.0)
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("args, error", [
+    (("stats", "--runs", 0), "Invalid value for '--runs': 0 is not in the range x>=1."),
+    (("stats", "--runs", 2, "--jobs", 0), "Invalid value for '--jobs': 0 is not in the range x>=1."),
+    (("assign", "--runs", 0), "Invalid value for '--runs': 0 is not in the range x>=1."),
+    (("assign", "--runs", 2, "--jobs", -1), "Invalid value for '--jobs': -1 is not in the range x>=1."),
+    (("assign", "--gens", 0), "max generations must be >= 1"),
+    (("advise", "--gens", -5), "max generations must be >= 1"),
+    (("refine", "--apply", "--max-iters", 0),
+     "Invalid value for '--max-iters': 0 is not in the range x>=1."),
+], ids=["stats-runs", "stats-jobs", "assign-runs", "assign-jobs", "assign-gens", "advise-gens",
+        "refine-max-iters"])
+def test_bad_counts_are_usage_errors(runner, args, error):
+    result = invoke(runner, args[0], fixture_path("relay.tjs"), *args[1:])
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert [line for line in result.stderr.splitlines() if line.startswith("Error:")] == [
+        f"Error: {error}"]
 
 
 def test_refine_apply_emits_refined_source(runner, tmp_path):

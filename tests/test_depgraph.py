@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from conftest import fixture_path, fixture_problem, load_fixture
+from tierslicer import emit, parse, resolve_calls
 from tierslicer.depgraph import (
     CALL,
     CALL_SITE,
@@ -10,9 +14,10 @@ from tierslicer.depgraph import (
     DECLARATION,
     ENTRY,
     FUNCTION_ENTRY,
+    PdgEdge,
+    PdgNode,
     build_pdg,
     collapse_to_slice_graph,
-    from_json,
     placement_problem,
     to_dot,
     to_json,
@@ -73,7 +78,7 @@ def test_data_edges_run_declaration_to_reader(name):
 def test_call_site_count_matches_resolver(tmp_path):
     program = load_fixture("tracker.tjs")
     graph = build_pdg(program)
-    assert len(graph.call_site_nodes()) == len(program.call_sites)
+    assert sum(n.kind == CALL_SITE for n in graph.nodes) == len(program.call_sites)
 
 
 def test_tracker_call_inventory():
@@ -96,8 +101,6 @@ def test_shared_code_callee_is_marked_shared():
         "function shared_helper(x) { return x; }\n"
         "/* @slice a */\n{ function f() { shared_helper(1); } }\n"
     )
-    from tierslicer import parse, resolve_calls
-
     problem = placement_problem(build_pdg(resolve_calls(parse(src))))
     (rec,) = problem.calls
     assert (rec.caller, rec.callee) == ("a", SHARED)
@@ -116,10 +119,11 @@ def test_placement_problem_from_tracker(manifest):
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_json_round_trip(name):
     graph = build_pdg(load_fixture(name))
-    restored = from_json(to_json(graph))
-    assert to_json(restored) == to_json(graph)
-    assert collapse_to_slice_graph(restored) == collapse_to_slice_graph(graph)
-    assert placement_problem(restored) == placement_problem(graph)
+    payload = json.loads(to_json(graph))
+    assert [s["name"] for s in payload["slices"]] == graph.slice_order
+    assert {s["name"]: s["fixedTier"] for s in payload["slices"] if s["fixedTier"]} == graph.fixed
+    assert [PdgNode(**{**n, "span": tuple(n["span"])}) for n in payload["nodes"]] == graph.nodes
+    assert [PdgEdge(e["from"], e["to"], e["kind"]) for e in payload["edges"]] == graph.edges
 
 
 def test_dot_export_lists_slices_and_edge_counts():
@@ -135,8 +139,124 @@ def test_ui_blocks_are_excluded():
     src = (
         "/* @slice a */\n{\n  /* @ui */ { <b>skip me</b> }\n  var x = 1;\n}\n"
     )
-    from tierslicer import parse, resolve_calls
-
     graph = build_pdg(resolve_calls(parse(src)))
     names = [n.name for n in graph.nodes if n.kind == DECLARATION]
     assert names == ["x"]
+
+
+# Reaches what no fixture does: function expressions (in var inits, object and
+# array literals, returns, callees and assignments), curried calls, member and
+# index callees, chained assignments, a var called as a function, a for-var
+# init, a @ui block, and ambiguous and undeclared callees.
+WALKER_SOURCE = """\
+/* @config store : server, view : client */
+
+function util(x) { return x; }
+var counter = 0;
+
+/* @slice store */
+{
+  var rows = [];
+  var index = {size: 0, first: null};
+  var handler = function (e) { return save(e); };
+  function save(r) { rows = index.last = r; counter = counter + 1; return rows; }
+  function load(k) { return rows[k]; }
+  function dup() { return 1; }
+  function make(n) { return function (m) { return load(n) + m + util(m); }; }
+}
+
+/* @slice view */
+{
+  /* @ui */ { <p>rows</p> }
+  function dup() { return 2; }
+  function render(list) {
+    var handlers = {click: function (e) { save(e); ghost(e); }, keys: [load(1), function () { return util(2); }]};
+    for (var i = load(0); i < rows.length; i = i + 1) { console.log(make(i)(rows[i])); }
+    /* @reply */ save(list);
+    dup();
+    handler(list);
+    handlers.click(list);
+    return (function (z) { return load(z); })(3);
+  }
+}
+
+/* @slice audit */
+{
+  var seen = -1;
+  function track(v) {
+    seen = counter = v;
+    if (!seen) { missing(seen); } else { handler = function (q) { return track(q); }; }
+    while (seen > 0) { seen = seen - 1; }
+    return make(seen)(index[seen]);
+  }
+}
+"""
+
+# (owner, callee name, resolved owner, unresolved reason, statement, line, col)
+WALKER_CALL_SITES = [
+    ("store", "save", "store", None, "ReturnStmt", 10, 43),
+    ("store", "load", "store", None, "ReturnStmt", 14, 55),
+    ("store", "util", SHARED, None, "ReturnStmt", 14, 69),
+    ("view", "load", "store", None, "VarDecl", 22, 76),
+    ("view", "save", "store", None, "ExprStmt", 22, 47),
+    ("view", "ghost", None, "undeclared", "ExprStmt", 22, 57),
+    ("view", "util", SHARED, None, "ReturnStmt", 22, 106),
+    ("view", "load", "store", None, "VarDecl", 23, 22),
+    ("view", None, None, "non-identifier", "ExprStmt", 23, 68),
+    ("view", None, None, "non-identifier", "ExprStmt", 23, 76),
+    ("view", "make", "store", None, "ExprStmt", 23, 73),
+    ("view", "save", "store", None, "ExprStmt", 24, 22),
+    ("view", "dup", None, "ambiguous", "ExprStmt", 25, 8),
+    ("view", "handler", None, "undeclared", "ExprStmt", 26, 12),
+    ("view", None, None, "non-identifier", "ExprStmt", 27, 19),
+    ("view", None, None, "non-identifier", "ReturnStmt", 28, 46),
+    ("view", "load", "store", None, "ReturnStmt", 28, 39),
+    ("audit", "missing", None, "undeclared", "ExprStmt", 37, 25),
+    ("audit", "track", "audit", None, "ReturnStmt", 37, 79),
+    ("audit", None, None, "non-identifier", "ReturnStmt", 39, 22),
+    ("audit", "make", "store", None, "ReturnStmt", 39, 16),
+]
+
+WALKER_WARNINGS = [
+    "walker.tjs:22:57: unresolved call to 'ghost' (no declaration)",
+    "walker.tjs:25:8: unresolved call to 'dup' (ambiguous: 2 declarations)",
+    "walker.tjs:26:12: unresolved call to 'handler' (no declaration)",
+    "walker.tjs:37:25: unresolved call to 'missing' (no declaration)",
+]
+
+# (caller, callee, callee name, annotated, label)
+WALKER_CALLS = [
+    ("store", "store", "save", False, "10:43"),
+    ("store", "store", "load", False, "14:55"),
+    ("store", SHARED, "util", False, "14:69"),
+    ("view", "store", "load", False, "22:76"),
+    ("view", "store", "save", False, "22:47"),
+    ("view", SHARED, "util", False, "22:106"),
+    ("view", "store", "load", False, "23:22"),
+    ("view", "store", "make", False, "23:73"),
+    ("view", "store", "save", True, "24:22"),
+    ("view", "store", "load", False, "28:39"),
+    ("audit", "audit", "track", False, "37:79"),
+    ("audit", "store", "make", False, "39:16"),
+]
+
+
+def test_walker_program_is_frozen():
+    """Outputs on WALKER_SOURCE, recorded before the expression walks became
+    one generic walk; the graph is pinned by the sha256 of its JSON."""
+    program = resolve_calls(parse(WALKER_SOURCE, "walker.tjs"))
+    sites = [(s.owner, s.callee_name, s.resolved_owner, s.unresolved_reason,
+              type(s.stmt).__name__, s.node.span.line, s.node.span.col)
+             for s in program.call_sites]
+    assert sites == WALKER_CALL_SITES
+    assert program.warnings == WALKER_WARNINGS
+    graph = build_pdg(program)
+    assert hashlib.sha256(to_json(graph).encode()).hexdigest() == (
+        "412e643742ee8bfbd29dc2d29d282f3b19a693d2d3a080297e33cdd70800fb1c")
+    problem = placement_problem(graph)
+    assert [(c.caller, c.callee, c.callee_name, c.annotated, c.label)
+            for c in problem.calls] == WALKER_CALLS
+    assert problem.unresolved_calls == 4
+    reparsed = parse(emit(program), "walker.tjs")
+    assert reparsed.slices == program.slices
+    assert reparsed.shared_top_level == program.shared_top_level
