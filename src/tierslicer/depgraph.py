@@ -207,15 +207,6 @@ class _Builder:
                     return env[name]
             return None
 
-        def write_targets(expr):
-            """Names assigned by the chain of assignments at the top of expr."""
-            out = []
-            while isinstance(expr, Assign):
-                if isinstance(expr.target, Ident):
-                    out.append(expr.target.name)
-                expr = expr.value
-            return out
-
         def walk_function(fn, env_chain):
             """A function's body, in a fresh scope holding its params and vars."""
             local = {p: ("param", id(fn), p) for p in fn.params}
@@ -237,7 +228,8 @@ class _Builder:
                 for expr in _stmt_expressions(st):
                     nodes = list(_iter_expr(expr))
                     reads += reads_of(nodes)
-                    writes += write_targets(expr)
+                    writes += [n.target.name for n in nodes
+                               if isinstance(n, Assign) and isinstance(n.target, Ident)]
                     for fx in nodes:
                         if isinstance(fx, FuncExpr):
                             walk_function(fx, env_chain)

@@ -1,5 +1,12 @@
 """TierJS frontend: lexer, recursive-descent parser, emitter, call resolution.
 
+The lexer reads the source once, with one token pattern.  Its token kinds are
+IDENT (keywords included), NUMBER, STRING, PUNCT, ANNOT (an annotation
+comment), UI_BLOCK (the verbatim block after ``@ui``) and EOF.  A token's line
+is the number of ``"\\n"`` before it plus 1 (``"\\r"`` starts no line), and its
+col is its 1-based code-point offset in that line; parse errors use the same
+convention.
+
 Annotations are written inside ``/* ... */`` comments whose stripped text
 starts with ``@``; one comment may carry several annotations (e.g. a
 ``@config`` line followed by ``@slice``).  An annotation comment attaches to
@@ -13,6 +20,7 @@ slice for slice and statement for statement.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -62,11 +70,19 @@ from .syntax import (
 
 KEYWORDS = {"var", "function", "if", "else", "while", "for", "return", "true", "false", "null", "this"}
 
-_PUNCT = [
-    "==", "!=", "<=", ">=", "&&", "||",
-    "{", "}", "(", ")", "[", "]", ";", ",", ".", ":",
-    "=", "<", ">", "+", "-", "*", "/", "%", "!",
-]
+# One alternative per token kind.  ``\s``, ``\w`` and ``\d`` mean
+# ``str.isspace``, ``str.isalnum`` or ``_``, and ``str.isdecimal``.  No class
+# means ``str.isalpha``, so the lexer rejects an IDENT whose first character
+# is a number other than a decimal digit (``²``, ``½``, ``Ⅻ``).
+_TOKEN = re.compile(
+    r"""(?P<SKIP>\s+|//[^\n]*)
+      | (?P<COMMENT>/\*)
+      | (?P<NUMBER>\d[\d.]*)
+      | (?P<IDENT>(?:[^\W\d]|\$)[\w$]*)
+      | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
+      | (?P<PUNCT>[=!<>]=|&&|\|\||[{}()\[\];,.:=<>+\-*/%!])""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass
@@ -76,79 +92,44 @@ class Token:
     span: Span
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    last_nl = text.rfind("\n", 0, pos)
-    return line, pos - last_nl
-
-
 class Lexer:
     def __init__(self, text: str, filename: str = "<input>"):
         self.text = text
         self.filename = filename
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def error(self, msg: str, pos: int):
-        line, col = _line_col(self.text, pos)
-        raise ParseError(msg, line, col, self.filename)
+        span = self._span(pos, pos)
+        raise ParseError(msg, span.line, span.col, self.filename)
 
     def _span(self, start: int, end: int) -> Span:
-        line, col = _line_col(self.text, start)
-        return Span(start, end, line, col)
+        line = bisect_right(self.line_starts, start)
+        return Span(start, end, line, start - self.line_starts[line - 1] + 1)
 
     def tokens(self) -> list[Token]:
         text, out, i, n = self.text, [], 0, len(self.text)
         while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if text.startswith("//", i):
-                j = text.find("\n", i)
-                i = n if j < 0 else j + 1
-                continue
-            if text.startswith("/*", i):
+            m = _TOKEN.match(text, i)
+            if m is None:
+                quote = text[i] in "'\""
+                self.error("unterminated string" if quote else f"unexpected character {text[i]!r}", i)
+            kind, end = m.lastgroup, m.end()
+            if kind == "COMMENT":
                 j = text.find("*/", i + 2)
                 if j < 0:
                     self.error("unterminated comment", i)
-                inner = text[i + 2 : j]
-                end = j + 2
+                inner, end = text[i + 2 : j], j + 2
                 if inner.strip().startswith("@"):
-                    tok = Token("ANNOT", inner, self._span(i, end))
-                    out.append(tok)
+                    out.append(Token("ANNOT", inner, self._span(i, end)))
                     if self._is_ui_comment(inner):
                         end = self._capture_ui_block(out, end)
-                i = end
-                continue
-            if c.isdigit():
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                out.append(Token("NUMBER", text[i:j], self._span(i, j)))
-                i = j
-                continue
-            if c.isalpha() or c == "_" or c == "$":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_$"):
-                    j += 1
-                out.append(Token("IDENT", text[i:j], self._span(i, j)))
-                i = j
-                continue
-            if c in "'\"":
-                j = i + 1
-                while j < n and text[j] != c:
-                    j += 2 if text[j] == "\\" else 1
-                if j >= n:
-                    self.error("unterminated string", i)
-                out.append(Token("STRING", text[i + 1 : j], self._span(i, j + 1)))
-                i = j + 1
-                continue
-            for p in _PUNCT:
-                if text.startswith(p, i):
-                    out.append(Token("PUNCT", p, self._span(i, i + len(p))))
-                    i += len(p)
-                    break
-            else:
-                self.error(f"unexpected character {c!r}", i)
+            elif kind == "IDENT" and not (text[i].isalpha() or text[i] in "_$"):
+                self.error(f"unexpected character {text[i]!r}", i)
+            elif kind == "STRING":
+                out.append(Token(kind, text[i + 1 : end - 1], self._span(i, end)))
+            elif kind != "SKIP":
+                out.append(Token(kind, m.group(), self._span(i, end)))
+            i = end
         out.append(Token("EOF", "", self._span(n, n)))
         return out
 
@@ -233,17 +214,18 @@ class Parser:
         self.pos = 0
         self.filename = filename
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
+        """Consume the current token; the EOF token is never consumed."""
         tok = self.toks[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
-    def error(self, msg: str, tok: Token | None = None):
-        tok = tok or self.peek()
+    def error(self, msg: str):
+        tok = self.peek()
         raise ParseError(msg, tok.span.line, tok.span.col, self.filename)
 
     def at_punct(self, value: str) -> bool:
@@ -256,9 +238,7 @@ class Parser:
 
     def expect(self, value: str) -> Token:
         t = self.peek()
-        if t.kind == "PUNCT" and t.value == value:
-            return self.next()
-        if t.kind == "IDENT" and t.value == value:
+        if t.kind in ("PUNCT", "IDENT") and t.value == value:
             return self.next()
         self.error(f"expected {value!r}, found {t.value or t.kind!r}")
 
@@ -490,8 +470,12 @@ class Parser:
     def _parse_primary(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
+            try:
+                value = float(tok.value)
+            except ValueError:
+                self.error(f"malformed number {tok.value!r}")
             self.next()
-            return NumberLit(float(tok.value), tok.span)
+            return NumberLit(value, tok.span)
         if tok.kind == "STRING":
             self.next()
             return StringLit(tok.value, tok.span)
@@ -555,11 +539,7 @@ class Parser:
 def parse(source_text: str, filename: str = "<input>") -> SourceProgram:
     """Parse TierJS text into a SourceProgram (calls not yet resolved)."""
     tokens = Lexer(source_text, filename).tokens()
-    parser = Parser(tokens, filename)
-    slices, shared = parser.parse_program()
-    if parser.peek().kind != "EOF":
-        parser.error("unexpected trailing input")
-
+    slices, shared = Parser(tokens, filename).parse_program()
     program = SourceProgram(slices=slices, shared_top_level=shared, filename=filename)
     _apply_configs(program)
     _collect_declarations(program)
@@ -772,7 +752,10 @@ def emit_stmt(st: Stmt, indent: str) -> str:
         body = emit_block(st.body, indent + "  ")
         return out + f"{indent}function {st.name}({', '.join(st.params)}) {{\n{body}{indent}}}\n"
     if isinstance(st, ExprStmt):
-        return out + f"{indent}{emit_expr(st.expr)};\n"
+        text = emit_expr(st.expr)
+        if text.startswith(("function (", "{")):
+            text = f"({text})"  # else it would parse as a declaration or block
+        return out + f"{indent}{text};\n"
     if isinstance(st, IfStmt):
         text = out + f"{indent}if ({emit_expr(st.cond)}) {{\n{emit_block(st.then, indent + '  ')}{indent}}}"
         if st.orelse:

@@ -25,11 +25,22 @@ def test_parse_summarizes_slices(runner):
     assert "data: server" in result.output and "browser: client" in result.output
 
 
-def test_parse_error_exits_2(runner, tmp_path):
+@pytest.mark.parametrize(
+    ("statement", "col", "message"),
+    [
+        ("var = ;", 7, "expected identifier"),
+        ("var x = 1.2.3;", 11, "malformed number '1.2.3'"),
+        ("var x = ²;", 11, "unexpected character '²'"),
+    ],
+    ids=["missing-name", "malformed-number", "superscript-digit"],
+)
+def test_parse_error_exits_2(runner, tmp_path, statement, col, message):
     bad = tmp_path / "bad.tjs"
-    bad.write_text("/* @slice a */\n{ var = ; }\n")
+    bad.write_text(f"/* @slice a */\n{{ {statement} }}\n", encoding="utf-8")
     result = invoke(runner, "parse", bad)
     assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"{bad}:2:{col}: {message}\n"
 
 
 def test_missing_file_exits_2(runner):

@@ -144,6 +144,25 @@ def test_ui_blocks_are_excluded():
     assert names == ["x"]
 
 
+def test_nested_assignment_defines_its_target():
+    """An assignment inside a call argument defines its target, as a
+    statement-level assignment does: both reach the reader of ``x`` in b."""
+
+    def data_edges(statement):
+        src = (
+            "/* @slice a */\n{ var x = 0; function g(v) { return v; } function f() { "
+            + statement + " } }\n/* @slice b */\n{ function h() { return x; } }\n"
+        )
+        graph = build_pdg(resolve_calls(parse(src)))
+        nodes = graph.nodes
+        return [(nodes[e.src].slice, nodes[e.src].function, nodes[e.dst].function)
+                for e in graph.edges if e.kind == DATA]
+
+    expected = [("a", None, "h"), ("a", "f", "h")]
+    assert data_edges("x = 1;") == expected
+    assert data_edges("g(x = 1);") == expected
+
+
 # Reaches what no fixture does: function expressions (in var inits, object and
 # array literals, returns, callees and assignments), curried calls, member and
 # index callees, chained assignments, a var called as a function, a for-var

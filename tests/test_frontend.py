@@ -1,18 +1,27 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
-from tierslicer.frontend import emit, parse, resolve_calls
+from tierslicer.frontend import Lexer, emit, parse, resolve_calls
 from tierslicer.syntax import AnnotationKind, VarDecl
 
 ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 
+# Statements that start with a parenthesised function expression or object
+# literal: without their parentheses they would parse as a declaration or block.
+PAREN_STATEMENTS = "/* @slice a */\n{ (function (z) { return z; })(3); ({k: 1}).k; }\n"
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["paren_statements.tjs"])
 def test_emit_parse_round_trip_is_structurally_identical(name):
-    program = load_fixture(name)
+    if name == "paren_statements.tjs":
+        program = resolve_calls(parse(PAREN_STATEMENTS, name))
+    else:
+        program = load_fixture(name)
     reparsed = parse(emit(program), name)
     assert reparsed.slices == program.slices
     assert reparsed.shared_top_level == program.shared_top_level
@@ -111,3 +120,44 @@ def test_resolution_survives_round_trip(name):
     original = [(s.owner, s.callee_name, s.resolved_owner) for s in program.call_sites]
     again = [(s.owner, s.callee_name, s.resolved_owner) for s in reparsed.call_sites]
     assert again == original
+
+
+def _naive_line_col(text: str, pos: int) -> tuple[int, int]:
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
+_LETTERS = "abqzAQZ_$éßЖλ名"
+_ident = st.builds(str.__add__, st.sampled_from(_LETTERS), st.text(_LETTERS + "0189", max_size=5))
+_number = st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,3})?", fullmatch=True)
+# No quote, backslash, '*' or '/': prose never closes a string or comment.
+_prose = st.text("ab é名 \t\r\n;{}()", max_size=12)
+_string = st.builds(lambda q, body: q + body + q, st.sampled_from("'\""), _prose)
+_line_comment = st.builds(lambda body: "//" + body.replace("\n", "") + "\n", _prose)
+_block_comment = st.builds(lambda body: "/*" + body + "*/", _prose)
+_punct = st.sampled_from(["{", "}", "(", ")", ";", ",", "=", "==", "+", ".", "<="])
+_separator = st.sampled_from(["", " ", "\n", "\r", "\t", "\r\n", "\n\n"])
+_texts = st.lists(
+    st.tuples(st.one_of(_ident, _number, _string, _line_comment, _block_comment, _punct), _separator),
+    max_size=40,
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts)
+def test_token_positions_equal_a_naive_count(text):
+    """Line is the number of newlines before a token plus one, and col its
+    1-based offset from the last newline; a carriage return starts no line."""
+    for tok in Lexer(text).tokens():
+        assert (tok.span.line, tok.span.col) == _naive_line_col(text, tok.span.start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts, _separator, st.sampled_from(["'", '"', "/*"]), _prose)
+def test_unterminated_literal_is_reported_where_it_opens(prefix, sep, opener, body):
+    start = len(prefix) + len(sep)
+    text = prefix + sep + opener + body
+    with pytest.raises(ParseError) as err:
+        Lexer(text).tokens()
+    kind = "comment" if opener == "/*" else "string"
+    assert err.value.message == f"unterminated {kind}"
+    assert (err.value.line, err.value.col) == _naive_line_col(text, start)
