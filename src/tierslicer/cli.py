@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import statistics
 import sys
@@ -47,6 +48,9 @@ def load_program(path: str):
     except OSError as exc:
         click.echo(f"{path}: {exc.strerror}", err=True)
         sys.exit(EXIT_PARSE)
+    except UnicodeDecodeError as exc:
+        click.echo(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}", err=True)
+        sys.exit(EXIT_PARSE)
     except TierSlicerError as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_PARSE)
@@ -80,6 +84,20 @@ def load_placement(path: str, problem: PlacementProblem) -> Placement:
         return placement
     click.echo(f"{path}: {reason}", err=True)
     sys.exit(EXIT_INVALID_PLACEMENT)
+
+
+def write_or_echo(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when there is none.  A
+    file that cannot be written exits 1 with one stderr line."""
+    if not path:
+        click.echo(text, nl=False)
+        return
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        click.echo(f"{path}: cannot write: {exc.strerror}", err=True)
+        sys.exit(EXIT_USAGE)
 
 
 def advisor_config(threshold) -> advisor_mod.AdvisorConfig:
@@ -178,11 +196,7 @@ def cmd_graph(path, fmt, output):
         text = depgraph.to_dot(depgraph.collapse_to_slice_graph(graph))
     else:
         text = depgraph.to_json(graph)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    write_or_echo(text, output)
 
 
 def _print_fitness(report):
@@ -214,12 +228,7 @@ def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
         _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
         return
     result = run(problem, config)
-    placement_json = result.best_placement.to_json()
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(placement_json)
-    else:
-        click.echo(placement_json, nl=False)
+    write_or_echo(result.best_placement.to_json(), output)
     report = evaluate(problem, result.best_placement)
     _print_fitness(report)
     click.echo(f"generations: {result.generations_used}")
@@ -273,14 +282,15 @@ def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
     row["slice adv"] = slice_adv
 
     headers = list(row)
+    if csv_path:  # before the table, so a CSV that cannot be written leaves stdout empty
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=headers)
+        writer.writeheader()
+        writer.writerow(row)
+        write_or_echo(buf.getvalue(), csv_path)
     widths = [max(len(h), len(str(row[h]))) for h in headers]
     click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
     click.echo("  ".join(str(row[h]).ljust(w) for h, w in zip(headers, widths)))
-    if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=headers)
-            writer.writeheader()
-            writer.writerow(row)
 
 
 @main.command("oracle")
@@ -296,12 +306,7 @@ def cmd_oracle(path, oracle_cap, output):
         placement, fitness_value = exhaustive_oracle(problem, cap=oracle_cap)
     except TooManySlicesError as exc:
         raise click.UsageError(str(exc))
-    placement_json = placement.to_json()
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(placement_json)
-    else:
-        click.echo(placement_json, nl=False)
+    write_or_echo(placement.to_json(), output)
     _print_fitness(evaluate(problem, placement))
 
 
@@ -367,12 +372,7 @@ def cmd_refine(ctx, path, do_apply, max_iters, threshold, output, population,
     config = make_config(**ga)
     adv_cfg = advisor_config(threshold)
     result = advisor_mod.refine_loop(program, config, adv_cfg, max_iterations=max_iters)
-    refined = frontend.emit(result.program)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(refined)
-    else:
-        click.echo(refined, nl=False)
+    write_or_echo(frontend.emit(result.program), output)
     click.echo(f"Application level of offline availability: {offline_percent(result.fitness)} %")
     click.echo(f"iterations: {result.iterations}")
     click.echo(f"slices: {len(result.program.slices)}")

@@ -5,6 +5,13 @@ owned by a slice (or shared).  Control edges follow block nesting, data edges
 follow def-use over lexically scoped variable names, call edges connect call
 sites to the entry of their resolved callee.
 
+The graph is built in one scoped walk after a global hoist.  The hoist
+collects every var declared outside a function body, in all slices and in
+shared code; the walk then visits each statement once, creating its node and
+recording its defs and uses against the lexical scope chain as it goes.  Node
+ids follow visit order, and edges come in three runs: control edges in visit
+order, call edges in call-site order, data edges in first-def order.
+
 The collapsed slice graph aggregates cross-slice edges in *dependence*
 orientation: call edges already point caller -> callee; data edges are
 reversed at collapse time (reader -> declarer) so a purely supportive slice
@@ -83,6 +90,25 @@ def _annotation_kinds(stmt) -> list:
     return [a.kind.value for a in getattr(stmt, "annotations", [])]
 
 
+def hoist(stmts, env: dict) -> None:
+    """Add the vars declared in ``stmts`` to ``env``, the first declaration of
+    a name winning.  Blocks do not scope vars; a FunctionDecl's body does."""
+    for st in stmts:
+        if isinstance(st, VarDecl):
+            env.setdefault(st.name, st)
+        if not isinstance(st, FunctionDecl):
+            hoist(_child_statements(st), env)
+
+
+def lookup(name: str, scopes: list) -> VarDecl | None:
+    """The VarDecl that ``name`` denotes in the innermost scope declaring it;
+    None for a parameter (held as None) or an undeclared name."""
+    for env in reversed(scopes):
+        if name in env:
+            return env[name]
+    return None
+
+
 class _Builder:
     def __init__(self, program: SourceProgram):
         self.program = program
@@ -90,9 +116,10 @@ class _Builder:
             slice_order=list(program.slice_names()),
             fixed={s.name: s.fixed_tier for s in program.slices if s.fixed_tier},
         )
-        self.stmt_node: dict[int, int] = {}  # id(stmt) -> node id
         self.func_entry: dict[int, int] = {}  # id(FunctionDecl) -> entry node id
-        self.call_node: dict[int, int] = {}  # id(Call expr) -> node id
+        self.calls: list[tuple] = []  # (call-site node id, resolved FunctionDecl)
+        self.defs: dict[int, list[int]] = {}  # id(VarDecl) -> def node ids
+        self.uses: dict[int, set[int]] = {}  # id(VarDecl) -> use node ids
         self.site_by_call = {id(s.node): s for s in program.call_sites}
 
     def new_node(self, kind, owner, span, **kw) -> int:
@@ -103,158 +130,102 @@ class _Builder:
     def edge(self, src, dst, kind):
         self.graph.edges.append(PdgEdge(src, dst, kind))
 
-    # -- structure pass ----------------------------------------------------
-
     def build(self) -> DependenceGraph:
+        # Hoisted global scope: every var declared outside a function body,
+        # across all slices and shared code (slice blocks do not scope vars).
+        scopes = [{}]
+        for s in self.program.slices:
+            hoist(s.body, scopes[0])
+        hoist(self.program.shared_top_level, scopes[0])
+
         entry = self.new_node(ENTRY, SHARED, Span.zero())
         for s in self.program.slices:
             for st in s.body:
-                self.visit_stmt(st, entry, s.name, None)
+                self.visit_stmt(st, entry, s.name, None, scopes)
         for st in self.program.shared_top_level:
-            self.visit_stmt(st, entry, SHARED, None)
-        self.add_call_edges()
-        self.add_data_edges()
+            self.visit_stmt(st, entry, SHARED, None, scopes)
+        for cid, fn in self.calls:
+            self.edge(cid, self.func_entry[id(fn)], CALL)
+        seen = set()
+        for decl_key, def_nodes in self.defs.items():
+            for d in def_nodes:
+                for u in self.uses.get(decl_key, ()):
+                    if d != u and (d, u) not in seen:
+                        seen.add((d, u))
+                        self.edge(d, u, DATA)
         return self.graph
 
-    def visit_stmt(self, st, parent: int, owner: str, func: str | None):
+    def visit_stmt(self, st, parent: int, owner: str, func: str | None, scopes: list):
+        """Add ``st``'s node, its control edge and its defs and uses, then the
+        nodes nested in it: call sites, function-expression bodies, children."""
         if isinstance(st, UiBlock):
             return
-        kind = DECLARATION if isinstance(st, (VarDecl, FunctionDecl)) else STATEMENT
-        name = st.name if isinstance(st, (VarDecl, FunctionDecl)) else None
-        nid = self.new_node(kind, owner, st.span, name=name, function=func,
+        named = isinstance(st, (VarDecl, FunctionDecl))
+        nid = self.new_node(DECLARATION if named else STATEMENT, owner, st.span,
+                            name=st.name if named else None, function=func,
                             annotations=_annotation_kinds(st))
-        self.stmt_node[id(st)] = nid
         self.edge(parent, nid, CONTROL)
 
         if isinstance(st, FunctionDecl):
             fid = self.new_node(FUNCTION_ENTRY, owner, st.span, name=st.name, function=func)
             self.func_entry[id(st)] = fid
             self.edge(nid, fid, CONTROL)
-            for child in st.body:
-                self.visit_stmt(child, fid, owner, st.name)
+            self.visit_body(st, fid, owner, st.name, scopes)
             return
+        if isinstance(st, VarDecl):
+            # before the initializer's function expressions record their defs
+            self.define(st.name, scopes, nid)
 
+        reads, writes = [], []
         for expr in _stmt_expressions(st):
-            nodes = list(_iter_expr(expr))
-            for call in nodes:
-                if isinstance(call, Call):
-                    self.visit_call(call, nid, owner, func)
-            for fx in nodes:
-                if isinstance(fx, FuncExpr):
-                    for child in fx.body:
-                        self.visit_stmt(child, nid, owner, func)
+            # Pre-order: a Call or Assign comes before its callee or target.
+            not_read, func_exprs = set(), []
+            for n in _iter_expr(expr):
+                if isinstance(n, Call):
+                    self.visit_call(n, nid, owner, func)
+                    not_read.add(id(n.callee))
+                elif isinstance(n, Assign):
+                    not_read.add(id(n.target))
+                    if isinstance(n.target, Ident):
+                        writes.append(n.target.name)
+                elif isinstance(n, Ident) and id(n) not in not_read:
+                    reads.append(n.name)
+                elif isinstance(n, FuncExpr):
+                    func_exprs.append(n)
+            for fx in func_exprs:
+                self.visit_body(fx, nid, owner, func, scopes)
+        for name in writes:
+            self.define(name, scopes, nid)
+        for name in reads:
+            decl = lookup(name, scopes)
+            if decl is not None:
+                self.uses.setdefault(id(decl), set()).add(nid)
         for child in _child_statements(st):
-            self.visit_stmt(child, nid, owner, func)
+            self.visit_stmt(child, nid, owner, func, scopes)
+
+    def visit_body(self, fn, parent: int, owner: str, func: str | None, scopes: list):
+        """A function's body, in a fresh scope holding its params and vars."""
+        local = dict.fromkeys(fn.params)
+        hoist(fn.body, local)
+        for child in fn.body:
+            self.visit_stmt(child, parent, owner, func, scopes + [local])
+
+    def define(self, name: str, scopes: list, nid: int):
+        """Record node ``nid`` as a def of the var that ``name`` denotes."""
+        decl = lookup(name, scopes)
+        if decl is not None:
+            self.defs.setdefault(id(decl), []).append(nid)
 
     def visit_call(self, call, stmt_node: int, owner: str, func: str | None):
         site = self.site_by_call.get(id(call))
-        callee = site.callee_name if site else None
         cid = self.new_node(
-            CALL_SITE, owner, call.span, name=callee, function=func,
+            CALL_SITE, owner, call.span, name=site.callee_name if site else None, function=func,
             annotations=_annotation_kinds(site.stmt) if site else [],
             unresolved=site.unresolved_reason if site else "non-identifier",
         )
-        self.call_node[id(call)] = cid
         self.edge(stmt_node, cid, CONTROL)
-
-    def add_call_edges(self):
-        for site in self.program.call_sites:
-            if site.resolved is None:
-                continue
-            cid = self.call_node.get(id(site.node))
-            fid = self.func_entry.get(id(site.resolved))
-            if cid is not None and fid is not None:
-                self.edge(cid, fid, CALL)
-
-    # -- def-use pass ------------------------------------------------------
-
-    def add_data_edges(self):
-        # Hoisted global scope: every var declared outside a function body,
-        # across all slices and shared code (slice blocks do not scope vars).
-        global_env: dict[str, VarDecl] = {}
-
-        def hoist(stmts, env):
-            for st in stmts:
-                if isinstance(st, VarDecl):
-                    env.setdefault(st.name, st)
-                if isinstance(st, FunctionDecl):
-                    continue  # its body is a fresh scope
-                hoist(_child_statements(st), env)
-
-        for s in self.program.slices:
-            hoist(s.body, global_env)
-        hoist(self.program.shared_top_level, global_env)
-
-        defs: dict[int, list[int]] = {}  # id(VarDecl) -> def node ids
-        uses: dict[int, set[int]] = {}  # id(VarDecl) -> use node ids
-
-        def record_def(decl, node_id):
-            defs.setdefault(id(decl), []).append(node_id)
-
-        def record_use(decl, node_id):
-            uses.setdefault(id(decl), set()).add(node_id)
-
-        def reads_of(nodes):
-            """Identifier reads among an expression's nodes: every Ident but
-            plain callees and assignment targets."""
-            named = {id(n.callee) for n in nodes if isinstance(n, Call)}
-            named.update(id(n.target) for n in nodes if isinstance(n, Assign))
-            return [n.name for n in nodes if isinstance(n, Ident) and id(n) not in named]
-
-        def lookup(name, env_chain):
-            for env in reversed(env_chain):
-                if name in env:
-                    return env[name]
-            return None
-
-        def walk_function(fn, env_chain):
-            """A function's body, in a fresh scope holding its params and vars."""
-            local = {p: ("param", id(fn), p) for p in fn.params}
-            hoist(fn.body, local)
-            walk(fn.body, env_chain + [local])
-
-        def walk(stmts, env_chain):
-            for st in stmts:
-                nid = self.stmt_node.get(id(st))
-                if isinstance(st, FunctionDecl):
-                    walk_function(st, env_chain)
-                    continue
-                if isinstance(st, VarDecl):
-                    decl = lookup(st.name, env_chain)
-                    if isinstance(decl, VarDecl) and nid is not None:
-                        record_def(decl, nid)
-                reads: list[str] = []
-                writes: list[str] = []
-                for expr in _stmt_expressions(st):
-                    nodes = list(_iter_expr(expr))
-                    reads += reads_of(nodes)
-                    writes += [n.target.name for n in nodes
-                               if isinstance(n, Assign) and isinstance(n.target, Ident)]
-                    for fx in nodes:
-                        if isinstance(fx, FuncExpr):
-                            walk_function(fx, env_chain)
-                if nid is not None:
-                    for name in writes:
-                        decl = lookup(name, env_chain)
-                        if isinstance(decl, VarDecl):
-                            record_def(decl, nid)
-                    for name in reads:
-                        decl = lookup(name, env_chain)
-                        if isinstance(decl, VarDecl):
-                            record_use(decl, nid)
-                walk(_child_statements(st), env_chain)
-
-        for s in self.program.slices:
-            walk(s.body, [global_env])
-        walk(self.program.shared_top_level, [global_env])
-
-        seen = set()
-        for decl_key, def_nodes in defs.items():
-            for d in def_nodes:
-                for u in uses.get(decl_key, ()):
-                    if d != u and (d, u) not in seen:
-                        seen.add((d, u))
-                        self.edge(d, u, DATA)
+        if site and site.resolved is not None:
+            self.calls.append((cid, site.resolved))
 
 
 def build_pdg(program: SourceProgram) -> DependenceGraph:

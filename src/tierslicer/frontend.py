@@ -19,6 +19,7 @@ slice for slice and statement for statement.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -474,6 +475,8 @@ class Parser:
                 value = float(tok.value)
             except ValueError:
                 self.error(f"malformed number {tok.value!r}")
+            if value == math.inf:
+                self.error("number too large for a float")
             self.next()
             return NumberLit(value, tok.span)
         if tok.kind == "STRING":
@@ -682,8 +685,11 @@ def _warn(program: SourceProgram, span: Span, msg: str) -> str:
 
 # --- Emitter --------------------------------------------------------------
 
-_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
-         "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
+# Binding strength: the binary operators in the parser's levels, then a unary
+# operand, then a postfix operand (a member or index object, or a callee).
+_PREC = {op: level for level, ops in enumerate(Parser._BIN_LEVELS, 1) for op in ops}
+_UNARY = len(Parser._BIN_LEVELS) + 1
+_POSTFIX = _UNARY + 1
 
 
 def _fmt_annotation(a: Annotation) -> str:
@@ -705,7 +711,8 @@ def _emit_annotations(anns: list, indent: str) -> str:
 def emit_expr(e, prec: int = 0) -> str:
     if isinstance(e, NumberLit):
         v = e.value
-        return str(int(v)) if v == int(v) else repr(v)
+        text = str(int(v)) if v == int(v) else repr(v)
+        return f"({text})" if prec == _POSTFIX else text  # 1.x lexes as "1." "x"
     if isinstance(e, StringLit):
         return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(e, BoolLit):
@@ -717,20 +724,21 @@ def emit_expr(e, prec: int = 0) -> str:
     if isinstance(e, Ident):
         return e.name
     if isinstance(e, Member):
-        return f"{emit_expr(e.obj, 8)}.{e.attr}"
+        return f"{emit_expr(e.obj, _POSTFIX)}.{e.attr}"
     if isinstance(e, Index):
-        return f"{emit_expr(e.obj, 8)}[{emit_expr(e.index)}]"
+        return f"{emit_expr(e.obj, _POSTFIX)}[{emit_expr(e.index)}]"
     if isinstance(e, Call):
         args = ", ".join(emit_expr(a) for a in e.args)
-        return f"{emit_expr(e.callee, 8)}({args})"
+        return f"{emit_expr(e.callee, _POSTFIX)}({args})"
     if isinstance(e, Unary):
-        return f"{e.op}{emit_expr(e.operand, 7)}"
+        text = f"{e.op}{emit_expr(e.operand, _UNARY)}"
+        return f"({text})" if prec == _POSTFIX else text
     if isinstance(e, Binary):
         p = _PREC[e.op]
         text = f"{emit_expr(e.left, p)} {e.op} {emit_expr(e.right, p + 1)}"
         return f"({text})" if p < prec else text
     if isinstance(e, Assign):
-        text = f"{emit_expr(e.target, 8)} = {emit_expr(e.value)}"
+        text = f"{emit_expr(e.target, _POSTFIX)} = {emit_expr(e.value)}"
         return f"({text})" if prec > 0 else text
     if isinstance(e, ObjectLit):
         entries = ", ".join(f"{k}: {emit_expr(v)}" for k, v in e.entries)

@@ -44,7 +44,12 @@ class Placement:
 
     @staticmethod
     def from_json(text: str) -> "Placement":
+        """Read ``{"fixed": {slice: tier}, "searched": {slice: tier}}``; a
+        payload of another shape raises ValueError."""
         payload = json.loads(text)
+        if not (isinstance(payload, dict)
+                and all(isinstance(payload.get(k, {}), dict) for k in ("fixed", "searched"))):
+            raise ValueError('expected {"fixed": {slice: tier}, "searched": {slice: tier}}')
         return Placement(
             fixed={k: Tier(v) for k, v in payload.get("fixed", {}).items()},
             searched={k: Tier(v) for k, v in payload.get("searched", {}).items()},

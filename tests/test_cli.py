@@ -31,8 +31,9 @@ def test_parse_summarizes_slices(runner):
         ("var = ;", 7, "expected identifier"),
         ("var x = 1.2.3;", 11, "malformed number '1.2.3'"),
         ("var x = ²;", 11, "unexpected character '²'"),
+        ("var x = " + "9" * 400 + ";", 11, "number too large for a float"),
     ],
-    ids=["missing-name", "malformed-number", "superscript-digit"],
+    ids=["missing-name", "malformed-number", "superscript-digit", "huge-number"],
 )
 def test_parse_error_exits_2(runner, tmp_path, statement, col, message):
     bad = tmp_path / "bad.tjs"
@@ -46,6 +47,35 @@ def test_parse_error_exits_2(runner, tmp_path, statement, col, message):
 def test_missing_file_exits_2(runner):
     result = invoke(runner, "parse", "no-such-file.tjs")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("command", [("parse",), ("graph", "--json"), ("oracle",)],
+                         ids=["parse", "graph-json", "oracle"])
+def test_source_that_is_not_utf8_exits_2(runner, tmp_path, command):
+    bad = tmp_path / "latin1.tjs"
+    bad.write_bytes("/* @slice a */\n{ var s = 'café'; }\n".encode("latin-1"))
+    result = invoke(runner, command[0], bad, *command[1:])
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"{bad}: not UTF-8: invalid continuation byte at byte 29\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("graph", "-o"), ("graph", "--json", "-o"), ("assign", "-o"), ("oracle", "-o"),
+    ("refine", "--apply", "-o"), ("stats", "--runs", 2, "--csv"),
+    ("assign", "--runs", 2, "--csv"),
+], ids=["graph", "graph-json", "assign", "oracle", "refine-apply", "stats-csv", "assign-runs-csv"])
+@pytest.mark.parametrize("where, reason", [
+    ("missing-dir/out", "No such file or directory"), (".", "Is a directory"),
+], ids=["missing-dir", "directory"])
+def test_unwritable_output_exits_1(runner, tmp_path, args, where, reason):
+    out = tmp_path / where
+    result = invoke(runner, args[0], fixture_path("unicorn_v2.tjs"), *args[1:], out)
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == f"{out}: cannot write: {reason}\n"
 
 
 def test_graph_dot_default(runner):
@@ -246,6 +276,21 @@ def test_placement_file_must_match_the_program(runner, tmp_path, command, payloa
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == f"{placement}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["advise", "split"])
+@pytest.mark.parametrize("text", [
+    "[1, 2]", '{"fixed": [1, 2]}', '{"fixed": {"data": "server"}, "searched": null}', '"both"',
+], ids=["list", "fixed-list", "searched-null", "string"])
+def test_placement_file_of_the_wrong_shape_exits_1(runner, tmp_path, command, text):
+    placement = tmp_path / "placement.json"
+    placement.write_text(text)
+    result = invoke(runner, command, fixture_path("unicorn_v2.tjs"), "--placement", placement)
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (f"{placement}: cannot read placement: "
+                             'expected {"fixed": {slice: tier}, "searched": {slice: tier}}\n')
 
 
 @pytest.mark.parametrize("name", [

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import fixture_path, fixture_problem, load_fixture
+from genprog import random_source
 from tierslicer import emit, parse, resolve_calls
 from tierslicer.depgraph import (
     CALL,
@@ -279,3 +280,53 @@ def test_walker_program_is_frozen():
     reparsed = parse(emit(program), "walker.tjs")
     assert reparsed.slices == program.slices
     assert reparsed.shared_top_level == program.shared_top_level
+
+
+# Re-assigns each var inside a function expression in its own initializer,
+# in nested function expressions and in a ``for (var …)`` init: the var's own
+# def comes before the defs made inside its initializer.
+VAR_SCOPE_SOURCE = """\
+/* @slice a */
+{
+  var x = function () { x = 1; return x; };
+  var y = function (p) { var y = function () { y = p; }; y = x; return function () { x = y; }; };
+  for (var i = function () { i = 0; }; i < 3; i = i + 1) { x = i; }
+}
+/* @slice b */
+{
+  function g() { var t = x + y + i; return t; }
+  var z = function () { z = function () { z = x; }; return z; };
+}
+"""
+
+# sha256 of to_json(build_pdg(...)), recorded before the builder became one
+# scoped walk: node ids and edge order are pinned along with the edges.
+FROZEN_GRAPHS = {
+    "meetings.tjs": "36b66e332557ab076ccd80029cd5e4ca8cdbe865412b25d48d502ae67c2c73cc",
+    "relay.tjs": "3d3ea95fb5bfffda269332bac10fe87a1113f987a4ba6639536b5c06ac73c934",
+    "relay_reply.tjs": "755cbf91a635d4ece4a3de4c0c0bb32aab05d8d9de805f743f6f4c92a4657b47",
+    "tracker.tjs": "91472d84c7341c2c25ff3f316581af9866ea7402dce12feba052fb05ffad993e",
+    "unicorn_v1.tjs": "db366a4eca94e5da7f4616183d64d7d8f12f8a75eaf7b60a4d9c79ad90e2a426",
+    "unicorn_v2.tjs": "bfd321b54dec1c514ec014aac188d3d287873083859d74a334b61fe2d7cdbf47",
+    "unicorn_v3.tjs": "0fe6cb71b903962cd2b782ea77afce7b967171f202ad67182ed43768de2f984a",
+    "unicorn_v4.tjs": "5d9acbb1945b785b6f233858a0ea8fb0fd6b925968928dae1766a1ae05e7155f",
+    "unicorn_v5.tjs": "b0a9d2eec41c6a8b8ede792c917bf02e8df202c8562ca99efd5f2aa1b25046ba",
+    "unicorn_v6.tjs": "3a7dd26f448826a95423b16f329d20e7bf587be245c9d9170c64dc77ca820de3",
+    "random-0.tjs": "61caf8b8aa2008057152d8386e81cabcf131ee6ce0ccc6577df2390771a886ae",
+    "random-1.tjs": "0845c77f6e2200f227355b647b2321f36ee47642cbda8f23e376051123072b89",
+    "random-2.tjs": "58f0b3d1607302bdb991832031f51c334910f01286650f32cae4fd2d4551f91f",
+    "random-3.tjs": "3f26a638b78883c08fc5d9a7ccde8846900aad462e100813b3b389136951ac1c",
+    "var_scope.tjs": "dcdbc2d4c7c048e79ac09eb4b2cde5033848fb26f01cfe253508b3a075eea066",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_GRAPHS))
+def test_graph_is_frozen(name):
+    if name.startswith("random-"):
+        source = random_source(int(name[len("random-"):-len(".tjs")]))
+    elif name == "var_scope.tjs":
+        source = VAR_SCOPE_SOURCE
+    else:
+        source = fixture_path(name).read_text()
+    graph = build_pdg(resolve_calls(parse(source, name)))
+    assert hashlib.sha256(to_json(graph).encode()).hexdigest() == FROZEN_GRAPHS[name]

@@ -15,11 +15,22 @@ ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 # literal: without their parentheses they would parse as a declaration or block.
 PAREN_STATEMENTS = "/* @slice a */\n{ (function (z) { return z; })(3); ({k: 1}).k; }\n"
 
+# Unary operands and number literals as the object of a member or index
+# access, or as a callee: each keeps its parentheses.
+POSTFIX_OPERANDS = (
+    "/* @slice a */\n{ function f(n) { return n; } var a = 1;\n"
+    "  var y = (-a).x; (!f)(1); var v = (1).x; var w = (-a)[0]; var t = (2)[a];\n"
+    "  var u = -a.x; var r = !f(1); }\n"
+)
 
-@pytest.mark.parametrize("name", ALL_FIXTURES + ["paren_statements.tjs"])
+INLINE_PROGRAMS = {"paren_statements.tjs": PAREN_STATEMENTS,
+                   "postfix_operands.tjs": POSTFIX_OPERANDS}
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + sorted(INLINE_PROGRAMS))
 def test_emit_parse_round_trip_is_structurally_identical(name):
-    if name == "paren_statements.tjs":
-        program = resolve_calls(parse(PAREN_STATEMENTS, name))
+    if name in INLINE_PROGRAMS:
+        program = resolve_calls(parse(INLINE_PROGRAMS[name], name))
     else:
         program = load_fixture(name)
     reparsed = parse(emit(program), name)
