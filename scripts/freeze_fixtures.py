@@ -14,13 +14,11 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from tierslicer import parse, placement_problem, resolve_calls
 from tierslicer.advisor import advise, render_report
 from tierslicer.depgraph import build_pdg
 from tierslicer.fitness import evaluate
-from tierslicer.kernels import compile_problem, eval_population
+from tierslicer.kernels import compile_problem, placement_scores
 from tierslicer.placement import Placement
 from tierslicer.search import exhaustive_oracle
 
@@ -36,11 +34,7 @@ def valid_count(problem):
     n = len(problem.unplaced)
     if n == 0:
         return None
-    compiled = compile_problem(problem)
-    weights = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    genomes = ((np.arange(3**n)[:, None] // weights) % 3 + 1).astype(np.int8)
-    _, valid = eval_population(compiled, genomes)
-    return int(valid.sum())
+    return int((placement_scores(compile_problem(problem)) >= 0).sum())
 
 
 def describe(name):

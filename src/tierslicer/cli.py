@@ -219,6 +219,8 @@ def _print_fitness(report):
 def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
                tournament_size, seed, runs, jobs, csv_path, output):
     """Search a tier placement for PATH and report its fitness."""
+    if runs > 1 and output is not None:
+        raise click.UsageError("-o/--output cannot be used with --runs above 1")
     program = load_program(path)
     graph = depgraph.build_pdg(program)
     problem = depgraph.placement_problem(graph)

@@ -23,6 +23,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import (
     DuplicateSliceNameError,
@@ -711,7 +712,8 @@ def _emit_annotations(anns: list, indent: str) -> str:
 def emit_expr(e, prec: int = 0) -> str:
     if isinstance(e, NumberLit):
         v = e.value
-        text = str(int(v)) if v == int(v) else repr(v)
+        # Positional, never an exponent: the lexer reads digits and dots only.
+        text = str(int(v)) if v == int(v) else format(Decimal(repr(v)), "f")
         return f"({text})" if prec == _POSTFIX else text  # 1.x lexes as "1." "x"
     if isinstance(e, StringLit):
         return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'

@@ -1,14 +1,19 @@
 """Hot kernel: batch fitness + validity evaluation over placement genomes.
 
-The genetic search and the exhaustive oracle both evaluate thousands to
-millions of candidate placements; this module compiles a placement problem's
-call table into flat arrays and evaluates whole genome batches at once with
-numpy.
+The genetic search evaluates thousands of candidate placements; this module
+compiles a placement problem's call table into flat arrays and evaluates
+whole genome batches at once with numpy.
 
 Genomes are int8 vectors of tier masks (client=1, server=2, both=3), one
 gene per unplaced slice in problem order.  A row's fitness is its local call
 count divided by the call count, the same double ``fitness.evaluate``
 computes for the placement.
+
+``placement_scores`` scores every one of the 3^n genomes at once for the
+exhaustive oracle.  Each call's locality and validity depend on at most two
+genes, so the calls are summed into one small table per pair of genes (a
+constant, a 3-vector or a 3x3 table) and the tables are broadcast-added
+into one array indexed by the genome, with no per-genome gather.
 """
 
 from __future__ import annotations
@@ -69,16 +74,21 @@ def _endpoint(genomes, gene, mask):
     return np.where(gene >= 0, genomes[:, np.maximum(gene, 0)], mask)
 
 
+def _call_rule(a, b, ann):
+    """(local, violating) for calls whose ends have tier masks ``a`` and ``b``:
+    local iff a is a subset of b; violating iff remote, from a server-side
+    caller to a callee off the server, without @reply or @broadcast."""
+    local = (a & (3 ^ b)) == 0
+    return local, ~local & ((a & 2) != 0) & ((b & 2) == 0) & ~ann
+
+
 def _eval_numpy(genomes, cg, cm, eg, em, ann):
     pop = genomes.shape[0]
     ncalls = cg.shape[0]
     if ncalls == 0:
         return np.ones(pop, dtype=np.float64), np.ones(pop, dtype=np.bool_)
-    a = _endpoint(genomes, cg, cm)
-    b = _endpoint(genomes, eg, em)
-    local = (a & (3 ^ b)) == 0
+    local, bad = _call_rule(_endpoint(genomes, cg, cm), _endpoint(genomes, eg, em), ann)
     fitness = local.sum(axis=1) / ncalls
-    bad = ~local & ((a & 2) != 0) & ((b & 2) == 0) & ~ann
     return fitness.astype(np.float64), ~bad.any(axis=1)
 
 
@@ -95,3 +105,48 @@ def eval_population(compiled: CompiledProblem, genomes: np.ndarray):
         compiled.callee_mask,
         compiled.annotated,
     )
+
+
+_MASKS = np.arange(1, 4, dtype=np.int8)
+
+
+def placement_scores(compiled: CompiledProblem) -> np.ndarray:
+    """Score every genome: an int64 array of shape ``(3,) * n_genes`` indexed
+    by mask - 1, gene 0 the most significant digit (C order).
+
+    An entry is the genome's local call count minus ``n_calls + 1`` for each
+    violating call, so it is >= 0 exactly when the placement is valid.
+    """
+    n, ncalls = compiled.n_genes, compiled.n_calls
+    scores = np.zeros((3,) * n, dtype=np.int64)
+    if ncalls == 0:
+        return scores
+    cg, eg = compiled.caller_gene, compiled.callee_gene
+    # Each call's score over its 3x3 grid of (caller, callee) masks; a fixed
+    # end, shared callees included, keeps its own mask along its axis.
+    a = np.where(cg[:, None] >= 0, _MASKS, compiled.caller_mask[:, None])
+    b = np.where(eg[:, None] >= 0, _MASKS, compiled.callee_mask[:, None])
+    local, bad = _call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
+    grid = local.astype(np.int64) - (ncalls + 1) * bad
+    # Orient every grid as (lower gene, higher gene), a fixed end counting as
+    # gene -1, and sum the grids of calls with the same pair of genes.
+    swap = cg > eg
+    grid[swap] = grid[swap].transpose(0, 2, 1)
+    ends = np.stack([np.minimum(cg, eg), np.maximum(cg, eg)], axis=1)
+    pairs, term_of = np.unique(ends, axis=0, return_inverse=True)
+    terms = np.zeros((len(pairs), 3, 3), dtype=np.int64)
+    np.add.at(terms, term_of.ravel(), grid)
+    for (g, h), term in zip(pairs.tolist(), terms):
+        shape = [1] * n
+        if h < 0:  # both ends fixed
+            scores += term[0, 0]
+        elif g < 0:  # one gene
+            shape[h] = 3
+            scores += term[0].reshape(shape)
+        elif g == h:  # both ends in one unplaced slice
+            shape[g] = 3
+            scores += term.diagonal().reshape(shape)
+        else:
+            shape[g] = shape[h] = 3
+            scores += term.reshape(shape)
+    return scores

@@ -17,6 +17,11 @@ Each run owns its random stream, ``np.random.default_rng(seed)``, and makes
 the same draws in the same order and shapes as it would alone, so a seed's
 ``SearchResult`` does not depend on the other runs in its batch, on the
 batch size or on the worker count.  ``run`` is a batch of one.
+
+``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced slices.
+It scores every one of the 3^n placements with ``kernels.placement_scores``
+(one table per pair of genes, summed into one array) and takes the first
+maximum, so ties go to the lexicographically smallest genome.
 """
 
 from __future__ import annotations
@@ -29,12 +34,11 @@ import numpy as np
 
 from .errors import AllInvalidError, TooManySlicesError
 from .fitness import evaluate
-from .kernels import compile_problem, eval_population
+from .kernels import compile_problem, eval_population, placement_scores
 from .model import TIER_FROM_MASK, PlacementProblem
 from .placement import Placement
 
 _SEED_RETRIES = 10
-_ORACLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
 
 
 def exhaustive_oracle(problem: PlacementProblem, cap: int = 12):
-    """Enumerate all 3^n searched placements; argmax fitness over valid ones.
+    """Score all 3^n searched placements; argmax fitness over valid ones.
 
     Ties break toward the genome-lexicographically smallest placement.
     Returns (best Placement, best fitness).
@@ -254,20 +258,11 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = 12):
         placement = Placement(fixed=dict(problem.fixed), searched={})
         return placement, evaluate(problem, placement).program
 
-    compiled = compile_problem(problem)
-    total = 3**n
-    weights = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    best_fit = -1.0
-    best_genome = None
-    for start in range(0, total, _ORACLE_CHUNK):
-        idx = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
-        genomes = ((idx[:, None] // weights) % 3 + 1).astype(np.int8)
-        fitness, valid = eval_population(compiled, genomes)
-        fitness = np.where(valid, fitness, -1.0)
-        i = int(np.argmax(fitness))  # first max = lexicographically smallest
-        if fitness[i] > best_fit:
-            best_fit = float(fitness[i])
-            best_genome = genomes[i].copy()
-    if best_genome is None or best_fit < 0.0:
+    scores = placement_scores(compile_problem(problem)).ravel()
+    best = int(np.argmax(scores))  # first max = lexicographically smallest
+    if scores[best] < 0:
         raise AllInvalidError("every searched placement is invalid")
-    return genome_to_placement(problem, best_genome), best_fit
+    genome = np.array(np.unravel_index(best, (3,) * n), dtype=np.int8) + 1
+    n_calls = len(problem.calls)
+    fitness = int(scores[best]) / n_calls if n_calls else 1.0
+    return genome_to_placement(problem, genome), fitness

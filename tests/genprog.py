@@ -13,7 +13,7 @@ import numpy as np
 
 from tierslicer import parse, placement_problem, resolve_calls
 from tierslicer.depgraph import build_pdg
-from tierslicer.kernels import compile_problem, eval_population
+from tierslicer.kernels import compile_problem, placement_scores
 
 #: Minimum fraction of the 3^n space that must be valid for a fixture to be
 #: usable: below this the search problem is dominated by constraint solving
@@ -118,12 +118,7 @@ def random_full_placement(problem, rng: np.random.Generator):
 
 
 def valid_fraction(problem) -> float:
-    compiled = compile_problem(problem)
-    n = len(problem.unplaced)
-    weights = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    genomes = ((np.arange(3**n)[:, None] // weights) % 3 + 1).astype(np.int8)
-    _, valid = eval_population(compiled, genomes)
-    return float(valid.mean())
+    return float((placement_scores(compile_problem(problem)) >= 0).mean())
 
 
 def random_problems(count: int, start_seed: int = 0):

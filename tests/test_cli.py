@@ -100,6 +100,16 @@ def test_assign_emits_placement_and_fitness(runner):
     assert "generations:" in result.output
 
 
+def test_assign_output_with_many_runs_is_a_usage_error(runner, tmp_path):
+    out = tmp_path / "placement.json"
+    result = invoke(runner, "assign", fixture_path("unicorn_v2.tjs"), "--runs", 2, "-o", out)
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "Error: -o/--output cannot be used with --runs above 1" in result.stderr
+    assert not out.exists()
+
+
 def test_assign_is_deterministic(runner):
     args = ("assign", fixture_path("unicorn_v4.tjs"), "--seed", 5)
     assert invoke(runner, *args).output == invoke(runner, *args).output

@@ -23,8 +23,12 @@ POSTFIX_OPERANDS = (
     "  var u = -a.x; var r = !f(1); }\n"
 )
 
+# Numbers below 1e-4, which repr writes with an exponent the lexer rejects.
+SMALL_NUMBERS = "/* @slice a */\n{ var x = 0.0000001; var y = 0.00001234; var z = (0.00005).k; }\n"
+
 INLINE_PROGRAMS = {"paren_statements.tjs": PAREN_STATEMENTS,
-                   "postfix_operands.tjs": POSTFIX_OPERANDS}
+                   "postfix_operands.tjs": POSTFIX_OPERANDS,
+                   "small_numbers.tjs": SMALL_NUMBERS}
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES + sorted(INLINE_PROGRAMS))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from conftest import fixture_problem
 from genprog import random_flat_problem
 from tierslicer.fitness import evaluate
-from tierslicer.kernels import compile_problem, eval_population
-from tierslicer.model import CallRecord, PlacementProblem, Tier
+from tierslicer.kernels import compile_problem, eval_population, placement_scores
+from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer.placement import is_valid
 from tierslicer.search import genome_to_placement
 
@@ -81,3 +82,94 @@ def test_fixed_tiers_and_annotations_are_compiled_in():
     )
     _, valid = eval_population(compile_problem(annotated), full_enumeration(1))
     assert valid.all()
+
+
+# --- The score table over the whole placement space ------------------------
+
+
+def per_call_counts(compiled, genomes):
+    """Each genome's local and violating call counts, taken one call at a time
+    through eval_population."""
+    local = np.zeros(len(genomes), dtype=np.int64)
+    violating = np.zeros(len(genomes), dtype=np.int64)
+    for i in range(compiled.n_calls):
+        one = replace(compiled, **{field: getattr(compiled, field)[i:i + 1] for field in (
+            "caller_gene", "caller_mask", "callee_gene", "callee_mask", "annotated")})
+        fitness, valid = eval_population(one, genomes)
+        local += fitness.astype(np.int64)
+        violating += ~valid
+    return local, violating
+
+
+def assert_scores_match_the_kernel(problem):
+    """placement_scores against full_enumeration + eval_population, genome by
+    genome: >= 0 exactly where valid, the local count where valid, and the
+    local count minus n_calls + 1 per violating call everywhere."""
+    compiled = compile_problem(problem)
+    n, n_calls = compiled.n_genes, compiled.n_calls
+    scores = placement_scores(compiled)
+    assert scores.shape == (3,) * n and scores.dtype == np.int64
+    genomes = full_enumeration(n)
+    scores = scores.ravel()  # C order: the order of full_enumeration
+    fitness, valid = eval_population(compiled, genomes)
+    np.testing.assert_array_equal(scores >= 0, valid)
+    local, violating = per_call_counts(compiled, genomes)
+    if n_calls:
+        np.testing.assert_array_equal(local / n_calls, fitness)
+    np.testing.assert_array_equal(scores[valid], local[valid])
+    np.testing.assert_array_equal(scores, local - (n_calls + 1) * violating)
+    return scores
+
+
+def test_placement_scores_match_the_kernel_on_random_problems():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        assert_scores_match_the_kernel(random_flat_problem(rng))
+
+
+@pytest.mark.parametrize("name", [
+    "unicorn_v1.tjs", "unicorn_v2.tjs", "unicorn_v3.tjs", "unicorn_v4.tjs", "unicorn_v5.tjs",
+    "unicorn_v6.tjs", "relay.tjs", "relay_reply.tjs", "meetings.tjs", "tracker.tjs",
+])
+def test_placement_scores_match_the_kernel_on_fixtures(name):
+    assert_scores_match_the_kernel(fixture_problem(name))
+
+
+EVERY_KIND = PlacementProblem(
+    slices=("srv", "cli", "a", "b", "c"),
+    fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
+    calls=(
+        CallRecord(0, "a", "a", "f0"),  # inside one unplaced slice
+        CallRecord(1, "b", "b", "f1", annotated=True),
+        CallRecord(2, "srv", "cli", "f2", annotated=True),  # between two fixed slices
+        CallRecord(3, "cli", "srv", "f3"),
+        CallRecord(4, "c", "a", "f4"),  # the caller's gene is the higher one
+        CallRecord(5, "a", "c", "f5"),
+        CallRecord(6, "c", "b", "f6", annotated=True),
+        CallRecord(7, "b", SHARED, "f7"),  # shared callee
+        CallRecord(8, "srv", "b", "f8"),  # fixed caller
+        CallRecord(9, "c", "cli", "f9"),  # fixed callee
+        CallRecord(10, "a", "cli", "f10", annotated=True),
+        CallRecord(11, "c", "a", "f11"),  # a second call on the same pair of genes
+    ),
+)
+
+
+def test_placement_scores_cover_every_kind_of_call():
+    scores = assert_scores_match_the_kernel(EVERY_KIND)
+    assert (scores >= 0).any() and (scores < 0).any()
+
+
+def test_placement_scores_with_no_calls_are_zero():
+    scores = assert_scores_match_the_kernel(PlacementProblem(slices=("a", "b", "c")))
+    assert (scores == 0).all()
+
+
+def test_placement_scores_of_an_all_invalid_problem_are_negative():
+    problem = PlacementProblem(
+        slices=("srv", "cli", "x"),
+        fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
+        calls=(CallRecord(0, "srv", "cli", "f"), CallRecord(1, "x", "x", "g")),
+    )
+    scores = assert_scores_match_the_kernel(problem)
+    np.testing.assert_array_equal(scores, [1 - 3] * 3)  # one local call, one violation

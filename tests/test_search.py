@@ -9,7 +9,7 @@ import pytest
 from conftest import fixture_problem
 from genprog import random_flat_problem, random_problem
 from tierslicer.errors import AllInvalidError, TooManySlicesError
-from tierslicer.kernels import compile_problem
+from tierslicer.kernels import compile_problem, eval_population
 from tierslicer.model import CallRecord, PlacementProblem, Tier
 from tierslicer.search import (
     GaConfig,
@@ -218,6 +218,49 @@ def test_oracle_tie_breaks_toward_lexicographically_first_genome():
     placement, fitness = exhaustive_oracle(problem)
     assert fitness == 1.0
     assert placement.tier("a") is Tier.CLIENT and placement.tier("b") is Tier.CLIENT
+
+
+def chunked_oracle(problem):
+    """Reference oracle without the score table: build every genome from its
+    index, evaluate 65,536-row chunks with eval_population and keep the first
+    best valid row.  Returns (genome, fitness), or None if none is valid."""
+    compiled = compile_problem(problem)
+    n = compiled.n_genes
+    total = 3**n
+    weights = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    best_fit, best_genome = -1.0, None
+    for start in range(0, total, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        genomes = ((idx[:, None] // weights) % 3 + 1).astype(np.int8)
+        fitness, valid = eval_population(compiled, genomes)
+        fitness = np.where(valid, fitness, -1.0)
+        i = int(np.argmax(fitness))
+        if fitness[i] > best_fit:
+            best_fit, best_genome = float(fitness[i]), genomes[i].copy()
+    if best_genome is None or best_fit < 0.0:
+        return None
+    return best_genome.tolist(), best_fit
+
+
+def oracle_verdict(problem):
+    try:
+        placement, fitness = exhaustive_oracle(problem)
+    except AllInvalidError:
+        return None
+    return [placement.tier(s).mask for s in problem.unplaced], fitness
+
+
+def test_oracle_equals_the_chunked_argmax():
+    rng = np.random.default_rng(31)
+    problems = [random_flat_problem(rng) for _ in range(40)]
+    problems += [random_problem(seed) for seed in range(12)]  # seed 5 has no valid placement
+    problems += [fixture_problem(name) for name in (
+        "unicorn_v2.tjs", "unicorn_v3.tjs", "unicorn_v4.tjs", "unicorn_v5.tjs",
+        "unicorn_v6.tjs", "relay.tjs", "relay_reply.tjs", "meetings.tjs")]
+    verdicts = [oracle_verdict(problem) for problem in problems]
+    assert None in verdicts and any(v is not None for v in verdicts)  # both verdicts occur
+    for problem, verdict in zip(problems, verdicts):
+        assert verdict == chunked_oracle(problem)
 
 
 def test_ga_never_beats_the_oracle(manifest):
