@@ -64,7 +64,7 @@ def describe(name):
     return program, graph, problem, entry
 
 
-def main():
+def build_manifest():
     manifest = {}
     for name in sorted(p.name for p in FIXTURES.glob("*.tjs")):
         program, graph, problem, entry = describe(name)
@@ -77,10 +77,15 @@ def main():
             }
             entry["report"] = render_report(entry["oracleFitness"], advices)
         manifest[name] = entry
+    return manifest
+
+
+def main():
+    text = json.dumps(build_manifest(), indent=2) + "\n"
     out = FIXTURES / "manifest.json"
-    out.write_text(json.dumps(manifest, indent=2) + "\n")
+    out.write_text(text)
     print(f"wrote {out}")
-    print(json.dumps(manifest, indent=2))
+    print(text, end="")
 
 
 if __name__ == "__main__":

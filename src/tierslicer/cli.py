@@ -214,13 +214,16 @@ def _print_fitness(report):
               help="Number of independent searches.")
 @click.option("--jobs", default=1, show_default=True, type=COUNT,
               help="Worker processes for --runs.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None, help="Also write stats as CSV.")
+@click.option("--csv", "csv_path", type=click.Path(), default=None,
+              help="Also write stats as CSV (needs --runs above 1).")
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write placement JSON to file.")
 def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
                tournament_size, seed, runs, jobs, csv_path, output):
     """Search a tier placement for PATH and report its fitness."""
     if runs > 1 and output is not None:
         raise click.UsageError("-o/--output cannot be used with --runs above 1")
+    if runs == 1 and csv_path is not None:
+        raise click.UsageError("--csv needs --runs above 1")
     program = load_program(path)
     graph = depgraph.build_pdg(program)
     problem = depgraph.placement_problem(graph)

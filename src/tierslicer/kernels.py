@@ -12,8 +12,11 @@ computes for the placement.
 ``placement_scores`` scores every one of the 3^n genomes at once for the
 exhaustive oracle.  Each call's locality and validity depend on at most two
 genes, so the calls are summed into one small table per pair of genes (a
-constant, a 3-vector or a 3x3 table) and the tables are broadcast-added
-into one array indexed by the genome, with no per-genome gather.
+constant, a 3-vector or a 3x3 table).  The array indexed by the genome is
+then grown one gene axis at a time: gene h's vector and its tables with
+lower genes form one step table, and one broadcast add extends the scores
+of genes 0..h-1 by h's axis.  Every genome is still scored, with about
+1.5 * 3^n additions in all and no per-genome gather.
 """
 
 from __future__ import annotations
@@ -116,11 +119,16 @@ def placement_scores(compiled: CompiledProblem) -> np.ndarray:
 
     An entry is the genome's local call count minus ``n_calls + 1`` for each
     violating call, so it is >= 0 exactly when the placement is valid.
+
+    The calls are summed per pair of end genes.  Constants start the array
+    as a scalar; one-gene terms and calls inside one slice become a 3-vector
+    per gene.  Gene h then adds its axis in one broadcast pass of a step
+    table over h and the lower genes it shares a call with: their 3x3 tables
+    summed with h's vector.
     """
     n, ncalls = compiled.n_genes, compiled.n_calls
-    scores = np.zeros((3,) * n, dtype=np.int64)
     if ncalls == 0:
-        return scores
+        return np.zeros((3,) * n, dtype=np.int64)
     cg, eg = compiled.caller_gene, compiled.callee_gene
     # Each call's score over its 3x3 grid of (caller, callee) masks; a fixed
     # end, shared callees included, keeps its own mask along its axis.
@@ -136,17 +144,26 @@ def placement_scores(compiled: CompiledProblem) -> np.ndarray:
     pairs, term_of = np.unique(ends, axis=0, return_inverse=True)
     terms = np.zeros((len(pairs), 3, 3), dtype=np.int64)
     np.add.at(terms, term_of.ravel(), grid)
+    constant = np.zeros((), dtype=np.int64)
+    vector = np.zeros((n, 3), dtype=np.int64)
+    below = [[] for _ in range(n)]  # per higher gene: (lower gene, 3x3 table)
     for (g, h), term in zip(pairs.tolist(), terms):
-        shape = [1] * n
         if h < 0:  # both ends fixed
-            scores += term[0, 0]
+            constant += term[0, 0]
         elif g < 0:  # one gene
-            shape[h] = 3
-            scores += term[0].reshape(shape)
+            vector[h] += term[0]
         elif g == h:  # both ends in one unplaced slice
-            shape[g] = 3
-            scores += term.diagonal().reshape(shape)
+            vector[h] += term.diagonal()
         else:
+            below[h].append((g, term))
+    scores = constant
+    for h in range(n):
+        # Gene h's step table spans h's axis and the axes of the lower genes
+        # it shares a call with; one broadcast add appends h's axis.
+        step = vector[h].reshape((1,) * h + (3,))
+        for g, term in below[h]:
+            shape = [1] * (h + 1)
             shape[g] = shape[h] = 3
-            scores += term.reshape(shape)
+            step = step + term.reshape(shape)
+        scores = scores[..., None] + step
     return scores

@@ -20,8 +20,9 @@ batch size or on the worker count.  ``run`` is a batch of one.
 
 ``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced slices.
 It scores every one of the 3^n placements with ``kernels.placement_scores``
-(one table per pair of genes, summed into one array) and takes the first
-maximum, so ties go to the lexicographically smallest genome.
+(one table per pair of genes, added into an array grown one gene axis at a
+time) and takes the first maximum, so ties go to the lexicographically
+smallest genome.
 """
 
 from __future__ import annotations

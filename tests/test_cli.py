@@ -110,6 +110,16 @@ def test_assign_output_with_many_runs_is_a_usage_error(runner, tmp_path):
     assert not out.exists()
 
 
+def test_assign_csv_with_one_run_is_a_usage_error(runner, tmp_path):
+    csv_path = tmp_path / "stats.csv"
+    result = invoke(runner, "assign", fixture_path("unicorn_v2.tjs"), "--csv", csv_path)
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert "Error: --csv needs --runs above 1" in result.stderr
+    assert not csv_path.exists()
+
+
 def test_assign_is_deterministic(runner):
     args = ("assign", fixture_path("unicorn_v4.tjs"), "--seed", 5)
     assert invoke(runner, *args).output == invoke(runner, *args).output

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import fixture_problem
-from genprog import random_flat_problem
+from genprog import random_flat_problem, random_problem
 from tierslicer.fitness import evaluate
-from tierslicer.kernels import compile_problem, eval_population, placement_scores
+from tierslicer.kernels import _MASKS, _call_rule, compile_problem, eval_population, placement_scores
 from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer.placement import is_valid
 from tierslicer.search import genome_to_placement
@@ -173,3 +173,86 @@ def test_placement_scores_of_an_all_invalid_problem_are_negative():
     )
     scores = assert_scores_match_the_kernel(problem)
     np.testing.assert_array_equal(scores, [1 - 3] * 3)  # one local call, one violation
+
+
+# A high gene that shares calls with several non-adjacent lower genes, in
+# both directions, so a step table whose axes land on the wrong genes shows.
+# Genes in order: g0 (no calls), g1, g2 (only a call inside itself), g3..g8;
+# the fixed slices sit between genes in the slice list.
+SPREAD = PlacementProblem(
+    slices=("g0", "g1", "srv", "g2", "g3", "g4", "cli", "g5", "g6", "g7", "g8"),
+    fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
+    calls=(
+        CallRecord(0, "g8", "g1", "f0"),  # the high gene calls down
+        CallRecord(1, "g3", "g8", "f1"),  # and is called from below
+        CallRecord(2, "g8", "g6", "f2", annotated=True),
+        CallRecord(3, "g6", "g8", "f3"),
+        CallRecord(4, "g2", "g2", "f4"),
+        CallRecord(5, "srv", "g4", "f5"),
+        CallRecord(6, "g5", "cli", "f6", annotated=True),
+        CallRecord(7, "g7", SHARED, "f7"),
+        CallRecord(8, "cli", "srv", "f8"),
+        CallRecord(9, "srv", "cli", "f9", annotated=True),
+        CallRecord(10, "g5", "g1", "f10"),
+        CallRecord(11, "g7", "g3", "f11", annotated=True),
+        CallRecord(12, "g4", "g7", "f12"),
+        CallRecord(13, "srv", "g3", "f13", annotated=True),
+        CallRecord(14, "g8", "cli", "f14"),
+    ),
+)
+
+
+def test_placement_scores_align_a_high_gene_with_its_lower_partners():
+    assert compile_problem(SPREAD).n_genes == 9
+    scores = assert_scores_match_the_kernel(SPREAD)
+    assert (scores >= 0).any() and (scores < 0).any()
+
+
+def per_term_scores(compiled):
+    """The scores summed the direct way: every pair-of-genes term is
+    broadcast-added into the whole (3,) * n array."""
+    n, ncalls = compiled.n_genes, compiled.n_calls
+    scores = np.zeros((3,) * n, dtype=np.int64)
+    if ncalls == 0:
+        return scores
+    cg, eg = compiled.caller_gene, compiled.callee_gene
+    a = np.where(cg[:, None] >= 0, _MASKS, compiled.caller_mask[:, None])
+    b = np.where(eg[:, None] >= 0, _MASKS, compiled.callee_mask[:, None])
+    local, bad = _call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
+    grid = local.astype(np.int64) - (ncalls + 1) * bad
+    swap = cg > eg
+    grid[swap] = grid[swap].transpose(0, 2, 1)
+    ends = np.stack([np.minimum(cg, eg), np.maximum(cg, eg)], axis=1)
+    pairs, term_of = np.unique(ends, axis=0, return_inverse=True)
+    terms = np.zeros((len(pairs), 3, 3), dtype=np.int64)
+    np.add.at(terms, term_of.ravel(), grid)
+    for (g, h), term in zip(pairs.tolist(), terms):
+        shape = [1] * n
+        if h < 0:
+            scores += term[0, 0]
+        elif g < 0:
+            shape[h] = 3
+            scores += term[0].reshape(shape)
+        elif g == h:
+            shape[g] = 3
+            scores += term.diagonal().reshape(shape)
+        else:
+            shape[g] = shape[h] = 3
+            scores += term.reshape(shape)
+    return scores
+
+
+def test_placement_scores_equal_the_per_term_sum():
+    rng = np.random.default_rng(23)
+    problems = [random_flat_problem(rng) for _ in range(60)]
+    problems += [fixture_problem(name) for name in (
+        "unicorn_v1.tjs", "unicorn_v2.tjs", "unicorn_v3.tjs", "unicorn_v4.tjs", "unicorn_v5.tjs",
+        "unicorn_v6.tjs", "relay.tjs", "relay_reply.tjs", "meetings.tjs", "tracker.tjs")]
+    problems += [random_problem(seed) for seed in range(60)]
+    problems += [SPREAD, EVERY_KIND]
+    for problem in problems:
+        compiled = compile_problem(problem)
+        scores, expected = placement_scores(compiled), per_term_scores(compiled)
+        assert scores.shape == expected.shape and scores.dtype == np.int64
+        assert scores.flags.c_contiguous
+        np.testing.assert_array_equal(scores, expected)
