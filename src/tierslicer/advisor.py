@@ -9,7 +9,7 @@ unplaced slice so the search can relocate (or duplicate) it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import frontend
@@ -132,31 +132,48 @@ def _fresh_slice_name(base: str, taken: set) -> str:
 
 
 def apply_advice(program: SourceProgram, advices: list) -> SourceProgram:
-    """Pure transformation: returns a renormalized (re-parsed) program."""
-    # Work on a private copy so the caller's AST stays untouched.
-    work = frontend.parse(frontend.emit(program), program.filename)
+    """Apply ``advices`` and return the program parsed again from its emitted text.
+
+    Pure: ``program`` is copied on write.  The slice list, the body of each
+    slice an advice edits and each VarDecl that gains ``@replicated`` are
+    copied, so no node of ``program`` changes.  The result's spans refer to its
+    own emitted text, and its calls are resolved.
+    """
+    slices = list(program.slices)
+    index = {s.name: k for k, s in enumerate(slices)}
+
+    def body(owner: str) -> list:
+        """The body of slice ``owner`` in the copy, itself copied on first use."""
+        k = index.get(owner)
+        if k is None:
+            raise TargetNotFoundError(f"slice {owner!r} not found")
+        if k < len(program.slices) and slices[k] is program.slices[k]:
+            slices[k] = replace(slices[k], body=list(slices[k].body))
+        return slices[k].body
 
     for advice in advices:
-        slice_decl = _find_slice(work, advice.owner)
+        stmts = body(advice.owner)
         if advice.kind is AdviceKind.REPLICATE_DECLARATION:
-            target = _find_stmt(slice_decl.body, VarDecl, advice.target)
-            if target is None:
+            k = _find_stmt(stmts, VarDecl, advice.target)
+            if k is None:
                 raise TargetNotFoundError(f"var {advice.target!r} not in slice {advice.owner!r}")
+            target = stmts[k]
             if not any(a.kind is AnnotationKind.REPLICATED for a in target.annotations):
-                target.annotations.append(Annotation(AnnotationKind.REPLICATED))
+                stmts[k] = replace(target, annotations=[*target.annotations,
+                                                        Annotation(AnnotationKind.REPLICATED)])
         else:
-            target = _find_stmt(slice_decl.body, FunctionDecl, advice.target)
-            if target is None:
+            k = _find_stmt(stmts, FunctionDecl, advice.target)
+            if k is None:
                 raise TargetNotFoundError(f"function {advice.target!r} not in slice {advice.owner!r}")
-            slice_decl.body.remove(target)
-            taken = set(s.name for s in work.slices)
-            name = _fresh_slice_name(f"auto_{advice.target}", taken)
-            work.slices.append(SliceDecl(
+            name = _fresh_slice_name(f"auto_{advice.target}", index.keys())
+            index[name] = len(slices)
+            slices.append(SliceDecl(
                 name=name,
-                body=[target],
+                body=[stmts.pop(k)],
                 annotations=[Annotation(AnnotationKind.SLICE, [name])],
             ))
 
+    work = SourceProgram(slices=slices, shared_top_level=program.shared_top_level)
     return frontend.resolve_calls(frontend.parse(frontend.emit(work), program.filename))
 
 
@@ -197,17 +214,11 @@ def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
                         result.best_valid, iterations, history)
 
 
-def _find_slice(program: SourceProgram, name: str) -> SliceDecl:
-    for s in program.slices:
-        if s.name == name:
-            return s
-    raise TargetNotFoundError(f"slice {name!r} not found")
-
-
-def _find_stmt(body, cls, name):
-    for st in body:
+def _find_stmt(body, cls, name) -> int | None:
+    """Index of the first ``cls`` statement named ``name`` in ``body``."""
+    for k, st in enumerate(body):
         if isinstance(st, cls) and st.name == name:
-            return st
+            return k
     return None
 
 

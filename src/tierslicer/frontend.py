@@ -2,10 +2,17 @@
 
 The lexer reads the source once, with one token pattern.  Its token kinds are
 IDENT (keywords included), NUMBER, STRING, PUNCT, ANNOT (an annotation
-comment), UI_BLOCK (the verbatim block after ``@ui``) and EOF.  A token's line
-is the number of ``"\\n"`` before it plus 1 (``"\\r"`` starts no line), and its
-col is its 1-based code-point offset in that line; parse errors use the same
-convention.
+comment), UI_BLOCK (the verbatim block after ``@ui``) and EOF.  A token holds
+its start and end offsets; its ``span``, with line and col, is built from the
+lexer's line-start table only where it is kept: in an AST node, a call-site
+label or an error.  A line is the number of ``"\\n"`` before the offset plus 1
+(``"\\r"`` starts no line), and a col is the 1-based code-point offset in that
+line.
+
+Binary operators are parsed by precedence climbing over one table,
+``_BIN_LEVELS``, which the emitter also reads to place parentheses.  Nesting
+deeper than ``MAX_NESTING`` levels is a parse error, so the recursive walks
+over the tree stay within Python's recursion limit.
 
 Annotations are written inside ``/* ... */`` comments whose stripped text
 starts with ``@``; one comment may carry several annotations (e.g. a
@@ -22,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import (
@@ -87,11 +94,19 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # IDENT NUMBER STRING PUNCT ANNOT UI_BLOCK EOF
     value: str
-    span: Span
+    start: int  # offsets of the token's text in the source
+    end: int
+    line_starts: list = field(repr=False, compare=False)  # the lexer's line table
+
+    @property
+    def span(self) -> Span:
+        """The token's Span; its line and col are looked up in the line table."""
+        line = bisect_right(self.line_starts, self.start)
+        return Span(self.start, self.end, line, self.start - self.line_starts[line - 1] + 1)
 
 
 class Lexer:
@@ -101,15 +116,11 @@ class Lexer:
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def error(self, msg: str, pos: int):
-        span = self._span(pos, pos)
+        span = Token("", "", pos, pos, self.line_starts).span
         raise ParseError(msg, span.line, span.col, self.filename)
 
-    def _span(self, start: int, end: int) -> Span:
-        line = bisect_right(self.line_starts, start)
-        return Span(start, end, line, start - self.line_starts[line - 1] + 1)
-
     def tokens(self) -> list[Token]:
-        text, out, i, n = self.text, [], 0, len(self.text)
+        text, lines, out, i, n = self.text, self.line_starts, [], 0, len(self.text)
         while i < n:
             m = _TOKEN.match(text, i)
             if m is None:
@@ -122,17 +133,17 @@ class Lexer:
                     self.error("unterminated comment", i)
                 inner, end = text[i + 2 : j], j + 2
                 if inner.strip().startswith("@"):
-                    out.append(Token("ANNOT", inner, self._span(i, end)))
+                    out.append(Token("ANNOT", inner, i, end, lines))
                     if self._is_ui_comment(inner):
                         end = self._capture_ui_block(out, end)
             elif kind == "IDENT" and not (text[i].isalpha() or text[i] in "_$"):
                 self.error(f"unexpected character {text[i]!r}", i)
             elif kind == "STRING":
-                out.append(Token(kind, text[i + 1 : end - 1], self._span(i, end)))
+                out.append(Token(kind, text[i + 1 : end - 1], i, end, lines))
             elif kind != "SKIP":
-                out.append(Token(kind, m.group(), self._span(i, end)))
+                out.append(Token(kind, m.group(), i, end, lines))
             i = end
-        out.append(Token("EOF", "", self._span(n, n)))
+        out.append(Token("EOF", "", n, n, lines))
         return out
 
     @staticmethod
@@ -158,7 +169,7 @@ class Lexer:
             j += 1
         if depth != 0:
             self.error("unterminated @ui block", i)
-        out.append(Token("UI_BLOCK", text[i + 1 : j], self._span(i, j + 1)))
+        out.append(Token("UI_BLOCK", text[i + 1 : j], i, j + 1, self.line_starts))
         return j + 1
 
 
@@ -209,39 +220,66 @@ def _parse_config_args(arg_text: str) -> list:
 
 # --- Parser ---------------------------------------------------------------
 
+# Binary operators by level, loosest first; all are left-associative.  A
+# level's number, counted from 1, is its operators' binding power, which the
+# parser's precedence-climbing loop and the emitter's parenthesising both read.
+_BIN_LEVELS = [
+    ["||"],
+    ["&&"],
+    ["==", "!="],
+    ["<", ">", "<=", ">="],
+    ["+", "-"],
+    ["*", "/", "%"],
+]
+_PREC = {op: level for level, ops in enumerate(_BIN_LEVELS, 1) for op in ops}
+# Binding power of a unary operand, then of a postfix operand (a member or
+# index object, or a callee); the emitter reads these.
+_UNARY = len(_BIN_LEVELS) + 1
+_POSTFIX = _UNARY + 1
+
+# Deepest nesting the parser accepts.  Each statement block or branch, each
+# expression, each unary operator and each link of a binary-operator or postfix
+# chain is one level.  The bound keeps the parser's own recursion and the
+# recursive walks that analyse and emit the tree within Python's default
+# recursion limit of 1,000 frames.
+MAX_NESTING = 100
+
 
 class Parser:
     def __init__(self, tokens: list[Token], filename: str = "<input>"):
-        self.toks = tokens
-        self.pos = 0
+        self._rest = iter(tokens)
+        self.tok = next(self._rest)  # the current token
         self.filename = filename
+        self.depth = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        """Consume the current token; the EOF token is never consumed."""
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+    def advance(self) -> Token:
+        """Consume the current token; the EOF token, the last, is never consumed."""
+        tok = self.tok
+        self.tok = next(self._rest, tok)
         return tok
 
     def error(self, msg: str):
-        tok = self.peek()
-        raise ParseError(msg, tok.span.line, tok.span.col, self.filename)
+        span = self.tok.span
+        raise ParseError(msg, span.line, span.col, self.filename)
+
+    def deeper(self) -> None:
+        """Go one nesting level down; the caller restores ``depth`` on the way up."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nested too deeply")
 
     def at_punct(self, value: str) -> bool:
-        t = self.peek()
+        t = self.tok
         return t.kind == "PUNCT" and t.value == value
 
     def at_keyword(self, word: str) -> bool:
-        t = self.peek()
+        t = self.tok
         return t.kind == "IDENT" and t.value == word
 
     def expect(self, value: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.kind in ("PUNCT", "IDENT") and t.value == value:
-            return self.next()
+            return self.advance()
         self.error(f"expected {value!r}, found {t.value or t.kind!r}")
 
     # -- program -----------------------------------------------------------
@@ -249,7 +287,7 @@ class Parser:
     def parse_program(self) -> tuple[list, list]:
         """Returns (slices, shared statements); @config resolution happens later."""
         slices, shared = [], []
-        while self.peek().kind != "EOF":
+        while self.tok.kind != "EOF":
             annotations = self._pending_annotations()
             kinds = {a.kind for a in annotations}
             if AnnotationKind.SLICE in kinds:
@@ -260,16 +298,16 @@ class Parser:
 
     def _pending_annotations(self) -> list:
         annotations = []
-        while self.peek().kind == "ANNOT":
-            tok = self.next()
+        while self.tok.kind == "ANNOT":
+            tok = self.advance()
             annotations.extend(parse_annotation_comment(tok.value, tok.span, self.filename))
         return annotations
 
     def _parse_slice(self, annotations: list) -> SliceDecl:
         name = next(a.args[0] for a in annotations if a.kind is AnnotationKind.SLICE)
-        start = self.peek().span
-        if self.peek().kind == "UI_BLOCK":
-            tok = self.next()
+        start = self.tok.span
+        if self.tok.kind == "UI_BLOCK":
+            tok = self.advance()
             body = [UiBlock(text=tok.value, span=tok.span)]
             return SliceDecl(name, body, None, annotations, start)
         self.expect("{")
@@ -277,13 +315,15 @@ class Parser:
         return SliceDecl(name, body, None, annotations, start)
 
     def _statements_until_brace(self) -> list:
+        self.deeper()
         body = []
         while not self.at_punct("}"):
-            if self.peek().kind == "EOF":
+            if self.tok.kind == "EOF":
                 self.error("expected '}'")
             annotations = self._pending_annotations()
             body.append(self._parse_statement(annotations))
         self.expect("}")
+        self.depth -= 1
         return body
 
     # -- statements --------------------------------------------------------
@@ -291,9 +331,9 @@ class Parser:
     def _parse_statement(self, annotations: list | None = None) -> Stmt:
         if annotations is None:
             annotations = self._pending_annotations()
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "UI_BLOCK":
-            self.next()
+            self.advance()
             return UiBlock(text=tok.value, annotations=annotations, span=tok.span)
         if {a.kind for a in annotations} & {AnnotationKind.UI}:
             self.error("@ui annotation must precede a block")
@@ -310,7 +350,7 @@ class Parser:
         if self.at_keyword("return"):
             return self._parse_return(annotations)
         if self.at_punct("{"):
-            span = self.next().span
+            span = self.advance().span
             return BlockStmt(self._statements_until_brace(), annotations, span)
         span = tok.span
         expr = self.parse_expr()
@@ -322,7 +362,7 @@ class Parser:
         name = self._ident_name()
         init = None
         if self.at_punct("="):
-            self.next()
+            self.advance()
             init = self.parse_expr()
         self.expect(";")
         return VarDecl(name, init, annotations, span)
@@ -346,10 +386,10 @@ class Parser:
         return params
 
     def _ident_name(self) -> str:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "IDENT" or tok.value in KEYWORDS:
             self.error("expected identifier")
-        return self.next().value
+        return self.advance().value
 
     def _parse_if(self, annotations: list) -> IfStmt:
         span = self.expect("if").span
@@ -359,18 +399,18 @@ class Parser:
         then = self._branch_body()
         orelse = []
         if self.at_keyword("else"):
-            self.next()
-            if self.at_keyword("if"):
-                orelse = [self._parse_if([])]
-            else:
-                orelse = self._branch_body()
+            self.advance()
+            orelse = self._branch_body()
         return IfStmt(cond, then, orelse, annotations, span)
 
     def _branch_body(self) -> list:
         if self.at_punct("{"):
-            self.next()
+            self.advance()
             return self._statements_until_brace()
-        return [self._parse_statement()]
+        self.deeper()
+        body = [self._parse_statement()]
+        self.depth -= 1
+        return body
 
     def _parse_while(self, annotations: list) -> WhileStmt:
         span = self.expect("while").span
@@ -388,10 +428,10 @@ class Parser:
                 # reuse var parsing; it consumes the ';'
                 init = self._parse_var_decl([])
             else:
-                init = ExprStmt(self.parse_expr(), [], self.peek().span)
+                init = ExprStmt(self.parse_expr(), [], self.tok.span)
                 self.expect(";")
         else:
-            self.next()
+            self.advance()
         cond = None if self.at_punct(";") else self.parse_expr()
         self.expect(";")
         update = None if self.at_punct(")") else self.parse_expr()
@@ -408,69 +448,72 @@ class Parser:
 
     # -- expressions -------------------------------------------------------
 
-    _BIN_LEVELS = [
-        ["||"],
-        ["&&"],
-        ["==", "!="],
-        ["<", ">", "<=", ">="],
-        ["+", "-"],
-        ["*", "/", "%"],
-    ]
-
     def parse_expr(self):
-        return self._parse_assign()
-
-    def _parse_assign(self):
-        left = self._parse_binary(0)
-        if self.at_punct("="):
-            span = self.next().span
-            if not isinstance(left, (Ident, Member, Index)):
+        """An expression: a binary one, or an assignment, which groups to the right."""
+        self.deeper()
+        expr = self._parse_binary(1)
+        tok = self.tok
+        if tok.kind == "PUNCT" and tok.value == "=":
+            self.advance()
+            if not isinstance(expr, (Ident, Member, Index)):
                 self.error("invalid assignment target")
-            return Assign(left, self._parse_assign(), span)
-        return left
+            expr = Assign(expr, self.parse_expr(), tok.span)
+        self.depth -= 1
+        return expr
 
-    def _parse_binary(self, level: int):
-        if level >= len(self._BIN_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        while self.peek().kind == "PUNCT" and self.peek().value in self._BIN_LEVELS[level]:
-            op = self.next()
-            right = self._parse_binary(level + 1)
-            left = Binary(op.value, left, right, op.span)
-        return left
+    def _parse_binary(self, min_prec: int):
+        """Precedence climbing (Pratt, POPL 1973): a unary operand, then every
+        operator of binding power ``min_prec`` or more, each grouping to the
+        left; the right operand takes only operators that bind tighter."""
+        left = self._parse_unary()
+        depth = self.depth
+        while True:
+            tok = self.tok
+            prec = _PREC.get(tok.value, 0) if tok.kind == "PUNCT" else 0
+            if prec < min_prec:
+                self.depth = depth
+                return left
+            self.advance()
+            left = Binary(tok.value, left, self._parse_binary(prec + 1), tok.span)
+            self.deeper()
 
     def _parse_unary(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "PUNCT" and tok.value in ("!", "-"):
-            self.next()
-            return Unary(tok.value, self._parse_unary(), tok.span)
+            self.advance()
+            self.deeper()
+            expr = Unary(tok.value, self._parse_unary(), tok.span)
+            self.depth -= 1
+            return expr
         return self._parse_postfix()
 
     def _parse_postfix(self):
         expr = self._parse_primary()
+        depth = self.depth
         while True:
-            if self.at_punct("."):
-                span = self.next().span
-                expr = Member(expr, self._ident_name(), span)
-            elif self.at_punct("["):
-                span = self.next().span
+            tok = self.tok
+            if tok.kind != "PUNCT" or tok.value not in (".", "[", "("):
+                self.depth = depth
+                return expr
+            self.advance()
+            if tok.value == ".":
+                expr = Member(expr, self._ident_name(), tok.span)
+            elif tok.value == "[":
                 index = self.parse_expr()
                 self.expect("]")
-                expr = Index(expr, index, span)
-            elif self.at_punct("("):
-                span = self.next().span
+                expr = Index(expr, index, tok.span)
+            else:
                 args = []
                 while not self.at_punct(")"):
                     args.append(self.parse_expr())
                     if not self.at_punct(")"):
                         self.expect(",")
                 self.expect(")")
-                expr = Call(expr, args, span)
-            else:
-                return expr
+                expr = Call(expr, args, tok.span)
+            self.deeper()
 
     def _parse_primary(self):
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "NUMBER":
             try:
                 value = float(tok.value)
@@ -478,34 +521,34 @@ class Parser:
                 self.error(f"malformed number {tok.value!r}")
             if value == math.inf:
                 self.error("number too large for a float")
-            self.next()
+            self.advance()
             return NumberLit(value, tok.span)
         if tok.kind == "STRING":
-            self.next()
+            self.advance()
             return StringLit(tok.value, tok.span)
         if tok.kind == "IDENT":
             if tok.value in ("true", "false"):
-                self.next()
+                self.advance()
                 return BoolLit(tok.value == "true", tok.span)
             if tok.value == "null":
-                self.next()
+                self.advance()
                 return NullLit(tok.span)
             if tok.value == "this":
-                self.next()
+                self.advance()
                 return ThisExpr(tok.span)
             if tok.value == "function":
                 return self._parse_func_expr()
             if tok.value in KEYWORDS:
                 self.error(f"unexpected keyword {tok.value!r}")
-            self.next()
+            self.advance()
             return Ident(tok.value, tok.span)
         if self.at_punct("("):
-            self.next()
+            self.advance()
             expr = self.parse_expr()
             self.expect(")")
             return expr
         if self.at_punct("["):
-            span = self.next().span
+            span = self.advance().span
             elements = []
             while not self.at_punct("]"):
                 elements.append(self.parse_expr())
@@ -528,10 +571,10 @@ class Parser:
         span = self.expect("{").span
         entries = []
         while not self.at_punct("}"):
-            tok = self.peek()
+            tok = self.tok
             if tok.kind not in ("IDENT", "STRING"):
                 self.error("expected object key")
-            self.next()
+            self.advance()
             self.expect(":")
             entries.append((tok.value, self.parse_expr()))
             if not self.at_punct("}"):
@@ -685,13 +728,6 @@ def _warn(program: SourceProgram, span: Span, msg: str) -> str:
 
 
 # --- Emitter --------------------------------------------------------------
-
-# Binding strength: the binary operators in the parser's levels, then a unary
-# operand, then a postfix operand (a member or index object, or a callee).
-_PREC = {op: level for level, ops in enumerate(Parser._BIN_LEVELS, 1) for op in ops}
-_UNARY = len(Parser._BIN_LEVELS) + 1
-_POSTFIX = _UNARY + 1
-
 
 def _fmt_annotation(a: Annotation) -> str:
     if a.kind is AnnotationKind.CONFIG:

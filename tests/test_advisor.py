@@ -18,7 +18,7 @@ from tierslicer.advisor import (
 )
 from tierslicer.depgraph import build_pdg, placement_problem
 from tierslicer.errors import TargetNotFoundError
-from tierslicer.frontend import parse, resolve_calls
+from tierslicer.frontend import emit, iter_annotated_nodes, parse, resolve_calls
 from tierslicer.model import Tier
 from tierslicer.placement import Placement
 from tierslicer.search import GaConfig
@@ -130,9 +130,20 @@ def test_apply_advice_marks_declarations_replicated():
 
 def test_apply_advice_leaves_the_input_program_untouched():
     program, graph, problem, placement = tracker_setup()
-    before = len(program.slices)
-    apply_advice(program, advise(graph, problem, placement, program))
-    assert len(program.slices) == before
+    advices = advise(graph, problem, placement, program)
+    assert {a.kind for a in advices} == set(AdviceKind)  # replicate and move advice
+
+    def snapshot():
+        """The emitted text, every annotation list's contents, and the
+        identities of the slices and of their statements."""
+        return (emit(program),
+                [list(anns) for _, anns in iter_annotated_nodes(program)],
+                [(id(s), [id(st) for st in s.body]) for s in program.slices])
+
+    before = snapshot()
+    once = emit(apply_advice(program, advices))
+    assert snapshot() == before
+    assert emit(apply_advice(program, advices)) == once
 
 
 def test_fresh_slice_names_avoid_collisions():

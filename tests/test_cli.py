@@ -44,6 +44,43 @@ def test_parse_error_exits_2(runner, tmp_path, statement, col, message):
     assert result.stderr == f"{bad}:2:{col}: {message}\n"
 
 
+# Deeply nested statements, each built from its nesting count.
+NESTED = {
+    "parens": lambda n: "var x = " + "(" * n + "1" + ")" * n + ";",
+    "calls": lambda n: "var x = " + "f(" * n + "1" + ")" * n + ";",
+    "blocks": lambda n: "{" * n + "}" * n,
+    "unary-minus": lambda n: "var x = " + "-" * n + "1;",
+    "flat-chain": lambda n: "var x = " + "+".join(["1"] * n) + ";",
+}
+
+
+@pytest.mark.parametrize("command", ["parse", "advise"])
+@pytest.mark.parametrize(
+    ("shape", "n", "col"),
+    [("parens", 50, None), ("parens", 1000, 108),
+     ("calls", 50, None), ("calls", 1000, 207),
+     ("blocks", 50, None), ("blocks", 1000, 101),
+     ("unary-minus", 50, None), ("unary-minus", 1000, 108),
+     ("flat-chain", 50, None), ("flat-chain", 1000, 208)],
+)
+def test_deep_nesting_is_analysed_or_exits_2(runner, tmp_path, shape, n, col, command):
+    """50 levels are analysed; 1,000 exit 2 with one position line, never a traceback."""
+    src = tmp_path / "deep.tjs"
+    src.write_text("/* @config a : server */\n/* @slice a */\n{ function f(p) { return p; }\n"
+                   + NESTED[shape](n) + "\n}\n", encoding="utf-8")
+    placement = tmp_path / "p.json"
+    placement.write_text('{"fixed": {"a": "server"}, "searched": {}}', encoding="utf-8")
+    args = ("--placement", placement) if command == "advise" else ()
+    result = invoke(runner, command, src, *args)
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
+    if col is None:
+        assert result.exit_code == 0
+    else:
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"{src}:4:{col}: nested too deeply\n"
+
+
 def test_missing_file_exits_2(runner):
     result = invoke(runner, "parse", "no-such-file.tjs")
     assert result.exit_code == 2

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import fixture_path, load_fixture
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
 from tierslicer.frontend import Lexer, emit, parse, resolve_calls
-from tierslicer.syntax import AnnotationKind, VarDecl
+from tierslicer.syntax import AnnotationKind, Assign, Binary, Ident, NumberLit, Unary, VarDecl
 
 ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 
@@ -176,3 +176,77 @@ def test_unterminated_literal_is_reported_where_it_opens(prefix, sep, opener, bo
     kind = "comment" if opener == "/*" else "string"
     assert err.value.message == f"unterminated {kind}"
     assert (err.value.line, err.value.col) == _naive_line_col(text, start)
+
+
+# --- Operator precedence against an independent reference -------------------
+
+# The reference's own table: binding power of each binary operator, loosest 1.
+# Assignment binds loosest of all and groups to the right; prefix ``!`` and
+# ``-`` bind tighter than any binary operator.
+_REF_POWER = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
+              "+": 5, "-": 5, "*": 6, "/": 6, "%": 6, "=": 0, "u!": 7, "u-": 7}
+
+
+def shunting_yard(tokens: list) -> object:
+    """Dijkstra's shunting-yard over an infix token list, building the AST."""
+    out, ops = [], []
+
+    def reduce():
+        op = ops.pop()
+        if op in ("u!", "u-"):
+            out.append(Unary(op[1], out.pop()))
+        else:
+            right, left = out.pop(), out.pop()
+            out.append(Assign(left, right) if op == "=" else Binary(op, left, right))
+
+    want_operand = True
+    for tok in tokens:
+        if want_operand and tok in ("!", "-"):
+            ops.append("u" + tok)
+        elif want_operand and tok == "(":
+            ops.append("(")
+        elif want_operand:
+            out.append(NumberLit(float(tok)) if tok.isdigit() else Ident(tok))
+            want_operand = False
+        elif tok == ")":
+            while ops[-1] != "(":
+                reduce()
+            ops.pop()
+        else:
+            power = _REF_POWER[tok]
+            while ops and ops[-1] != "(" and (
+                    _REF_POWER[ops[-1]] > power or (_REF_POWER[ops[-1]] == power and tok != "=")):
+                reduce()
+            ops.append(tok)
+            want_operand = True
+    while ops:
+        reduce()
+    (tree,) = out
+    return tree
+
+
+_BINARY_OPS = [op for op in _REF_POWER if op != "=" and not op.startswith("u")]
+# Infix token lists in which every assignment but the outermost chain is
+# parenthesised, since an assignment target must be a name.
+_infix = st.recursive(
+    st.sampled_from(["a", "b", "c", "1", "2"]).map(lambda t: [t]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.lists(st.tuples(st.sampled_from(_BINARY_OPS), inner), min_size=1, max_size=4))
+        .map(lambda p: p[0] + [t for op, rhs in p[1] for t in (op, *rhs)]),
+        st.tuples(st.sampled_from(["!", "-"]), inner).map(lambda p: [p[0], *p[1]]),
+        st.tuples(st.sampled_from([[], ["a", "="], ["b", "="]]), inner)
+        .map(lambda p: ["(", *p[0], *p[1], ")"]),
+    ),
+    max_leaves=24,
+)
+_statement = st.tuples(st.lists(st.sampled_from(["a", "b"]), max_size=3), _infix).map(
+    lambda p: [t for name in p[0] for t in (name, "=")] + p[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_statement)
+def test_binary_operators_group_as_the_reference_does(tokens):
+    """Every binary level, prefix ``!`` and ``-``, parentheses and right-grouping
+    assignment: the parser builds the shunting-yard reference's tree."""
+    program = parse(" ".join(tokens) + ";")
+    assert program.shared_top_level[0].expr == shunting_yard(tokens)
