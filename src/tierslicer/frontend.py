@@ -7,7 +7,9 @@ its start and end offsets; its ``span``, with line and col, is built from the
 lexer's line-start table only where it is kept: in an AST node, a call-site
 label or an error.  A line is the number of ``"\\n"`` before the offset plus 1
 (``"\\r"`` starts no line), and a col is the 1-based code-point offset in that
-line.
+line.  A STRING token's value is its body as written between double quotes
+(a single-quoted body gets its bare ``"`` escaped and its ``\\'`` unescaped),
+which the emitter writes back unchanged.
 
 Binary operators are parsed by precedence climbing over one table,
 ``_BIN_LEVELS``, which the emitter also reads to place parentheses.  Nesting
@@ -93,6 +95,9 @@ _TOKEN = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
+# How a single-quoted string body is written between double quotes.
+_REQUOTE = {'"': '\\"', "\\'": "'"}
+
 
 @dataclass(slots=True)
 class Token:
@@ -139,7 +144,10 @@ class Lexer:
             elif kind == "IDENT" and not (text[i].isalpha() or text[i] in "_$"):
                 self.error(f"unexpected character {text[i]!r}", i)
             elif kind == "STRING":
-                out.append(Token(kind, text[i + 1 : end - 1], i, end, lines))
+                body = text[i + 1 : end - 1]
+                if text[i] == "'":
+                    body = re.sub(r'"|\\.', lambda m: _REQUOTE.get(m[0], m[0]), body, flags=re.S)
+                out.append(Token(kind, body, i, end, lines))
             elif kind != "SKIP":
                 out.append(Token(kind, m.group(), i, end, lines))
             i = end
@@ -428,7 +436,8 @@ class Parser:
                 # reuse var parsing; it consumes the ';'
                 init = self._parse_var_decl([])
             else:
-                init = ExprStmt(self.parse_expr(), [], self.tok.span)
+                start = self.tok.span
+                init = ExprStmt(self.parse_expr(), [], start)
                 self.expect(";")
         else:
             self.advance()
@@ -752,7 +761,7 @@ def emit_expr(e, prec: int = 0) -> str:
         text = str(int(v)) if v == int(v) else format(Decimal(repr(v)), "f")
         return f"({text})" if prec == _POSTFIX else text  # 1.x lexes as "1." "x"
     if isinstance(e, StringLit):
-        return '"' + e.value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return '"' + e.value + '"'
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, NullLit):

@@ -4,6 +4,11 @@ The genetic search evaluates thousands of candidate placements; this module
 compiles a placement problem's call table into flat arrays and evaluates
 whole genome batches at once with numpy.
 
+``_call_rule`` is tierslicer's one definition of which calls are local and
+which violate validity.  ``classify_rows`` applies it per row and call, and
+``eval_population``, ``placement_scores`` and ``placement.classify_calls``
+(so ``is_valid`` and ``fitness.evaluate`` too) all read it.
+
 Genomes are int8 vectors of tier masks (client=1, server=2, both=3), one
 gene per unplaced slice in problem order.  A row's fitness is its local call
 count divided by the call count, the same double ``fitness.evaluate``
@@ -47,26 +52,24 @@ class CompiledProblem:
 
 
 def compile_problem(problem: PlacementProblem) -> CompiledProblem:
-    unplaced = problem.unplaced
-    gene_of = {name: i for i, name in enumerate(unplaced)}
-    cg, cm, eg, em, ann = [], [], [], [], []
-    for rec in problem.calls:
-        cg.append(gene_of.get(rec.caller, -1))
-        cm.append(0 if rec.caller in gene_of else problem.fixed[rec.caller].mask)
-        if rec.callee == SHARED:
-            eg.append(-1)
-            em.append(3)
-        else:
-            eg.append(gene_of.get(rec.callee, -1))
-            em.append(0 if rec.callee in gene_of else problem.fixed[rec.callee].mask)
-        ann.append(rec.annotated)
+    """One gene per unplaced slice; the @config slices keep their fixed masks."""
+    return compile_genes(problem, problem.unplaced)
+
+
+def compile_genes(problem: PlacementProblem, genes: tuple) -> CompiledProblem:
+    """One gene per slice in ``genes``, in order; any other slice is fixed."""
+    gene_of = {name: i for i, name in enumerate(genes)}
+    # Genes read no mask; shared callees carry mask 3, so they are always local.
+    mask_of = {SHARED: 3, **{s: t.mask for s, t in problem.fixed.items()}, **dict.fromkeys(genes, 0)}
+    callers = [rec.caller for rec in problem.calls]
+    callees = [rec.callee for rec in problem.calls]
     return CompiledProblem(
-        unplaced=unplaced,
-        caller_gene=np.asarray(cg, dtype=np.int32),
-        caller_mask=np.asarray(cm, dtype=np.int8),
-        callee_gene=np.asarray(eg, dtype=np.int32),
-        callee_mask=np.asarray(em, dtype=np.int8),
-        annotated=np.asarray(ann, dtype=np.bool_),
+        unplaced=tuple(genes),
+        caller_gene=np.array([gene_of.get(s, -1) for s in callers], dtype=np.int32),
+        caller_mask=np.array([mask_of[s] for s in callers], dtype=np.int8),
+        callee_gene=np.array([gene_of.get(s, -1) for s in callees], dtype=np.int32),
+        callee_mask=np.array([mask_of[s] for s in callees], dtype=np.int8),
+        annotated=np.array([rec.annotated for rec in problem.calls], dtype=np.bool_),
     )
 
 
@@ -85,29 +88,23 @@ def _call_rule(a, b, ann):
     return local, ~local & ((a & 2) != 0) & ((b & 2) == 0) & ~ann
 
 
-def _eval_numpy(genomes, cg, cm, eg, em, ann):
-    pop = genomes.shape[0]
-    ncalls = cg.shape[0]
-    if ncalls == 0:
-        return np.ones(pop, dtype=np.float64), np.ones(pop, dtype=np.bool_)
-    local, bad = _call_rule(_endpoint(genomes, cg, cm), _endpoint(genomes, eg, em), ann)
-    fitness = local.sum(axis=1) / ncalls
-    return fitness.astype(np.float64), ~bad.any(axis=1)
+def classify_rows(compiled: CompiledProblem, genomes: np.ndarray):
+    """Per genome row and call: the callee's tier mask, and whether the call
+    is local and whether it is violating, by ``_call_rule``."""
+    genomes = np.ascontiguousarray(genomes, dtype=np.int8)
+    if genomes.ndim != 2 or genomes.shape[1] != compiled.n_genes:
+        raise ValueError("genome matrix shape does not match the problem")
+    callee = _endpoint(genomes, compiled.callee_gene, compiled.callee_mask)
+    caller = _endpoint(genomes, compiled.caller_gene, compiled.caller_mask)
+    return (callee, *_call_rule(caller, callee, compiled.annotated))
 
 
 def eval_population(compiled: CompiledProblem, genomes: np.ndarray):
     """Fitness and validity for each genome row.  Empty call tables score 1.0."""
-    genomes = np.ascontiguousarray(genomes, dtype=np.int8)
-    if genomes.ndim != 2 or genomes.shape[1] != compiled.n_genes:
-        raise ValueError("genome matrix shape does not match the problem")
-    return _eval_numpy(
-        genomes,
-        compiled.caller_gene,
-        compiled.caller_mask,
-        compiled.callee_gene,
-        compiled.callee_mask,
-        compiled.annotated,
-    )
+    _, local, violating = classify_rows(compiled, genomes)
+    if compiled.n_calls == 0:
+        return np.ones(len(local)), np.ones(len(local), dtype=np.bool_)
+    return local.sum(axis=1) / compiled.n_calls, ~violating.any(axis=1)
 
 
 _MASKS = np.arange(1, 4, dtype=np.int8)

@@ -34,7 +34,6 @@ TIER_FROM_MASK = {1: Tier.CLIENT, 2: Tier.SERVER, 3: Tier.BOTH}
 class Direction(Enum):
     CLIENT_TO_SERVER = "client-to-server"
     SERVER_TO_CLIENT = "server-to-client"
-    MIXED = "mixed"
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 A call from slice A to slice B is local iff tiers(A) is a subset of tiers(B)
 (with Both = {client, server}); shared callees are always local.  A placement
 is invalid iff some remote call needs a server-to-client hop and its call
-site carries neither @reply nor @broadcast.
+site carries neither @reply nor @broadcast.  ``classify_calls`` reads that
+rule from its one definition, ``kernels._call_rule``, through
+``kernels.classify_rows`` on the placement's one row of tier masks.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import MissingPlacementError
-from .model import SHARED, CallRecord, Direction, PlacementProblem, Tier
+from .kernels import classify_rows, compile_genes
+from .model import CallRecord, Direction, PlacementProblem, Tier
 
 
 @dataclass
@@ -61,42 +66,29 @@ class ClassifiedCall:
     record: CallRecord
     local: bool
     direction: Direction | None = None  # remote calls only
+    violating: bool = False  # remote server-to-client without @reply/@broadcast
 
 
-def _direction(caller_mask: int, callee_mask: int) -> Direction:
-    s2c = bool(caller_mask & 2) and not (callee_mask & 2)
-    c2s = bool(caller_mask & 1) and not (callee_mask & 1)
-    if s2c and c2s:
-        return Direction.MIXED
-    return Direction.SERVER_TO_CLIENT if s2c else Direction.CLIENT_TO_SERVER
+# A remote call's direction, by its callee's mask: the callee holds one tier.
+_TOWARD = {1: Direction.SERVER_TO_CLIENT, 2: Direction.CLIENT_TO_SERVER}
 
 
 def classify_calls(problem: PlacementProblem, placement: Placement) -> list:
-    """Label every resolved call Local or Remote under the placement."""
-    for name in problem.slices:
-        placement.tier(name)  # raises MissingPlacement on gaps
-    out = []
-    for rec in problem.calls:
-        if rec.callee == SHARED:
-            out.append(ClassifiedCall(rec, True))
-            continue
-        caller_mask = placement.mask(rec.caller)
-        callee_mask = placement.mask(rec.callee)
-        if caller_mask & ~callee_mask & 3:
-            out.append(ClassifiedCall(rec, False, _direction(caller_mask, callee_mask)))
-        else:
-            out.append(ClassifiedCall(rec, True))
-    return out
+    """Label every resolved call Local or Remote under the placement.  Every
+    slice is a gene, so every tier, @config ones included, comes from the
+    placement."""
+    row = np.array([[placement.mask(name) for name in problem.slices]], dtype=np.int8)
+    callee, local, violating = classify_rows(compile_genes(problem, problem.slices), row)
+    return [
+        ClassifiedCall(rec, is_local, None if is_local else _TOWARD[mask], bad)
+        for rec, mask, is_local, bad in zip(problem.calls, callee[0].tolist(),
+                                            local[0].tolist(), violating[0].tolist())
+    ]
 
 
 def violations(classified) -> list:
-    """Remote server-to-client (or mixed) calls lacking @reply/@broadcast."""
-    return [
-        c for c in classified
-        if not c.local
-        and c.direction in (Direction.SERVER_TO_CLIENT, Direction.MIXED)
-        and not c.record.annotated
-    ]
+    """Remote server-to-client calls lacking @reply/@broadcast."""
+    return [c for c in classified if c.violating]
 
 
 def is_valid(problem: PlacementProblem, placement: Placement):

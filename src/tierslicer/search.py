@@ -195,14 +195,16 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = pool.map(run_many, [problem] * jobs, configs, counts)
             return [result for block in blocks for result in block]
-    n = len(problem.unplaced)
-    if n == 0:
-        report = evaluate(problem, Placement(fixed=dict(problem.fixed), searched={}))
-        return [SearchResult(Placement(fixed=dict(problem.fixed), searched={}), report.program,
-                             report.valid, 0, [], np.zeros(0, dtype=np.int8))
-                for _ in range(runs)]
     if runs < 1:
         return []
+    n = len(problem.unplaced)
+    if n == 0:  # one placement: the @config tiers
+        report = evaluate(problem, Placement(fixed=dict(problem.fixed), searched={}))
+        if not report.valid:
+            raise AllInvalidError("the @config placement is invalid and no slice is unplaced")
+        return [SearchResult(Placement(fixed=dict(problem.fixed), searched={}), report.program,
+                             True, 0, [], np.zeros(0, dtype=np.int8))
+                for _ in range(runs)]
 
     P = config.population_size
     compiled = compile_problem(problem)
@@ -255,10 +257,6 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = 12):
     n = len(problem.unplaced)
     if n > cap:
         raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
-    if n == 0:
-        placement = Placement(fixed=dict(problem.fixed), searched={})
-        return placement, evaluate(problem, placement).program
-
     scores = placement_scores(compile_problem(problem)).ravel()
     best = int(np.argmax(scores))  # first max = lexicographically smallest
     if scores[best] < 0:

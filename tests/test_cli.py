@@ -191,6 +191,23 @@ def test_every_search_command_exits_4_on_search_failure(runner, tmp_path, comman
     assert result.stderr.startswith("search failed: ")
 
 
+# HOPELESS without its unplaced slice: the @config tiers are the only
+# placement, and the unannotated server-to-client call makes it invalid.
+CONFIG_ONLY_HOPELESS = HOPELESS[:HOPELESS.index("/* @slice spare */")]
+
+
+@pytest.mark.parametrize("command", [
+    ("assign",), ("assign", "--runs", 2), ("stats", "--runs", 2), ("oracle",),
+])
+def test_search_commands_exit_4_when_the_only_placement_is_invalid(runner, tmp_path, command):
+    hopeless = tmp_path / "hopeless.tjs"
+    hopeless.write_text(CONFIG_ONLY_HOPELESS)
+    result = invoke(runner, command[0], hopeless, *command[1:])
+    assert result.exit_code == 4
+    assert result.stdout == ""
+    assert result.stderr.startswith("search failed: ")
+
+
 def test_stats_mode_table_and_csv(runner, tmp_path):
     csv_path = tmp_path / "stats.csv"
     result = invoke(runner, "stats", fixture_path("unicorn_v4.tjs"),

@@ -49,6 +49,27 @@ def test_emit_is_idempotent(name):
     assert emit(parse(once, name)) == once
 
 
+# A double quote in a single-quoted string, an escaped backslash and an
+# escaped single quote; each used to gain a backslash on every emit.
+STRING_ESCAPES = r"""/* @slice a */
+{
+  var p = 'say "hi"';
+  var q = "back\\slash";
+  var r = 'it\'s';
+}
+"""
+
+
+def test_string_escapes_survive_emit_parse_rounds():
+    program = parse(STRING_ESCAPES)
+    once = emit(program)
+    assert [line.strip() for line in once.splitlines()[2:5]] == [
+        r'var p = "say \"hi\"";', r'var q = "back\\slash";', 'var r = "it\'s";']
+    reparsed = parse(once)
+    assert reparsed.slices == program.slices
+    assert emit(reparsed) == once
+
+
 def test_config_fixes_slice_tiers():
     program = load_fixture("tracker.tjs")
     tiers = {s.name: s.fixed_tier for s in program.slices}

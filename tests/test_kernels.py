@@ -20,8 +20,9 @@ def full_enumeration(n: int) -> np.ndarray:
 
 
 def test_kernel_equals_evaluate_exactly_on_random_problems():
-    # The kernel and fitness.evaluate/is_valid apply the same rule: same
-    # double for fitness (no tolerance), same validity verdict.
+    # fitness.evaluate and is_valid read the kernel's rule through
+    # classify_calls, so this checks their aggregation against
+    # eval_population's: same double for fitness (no tolerance), same verdict.
     rng = np.random.default_rng(11)
     for _ in range(30):
         problem = random_flat_problem(rng)

@@ -3,8 +3,6 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import fixture_problem
 from tierslicer.errors import MissingPlacementError
@@ -122,15 +120,37 @@ TIER_SETS = {Tier.CLIENT: {"client"}, Tier.SERVER: {"server"},
              Tier.BOTH: {"client", "server"}}
 
 
-@given(caller=st.sampled_from(list(Tier)), callee=st.sampled_from(list(Tier)),
-       annotated=st.booleans())
-def test_classification_matches_set_semantics(caller, callee, annotated):
-    c = classify_single(caller, callee, annotated)
-    assert c.local == (TIER_SETS[caller] <= TIER_SETS[callee])
-    if not c.local:
-        expect_s2c = "server" in TIER_SETS[caller] and "server" not in TIER_SETS[callee]
-        assert (c.direction is Direction.SERVER_TO_CLIENT) == expect_s2c
-        assert bool(violations([c])) == (expect_s2c and not annotated)
+def test_classification_matches_set_semantics():
+    # All 18 (caller, callee, annotated) triples against the tier-set rule: a
+    # call is local iff the caller's tiers are a subset of the callee's; a
+    # remote call goes server-to-client iff the callee lacks the server, and
+    # it violates iff it does so unannotated.
+    for caller, callee, annotated in product(Tier, Tier, (False, True)):
+        c = classify_single(caller, callee, annotated)
+        local = TIER_SETS[caller] <= TIER_SETS[callee]
+        s2c = not local and "server" not in TIER_SETS[callee]
+        assert c.local is local
+        assert c.violating is (s2c and not annotated)
+        assert c.direction is (None if local else Direction.SERVER_TO_CLIENT if s2c
+                               else Direction.CLIENT_TO_SERVER)
+        assert violations([c]) == ([c] if c.violating else [])
+
+
+def test_config_slice_takes_its_tier_from_the_placement():
+    # A placement may widen a @config slice (criterion 8 does); its tier then
+    # comes from the placement, not from the problem's fixed map.
+    problem = PlacementProblem(slices=("srv", "cli"), fixed={"srv": Tier.SERVER},
+                               calls=(CallRecord(0, "srv", "cli", "f"),))
+    as_fixed = Placement(fixed={"srv": Tier.SERVER}, searched={"cli": Tier.CLIENT})
+    widened = Placement(searched={"srv": Tier.BOTH, "cli": Tier.CLIENT})
+    moved = Placement(searched={"srv": Tier.CLIENT, "cli": Tier.CLIENT})
+    (fixed_call,) = classify_calls(problem, as_fixed)
+    (widened_call,) = classify_calls(problem, widened)
+    (moved_call,) = classify_calls(problem, moved)
+    assert (fixed_call.local, fixed_call.violating) == (False, True)
+    assert (widened_call.local, widened_call.violating) == (False, True)
+    assert (moved_call.local, moved_call.violating) == (True, False)
+    assert not is_valid(problem, widened)[0] and is_valid(problem, moved)[0]
 
 
 def test_widening_a_callee_never_flips_local_to_remote():

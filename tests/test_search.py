@@ -9,7 +9,7 @@ import pytest
 from conftest import fixture_problem
 from genprog import random_flat_problem, random_problem
 from tierslicer.errors import AllInvalidError, TooManySlicesError
-from tierslicer.kernels import compile_problem, eval_population
+from tierslicer.kernels import compile_problem, eval_population, placement_scores
 from tierslicer.model import CallRecord, PlacementProblem, Tier
 from tierslicer.search import (
     GaConfig,
@@ -317,6 +317,24 @@ def test_run_many_with_no_unplaced_slices_degenerates():
     for result in results:
         assert_same_result(result, results[0])
         assert result.generations_used == 0 and result.history == []
+
+
+@pytest.mark.parametrize("name", ["tracker.tjs", "unicorn_v1.tjs"])
+def test_oracle_with_no_unplaced_slices_scores_the_config_placement(name, manifest):
+    placement, fitness = exhaustive_oracle(fixture_problem(name))
+    assert placement.searched == {}
+    assert fitness == manifest[name]["oracleFitness"]
+
+
+def test_no_unplaced_slices_and_an_invalid_config_placement_fail_every_search():
+    problem = PlacementProblem(("a", "b"), {"a": Tier.SERVER, "b": Tier.CLIENT},
+                               (CallRecord(0, "a", "b", "show"),))
+    scores = placement_scores(compile_problem(problem))
+    assert scores.shape == () and scores == -2  # 0 local calls, 1 violating
+    with pytest.raises(AllInvalidError):
+        exhaustive_oracle(problem)
+    with pytest.raises(AllInvalidError):
+        run_many(problem, GaConfig(), 3)
 
 
 # (best_genome, generations_used, sha256(history as float64)[:16]) for seeds
