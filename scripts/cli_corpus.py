@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Run the CLI corpus in process and print one line per case.
 
-The corpus is the 10 bundled fixtures and the ``genprog`` programs of seeds
-0-5, each under the commands listed in ``COMMANDS`` plus ``split`` and
-``advise --placement`` with the oracle placement (where one exists) and with
-an all-``both`` placement.  Each line reads ``case<TAB>exit code<TAB>sha256
+The corpus is ``--help`` of the group and of each command, then the 10
+bundled fixtures and the ``genprog`` programs of seeds 0-5, each under the
+commands listed in ``COMMANDS`` plus ``split`` and ``advise --placement``
+with the oracle placement (where one exists) and with an all-``both``
+placement.  Each line reads ``case<TAB>exit code<TAB>sha256
 of stdout``, so two trees can be compared with one ``diff``::
 
     python3 scripts/cli_corpus.py > after.txt
@@ -77,6 +78,9 @@ def placements(name: str, text: str) -> dict:
 
 def cases(workdir: Path):
     """(case label, argv) for every case, writing the files the cases read."""
+    yield "--help", ["--help"]
+    for command in cli.commands:
+        yield f"{command} --help", [command, "--help"]
     for name, text in programs().items():
         (workdir / name).write_text(text, encoding="utf-8")
         for command in COMMANDS:

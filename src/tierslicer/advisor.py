@@ -15,7 +15,7 @@ from enum import Enum
 from . import frontend
 from .depgraph import DATA, DECLARATION, DependenceGraph, build_pdg, placement_problem
 from .errors import TargetNotFoundError
-from .fitness import offline_percent
+from .fitness import offline_percent, report_header
 from .model import SHARED, PlacementProblem
 from .placement import Placement, classify_calls
 from .search import GaConfig, run
@@ -190,9 +190,12 @@ class RefineResult:
     fitness_history: list = field(default_factory=list)  # fitness before each apply + final
 
 
+MAX_REFINE_ITERATIONS = 10  # advice integrations before refine_loop stops by default
+
+
 def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
                 advisor_config: AdvisorConfig = AdvisorConfig(),
-                max_iterations: int = 10) -> RefineResult:
+                max_iterations: int = MAX_REFINE_ITERATIONS) -> RefineResult:
     """Alternate search and advice integration until a fixpoint."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -227,7 +230,7 @@ def _find_stmt(body, cls, name) -> int | None:
 
 def render_report(fitness_value: float, advices: list) -> str:
     """Plain-text advice report; sections are omitted when empty."""
-    lines = [f"Application level of offline availability: {offline_percent(fitness_value)} %"]
+    lines = [report_header(fitness_value)]
     replicate = [a for a in advices if a.kind is AdviceKind.REPLICATE_DECLARATION]
     move = [a for a in advices if a.kind is AdviceKind.MOVE_FUNCTION]
     if replicate:

@@ -12,22 +12,19 @@ import io
 import json
 import statistics
 import sys
+from collections import Counter
 
 import click
 
 from . import advisor as advisor_mod
 from . import depgraph, frontend
+from .advisor import MAX_REFINE_ITERATIONS, AdvisorConfig
 from .errors import AllInvalidError, TierSlicerError, TooManySlicesError
-from .fitness import evaluate, offline_percent
+from .fitness import evaluate, offline_percent, report_header
 from .model import PlacementProblem, Tier
 from .placement import Placement, classify_calls, is_valid
-from .search import GaConfig, exhaustive_oracle, run, run_many
-from .syntax import (
-    COMMUNICATION_KINDS,
-    FAILURE_KINDS,
-    PLACEMENT_KINDS,
-    SHARING_KINDS,
-)
+from .search import ORACLE_CAP, GaConfig, exhaustive_oracle, run, run_many
+from .syntax import ANNOTATION_CATEGORIES
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -100,41 +97,28 @@ def write_or_echo(text: str, path: str | None) -> None:
         sys.exit(EXIT_USAGE)
 
 
-def advisor_config(threshold) -> advisor_mod.AdvisorConfig:
+def make_config(cls, **options):
+    """``cls(**options)``; a value that ``cls`` rejects is a usage error."""
     try:
-        return advisor_mod.AdvisorConfig(move_threshold=threshold)
+        return cls(**options)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
 def ga_options(fn):
-    fn = click.option("--pop", "population", default=30, show_default=True,
-                      help="Population size.")(fn)
-    fn = click.option("--gens", "generations", default=300, show_default=True,
-                      help="Maximum number of generations.")(fn)
-    fn = click.option("--pc", "crossover_prob", default=0.6, show_default=True,
-                      help="Crossover probability.")(fn)
-    fn = click.option("--pm", "mutation_prob", default=0.6, show_default=True,
-                      help="Mutation probability.")(fn)
-    fn = click.option("--tournament", "tournament_size", default=4, show_default=True,
-                      help="Tournament size.")(fn)
-    fn = click.option("--seed", default=0, show_default=True, help="RNG seed.")(fn)
+    """The GA options, each named after the GaConfig field it sets and
+    defaulting to that field's default; the command gets them as ``**ga``."""
+    for flag, name, help_text in (
+        ("--pop", "population_size", "Population size."),
+        ("--gens", "max_generations", "Maximum number of generations."),
+        ("--pc", "crossover_prob", "Crossover probability."),
+        ("--pm", "mutation_prob", "Mutation probability."),
+        ("--tournament", "tournament_size", "Tournament size."),
+        ("--seed", "rng_seed", "RNG seed."),
+    ):
+        fn = click.option(flag, name, default=getattr(GaConfig, name), show_default=True,
+                          help=help_text)(fn)
     return fn
-
-
-def make_config(population, generations, crossover_prob, mutation_prob,
-                tournament_size, seed) -> GaConfig:
-    try:
-        return GaConfig(
-            population_size=population,
-            max_generations=generations,
-            crossover_prob=crossover_prob,
-            mutation_prob=mutation_prob,
-            tournament_size=tournament_size,
-            rng_seed=seed,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 class _Main(click.Group):
@@ -164,21 +148,9 @@ def cmd_parse(path):
     for s in program.slices:
         tier = s.fixed_tier or "unplaced"
         click.echo(f"  {s.name}: {tier}")
-    counts = {"placement": 0, "communication": 0, "sharing": 0, "failure": 0}
-    for _, anns in frontend.iter_annotated_nodes(program):
-        for a in anns:
-            if a.kind in PLACEMENT_KINDS:
-                counts["placement"] += 1
-            elif a.kind in COMMUNICATION_KINDS:
-                counts["communication"] += 1
-            elif a.kind in SHARING_KINDS:
-                counts["sharing"] += 1
-            elif a.kind in FAILURE_KINDS:
-                counts["failure"] += 1
-    click.echo(
-        "annotations: placement=%d communication=%d sharing=%d failure=%d"
-        % (counts["placement"], counts["communication"], counts["sharing"], counts["failure"])
-    )
+    kinds = Counter(a.kind for _, anns in frontend.iter_annotated_nodes(program) for a in anns)
+    click.echo("annotations: " + " ".join(f"{category}={sum(kinds[k] for k in members)}"
+                                          for category, members in ANNOTATION_CATEGORIES.items()))
     if program.warnings:
         click.echo(f"unresolved calls: {len(program.warnings)}")
 
@@ -200,7 +172,7 @@ def cmd_graph(path, fmt, output):
 
 
 def _print_fitness(report):
-    click.echo(f"Application level of offline availability: {offline_percent(report.program)} %")
+    click.echo(report_header(report.program))
     click.echo(f"valid: {'yes' if report.valid else 'no'}")
     for name, sf in report.per_slice.items():
         click.echo(f"  {name}: {sf.local_calls}/{sf.total_calls} local "
@@ -217,8 +189,7 @@ def _print_fitness(report):
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Also write stats as CSV (needs --runs above 1).")
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write placement JSON to file.")
-def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
-               tournament_size, seed, runs, jobs, csv_path, output):
+def cmd_assign(path, runs, jobs, csv_path, output, **ga):
     """Search a tier placement for PATH and report its fitness."""
     if runs > 1 and output is not None:
         raise click.UsageError("-o/--output cannot be used with --runs above 1")
@@ -227,8 +198,7 @@ def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
     program = load_program(path)
     graph = depgraph.build_pdg(program)
     problem = depgraph.placement_problem(graph)
-    config = make_config(population, generations, crossover_prob, mutation_prob,
-                         tournament_size, seed)
+    config = make_config(GaConfig, **ga)
     if runs > 1:
         _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
         return
@@ -245,14 +215,12 @@ def cmd_assign(path, population, generations, crossover_prob, mutation_prob,
 @click.option("--runs", default=100, show_default=True, type=COUNT)
 @click.option("--jobs", default=1, show_default=True, type=COUNT)
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
-def cmd_stats(path, population, generations, crossover_prob, mutation_prob,
-              tournament_size, seed, runs, jobs, csv_path):
+def cmd_stats(path, runs, jobs, csv_path, **ga):
     """Run the search many times and summarize the tier distribution."""
     program = load_program(path)
     graph = depgraph.build_pdg(program)
     problem = depgraph.placement_problem(graph)
-    config = make_config(population, generations, crossover_prob, mutation_prob,
-                         tournament_size, seed)
+    config = make_config(GaConfig, **ga)
     _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
 
 
@@ -300,15 +268,15 @@ def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
 
 @main.command("oracle")
 @click.argument("path", type=click.Path())
-@click.option("--oracle-cap", default=12, show_default=True,
+@click.option("--oracle-cap", "cap", default=ORACLE_CAP, show_default=True,
               help="Maximum number of unplaced slices to enumerate.")
 @click.option("-o", "--output", type=click.Path(), default=None)
-def cmd_oracle(path, oracle_cap, output):
+def cmd_oracle(path, cap, output):
     """Exhaustively enumerate all placements of PATH's unplaced slices."""
     program = load_program(path)
     problem = depgraph.placement_problem(depgraph.build_pdg(program))
     try:
-        placement, fitness_value = exhaustive_oracle(problem, cap=oracle_cap)
+        placement, fitness_value = exhaustive_oracle(problem, cap=cap)
     except TooManySlicesError as exc:
         raise click.UsageError(str(exc))
     write_or_echo(placement.to_json(), output)
@@ -319,24 +287,15 @@ def cmd_oracle(path, oracle_cap, output):
 @click.argument("path", type=click.Path())
 @click.option("--placement", "placement_path", type=click.Path(), default=None,
               help="Placement JSON to analyze (default: run the search).")
-@click.option("--search/--no-search", "do_search", default=True,
-              help="Search a placement when none is given.")
-@click.option("--threshold", default=0.2, show_default=True,
-              help="Relative-difference threshold for function moves.")
+@click.option("--threshold", "move_threshold", default=AdvisorConfig.move_threshold,
+              show_default=True, help="Relative-difference threshold for function moves.")
 @click.option("--json", "as_json", is_flag=True, help="Emit the advice as JSON.")
 @ga_options
-def cmd_advise(path, placement_path, do_search, threshold, as_json, population,
-               generations, crossover_prob, mutation_prob, tournament_size, seed):
+def cmd_advise(path, placement_path, move_threshold, as_json, **ga):
     """Print refinement advice for PATH under a placement."""
     program = load_program(path)
-    if placement_path:
-        config = None
-    elif do_search:
-        config = make_config(population, generations, crossover_prob, mutation_prob,
-                             tournament_size, seed)
-    else:
-        raise click.UsageError("either --placement or --search is required")
-    adv_cfg = advisor_config(threshold)
+    config = None if placement_path else make_config(GaConfig, **ga)
+    adv_cfg = make_config(AdvisorConfig, move_threshold=move_threshold)
     graph = depgraph.build_pdg(program)
     problem = depgraph.placement_problem(graph)
     if placement_path:
@@ -356,29 +315,28 @@ def cmd_advise(path, placement_path, do_search, threshold, as_json, population,
 @click.argument("path", type=click.Path())
 @click.option("--apply", "do_apply", is_flag=True,
               help="Automatically integrate the advice between runs.")
-@click.option("--max-iters", default=10, show_default=True, type=COUNT)
-@click.option("--threshold", default=0.2, show_default=True)
+@click.option("--max-iters", "max_iterations", default=MAX_REFINE_ITERATIONS, show_default=True,
+              type=COUNT)
+@click.option("--threshold", "move_threshold", default=AdvisorConfig.move_threshold,
+              show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Write the refined source to a file.")
 @ga_options
 @click.pass_context
-def cmd_refine(ctx, path, do_apply, max_iters, threshold, output, population,
-               generations, crossover_prob, mutation_prob, tournament_size, seed):
+def cmd_refine(ctx, path, do_apply, max_iterations, move_threshold, output, **ga):
     """Iterate search + advice; with --apply, advice is integrated automatically.
 
     Without --apply this is ``advise PATH``: one search, one advice report.
     """
-    ga = dict(population=population, generations=generations, crossover_prob=crossover_prob,
-              mutation_prob=mutation_prob, tournament_size=tournament_size, seed=seed)
     if not do_apply:
-        ctx.invoke(cmd_advise, path=path, threshold=threshold, **ga)
+        ctx.invoke(cmd_advise, path=path, move_threshold=move_threshold, **ga)
         return
     program = load_program(path)
-    config = make_config(**ga)
-    adv_cfg = advisor_config(threshold)
-    result = advisor_mod.refine_loop(program, config, adv_cfg, max_iterations=max_iters)
+    config = make_config(GaConfig, **ga)
+    adv_cfg = make_config(AdvisorConfig, move_threshold=move_threshold)
+    result = advisor_mod.refine_loop(program, config, adv_cfg, max_iterations=max_iterations)
     write_or_echo(frontend.emit(result.program), output)
-    click.echo(f"Application level of offline availability: {offline_percent(result.fitness)} %")
+    click.echo(report_header(result.fitness))
     click.echo(f"iterations: {result.iterations}")
     click.echo(f"slices: {len(result.program.slices)}")
 

@@ -53,7 +53,7 @@ class PdgNode:
     id: int
     kind: str
     slice: str  # slice name or SHARED
-    span: tuple = (0, 0, 1, 1)  # (start, end, line, col)
+    span: Span = Span.zero()
     name: str | None = None  # declared name / callee name
     function: str | None = None  # enclosing function declaration, if any
     annotations: list = field(default_factory=list)  # annotation kind strings
@@ -80,10 +80,6 @@ class SliceGraph:
     vertices: tuple = ()
     # (from_slice, to_slice, edge_kind) -> count, cross-slice only
     edges: dict = field(default_factory=dict)
-
-
-def _span_tuple(span) -> tuple:
-    return (span.start, span.end, span.line, span.col)
 
 
 def _annotation_kinds(stmt) -> list:
@@ -123,7 +119,7 @@ class _Builder:
         self.site_by_call = {id(s.node): s for s in program.call_sites}
 
     def new_node(self, kind, owner, span, **kw) -> int:
-        node = PdgNode(id=len(self.graph.nodes), kind=kind, slice=owner, span=_span_tuple(span), **kw)
+        node = PdgNode(id=len(self.graph.nodes), kind=kind, slice=owner, span=span, **kw)
         self.graph.nodes.append(node)
         return node.id
 

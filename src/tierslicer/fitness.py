@@ -52,3 +52,8 @@ def evaluate(problem: PlacementProblem, placement: Placement) -> FitnessReport:
 def offline_percent(value: float) -> int:
     """Rounded integer percent used by the report header."""
     return int(round(value * 100))
+
+
+def report_header(value: float) -> str:
+    """The first line of every fitness and advice report."""
+    return f"Application level of offline availability: {offline_percent(value)} %"

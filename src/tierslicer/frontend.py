@@ -754,6 +754,14 @@ def _emit_annotations(anns: list, indent: str) -> str:
     return f"{indent}/* {inner} */\n"
 
 
+def _emit_key(key: str) -> str:
+    """An object key as written: bare if the lexer reads it back as one IDENT."""
+    m = _TOKEN.fullmatch(key)
+    if m and m.lastgroup == "IDENT" and (key[0].isalpha() or key[0] in "_$"):
+        return key
+    return f'"{key}"'
+
+
 def emit_expr(e, prec: int = 0) -> str:
     if isinstance(e, NumberLit):
         v = e.value
@@ -788,7 +796,7 @@ def emit_expr(e, prec: int = 0) -> str:
         text = f"{emit_expr(e.target, _POSTFIX)} = {emit_expr(e.value)}"
         return f"({text})" if prec > 0 else text
     if isinstance(e, ObjectLit):
-        entries = ", ".join(f"{k}: {emit_expr(v)}" for k, v in e.entries)
+        entries = ", ".join(f"{_emit_key(k)}: {emit_expr(v)}" for k, v in e.entries)
         return "{" + entries + "}"
     if isinstance(e, ArrayLit):
         return "[" + ", ".join(emit_expr(x) for x in e.elements) + "]"

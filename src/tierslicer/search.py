@@ -248,7 +248,10 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
 # --- Exhaustive oracle ----------------------------------------------------
 
 
-def exhaustive_oracle(problem: PlacementProblem, cap: int = 12):
+ORACLE_CAP = 12  # the most unplaced slices the oracle enumerates by default
+
+
+def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
     """Score all 3^n searched placements; argmax fitness over valid ones.
 
     Ties break toward the genome-lexicographically smallest placement.

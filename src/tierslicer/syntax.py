@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     start: int
     end: int
     line: int
@@ -56,29 +56,17 @@ class AnnotationKind(Enum):
 
 ANNOTATION_NAMES = {k.value: k for k in AnnotationKind}
 
-# Category split used by `tierslicer parse` summaries.
-PLACEMENT_KINDS = {
-    AnnotationKind.SLICE,
-    AnnotationKind.CONFIG,
-    AnnotationKind.CLIENT,
-    AnnotationKind.SERVER,
-    AnnotationKind.UI,
+# Annotation kinds by category, in the order `tierslicer parse` counts them.
+ANNOTATION_CATEGORIES = {
+    "placement": {AnnotationKind.SLICE, AnnotationKind.CONFIG, AnnotationKind.CLIENT,
+                  AnnotationKind.SERVER, AnnotationKind.UI},
+    "communication": {AnnotationKind.REMOTE_CALL, AnnotationKind.LOCAL_CALL,
+                      AnnotationKind.BLOCKING, AnnotationKind.REPLY,
+                      AnnotationKind.BROADCAST, AnnotationKind.REMOTE_PROCEDURE},
+    "sharing": {AnnotationKind.LOCAL, AnnotationKind.COPY, AnnotationKind.REPLICATED,
+                AnnotationKind.OBSERVABLE},
+    "failure": {AnnotationKind.DEFINE_HANDLER, AnnotationKind.USE_HANDLER},
 }
-COMMUNICATION_KINDS = {
-    AnnotationKind.REMOTE_CALL,
-    AnnotationKind.LOCAL_CALL,
-    AnnotationKind.BLOCKING,
-    AnnotationKind.REPLY,
-    AnnotationKind.BROADCAST,
-    AnnotationKind.REMOTE_PROCEDURE,
-}
-SHARING_KINDS = {
-    AnnotationKind.LOCAL,
-    AnnotationKind.COPY,
-    AnnotationKind.REPLICATED,
-    AnnotationKind.OBSERVABLE,
-}
-FAILURE_KINDS = {AnnotationKind.DEFINE_HANDLER, AnnotationKind.USE_HANDLER}
 
 
 @dataclass

@@ -6,7 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import fixture_path
+from tierslicer import advisor, cli
+from tierslicer.advisor import AdvisorConfig
 from tierslicer.cli import main
+from tierslicer.search import GaConfig
 
 
 @pytest.fixture()
@@ -246,9 +249,11 @@ def test_advise_with_placement_file(runner, tmp_path, manifest):
     placement = tmp_path / "placement.json"
     placement.write_text(json.dumps({"fixed": {"data": "server", "browser": "client"},
                                      "searched": {}}))
-    result = invoke(runner, "advise", fixture_path("tracker.tjs"), "--placement", placement)
-    assert result.exit_code == 0
-    assert result.output == manifest["tracker.tjs"]["report"]
+    for options in ((), ("--gens", -5)):  # GA options are checked only when advise searches
+        result = invoke(runner, "advise", fixture_path("tracker.tjs"), "--placement", placement,
+                        *options)
+        assert result.exit_code == 0
+        assert result.output == manifest["tracker.tjs"]["report"]
 
 
 def test_advise_json_mode(runner, tmp_path):
@@ -367,16 +372,36 @@ def test_placement_file_of_the_wrong_shape_exits_1(runner, tmp_path, command, te
                              'expected {"fixed": {slice: tier}, "searched": {slice: tier}}\n')
 
 
+# Options for advise and refine, and the GaConfig and AdvisorConfig they must
+# reach the library as: the defaults but a seed, then every option changed.
+ADVISE_OPTIONS = [
+    (("--seed", 6), [GaConfig(rng_seed=6), AdvisorConfig()]),
+    (("--pop", 12, "--gens", 40, "--pc", 0.5, "--pm", 0.3, "--tournament", 3, "--seed", 6,
+      "--threshold", 0.4),
+     [GaConfig(population_size=12, max_generations=40, crossover_prob=0.5, mutation_prob=0.3,
+               tournament_size=3, rng_seed=6), AdvisorConfig(move_threshold=0.4)]),
+]
+
+
 @pytest.mark.parametrize("name", [
     "meetings.tjs", "relay.tjs", "relay_reply.tjs", "tracker.tjs", "unicorn_v1.tjs",
     "unicorn_v2.tjs", "unicorn_v3.tjs", "unicorn_v4.tjs", "unicorn_v5.tjs", "unicorn_v6.tjs",
 ])
-def test_refine_without_apply_prints_what_advise_prints(runner, name):
-    advised = invoke(runner, "advise", fixture_path(name), "--seed", 6)
-    refined = invoke(runner, "refine", fixture_path(name), "--seed", 6)
-    assert advised.exit_code == refined.exit_code == 0
-    assert refined.stdout == advised.stdout
-    assert refined.stdout.startswith("Application level of offline availability: ")
+def test_refine_without_apply_prints_what_advise_prints(runner, monkeypatch, name):
+    seen = []  # the configs that reach the library's search and advisor
+    real_run, real_advise = cli.run, advisor.advise
+    monkeypatch.setattr(cli, "run", lambda problem, config: seen.append(config)
+                        or real_run(problem, config))
+    monkeypatch.setattr(advisor, "advise", lambda *args: seen.append(args[4])
+                        or real_advise(*args))
+    for options, configs in ADVISE_OPTIONS:
+        seen.clear()
+        advised = invoke(runner, "advise", fixture_path(name), *options)
+        refined = invoke(runner, "refine", fixture_path(name), *options)
+        assert advised.exit_code == refined.exit_code == 0
+        assert refined.stdout == advised.stdout
+        assert refined.stdout.startswith("Application level of offline availability: ")
+        assert seen == configs + configs
 
 
 def test_unresolved_call_warning_goes_to_stderr(runner, tmp_path):

@@ -26,9 +26,16 @@ POSTFIX_OPERANDS = (
 # Numbers below 1e-4, which repr writes with an exponent the lexer rejects.
 SMALL_NUMBERS = "/* @slice a */\n{ var x = 0.0000001; var y = 0.00001234; var z = (0.00005).k; }\n"
 
+# Object keys that are not one identifier token, so emit must quote them,
+# beside keys that stay bare (a keyword among them).
+OBJECT_KEYS = r"""/* @slice a */
+{ var o = {"a b": 1, "a\"b": 2, "": 3, "1x": 4, "²": 5, 'q"r': 6, if: 7, $k: 8, _k: 9}; }
+"""
+
 INLINE_PROGRAMS = {"paren_statements.tjs": PAREN_STATEMENTS,
                    "postfix_operands.tjs": POSTFIX_OPERANDS,
-                   "small_numbers.tjs": SMALL_NUMBERS}
+                   "small_numbers.tjs": SMALL_NUMBERS,
+                   "object_keys.tjs": OBJECT_KEYS}
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES + sorted(INLINE_PROGRAMS))
