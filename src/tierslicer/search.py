@@ -16,7 +16,12 @@ fitness 1.0 or after the generation budget, and then leaves the batch.
 Each run owns its random stream, ``np.random.default_rng(seed)``, and makes
 the same draws in the same order and shapes as it would alone, so a seed's
 ``SearchResult`` does not depend on the other runs in its batch, on the
-batch size or on the worker count.  ``run`` is a batch of one.
+batch size or on the worker count.  ``run`` is a batch of one.  Seeding
+draws through numpy; each generation's draws come from ``_Streams``, which
+fetches every run's raw PCG64 words and decodes them in one array pass into
+exactly the values numpy's ``integers`` and ``random`` calls would return
+(``_draw_alone``), handing a run back to those calls in the rare generation
+where a bounded draw is rejected.
 
 ``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced slices.
 It scores every one of the 3^n placements with ``kernels.placement_scores``
@@ -60,6 +65,8 @@ class GaConfig:
             raise ValueError("max generations must be >= 1")
         if not 1 <= self.tournament_size <= self.population_size:
             raise ValueError("tournament size must be in [1, population size]")
+        if self.rng_seed < 0:
+            raise ValueError("RNG seed must be >= 0")
 
 
 @dataclass
@@ -120,31 +127,159 @@ def _seed_populations(compiled, config: GaConfig, rngs) -> tuple:
     )
 
 
-def _next_generation(compiled, pop, valid, order, rngs, config: GaConfig):
+def _draw_alone(rng: np.random.Generator, k: int, n: int, config: GaConfig) -> tuple:
+    """One generation's draws of a run with ``k`` valid rows and ``n`` genes,
+    made by numpy's own calls: tournament entrants, crossover uniforms,
+    crossover swap mask, mutation uniforms, mutation positions and values."""
+    n_pairs = config.population_size // 2  # enough pairs for the P - 1 children
+    return (rng.integers(0, k, size=(2 * n_pairs, config.tournament_size)),
+            rng.random(n_pairs),
+            rng.integers(0, 2, size=(n_pairs, n)),
+            rng.random(2 * n_pairs),
+            rng.integers(0, n, size=2 * n_pairs),
+            rng.integers(1, 4, size=2 * n_pairs))
+
+
+def _layout(spare: bool, tournament: bool, n: int, config: GaConfig) -> tuple:
+    """Where ``_draw_alone``'s values lie in a run's raw words, as numpy reads them.
+
+    A row holds the run's cached 32-bit half in its low half (32-bit index 0),
+    then the generation's words from word index 1 on, so word j's low and high
+    halves are 32-bit indices 2j and 2j + 1.  ``spare`` says whether a half is
+    cached; ``tournament`` whether the entrant draws take halves (k > 1).
+    Returns the 32-bit index of each bounded value (a value that takes no half
+    reads index 0 and is scaled by 1), the word index of each uniform, the
+    number of words and the index of the half left cached, or -1.
+    """
+    n_pairs = config.population_size // 2
+    halves, uniforms = [], []
+    words = 0
+    cached = 0 if spare else -1
+
+    def bounded(count, draws):  # numpy's next_uint32: the cached half, else a fresh low half
+        nonlocal words, cached
+        if not draws:
+            halves.extend([0] * count)
+            return
+        for _ in range(count):
+            if cached >= 0:
+                halves.append(cached)
+                cached = -1
+            else:
+                words += 1
+                halves.append(2 * words)
+                cached = 2 * words + 1
+
+    def uniform(count):
+        nonlocal words
+        uniforms.extend(range(words + 1, words + 1 + count))
+        words += count
+
+    bounded(2 * n_pairs * config.tournament_size, tournament)
+    uniform(n_pairs)
+    bounded(n_pairs * n, True)
+    uniform(2 * n_pairs)
+    bounded(2 * n_pairs, n > 1)
+    bounded(2 * n_pairs, True)
+    return halves, uniforms, words, cached
+
+
+class _Streams:
+    """The random streams of a batch of runs, drawn for all runs at once.
+
+    Each generation makes, for every run, exactly the draws ``_draw_alone``
+    would make with numpy's calls.  A run's generation takes a fixed number of
+    raw PCG64 words, given by whether a 32-bit half is cached from its last
+    bounded draw and whether it has more than one valid row.  One
+    ``random_raw`` call per run fetches them, and one gather through the
+    matching ``_layout`` decodes every run's values.  A uniform is
+    ``(word >> 11) * 2**-53``.  A bounded value in ``[0, h)`` is Lemire's
+    ``(u * h) >> 32`` of a 32-bit half ``u``, rejected iff ``(u * h) mod 2**32
+    < 2**32 mod h``.  A rejection takes another half and shifts the rest, so a
+    run that shows one (below 7e-9 per value for h <= 31) is rewound and
+    redrawn by ``_draw_alone``.
+    """
+
+    def __init__(self, rngs, n: int, config: GaConfig):
+        self.rngs = list(rngs)
+        self.n, self.config = n, config
+        states = [rng.bit_generator.state for rng in self.rngs]
+        self.spare = np.array([s["has_uint32"] for s in states], dtype=bool)  # a half is cached
+        self.half = np.array([s["uinteger"] for s in states], dtype=np.uint32)  # its value
+        # One layout per (spare, k > 1), indexed 2 * spare + (k > 1).
+        layouts = [_layout(spare, tournament, n, config)
+                   for spare in (False, True) for tournament in (False, True)]
+        self.value_at, self.uniform_at, self.n_words, self.spare_at = map(np.array, zip(*layouts))
+        self.width = 1 + self.n_words.max()
+        n_pairs = config.population_size // 2
+        sizes = (2 * n_pairs * config.tournament_size, n_pairs * n, 2 * n_pairs, 2 * n_pairs)
+        self.cuts = list(accumulate(sizes[:-1]))
+        # The bounds of the swap mask, positions and values; the entrants' is k.
+        self.bound = np.repeat(np.array([0, 2, n, 3], dtype=np.uint64), sizes)
+
+    def keep(self, keep) -> None:
+        """Drop the runs whose ``keep`` entry is false."""
+        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        self.spare, self.half = self.spare[keep], self.half[keep]
+
+    def draw(self, n_valid) -> tuple:
+        """The arrays of ``_draw_alone``, stacked over the runs, for runs with
+        ``n_valid`` valid rows each."""
+        R, n, n_pairs = len(self.rngs), self.n, self.config.population_size // 2
+        k = np.array(n_valid)
+        layout = 2 * self.spare + (k > 1)
+        n_words = self.n_words[layout]
+        raw = np.empty((R, self.width), dtype="<u8")
+        raw[:, 0] = self.half
+        for row, rng, w in zip(raw, self.rngs, n_words.tolist()):
+            row[1:w + 1] = rng.bit_generator.random_raw(w)
+        halves = raw.view("<u4").ravel()
+        base = np.arange(R)[:, None] * self.width
+
+        bound = np.empty((R, len(self.bound)), dtype=np.uint64)
+        bound[:] = self.bound
+        bound[:, :self.cuts[0]] = k[:, None]
+        m = halves[self.value_at[layout] + 2 * base] * bound
+        low = m & 0xFFFFFFFF
+        suspect = low < bound  # 2**32 mod h < h, so only these can be rejected
+        rejected = []
+        if suspect.any():
+            rejected = np.flatnonzero((suspect & (low < (1 << 32) % bound)).any(axis=1))
+        draws, swap, pos, val = np.split((m >> 32).view(np.int64), self.cuts, axis=1)
+        draws = draws.reshape(R, 2 * n_pairs, -1)
+        swap = swap.reshape(R, n_pairs, n).astype(bool)
+        val = val + 1
+        uniform = (raw.ravel()[self.uniform_at[layout] + base] >> 11) * 2.0**-53
+        cross_u, mut_u = uniform[:, :n_pairs], uniform[:, n_pairs:]
+        spare_at = self.spare_at[layout]
+        spare, half = spare_at >= 0, halves[np.maximum(spare_at, 0) + 2 * base[:, 0]]
+
+        for r in rejected:  # rewind the run and let numpy draw it
+            bit_generator = self.rngs[r].bit_generator
+            bit_generator.advance(-int(n_words[r]))
+            state = bit_generator.state
+            state.update(has_uint32=int(self.spare[r]), uinteger=int(self.half[r]))
+            bit_generator.state = state
+            (draws[r], cross_u[r], swap[r], mut_u[r], pos[r],
+             val[r]) = _draw_alone(self.rngs[r], int(k[r]), n, self.config)
+            state = bit_generator.state
+            spare[r], half[r] = state["has_uint32"], state["uinteger"]
+        self.spare, self.half = spare, half
+        return draws, cross_u, swap, mut_u, pos, val
+
+
+def _next_generation(compiled, pop, valid, order, streams: _Streams, config: GaConfig):
     """Breed and evaluate the next stacked population of the runs drawing
-    from ``rngs``, given their rows' validity and ``_ranking``.  Each run's
+    from ``streams``, given their rows' validity and ``_ranking``.  Each run's
     next rows are its best row (the elite), then children of tournament
     winners among its own valid rows, crossed pairwise and mutated at one
     position each.  Every run makes the draws a lone run would make, in the
     same order and shapes, so its stream does not depend on the batch."""
-    P, T = config.population_size, config.tournament_size
-    R, n = len(rngs), pop.shape[1]
-    n_pairs = P // 2  # enough pairs for the P - 1 children
-
-    draws = np.empty((R, 2 * n_pairs, T), dtype=np.int64)
-    cross_u = np.empty((R, n_pairs))
-    swap = np.empty((R, n_pairs, n), dtype=bool)
-    mut_u = np.empty((R, 2 * n_pairs))
-    pos = np.empty((R, 2 * n_pairs), dtype=np.int64)
-    val = np.empty((R, 2 * n_pairs), dtype=np.int8)
+    P = config.population_size
+    R, n = len(streams.rngs), pop.shape[1]
+    n_pairs = P // 2
     n_valid = valid.reshape(R, P).sum(axis=1).tolist()
-    for r, (rng, k) in enumerate(zip(rngs, n_valid)):
-        draws[r] = rng.integers(0, k, size=(2 * n_pairs, T))
-        rng.random(out=cross_u[r])
-        swap[r] = rng.integers(0, 2, size=(n_pairs, n))
-        rng.random(out=mut_u[r])
-        pos[r] = rng.integers(0, n, size=2 * n_pairs)
-        val[r] = rng.integers(1, 4, size=2 * n_pairs)
+    draws, cross_u, swap, mut_u, pos, val = streams.draw(n_valid)
 
     # Run r's draws index its own valid rows, which follow those of the runs
     # before it; a tournament's winner is the entrant ranked first.
@@ -210,6 +345,7 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
     compiled = compile_problem(problem)
     rngs = [np.random.default_rng(config.rng_seed + i) for i in range(runs)]
     pop, fitness, valid = _seed_populations(compiled, config, rngs)
+    streams = _Streams(rngs, n, config)
     active = list(range(runs))  # the runs in the batch, in stacking order
     histories = [[] for _ in range(runs)]
     results = [None] * runs
@@ -239,9 +375,9 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
             rows = np.repeat(keep, P)
             pop, fitness, valid = pop[rows], fitness[rows], valid[rows]
             active = [r for r, k in zip(active, keep) if k]
-            rngs = [rng for rng, k in zip(rngs, keep) if k]
+            streams.keep(keep)
             order = _ranking(pop, fitness, valid, P)
-        pop, fitness, valid = _next_generation(compiled, pop, valid, order, rngs, config)
+        pop, fitness, valid = _next_generation(compiled, pop, valid, order, streams, config)
         generation += 1
 
 

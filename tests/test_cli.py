@@ -284,8 +284,12 @@ def test_advise_bad_threshold_is_usage_error(runner):
     (("advise", "--gens", -5), "max generations must be >= 1"),
     (("refine", "--apply", "--max-iters", 0),
      "Invalid value for '--max-iters': 0 is not in the range x>=1."),
+    (("assign", "--seed", -1), "RNG seed must be >= 0"),
+    (("stats", "--seed", -2), "RNG seed must be >= 0"),
+    (("advise", "--seed", -1), "RNG seed must be >= 0"),
+    (("refine", "--seed", -3), "RNG seed must be >= 0"),
 ], ids=["stats-runs", "stats-jobs", "assign-runs", "assign-jobs", "assign-gens", "advise-gens",
-        "refine-max-iters"])
+        "refine-max-iters", "assign-seed", "stats-seed", "advise-seed", "refine-seed"])
 def test_bad_counts_are_usage_errors(runner, args, error):
     result = invoke(runner, args[0], fixture_path("relay.tjs"), *args[1:])
     assert isinstance(result.exception, SystemExit)  # no traceback

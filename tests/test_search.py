@@ -11,8 +11,12 @@ from genprog import random_flat_problem, random_problem
 from tierslicer.errors import AllInvalidError, TooManySlicesError
 from tierslicer.kernels import compile_problem, eval_population, placement_scores
 from tierslicer.model import CallRecord, PlacementProblem, Tier
+from tierslicer import search
 from tierslicer.search import (
     GaConfig,
+    _draw_alone,
+    _layout,
+    _Streams,
     _next_generation,
     _ranking,
     exhaustive_oracle,
@@ -34,6 +38,8 @@ def test_config_validation():
         GaConfig(tournament_size=31)
     with pytest.raises(ValueError):
         GaConfig(max_generations=0)
+    with pytest.raises(ValueError):
+        GaConfig(rng_seed=-1)
 
 
 def test_seed_population_shape_and_alphabet():
@@ -56,9 +62,9 @@ def breed(pop, fitness, valid, runs, seed=0, **config):
     fitness = np.tile(np.asarray(fitness, dtype=float), runs)
     valid = np.tile(np.asarray(valid, dtype=bool), runs)
     order = _ranking(stacked, fitness, valid, P)
-    rngs = [np.random.default_rng(seed + i) for i in range(runs)]
+    streams = _Streams([np.random.default_rng(seed + i) for i in range(runs)], n, config)
     new_pop, _, _ = _next_generation(compile_problem(problem), stacked, valid, order,
-                                     rngs, config)
+                                     streams, config)
     assert new_pop.shape == stacked.shape
     return new_pop.reshape(runs, P, n)
 
@@ -137,11 +143,133 @@ def test_batched_step_keeps_runs_apart():
     config = GaConfig(population_size=P, tournament_size=3, crossover_prob=1.0,
                       mutation_prob=0.0)
     order = _ranking(pop, fitness, valid, P)
-    rngs = [np.random.default_rng(s) for s in (7, 8, 9)]
+    streams = _Streams([np.random.default_rng(s) for s in (7, 8, 9)], n, config)
     problem = PlacementProblem(slices=tuple(f"s{i}" for i in range(n)))
-    children, _, _ = _next_generation(compile_problem(problem), pop, valid, order, rngs, config)
+    children, _, _ = _next_generation(compile_problem(problem), pop, valid, order, streams,
+                                      config)
     for r, run_children in enumerate(children.reshape(3, P, n)):
         assert (run_children == r + 1).all(), r
+
+
+def stacked_alone(rngs, ks, n, config):
+    """``_draw_alone`` for each run, stacked as ``_Streams.draw`` returns them."""
+    per_run = [_draw_alone(rng, k, n, config) for rng, k in zip(rngs, ks)]
+    return [np.stack(arrays) for arrays in zip(*per_run)]
+
+
+def assert_same_draws(streams, refs, ks, n, config):
+    got = streams.draw(ks)
+    want = stacked_alone(refs, ks, n, config)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+def same_stream(rng):
+    """A generator in ``rng``'s state, cached half included."""
+    twin = np.random.default_rng(0)
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+# (population, tournament size): odd and even populations, tournaments of
+# one, of four and of the whole population.
+STREAM_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 3), (30, 1), (30, 4), (30, 30),
+                 (31, 1), (31, 4), (31, 31)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("P, T", STREAM_SHAPES)
+def test_batched_draws_equal_numpys_calls(P, T, n):
+    config = GaConfig(population_size=P, tournament_size=T)
+    rngs = [np.random.default_rng(1000 * P + 10 * T + n + r) for r in range(P)]
+    for r, rng in enumerate(rngs):
+        seed_population(config, n, rng)
+        rng.integers(0, 2, size=r % 2)  # odd runs take one more half
+    assert {rng.bit_generator.state["has_uint32"] for rng in rngs} == {0, 1}
+    refs = [same_stream(rng) for rng in rngs]
+    streams = _Streams(rngs, n, config)
+    ks = list(range(1, P + 1))  # run r has r + 1 valid rows: every k in 1..P
+    for generation in range(4):
+        assert_same_draws(streams, refs, ks, n, config)
+        ks = ks[1:] + ks[:1]
+        if generation == 1:  # every third run leaves the batch
+            keep = [r % 3 != 1 for r in range(len(ks))]
+            streams.keep(keep)
+            refs = [ref for ref, k in zip(refs, keep) if k]
+            ks = [k for k, kept in zip(ks, keep) if kept]
+    assert ([rng.bit_generator.state["state"] for rng in streams.rngs]
+            == [ref.bit_generator.state["state"] for ref in refs])
+
+
+PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def plant_word(bit_generator, before, word):
+    """Set a PCG64 state whose next ``before`` words are free and whose word
+    after them is ``word``.  PCG64 steps its 128-bit state x -> x * mult + inc,
+    then outputs the high 64 bits xor the low 64 bits, rotated right by the
+    top 6 bits: pick the high bits, solve for the low bits, step back."""
+    high = 0x9E3779B97F4A7C15
+    rot = high >> 58
+    low = (((word << rot) | (word >> (64 - rot))) & (2**64 - 1)) ^ high
+    state = bit_generator.state
+    inc = state["state"]["inc"]
+    x = (high << 64) | low
+    state["state"]["state"] = (x - inc) * pow(PCG64_MULT, -1, 2**128) % 2**128
+    bit_generator.state = state
+    bit_generator.advance(-before)
+
+
+P_FORCED = 30
+
+
+# (segment, bound h, planted 64-bit word, cached half at the start or None):
+# a word whose low half is 0, or which is 0 altogether so that its high half
+# is rejected too, after a run start with or without a cached half; or a
+# cached zero half, rejected at the first draw.
+FORCED = [(segment, h, word, spare)
+          for segment, h in (("entrants", 3), ("entrants", 17), ("entrants", 30),
+                             ("positions", 3), ("positions", 17), ("positions", 30),
+                             ("values", 3))
+          for word in (0x5EED << 32, 0) for spare in (None, 0xC0FFEE)]
+FORCED += [("cached", h, None, 0) for h in (3, 17, 30)]
+
+
+@pytest.mark.parametrize("segment, h, word, spare", FORCED)
+def test_a_rejected_half_is_redrawn_as_numpy_draws_it(segment, h, word, spare, monkeypatch):
+    # A zero half u gives (u * h) mod 2**32 = 0 < 2**32 mod h: numpy rejects
+    # it and takes the next half, so the batched decode must hand the run to
+    # _draw_alone.  The word is planted in the middle run of three.
+    config = GaConfig(population_size=P_FORCED, tournament_size=4)
+    n = h if segment == "positions" else 5
+    k = h if segment in ("entrants", "cached") else 20
+    rngs = [np.random.default_rng(70 + r) for r in range(3)]
+    bit_generator = rngs[1].bit_generator
+    if segment != "cached":  # at the segment's first value that takes a fresh low half
+        n_pairs = P_FORCED // 2
+        first = {"entrants": 0, "positions": 2 * n_pairs * 4 + n_pairs * n,
+                 "values": 2 * n_pairs * 4 + n_pairs * n + 2 * n_pairs}[segment]
+        halves = _layout(spare is not None, True, n, config)[0]
+        low = next(i for i in halves[first:] if i > 0 and i % 2 == 0)  # 0 is the cached half
+        plant_word(bit_generator, low // 2 - 1, word)
+    if spare is not None:
+        state = bit_generator.state
+        state.update(has_uint32=1, uinteger=spare)
+        bit_generator.state = state
+    refs = [same_stream(rng) for rng in rngs]
+    streams = _Streams(rngs, n, config)
+    redrawn = []
+
+    def draw_alone(*args):
+        redrawn.append(args[1:])
+        return _draw_alone(*args)
+
+    monkeypatch.setattr(search, "_draw_alone", draw_alone)
+    for _ in range(3):
+        assert_same_draws(streams, refs, [k] * 3, n, config)
+    assert redrawn == [(k, n, config)]
 
 
 def test_genome_placement_round_trip():
