@@ -48,6 +48,7 @@ COMMANDS = (
     ("assign", "--seed", "3"),
     ("assign", "--runs", "10"),
     ("oracle",),
+    ("oracle", "--oracle-cap", "6"),
     ("stats", "--runs", "10", "--seed", "4"),
     *(("advise", "--seed", str(s)) for s in (0, 3, 6)),
     *(("refine", "--seed", str(s)) for s in (0, 3, 6)),

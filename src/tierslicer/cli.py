@@ -268,7 +268,8 @@ def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
 
 @main.command("oracle")
 @click.argument("path", type=click.Path())
-@click.option("--oracle-cap", "cap", default=ORACLE_CAP, show_default=True,
+@click.option("--oracle-cap", "cap", type=click.IntRange(min=0), default=ORACLE_CAP,
+              show_default=True,
               help="Maximum number of unplaced slices to enumerate.")
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_oracle(path, cap, output):

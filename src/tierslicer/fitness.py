@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .model import PlacementProblem
-from .placement import Placement, classify_calls, violations
+from .placement import Placement, classify_placement
 
 
 @dataclass
@@ -30,22 +32,19 @@ class FitnessReport:
 
 
 def evaluate(problem: PlacementProblem, placement: Placement) -> FitnessReport:
-    classified = classify_calls(problem, placement)
-    counts = {name: [0, 0] for name in problem.slices}  # name -> [local, total]
-    local = 0
-    for c in classified:
-        entry = counts[c.record.caller]
-        entry[0] += c.local
-        entry[1] += 1
-        local += c.local
+    compiled, _, local, violating = classify_placement(problem, placement)
+    # Every slice is a gene, so a call's caller gene is its slice's index.
+    n = len(problem.slices)
+    total = np.bincount(compiled.caller_gene, minlength=n).tolist()
+    mine = np.bincount(compiled.caller_gene[local], minlength=n).tolist()
     per_slice = {
-        name: SliceFitness(mine / total if total else 1.0, mine, total)
-        for name, (mine, total) in counts.items()
+        name: SliceFitness(m / t if t else 1.0, m, t)
+        for name, m, t in zip(problem.slices, mine, total)
     }
     return FitnessReport(
         per_slice=per_slice,
-        program=local / len(classified) if classified else 1.0,
-        valid=not violations(classified),
+        program=sum(mine) / compiled.n_calls if compiled.n_calls else 1.0,
+        valid=not violating.any(),
     )
 
 

@@ -6,22 +6,29 @@ whole genome batches at once with numpy.
 
 ``_call_rule`` is tierslicer's one definition of which calls are local and
 which violate validity.  ``classify_rows`` applies it per row and call, and
-``eval_population``, ``placement_scores`` and ``placement.classify_calls``
-(so ``is_valid`` and ``fitness.evaluate`` too) all read it.
+``eval_population``, ``build_scores`` and ``placement.classify_placement``
+(so ``classify_calls``, ``is_valid`` and ``fitness.evaluate`` too) all read
+it.
 
 Genomes are int8 vectors of tier masks (client=1, server=2, both=3), one
 gene per unplaced slice in problem order.  A row's fitness is its local call
 count divided by the call count, the same double ``fitness.evaluate``
 computes for the placement.
 
-``placement_scores`` scores every one of the 3^n genomes at once for the
+``build_scores`` scores every one of the 3^n genomes at once for the
 exhaustive oracle.  Each call's locality and validity depend on at most two
 genes, so the calls are summed into one small table per pair of genes (a
 constant, a 3-vector or a 3x3 table).  The array indexed by the genome is
-then grown one gene axis at a time: gene h's vector and its tables with
-lower genes form one step table, and one broadcast add extends the scores
-of genes 0..h-1 by h's axis.  Every genome is still scored, with about
-1.5 * 3^n additions in all and no per-genome gather.
+then grown one gene axis at a time, in the reverse Cuthill-McKee order of
+the gene-interaction graph (Cuthill & McKee, *Reducing the bandwidth of
+sparse symmetric matrices*, ACM '69): a gene's vector and its tables with
+the genes added before it form one step table, and one broadcast add puts
+its axis outermost.  So numpy's inner loop runs over every gene added before
+the step's earliest partner, which that order puts late, and the scores are
+held in the narrowest integer type that holds them.  Every genome is still
+scored, with about 1.5 * 3^n additions in all and no per-genome gather.
+``placement_scores`` returns the same scores as int64 with the axes in gene
+order.
 """
 
 from __future__ import annotations
@@ -110,22 +117,51 @@ def eval_population(compiled: CompiledProblem, genomes: np.ndarray):
 _MASKS = np.arange(1, 4, dtype=np.int8)
 
 
-def placement_scores(compiled: CompiledProblem) -> np.ndarray:
-    """Score every genome: an int64 array of shape ``(3,) * n_genes`` indexed
-    by mask - 1, gene 0 the most significant digit (C order).
+def build_order(n: int, edges) -> list:
+    """Genes 0..n-1 in reverse Cuthill-McKee order over the gene-interaction
+    graph with ``edges``: breadth-first from a lowest-degree gene, visiting
+    neighbours by ascending degree with ties broken by gene index, one
+    component after another; then reversed, so that each breadth-first start
+    comes last."""
+    neighbours = [set() for _ in range(n)]
+    for g, h in edges:
+        neighbours[g].add(h)
+        neighbours[h].add(g)
+
+    def by_degree(g):
+        return len(neighbours[g]), g
+
+    seen, order = set(), []
+    for start in sorted(range(n), key=by_degree):
+        if start in seen:
+            continue
+        seen.add(start)
+        head = len(order)
+        order.append(start)
+        while head < len(order):
+            fresh = sorted(neighbours[order[head]] - seen, key=by_degree)
+            seen.update(fresh)
+            order += fresh
+            head += 1
+    return order[::-1]
+
+
+def build_scores(compiled: CompiledProblem):
+    """Score every genome, in build order: returns ``(scores, genes)``, where
+    ``scores`` has shape ``(3,) * n_genes``, is indexed by mask - 1 in C
+    order and holds gene ``genes[j]`` on axis j.
 
     An entry is the genome's local call count minus ``n_calls + 1`` for each
-    violating call, so it is >= 0 exactly when the placement is valid.
+    violating call, so it is >= 0 exactly when the placement is valid.  Every
+    partial sum lies in ``[-(n_calls + 1) * n_calls, n_calls]``, so the scores
+    are held in the narrowest signed integer type that holds that range.
 
-    The calls are summed per pair of end genes.  Constants start the array
-    as a scalar; one-gene terms and calls inside one slice become a 3-vector
-    per gene.  Gene h then adds its axis in one broadcast pass of a step
-    table over h and the lower genes it shares a call with: their 3x3 tables
-    summed with h's vector.
+    Constants start the array as a scalar; one-gene terms and calls inside
+    one slice become a 3-vector per gene; the genes are then added in
+    ``build_order``, each as the new outermost axis (see the module notes).
     """
     n, ncalls = compiled.n_genes, compiled.n_calls
-    if ncalls == 0:
-        return np.zeros((3,) * n, dtype=np.int64)
+    dtype = np.min_scalar_type(-(ncalls + 1) * max(ncalls, 1))  # int8 with no calls
     cg, eg = compiled.caller_gene, compiled.callee_gene
     # Each call's score over its 3x3 grid of (caller, callee) masks; a fixed
     # end, shared callees included, keeps its own mask along its axis.
@@ -137,30 +173,45 @@ def placement_scores(compiled: CompiledProblem) -> np.ndarray:
     # gene -1, and sum the grids of calls with the same pair of genes.
     swap = cg > eg
     grid[swap] = grid[swap].transpose(0, 2, 1)
-    ends = np.stack([np.minimum(cg, eg), np.maximum(cg, eg)], axis=1)
-    pairs, term_of = np.unique(ends, axis=0, return_inverse=True)
-    terms = np.zeros((len(pairs), 3, 3), dtype=np.int64)
-    np.add.at(terms, term_of.ravel(), grid)
-    constant = np.zeros((), dtype=np.int64)
-    vector = np.zeros((n, 3), dtype=np.int64)
-    below = [[] for _ in range(n)]  # per higher gene: (lower gene, 3x3 table)
-    for (g, h), term in zip(pairs.tolist(), terms):
+    keys, term_of = np.unique((np.minimum(cg, eg) + 1) * (n + 1) + np.maximum(cg, eg) + 1,
+                              return_inverse=True)
+    terms = np.zeros((len(keys), 3, 3), dtype=np.int64)
+    np.add.at(terms, term_of, grid)
+    pairs = [(k // (n + 1) - 1, k % (n + 1) - 1) for k in keys.tolist()]
+    order = build_order(n, [(g, h) for g, h in pairs if 0 <= g < h])
+    place = {gene: k for k, gene in enumerate(order)}
+    constant = np.zeros((), dtype=dtype)
+    vector = np.zeros((n, 3), dtype=dtype)
+    earlier = [[] for _ in range(n)]  # per build place: (earlier place, 3x3 table)
+    for (g, h), term in zip(pairs, terms.astype(dtype)):
         if h < 0:  # both ends fixed
             constant += term[0, 0]
         elif g < 0:  # one gene
             vector[h] += term[0]
         elif g == h:  # both ends in one unplaced slice
             vector[h] += term.diagonal()
+        elif place[g] < place[h]:  # the table indexed (later gene, earlier gene)
+            earlier[place[h]].append((place[g], term.T))
         else:
-            below[h].append((g, term))
+            earlier[place[g]].append((place[h], term))
     scores = constant
-    for h in range(n):
-        # Gene h's step table spans h's axis and the axes of the lower genes
-        # it shares a call with; one broadcast add appends h's axis.
-        step = vector[h].reshape((1,) * h + (3,))
-        for g, term in below[h]:
-            shape = [1] * (h + 1)
-            shape[g] = shape[h] = 3
-            step = step + term.reshape(shape)
-        scores = scores[..., None] + step
-    return scores
+    for k, h in enumerate(order):
+        # Gene h's step table spans its own axis, the new outermost one, and
+        # the axes of its earlier partners: the one added at place p sits on
+        # axis k - p.  One broadcast add prepends h's axis.
+        step = vector[h].reshape((3,) + (1,) * k)
+        for p, table in earlier[k]:
+            shape = [1] * (k + 1)
+            shape[0] = shape[k - p] = 3
+            step = step + table.reshape(shape)
+        scores = step + scores[None]
+    return scores, order[::-1]
+
+
+def placement_scores(compiled: CompiledProblem) -> np.ndarray:
+    """Score every genome: an int64 array of shape ``(3,) * n_genes`` indexed
+    by mask - 1, gene 0 the most significant digit (C order).  The entries
+    are ``build_scores``'s, copied with the axes put in gene order; the oracle
+    reads ``build_scores``'s array directly."""
+    scores, genes = build_scores(compiled)
+    return scores.transpose(np.argsort(genes)).astype(np.int64, order="C")

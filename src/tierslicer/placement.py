@@ -73,16 +73,24 @@ class ClassifiedCall:
 _TOWARD = {1: Direction.SERVER_TO_CLIENT, 2: Direction.CLIENT_TO_SERVER}
 
 
-def classify_calls(problem: PlacementProblem, placement: Placement) -> list:
-    """Label every resolved call Local or Remote under the placement.  Every
-    slice is a gene, so every tier, @config ones included, comes from the
-    placement."""
+def classify_placement(problem: PlacementProblem, placement: Placement):
+    """The placement as one row with every slice a gene, so every tier,
+    @config ones included, comes from the placement: returns the compiled
+    problem and, per call, the callee's tier mask and whether the call is
+    local and whether it is violating."""
+    compiled = compile_genes(problem, problem.slices)
     row = np.array([[placement.mask(name) for name in problem.slices]], dtype=np.int8)
-    callee, local, violating = classify_rows(compile_genes(problem, problem.slices), row)
+    callee, local, violating = classify_rows(compiled, row)
+    return compiled, callee[0], local[0], violating[0]
+
+
+def classify_calls(problem: PlacementProblem, placement: Placement) -> list:
+    """Label every resolved call Local or Remote under the placement."""
+    _, callee, local, violating = classify_placement(problem, placement)
     return [
         ClassifiedCall(rec, is_local, None if is_local else _TOWARD[mask], bad)
-        for rec, mask, is_local, bad in zip(problem.calls, callee[0].tolist(),
-                                            local[0].tolist(), violating[0].tolist())
+        for rec, mask, is_local, bad in zip(problem.calls, callee.tolist(),
+                                            local.tolist(), violating.tolist())
     ]
 
 

@@ -24,10 +24,11 @@ exactly the values numpy's ``integers`` and ``random`` calls would return
 where a bounded draw is rejected.
 
 ``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced slices.
-It scores every one of the 3^n placements with ``kernels.placement_scores``
-(one table per pair of genes, added into an array grown one gene axis at a
-time) and takes the first maximum, so ties go to the lexicographically
-smallest genome.
+It scores every one of the 3^n placements with ``kernels.build_scores`` (one
+table per pair of genes, added into an array grown one gene axis at a time in
+reverse Cuthill-McKee order) and takes the maximum.  The array's axes are in
+that build order, so among the tied entries it maps each one's digits to its
+genome and keeps the lexicographically smallest genome.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import AllInvalidError, TooManySlicesError
 from .fitness import evaluate
-from .kernels import compile_problem, eval_population, placement_scores
+from .kernels import build_scores, compile_problem, eval_population
 from .model import TIER_FROM_MASK, PlacementProblem
 from .placement import Placement
 
@@ -391,16 +392,26 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
     """Score all 3^n searched placements; argmax fitness over valid ones.
 
     Ties break toward the genome-lexicographically smallest placement.
-    Returns (best Placement, best fitness).
+    Returns (best Placement, best fitness).  A negative ``cap`` raises
+    ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"oracle cap must be >= 0, not {cap}")
     n = len(problem.unplaced)
     if n > cap:
         raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
-    scores = placement_scores(compile_problem(problem)).ravel()
-    best = int(np.argmax(scores))  # first max = lexicographically smallest
-    if scores[best] < 0:
+    scores, genes = build_scores(compile_problem(problem))
+    scores = scores.ravel()
+    best = scores.max()
+    if best < 0:
         raise AllInvalidError("every searched placement is invalid")
-    genome = np.array(np.unravel_index(best, (3,) * n), dtype=np.int8) + 1
+    # The first maximum in problem order: read each tie's digits off the
+    # build axes, weight them by their genes' places, keep the smallest.
+    ties = np.flatnonzero(scores == best)
+    index = np.zeros_like(ties)
+    for axis, gene in enumerate(genes):
+        index += ties // 3 ** (n - 1 - axis) % 3 * 3 ** (n - 1 - gene)
+    genome = np.array(np.unravel_index(index.min(), (3,) * n), dtype=np.int8) + 1
     n_calls = len(problem.calls)
-    fitness = int(scores[best]) / n_calls if n_calls else 1.0
+    fitness = int(best) / n_calls if n_calls else 1.0
     return genome_to_placement(problem, genome), fitness

@@ -108,6 +108,17 @@ def random_flat_problem(rng: np.random.Generator):
     return PlacementProblem(names, fixed, tuple(calls))
 
 
+def fan_out_problem(n_calls: int):
+    """Three unplaced slices and ``n_calls`` unannotated calls from g0,
+    alternating to g1 and g2.  All client makes every call local; g0 on the
+    server and the others on the client makes every call violate, so the
+    scores span ``[-(n_calls + 1) * n_calls, n_calls]``."""
+    from tierslicer.model import CallRecord, PlacementProblem
+
+    return PlacementProblem(("g0", "g1", "g2"), {}, tuple(
+        CallRecord(i, "g0", ("g1", "g2")[i % 2], f"f{i}") for i in range(n_calls)))
+
+
 def random_full_placement(problem, rng: np.random.Generator):
     from tierslicer.model import Tier
     from tierslicer.placement import Placement

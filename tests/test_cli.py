@@ -288,8 +288,9 @@ def test_advise_bad_threshold_is_usage_error(runner):
     (("stats", "--seed", -2), "RNG seed must be >= 0"),
     (("advise", "--seed", -1), "RNG seed must be >= 0"),
     (("refine", "--seed", -3), "RNG seed must be >= 0"),
+    (("oracle", "--oracle-cap", -1), "Invalid value for '--oracle-cap': -1 is not in the range x>=0."),
 ], ids=["stats-runs", "stats-jobs", "assign-runs", "assign-jobs", "assign-gens", "advise-gens",
-        "refine-max-iters", "assign-seed", "stats-seed", "advise-seed", "refine-seed"])
+        "refine-max-iters", "assign-seed", "stats-seed", "advise-seed", "refine-seed", "oracle-cap"])
 def test_bad_counts_are_usage_errors(runner, args, error):
     result = invoke(runner, args[0], fixture_path("relay.tjs"), *args[1:])
     assert isinstance(result.exception, SystemExit)  # no traceback

@@ -7,9 +7,18 @@ import numpy as np
 import pytest
 
 from conftest import fixture_problem
-from genprog import random_flat_problem, random_problem
+from genprog import fan_out_problem, random_flat_problem, random_problem
 from tierslicer.fitness import evaluate
-from tierslicer.kernels import _MASKS, _call_rule, compile_problem, eval_population, placement_scores
+from tierslicer.kernels import (
+    _MASKS,
+    _call_rule,
+    build_order,
+    build_scores,
+    classify_rows,
+    compile_problem,
+    eval_population,
+    placement_scores,
+)
 from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer.placement import is_valid
 from tierslicer.search import genome_to_placement
@@ -257,3 +266,29 @@ def test_placement_scores_equal_the_per_term_sum():
         assert scores.shape == expected.shape and scores.dtype == np.int64
         assert scores.flags.c_contiguous
         np.testing.assert_array_equal(scores, expected)
+
+
+# The narrowest type changes where -(n_calls + 1) * n_calls leaves a type's range.
+@pytest.mark.parametrize("n_calls, dtype", [
+    (10, np.int8), (11, np.int16), (180, np.int16), (181, np.int32),
+    (46_340, np.int32), (46_341, np.int64),
+])
+def test_scores_use_the_narrowest_type_that_holds_them(n_calls, dtype):
+    compiled = compile_problem(fan_out_problem(n_calls))
+    assert build_scores(compiled)[0].dtype == dtype
+    # Count each genome's local and violating calls one call at a time.
+    _, local, violating = classify_rows(compiled, full_enumeration(3))
+    expected = local.sum(axis=1) - (n_calls + 1) * violating.sum(axis=1)
+    assert expected.min() == -(n_calls + 1) * n_calls and expected.max() == n_calls
+    scores = placement_scores(compiled)
+    assert scores.dtype == np.int64
+    np.testing.assert_array_equal(scores.ravel(), expected)
+
+
+def test_build_order_is_reverse_cuthill_mckee():
+    # A path 0-1-2-3-8 with a pendant 4 on 2, an isolated gene 5 and a pair
+    # 6-7.  Each breadth-first search starts at the lowest-degree gene left
+    # (5, then 0, then 6) and visits neighbours by degree, then index (2 visits
+    # 4 before 3); the whole order is then reversed.
+    edges = [(0, 1), (1, 2), (2, 3), (2, 4), (3, 8), (6, 7)]
+    assert build_order(9, edges) == [7, 6, 8, 3, 4, 2, 1, 0, 5]

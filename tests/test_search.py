@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import fixture_problem
-from genprog import random_flat_problem, random_problem
+from genprog import fan_out_problem, random_flat_problem, random_problem
 from tierslicer.errors import AllInvalidError, TooManySlicesError
-from tierslicer.kernels import compile_problem, eval_population, placement_scores
-from tierslicer.model import CallRecord, PlacementProblem, Tier
+from tierslicer.kernels import build_scores, compile_problem, eval_population, placement_scores
+from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer import search
 from tierslicer.search import (
     GaConfig,
@@ -389,6 +389,78 @@ def test_oracle_equals_the_chunked_argmax():
     assert None in verdicts and any(v is not None for v in verdicts)  # both verdicts occur
     for problem, verdict in zip(problems, verdicts):
         assert verdict == chunked_oracle(problem)
+
+
+def test_a_negative_oracle_cap_raises():
+    with pytest.raises(ValueError, match="oracle cap must be >= 0"):
+        exhaustive_oracle(PlacementProblem(slices=("a",)), cap=-1)
+
+
+def calls_between(pairs, annotated=()):
+    """A call per (caller, callee) pair; the indices in ``annotated`` carry @reply."""
+    return tuple(CallRecord(i, a, b, f"f{i}", i in annotated) for i, (a, b) in enumerate(pairs))
+
+
+# Problems whose build order is not the problem order and whose optima tie,
+# so the oracle must map each tie's build-order digits back to its genome.
+TIED = {
+    # g1, g3 and g6 make no calls: every mask of theirs ties
+    "call-free genes": PlacementProblem(
+        slices=tuple(f"g{i}" for i in range(8)) + ("srv",),
+        fixed={"srv": Tier.SERVER},
+        calls=calls_between([("g0", "g2"), ("g2", "g4"), ("g4", "g7"), ("g7", "g0"),
+                             ("g5", "g2"), ("srv", "g5"), ("g4", "g2")], annotated={1, 3, 5}),
+    ),
+    # every call of g2 goes to shared code, so g2 is free and interacts with no gene
+    "shared callees only": PlacementProblem(
+        slices=("g0", "g1", "g2", "g3", "g4", "cli"),
+        fixed={"cli": Tier.CLIENT},
+        calls=calls_between([("g2", SHARED), ("g2", SHARED), ("g0", "g4"), ("g4", "g1"),
+                             ("g1", "g3"), ("g3", "cli"), ("g0", SHARED)], annotated={3}),
+    ),
+    # {g0, g2, g4} and {g1, g3, g5} share no call
+    "two components": PlacementProblem(
+        slices=("g0", "g1", "g2", "g3", "g4", "g5", "srv"),
+        fixed={"srv": Tier.SERVER},
+        calls=calls_between([("g0", "g2"), ("g2", "g4"), ("g4", "g0"), ("g1", "g3"),
+                             ("g3", "g5"), ("g5", "g3"), ("srv", "g1"), ("g4", "g2")],
+                            annotated={0, 3, 6}),
+    ),
+}
+
+
+def wide_flat_problem(seed: int, n_genes: int):
+    """random_flat_problem's kind of slice graph, with ``n_genes`` unplaced
+    slices, two fixed ones and 8-30 calls that each have a gene at one end,
+    so many optima tie."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"s{i}" for i in range(n_genes)) + ("srv", "cli")
+    calls = []
+    while len(calls) < 8 + seed % 23:
+        caller = names[int(rng.integers(len(names)))]
+        callee = SHARED if rng.random() < 0.1 else names[int(rng.integers(len(names)))]
+        if caller in names[n_genes:] and callee in (SHARED, *names[n_genes:]):
+            continue
+        calls.append(CallRecord(len(calls), caller, callee, f"fn{len(calls)}",
+                                bool(rng.random() < 0.4)))
+    return PlacementProblem(names, {"srv": Tier.SERVER, "cli": Tier.CLIENT}, tuple(calls))
+
+
+@pytest.mark.parametrize("problem", [*TIED.values(), *(
+    wide_flat_problem(seed, n) for seed, n in ((9, 11), (12, 11), (11, 12), (12, 12)))],
+    ids=[*TIED, "wide-9-n11", "wide-12-n11", "wide-11-n12", "wide-12-n12"])
+def test_oracle_breaks_ties_in_problem_order_whatever_the_build_order(problem):
+    n = len(problem.unplaced)
+    assert build_scores(compile_problem(problem))[1] != list(range(n))
+    scores = placement_scores(compile_problem(problem)).ravel()
+    assert scores.max() >= 0 and (scores == scores.max()).sum() > 1  # a valid optimum ties
+    assert oracle_verdict(problem) == chunked_oracle(problem)
+
+
+@pytest.mark.parametrize("n_calls", [10, 11, 180, 181, 46_340, 46_341])
+def test_oracle_equals_the_chunked_argmax_at_each_score_type_boundary(n_calls):
+    problem = fan_out_problem(n_calls)
+    assert oracle_verdict(problem) == chunked_oracle(problem) == ([1, 1, 1], 1.0)
 
 
 def test_ga_never_beats_the_oracle(manifest):
