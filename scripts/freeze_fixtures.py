@@ -18,7 +18,7 @@ from tierslicer import parse, placement_problem, resolve_calls
 from tierslicer.advisor import advise, render_report
 from tierslicer.depgraph import build_pdg
 from tierslicer.fitness import evaluate
-from tierslicer.kernels import compile_problem, placement_scores
+from tierslicer.kernels import build_scores, compile_problem
 from tierslicer.placement import Placement
 from tierslicer.search import exhaustive_oracle
 
@@ -34,7 +34,7 @@ def valid_count(problem):
     n = len(problem.unplaced)
     if n == 0:
         return None
-    return int((placement_scores(compile_problem(problem)) >= 0).sum())
+    return int((build_scores(compile_problem(problem))[0] >= 0).sum())
 
 
 def describe(name):

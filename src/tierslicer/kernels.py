@@ -1,8 +1,9 @@
 """Hot kernel: batch fitness + validity evaluation over placement genomes.
 
-The genetic search evaluates thousands of candidate placements; this module
-compiles a placement problem's call table into flat arrays and evaluates
-whole genome batches at once with numpy.
+This module compiles a placement problem's call table into flat arrays and
+evaluates whole genome batches at once with numpy.  ``eval_population`` is
+the genetic search's evaluator past ``search.ORACLE_CAP`` genes; up to the
+cap the search reads ``build_scores``'s table instead.
 
 ``_call_rule`` is tierslicer's one definition of which calls are local and
 which violate validity.  ``classify_rows`` applies it per row and call, and
@@ -15,20 +16,19 @@ gene per unplaced slice in problem order.  A row's fitness is its local call
 count divided by the call count, the same double ``fitness.evaluate``
 computes for the placement.
 
-``build_scores`` scores every one of the 3^n genomes at once for the
-exhaustive oracle.  Each call's locality and validity depend on at most two
-genes, so the calls are summed into one small table per pair of genes (a
-constant, a 3-vector or a 3x3 table).  The array indexed by the genome is
-then grown one gene axis at a time, in the reverse Cuthill-McKee order of
-the gene-interaction graph (Cuthill & McKee, *Reducing the bandwidth of
-sparse symmetric matrices*, ACM '69): a gene's vector and its tables with
-the genes added before it form one step table, and one broadcast add puts
-its axis outermost.  So numpy's inner loop runs over every gene added before
-the step's earliest partner, which that order puts late, and the scores are
-held in the narrowest integer type that holds them.  Every genome is still
-scored, with about 1.5 * 3^n additions in all and no per-genome gather.
-``placement_scores`` returns the same scores as int64 with the axes in gene
-order.
+``build_scores`` scores every one of the 3^n genomes at once, for the
+exhaustive oracle and for the genetic search within the cap.  Each call's
+locality and validity depend on at most two genes, so the calls are summed
+into one small table per pair of genes (a constant, a 3-vector or a 3x3
+table).  The array indexed by the genome is then grown one gene axis at a
+time, in the reverse Cuthill-McKee order of the gene-interaction graph
+(Cuthill & McKee, *Reducing the bandwidth of sparse symmetric matrices*, ACM
+'69): a gene's vector and its tables with the genes added before it form one
+step table, and one broadcast add puts its axis outermost.  So numpy's inner
+loop runs over every gene added before the step's earliest partner, which
+that order puts late, and the scores are held in the narrowest integer type
+that holds them.  Every genome is still scored, with about 1.5 * 3^n
+additions in all and no per-genome gather.
 """
 
 from __future__ import annotations
@@ -207,11 +207,3 @@ def build_scores(compiled: CompiledProblem):
         scores = step + scores[None]
     return scores, order[::-1]
 
-
-def placement_scores(compiled: CompiledProblem) -> np.ndarray:
-    """Score every genome: an int64 array of shape ``(3,) * n_genes`` indexed
-    by mask - 1, gene 0 the most significant digit (C order).  The entries
-    are ``build_scores``'s, copied with the axes put in gene order; the oracle
-    reads ``build_scores``'s array directly."""
-    scores, genes = build_scores(compiled)
-    return scores.transpose(np.argsort(genes)).astype(np.int64, order="C")

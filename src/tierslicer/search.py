@@ -3,15 +3,27 @@
 Individuals are tier-mask genomes over the unplaced slices.  ``run_many``
 advances all its independent runs together: their populations are stacked
 into one ``(runs * population, genes)`` array, and each generation is one
-batched step by ``_next_generation``.  One ``np.lexsort`` ranks every row
-(by run, valid rows first, fitness descending, genome ascending); one
+batched step.  ``_Scorer`` scores every row; one ``np.lexsort`` ranks
+them (by run, valid rows first, score descending, then a tie key); one
 gather does every run's tournament selection over that run's valid rows
-only; then one uniform crossover of each parent pair, one mutation that
-rewrites one position per child, and one ``eval_population`` call on all
-rows.  Invalid individuals stay in the population (they may mutate back to
-validity) but never parent.  Replacement is generational with 1-elitism on
-the best valid individual.  A run stops at its first valid individual with
-fitness 1.0 or after the generation budget, and then leaves the batch.
+only; then ``_next_generation`` makes one uniform crossover of each parent
+pair and one mutation that rewrites one position per child.  Invalid
+individuals stay in the population (they may mutate back to validity) but
+never parent.  Replacement is generational with 1-elitism on the best valid
+individual.  A run stops at its first valid individual with fitness 1.0 or
+after the generation budget, and then leaves the batch.
+
+Up to ``ORACLE_CAP`` unplaced slices the rows are scored from
+``kernels.build_scores``'s table of every genome's score, built once per
+``run_many`` call: one product with a two-column weight matrix gives each
+row its flat index into the table and its genome index in problem order, and
+one gather reads its score.  A row is valid iff its score is >= 0, its
+fitness is the score over the call count, and the genome index, which orders
+genomes as their columns do, is its tie key.  Past the cap,
+``kernels.eval_population`` computes each row's fitness and validity, and
+the genome columns are the tie keys.  An invalid row's score steers nothing:
+valid rows rank first and only they enter tournaments, so both paths give the
+same runs.
 
 Each run owns its random stream, ``np.random.default_rng(seed)``, and makes
 the same draws in the same order and shapes as it would alone, so a seed's
@@ -98,30 +110,78 @@ def seed_population(config: GaConfig, n_genes: int, rng: np.random.Generator) ->
     return rng.integers(1, 4, size=(config.population_size, n_genes), dtype=np.int8)
 
 
-def _ranking(pop: np.ndarray, fitness: np.ndarray, valid: np.ndarray, size: int) -> np.ndarray:
+def _ranking(tie: np.ndarray, score: np.ndarray, valid: np.ndarray, size: int) -> np.ndarray:
     """Order the rows of stacked runs of ``size`` rows each: by run, then
-    valid rows first, then fitness descending, then genome ascending; equal
-    rows keep their index order.  Run r's rows fill positions r*size onward,
-    so ``order[::size]`` is each run's best row (every run holds a valid one)."""
-    return np.lexsort((*pop.T[::-1], -fitness, ~valid, np.arange(len(pop)) // size))
+    valid rows first, then score descending, then by the rows of ``tie``, the
+    last one first; equal rows keep their index order.  Run r's rows fill
+    positions r*size onward, so ``order[::size]`` is each run's best row
+    (every run holds a valid one).  numpy sorts keys of 8 and 16 bits by
+    radix, so the run key takes the narrowest type that holds it."""
+    runs = len(valid) // size
+    run = np.arange(runs, dtype=np.min_scalar_type(runs)).repeat(size)
+    return np.lexsort((*tie, -score, ~valid, run))
 
 
-def _seed_populations(compiled, config: GaConfig, rngs) -> tuple:
+class _Scorer:
+    """Scores ``run_many``'s rows: a call gives each row's score, validity and
+    tie keys, the keys ``_ranking`` reads, and ``fitness`` turns scores into
+    fitness values.
+
+    Up to ``ORACLE_CAP`` genes the score is the row's entry in
+    ``build_scores``'s table.  ``weights`` holds one column per index into it,
+    weighing mask - 1: gene ``genes[j]`` weighs ``3**(n - 1 - j)`` in the
+    table's build order, and gene g weighs ``3**(n - 1 - g)`` in the genome
+    index, whose order is the lexicographic order of the genomes.  The
+    product runs in float64, through BLAS; its sums are integers below
+    ``3**n``, so they are exact.  The genome index is held in the narrowest
+    unsigned type that holds it, so ``_ranking`` sorts it by radix for up to
+    10 genes.  Past the cap the score is ``eval_population``'s fitness and the
+    tie keys are the genome columns.
+    """
+
+    def __init__(self, compiled):
+        n = compiled.n_genes
+        self.compiled, self.n_calls, self.table = compiled, compiled.n_calls, None
+        if n > ORACLE_CAP:
+            return
+        scores, genes = build_scores(compiled)
+        self.table = scores.ravel()
+        place = 3.0 ** np.arange(n - 1, -1, -1)
+        self.weights = np.empty((n, 2))
+        self.weights[genes, 0] = place
+        self.weights[:, 1] = place
+        self.index_type = np.min_scalar_type(3**n - 1)
+
+    def __call__(self, pop: np.ndarray) -> tuple:
+        if self.table is None:
+            fitness, valid = eval_population(self.compiled, pop)
+            return fitness, valid, pop.T[::-1]
+        flat, index = ((pop - 1) @ self.weights).T
+        score = self.table[flat.astype(np.intp)]
+        return score, score >= 0, index.astype(self.index_type)[None]
+
+    def fitness(self, score: np.ndarray) -> list:
+        """The fitness of rows with these scores; a table score is the local
+        call count, so this is the double ``eval_population`` returns."""
+        if self.table is None:
+            return score.tolist()
+        if self.n_calls == 0:
+            return [1.0] * len(score)
+        return (score / self.n_calls).tolist()
+
+
+def _seed_populations(scorer: _Scorer, config: GaConfig, rngs) -> np.ndarray:
     """Each run's first population, stacked: its first seeding that holds a valid row."""
-    R, P, n = len(rngs), config.population_size, compiled.n_genes
+    R, P, n = len(rngs), config.population_size, scorer.compiled.n_genes
     pop = np.empty((R, P, n), dtype=np.int8)
-    fitness = np.empty((R, P))
-    valid = np.empty((R, P), dtype=bool)
     pending = list(range(R))
     for _ in range(_SEED_RETRIES):
         for r in pending:
             pop[r] = seed_population(config, n, rngs[r])
-        f, v = eval_population(compiled, pop[pending].reshape(-1, n))
-        fitness[pending] = f.reshape(-1, P)
-        valid[pending] = v.reshape(-1, P)
-        pending = [r for r in pending if not valid[r].any()]
+        valid = scorer(pop[pending].reshape(-1, n))[1].reshape(-1, P)
+        pending = [r for r, v in zip(pending, valid) if not v.any()]
         if not pending:
-            return pop.reshape(R * P, n), fitness.ravel(), valid.ravel()
+            return pop.reshape(R * P, n)
     raise AllInvalidError(
         f"no valid individual after {_SEED_RETRIES} seedings "
         f"(population {P}, {n} unplaced slices)"
@@ -246,7 +306,9 @@ class _Streams:
         rejected = []
         if suspect.any():
             rejected = np.flatnonzero((suspect & (low < (1 << 32) % bound)).any(axis=1))
-        draws, swap, pos, val = np.split((m >> 32).view(np.int64), self.cuts, axis=1)
+        values = (m >> 32).view(np.int64)
+        c1, c2, c3 = self.cuts
+        draws, swap, pos, val = values[:, :c1], values[:, c1:c2], values[:, c2:c3], values[:, c3:]
         draws = draws.reshape(R, 2 * n_pairs, -1)
         swap = swap.reshape(R, n_pairs, n).astype(bool)
         val = val + 1
@@ -269,9 +331,9 @@ class _Streams:
         return draws, cross_u, swap, mut_u, pos, val
 
 
-def _next_generation(compiled, pop, valid, order, streams: _Streams, config: GaConfig):
-    """Breed and evaluate the next stacked population of the runs drawing
-    from ``streams``, given their rows' validity and ``_ranking``.  Each run's
+def _next_generation(pop, valid, order, streams: _Streams, config: GaConfig) -> np.ndarray:
+    """Breed the next stacked population of the runs drawing from
+    ``streams``, given their rows' validity and ``_ranking``.  Each run's
     next rows are its best row (the elite), then children of tournament
     winners among its own valid rows, crossed pairwise and mutated at one
     position each.  Every run makes the draws a lone run would make, in the
@@ -303,9 +365,7 @@ def _next_generation(compiled, pop, valid, order, streams: _Streams, config: GaC
     new_pop = np.empty((R, P, n), dtype=np.int8)
     new_pop[:, 0] = pop[order[::P]]
     new_pop[:, 1:] = children[:, :P - 1]
-    new_pop = new_pop.reshape(R * P, n)
-    new_fit, new_valid = eval_population(compiled, new_pop)
-    return new_pop, new_fit, new_valid
+    return new_pop.reshape(R * P, n)
 
 
 # --- Genetic search -------------------------------------------------------
@@ -343,18 +403,19 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
                 for _ in range(runs)]
 
     P = config.population_size
-    compiled = compile_problem(problem)
+    scorer = _Scorer(compile_problem(problem))
     rngs = [np.random.default_rng(config.rng_seed + i) for i in range(runs)]
-    pop, fitness, valid = _seed_populations(compiled, config, rngs)
+    pop = _seed_populations(scorer, config, rngs)
     streams = _Streams(rngs, n, config)
     active = list(range(runs))  # the runs in the batch, in stacking order
     histories = [[] for _ in range(runs)]
     results = [None] * runs
     generation = 1
     while True:
-        order = _ranking(pop, fitness, valid, P)
+        score, valid, tie = scorer(pop)
+        order = _ranking(tie, score, valid, P)
         best = order[::P]
-        best_fit = fitness[best].tolist()
+        best_fit = scorer.fitness(score[best])
         for r, f in zip(active, best_fit):
             histories[r].append(f)
         last = generation >= config.max_generations
@@ -374,11 +435,11 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
             if not any(keep):
                 return results
             rows = np.repeat(keep, P)
-            pop, fitness, valid = pop[rows], fitness[rows], valid[rows]
+            pop, valid = pop[rows], valid[rows]
             active = [r for r, k in zip(active, keep) if k]
             streams.keep(keep)
-            order = _ranking(pop, fitness, valid, P)
-        pop, fitness, valid = _next_generation(compiled, pop, valid, order, streams, config)
+            order = _ranking(tie[:, rows], score[rows], valid, P)
+        pop = _next_generation(pop, valid, order, streams, config)
         generation += 1
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from tierslicer import parse, placement_problem, resolve_calls
 from tierslicer.depgraph import build_pdg
-from tierslicer.kernels import compile_problem, placement_scores
+from tierslicer.kernels import build_scores, compile_problem
 
 #: Minimum fraction of the 3^n space that must be valid for a fixture to be
 #: usable: below this the search problem is dominated by constraint solving
@@ -128,8 +128,16 @@ def random_full_placement(problem, rng: np.random.Generator):
     return Placement(fixed=dict(problem.fixed), searched=searched)
 
 
+def gene_order_scores(compiled) -> np.ndarray:
+    """``build_scores``'s scores as int64 with the axes in gene order: gene 0
+    the most significant digit, so the C-order ravel lines up with
+    ``itertools.product((1, 2, 3), repeat=n)``."""
+    scores, genes = build_scores(compiled)
+    return scores.transpose(np.argsort(genes)).astype(np.int64, order="C")
+
+
 def valid_fraction(problem) -> float:
-    return float((placement_scores(compile_problem(problem)) >= 0).mean())
+    return float((build_scores(compile_problem(problem))[0] >= 0).mean())
 
 
 def random_problems(count: int, start_seed: int = 0):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fixture_problem
-from genprog import fan_out_problem, random_flat_problem, random_problem
+from genprog import fan_out_problem, gene_order_scores, random_flat_problem, random_problem
 from tierslicer.fitness import evaluate
 from tierslicer.kernels import (
     _MASKS,
@@ -17,7 +17,6 @@ from tierslicer.kernels import (
     classify_rows,
     compile_problem,
     eval_population,
-    placement_scores,
 )
 from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer.placement import is_valid
@@ -112,12 +111,13 @@ def per_call_counts(compiled, genomes):
 
 
 def assert_scores_match_the_kernel(problem):
-    """placement_scores against full_enumeration + eval_population, genome by
+    """build_scores's scores, in gene order, against full_enumeration +
+    eval_population, genome by
     genome: >= 0 exactly where valid, the local count where valid, and the
     local count minus n_calls + 1 per violating call everywhere."""
     compiled = compile_problem(problem)
     n, n_calls = compiled.n_genes, compiled.n_calls
-    scores = placement_scores(compiled)
+    scores = gene_order_scores(compiled)
     assert scores.shape == (3,) * n and scores.dtype == np.int64
     genomes = full_enumeration(n)
     scores = scores.ravel()  # C order: the order of full_enumeration
@@ -262,7 +262,7 @@ def test_placement_scores_equal_the_per_term_sum():
     problems += [SPREAD, EVERY_KIND]
     for problem in problems:
         compiled = compile_problem(problem)
-        scores, expected = placement_scores(compiled), per_term_scores(compiled)
+        scores, expected = gene_order_scores(compiled), per_term_scores(compiled)
         assert scores.shape == expected.shape and scores.dtype == np.int64
         assert scores.flags.c_contiguous
         np.testing.assert_array_equal(scores, expected)
@@ -280,7 +280,7 @@ def test_scores_use_the_narrowest_type_that_holds_them(n_calls, dtype):
     _, local, violating = classify_rows(compiled, full_enumeration(3))
     expected = local.sum(axis=1) - (n_calls + 1) * violating.sum(axis=1)
     assert expected.min() == -(n_calls + 1) * n_calls and expected.max() == n_calls
-    scores = placement_scores(compiled)
+    scores = gene_order_scores(compiled)
     assert scores.dtype == np.int64
     np.testing.assert_array_equal(scores.ravel(), expected)
 

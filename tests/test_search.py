@@ -2,20 +2,25 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_problem
-from genprog import fan_out_problem, random_flat_problem, random_problem
+from genprog import (fan_out_problem, gene_order_scores, random_flat_problem, random_problem,
+                     random_problems)
 from tierslicer.errors import AllInvalidError, TooManySlicesError
-from tierslicer.kernels import build_scores, compile_problem, eval_population, placement_scores
+from tierslicer.kernels import build_scores, compile_problem, eval_population
 from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer import search
 from tierslicer.search import (
     GaConfig,
     _draw_alone,
     _layout,
+    _Scorer,
     _Streams,
     _next_generation,
     _ranking,
@@ -52,19 +57,18 @@ def test_seed_population_shape_and_alphabet():
 
 
 def breed(pop, fitness, valid, runs, seed=0, **config):
-    """One batched generation of ``runs`` stacked copies of a population over
-    a call-free problem, ranked as run_many ranks; returns (runs, P, n)."""
+    """One batched generation of ``runs`` stacked copies of a population with
+    the given fitness and validity, ranked as run_many ranks past the oracle
+    cap (the genome columns break ties); returns (runs, P, n)."""
     pop = np.asarray(pop, dtype=np.int8)
     P, n = pop.shape
-    problem = PlacementProblem(slices=tuple(f"s{i}" for i in range(n)))
     config = GaConfig(population_size=P, **config)
     stacked = np.tile(pop, (runs, 1))
     fitness = np.tile(np.asarray(fitness, dtype=float), runs)
     valid = np.tile(np.asarray(valid, dtype=bool), runs)
-    order = _ranking(stacked, fitness, valid, P)
+    order = _ranking(stacked.T[::-1], fitness, valid, P)
     streams = _Streams([np.random.default_rng(seed + i) for i in range(runs)], n, config)
-    new_pop, _, _ = _next_generation(compile_problem(problem), stacked, valid, order,
-                                     streams, config)
+    new_pop = _next_generation(stacked, valid, order, streams, config)
     assert new_pop.shape == stacked.shape
     return new_pop.reshape(runs, P, n)
 
@@ -142,13 +146,40 @@ def test_batched_step_keeps_runs_apart():
     valid = np.concatenate([rng.permutation(np.arange(P) < k) for k in (5, 29, 13)])
     config = GaConfig(population_size=P, tournament_size=3, crossover_prob=1.0,
                       mutation_prob=0.0)
-    order = _ranking(pop, fitness, valid, P)
+    order = _ranking(pop.T[::-1], fitness, valid, P)
     streams = _Streams([np.random.default_rng(s) for s in (7, 8, 9)], n, config)
-    problem = PlacementProblem(slices=tuple(f"s{i}" for i in range(n)))
-    children, _, _ = _next_generation(compile_problem(problem), pop, valid, order, streams,
-                                      config)
+    children = _next_generation(pop, valid, order, streams, config)
     for r, run_children in enumerate(children.reshape(3, P, n)):
         assert (run_children == r + 1).all(), r
+
+
+def test_ranking_orders_by_run_validity_score_then_tie_key():
+    # Two runs of four rows.  Run 0: rows 0 and 1 tie on score and [1, 3]
+    # sorts before [2, 1]; row 2 scores highest but is invalid.  Run 1: row 5
+    # is invalid; rows 4, 6 and 7 tie on score, [1, 3] sorts first, and the
+    # equal rows 4 and 6 keep their index order.
+    pop = np.array([[2, 1], [1, 3], [3, 3], [1, 2],
+                    [2, 2], [1, 1], [2, 2], [1, 3]], dtype=np.int8)
+    score = np.array([5, 5, 9, 4, 2, 7, 2, 2])
+    valid = np.array([True, True, False, True, True, False, True, True])
+    want = [1, 0, 3, 2, 7, 4, 6, 5]
+    index = (pop.astype(np.int64) - 1) @ [3, 1]  # the genome index within the oracle cap
+    for tie in (index[None], pop.T[::-1]):  # within the cap, and the genome columns past it
+        np.testing.assert_array_equal(_ranking(tie, score, valid, 4), want)
+    # Past the cap the score is the fitness double.
+    np.testing.assert_array_equal(_ranking(pop.T[::-1], score / 10, valid, 4), want)
+
+
+def test_ranking_tie_keys_agree_on_every_pair_of_genomes():
+    # All 27 genomes of three genes at one score, shuffled: the genome index
+    # and the genome columns give the same, lexicographic, order.
+    genomes = np.array(list(product((1, 2, 3), repeat=3)), dtype=np.int8)
+    pop = genomes[np.random.default_rng(3).permutation(27)]
+    index = (pop.astype(np.int64) - 1) @ [9, 3, 1]
+    ones, valid = np.ones(27), np.ones(27, dtype=bool)
+    by_index = _ranking(index[None], ones, valid, 27)
+    np.testing.assert_array_equal(pop[by_index], genomes)
+    np.testing.assert_array_equal(_ranking(pop.T[::-1], ones, valid, 27), by_index)
 
 
 def stacked_alone(rngs, ks, n, config):
@@ -452,7 +483,7 @@ def wide_flat_problem(seed: int, n_genes: int):
 def test_oracle_breaks_ties_in_problem_order_whatever_the_build_order(problem):
     n = len(problem.unplaced)
     assert build_scores(compile_problem(problem))[1] != list(range(n))
-    scores = placement_scores(compile_problem(problem)).ravel()
+    scores = gene_order_scores(compile_problem(problem)).ravel()
     assert scores.max() >= 0 and (scores == scores.max()).sum() > 1  # a valid optimum ties
     assert oracle_verdict(problem) == chunked_oracle(problem)
 
@@ -511,6 +542,15 @@ def test_a_run_does_not_depend_on_its_batch(runs):
         assert_same_result(result, run(problem, replace(config, rng_seed=config.rng_seed + i)))
 
 
+def test_a_batch_of_more_than_255_runs_keeps_its_runs_apart():
+    # The ranking's run key takes the narrowest type that holds it: 16 bits
+    # here, so runs 256 on rank among their own rows, not among runs 0 on.
+    problem = random_flat_problem(np.random.default_rng(28))
+    config = replace(EARLY_STOP, rng_seed=5)
+    batch = run_many(problem, config, 260)
+    for i in (0, 1, 2, 3, 256, 257, 258, 259):
+        assert_same_result(batch[i], run(problem, replace(config, rng_seed=config.rng_seed + i)))
+
 def test_run_many_with_no_unplaced_slices_degenerates():
     results = run_many(fixture_problem("tracker.tjs"), GaConfig(), runs=3)
     assert len(results) == 3
@@ -529,12 +569,105 @@ def test_oracle_with_no_unplaced_slices_scores_the_config_placement(name, manife
 def test_no_unplaced_slices_and_an_invalid_config_placement_fail_every_search():
     problem = PlacementProblem(("a", "b"), {"a": Tier.SERVER, "b": Tier.CLIENT},
                                (CallRecord(0, "a", "b", "show"),))
-    scores = placement_scores(compile_problem(problem))
+    scores = gene_order_scores(compile_problem(problem))
     assert scores.shape == () and scores == -2  # 0 local calls, 1 violating
     with pytest.raises(AllInvalidError):
         exhaustive_oracle(problem)
     with pytest.raises(AllInvalidError):
         run_many(problem, GaConfig(), 3)
+
+
+# --- Scoring within and past the oracle cap ----------------------------------
+
+
+def assert_table_rows_equal_the_kernel(problem, genomes):
+    """Within the cap, ``_Scorer`` reads build_scores's table: each row's
+    validity must be eval_population's, its fitness must be the same double on
+    every valid row, and its tie key its genome index in problem order."""
+    compiled = compile_problem(problem)
+    scorer = _Scorer(compiled)
+    assert scorer.table is not None
+    score, valid, tie = scorer(genomes)
+    fitness, kernel_valid = eval_population(compiled, genomes)
+    np.testing.assert_array_equal(valid, kernel_valid)
+    assert scorer.fitness(score[valid]) == fitness[valid].tolist()
+    n = compiled.n_genes
+    index = (genomes.astype(np.int64) - 1) @ 3 ** np.arange(n - 1, -1, -1)
+    np.testing.assert_array_equal(tie, [index])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), layered=st.booleans())
+@example(seed=13, layered=True)  # valid fraction 0.0032, below MIN_VALID_FRACTION
+@example(seed=78, layered=True)  # 0.0014
+@example(seed=5, layered=True)  # no valid placement
+def test_table_scores_equal_eval_population_on_every_genome(seed, layered):
+    # Unfiltered draws: random_problems would drop every problem whose valid
+    # fraction is below MIN_VALID_FRACTION, and the examples pin three.
+    if layered:
+        problem = random_problem(seed)
+    else:
+        problem = random_flat_problem(np.random.default_rng(seed))
+    n = len(problem.unplaced)
+    assert_table_rows_equal_the_kernel(
+        problem, np.array(list(product((1, 2, 3), repeat=n)), dtype=np.int8))
+
+
+FIXTURES_WITH_GENES = ("unicorn_v2.tjs", "unicorn_v3.tjs", "unicorn_v4.tjs", "unicorn_v5.tjs",
+                       "unicorn_v6.tjs", "relay.tjs", "relay_reply.tjs", "meetings.tjs")
+
+
+@pytest.mark.parametrize("name", FIXTURES_WITH_GENES)
+def test_table_scores_equal_eval_population_on_fixtures(name):
+    problem = fixture_problem(name)
+    n = len(problem.unplaced)
+    assert_table_rows_equal_the_kernel(
+        problem, np.array(list(product((1, 2, 3), repeat=n)), dtype=np.int8))
+
+
+def search_outcome(problem, config, runs):
+    """run_many's results as comparable tuples, or the message it raised."""
+    try:
+        results = run_many(problem, config, runs)
+    except AllInvalidError as error:
+        return str(error)
+    return [(r.best_placement, r.best_fitness, r.best_valid, r.generations_used, r.history,
+             r.best_genome.tolist(), r.best_genome.dtype) for r in results]
+
+
+CRITERION_2 = GaConfig(tournament_size=1, rng_seed=1000)
+# (problem, config, runs): the fixtures under two configurations; criterion
+# 2's problems and configuration; unfiltered layered problems with valid
+# fractions of 0.0032, 0.0014 and 0.0041, one seed at a time, where some
+# seeds find no valid individual; and runs that leave the batch early.
+PATH_CASES = [(f"{name}-{label}", lambda name=name: fixture_problem(name), config, 5)
+              for name in FIXTURES_WITH_GENES
+              for label, config in (("default", GaConfig(rng_seed=100)),
+                                    ("criterion2", CRITERION_2))]
+PATH_CASES += [(f"criterion2-{k}", lambda k=k: random_problems(4)[k][1], CRITERION_2, 10)
+               for k in range(4)]
+PATH_CASES += [(f"random_problem({seed})-seed{s}", lambda seed=seed: random_problem(seed),
+                replace(CRITERION_2, rng_seed=s), 1)
+               for seed in (13, 78, 44) for s in range(1000, 1004)]
+PATH_CASES += [("random_flat_problem(28)-early",
+                lambda: random_flat_problem(np.random.default_rng(28)),
+                replace(EARLY_STOP, rng_seed=5), 12)]
+
+
+@pytest.mark.parametrize("make, config, runs", [case[1:] for case in PATH_CASES],
+                         ids=[case[0] for case in PATH_CASES])
+def test_run_many_is_the_same_from_the_table_and_from_classify_rows(make, config, runs,
+                                                                     monkeypatch):
+    problem = make()
+
+    def kernel_not_called(*args):
+        raise AssertionError("eval_population called within the oracle cap")
+
+    with monkeypatch.context() as patched:  # within the cap: the table alone
+        patched.setattr(search, "eval_population", kernel_not_called)
+        table = search_outcome(problem, config, runs)
+    monkeypatch.setattr(search, "ORACLE_CAP", 0)  # every problem past the cap
+    assert search_outcome(problem, config, runs) == table
 
 
 # (best_genome, generations_used, sha256(history as float64)[:16]) for seeds
