@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Run the genetic search over a fixed corpus and print one line per batch.
+
+The corpus is every bundled fixture with unplaced slices, then the
+``genprog`` problems ``random_problem(0..39)`` and ``random_flat_problem``
+of generator seeds 0-29, unfiltered, so some have rare valid placements or
+none.  Each problem runs one ``run_many`` batch under every configuration
+in ``CONFIGS``.  Each line reads ``problem<TAB>configuration<TAB>sha256`` of
+the batch's ``SearchResult``s (placement, fitness, validity, generations,
+history and genome, all bit for bit), or ``AllInvalidError`` where the
+batch raised it, so two trees can be compared with one ``diff``::
+
+    python3 scripts/search_corpus.py > after.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+from genprog import random_flat_problem, random_problem  # noqa: E402
+from tierslicer import parse, placement_problem, resolve_calls  # noqa: E402
+from tierslicer.depgraph import build_pdg  # noqa: E402
+from tierslicer.errors import AllInvalidError  # noqa: E402
+from tierslicer.search import GaConfig, run_many  # noqa: E402
+
+FIXTURES = ROOT / "src" / "tierslicer" / "fixtures"
+RUNS = 4
+
+# The default and criterion 2's configuration, early stops, the smallest
+# population, no mutation, no crossover and a single generation.
+CONFIGS = {
+    "default": GaConfig(),
+    "criterion2": GaConfig(tournament_size=1, rng_seed=1000),
+    "early": GaConfig(population_size=7, tournament_size=3, max_generations=50, rng_seed=5),
+    "pop2": GaConfig(population_size=2, tournament_size=2, max_generations=100, rng_seed=11),
+    "no-mutation": GaConfig(mutation_prob=0.0, rng_seed=21),
+    "no-crossover": GaConfig(crossover_prob=0.0, rng_seed=31),
+    "one-generation": GaConfig(max_generations=1, rng_seed=41),
+}
+
+
+def problems():
+    """(label, PlacementProblem), fixtures first."""
+    for path in sorted(FIXTURES.glob("*.tjs")):
+        problem = placement_problem(build_pdg(resolve_calls(parse(path.read_text(), path.name))))
+        if problem.unplaced:
+            yield path.name, problem
+    for seed in range(40):
+        yield f"random_problem({seed})", random_problem(seed)
+    for seed in range(30):
+        yield f"random_flat_problem({seed})", random_flat_problem(np.random.default_rng(seed))
+
+
+def digest(problem, config) -> str:
+    """The sha256 of a batch's results, or the error it raised."""
+    try:
+        results = run_many(problem, config, RUNS)
+    except AllInvalidError:
+        return "AllInvalidError"
+    h = hashlib.sha256()
+    for r in results:
+        tiers = [r.best_placement.tier(s).value for s in problem.slices]
+        h.update(repr((tiers, r.best_fitness.hex(), r.best_valid, r.generations_used,
+                       str(r.best_genome.dtype))).encode())
+        h.update(np.asarray(r.history, dtype=np.float64).tobytes())
+        h.update(r.best_genome.tobytes())
+    return h.hexdigest()
+
+
+def main() -> None:
+    for label, problem in problems():
+        for name, config in CONFIGS.items():
+            print(f"{label}\t{name}\t{digest(problem, config)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

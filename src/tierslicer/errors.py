@@ -35,7 +35,7 @@ class MissingPlacementError(TierSlicerError):
 
 
 class AllInvalidError(TierSlicerError):
-    """Seeding produced no valid individual after the retry budget."""
+    """No placement of the program is valid."""
 
 
 class TooManySlicesError(TierSlicerError):

@@ -13,6 +13,14 @@ never parent.  Replacement is generational with 1-elitism on the best valid
 individual.  A run stops at its first valid individual with fitness 1.0 or
 after the generation budget, and then leaves the batch.
 
+Before seeding, ``_closure_genome`` settles whether any placement is valid:
+the slices that hold the server must be closed forward along unannotated
+calls, so one exists iff the closure of the fixed server slices reaches no
+slice fixed on the client, and if none exists ``run_many`` raises
+``AllInvalidError``.  A run seeds up to ``_SEED_RETRIES`` random
+populations; if none holds a valid row, row 0 of its last one becomes the
+closure genome, which is valid, so no run fails its batch.
+
 Up to ``ORACLE_CAP`` unplaced slices the rows are scored from
 ``kernels.build_scores``'s table of every genome's score, built once per
 ``run_many`` call: one product with a two-column weight matrix gives each
@@ -23,7 +31,12 @@ genomes as their columns do, is its tie key.  Past the cap,
 ``kernels.eval_population`` computes each row's fitness and validity, and
 the genome columns are the tie keys.  An invalid row's score steers nothing:
 valid rows rank first and only they enter tournaments, so both paths give the
-same runs.
+same runs.  Within the cap the table also names the lexicographically
+smallest optimum, and a run whose best row is that genome is settled: its
+elite ranks first in every later generation, since no genome scores higher
+and every genome that scores as high has a larger tie key.  So a settled run
+leaves the batch at once, with its history padded with that best fitness up
+to the budget, the result its remaining generations would give.
 
 Each run owns its random stream, ``np.random.default_rng(seed)``, and makes
 the same draws in the same order and shapes as it would alone, so a seed's
@@ -39,8 +52,9 @@ where a bounded draw is rejected.
 It scores every one of the 3^n placements with ``kernels.build_scores`` (one
 table per pair of genes, added into an array grown one gene axis at a time in
 reverse Cuthill-McKee order) and takes the maximum.  The array's axes are in
-that build order, so among the tied entries it maps each one's digits to its
-genome and keeps the lexicographically smallest genome.
+that build order, so among the tied entries ``_first_optimum`` maps each
+one's digits to its genome and keeps the lexicographically smallest genome;
+the GA's settled runs read the same function.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ import numpy as np
 from .errors import AllInvalidError, TooManySlicesError
 from .fitness import evaluate
 from .kernels import build_scores, compile_problem, eval_population
-from .model import TIER_FROM_MASK, PlacementProblem
+from .model import SHARED, TIER_FROM_MASK, PlacementProblem, Tier
 from .placement import Placement
 
 _SEED_RETRIES = 10
@@ -105,8 +119,6 @@ def genome_to_placement(problem: PlacementProblem, genome) -> Placement:
 
 def seed_population(config: GaConfig, n_genes: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random tier masks, one row per individual."""
-    if n_genes < 1:
-        raise ValueError("no genes to seed")
     return rng.integers(1, 4, size=(config.population_size, n_genes), dtype=np.int8)
 
 
@@ -135,17 +147,21 @@ class _Scorer:
     product runs in float64, through BLAS; its sums are integers below
     ``3**n``, so they are exact.  The genome index is held in the narrowest
     unsigned type that holds it, so ``_ranking`` sorts it by radix for up to
-    10 genes.  Past the cap the score is ``eval_population``'s fitness and the
-    tie keys are the genome columns.
+    10 genes.  ``target`` is the genome index of the lexicographically
+    smallest optimum, the row ``_ranking`` puts first wherever it occurs.
+    Past the cap the score is ``eval_population``'s fitness, the tie keys are
+    the genome columns and there is no target.
     """
 
     def __init__(self, compiled):
         n = compiled.n_genes
-        self.compiled, self.n_calls, self.table = compiled, compiled.n_calls, None
+        self.compiled, self.n_calls = compiled, compiled.n_calls
+        self.table = self.target = None
         if n > ORACLE_CAP:
             return
         scores, genes = build_scores(compiled)
         self.table = scores.ravel()
+        self.target = _first_optimum(self.table, genes)[1]
         place = 3.0 ** np.arange(n - 1, -1, -1)
         self.weights = np.empty((n, 2))
         self.weights[genes, 0] = place
@@ -160,6 +176,12 @@ class _Scorer:
         score = self.table[flat.astype(np.intp)]
         return score, score >= 0, index.astype(self.index_type)[None]
 
+    def settled(self, tie: np.ndarray, rows: np.ndarray) -> list:
+        """Whether each of ``rows`` is the target; past the cap none is known to be."""
+        if self.target is None:
+            return [False] * len(rows)
+        return (tie[0, rows] == self.target).tolist()
+
     def fitness(self, score: np.ndarray) -> list:
         """The fitness of rows with these scores; a table score is the local
         call count, so this is the double ``eval_population`` returns."""
@@ -170,8 +192,40 @@ class _Scorer:
         return (score / self.n_calls).tolist()
 
 
-def _seed_populations(scorer: _Scorer, config: GaConfig, rngs) -> np.ndarray:
-    """Each run's first population, stacked: its first seeding that holds a valid row."""
+def _closure_genome(problem: PlacementProblem) -> np.ndarray:
+    """A valid genome: server for the slices that every valid placement puts
+    on the server, client for the rest.
+
+    By ``_call_rule`` a call violates iff it is unannotated, its caller holds
+    the server and its callee does not.  So the slices that hold the server
+    are closed forward along unannotated calls, and the least such set is the
+    closure of the fixed server slices and of shared code, which runs on
+    both tiers.  If that closure reaches a slice fixed on the client, no
+    placement is valid, and ``AllInvalidError`` names the slice.
+    """
+    on_server = {SHARED: True, **{s: t is Tier.SERVER for s, t in problem.fixed.items()}}
+    callees = {}
+    for call in problem.calls:
+        if not call.annotated:
+            callees.setdefault(call.caller, []).append(call.callee)
+    stack = [s for s, on in on_server.items() if on]
+    reached = set(stack)
+    while stack:
+        for callee in callees.get(stack.pop(), ()):
+            if not on_server.get(callee, True):
+                raise AllInvalidError(
+                    f"no placement is valid: the client slice {callee!r} is reached "
+                    "from the server by calls without @reply or @broadcast")
+            if callee not in reached:
+                reached.add(callee)
+                stack.append(callee)
+    return np.array([2 if s in reached else 1 for s in problem.unplaced], dtype=np.int8)
+
+
+def _seed_populations(scorer: _Scorer, config: GaConfig, rngs, fallback) -> np.ndarray:
+    """Each run's first population, stacked: its first seeding that holds a
+    valid row, or else its last seeding with row 0 replaced by the valid
+    genome ``fallback``."""
     R, P, n = len(rngs), config.population_size, scorer.compiled.n_genes
     pop = np.empty((R, P, n), dtype=np.int8)
     pending = list(range(R))
@@ -181,11 +235,9 @@ def _seed_populations(scorer: _Scorer, config: GaConfig, rngs) -> np.ndarray:
         valid = scorer(pop[pending].reshape(-1, n))[1].reshape(-1, P)
         pending = [r for r, v in zip(pending, valid) if not v.any()]
         if not pending:
-            return pop.reshape(R * P, n)
-    raise AllInvalidError(
-        f"no valid individual after {_SEED_RETRIES} seedings "
-        f"(population {P}, {n} unplaced slices)"
-    )
+            break
+    pop[pending, 0] = fallback
+    return pop.reshape(R * P, n)
 
 
 def _draw_alone(rng: np.random.Generator, k: int, n: int, config: GaConfig) -> tuple:
@@ -393,19 +445,18 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
             return [result for block in blocks for result in block]
     if runs < 1:
         return []
+    fallback = _closure_genome(problem)  # raises if no placement is valid
     n = len(problem.unplaced)
     if n == 0:  # one placement: the @config tiers
-        report = evaluate(problem, Placement(fixed=dict(problem.fixed), searched={}))
-        if not report.valid:
-            raise AllInvalidError("the @config placement is invalid and no slice is unplaced")
-        return [SearchResult(Placement(fixed=dict(problem.fixed), searched={}), report.program,
+        fitness = evaluate(problem, Placement(fixed=dict(problem.fixed), searched={})).program
+        return [SearchResult(Placement(fixed=dict(problem.fixed), searched={}), fitness,
                              True, 0, [], np.zeros(0, dtype=np.int8))
                 for _ in range(runs)]
 
     P = config.population_size
     scorer = _Scorer(compile_problem(problem))
     rngs = [np.random.default_rng(config.rng_seed + i) for i in range(runs)]
-    pop = _seed_populations(scorer, config, rngs)
+    pop = _seed_populations(scorer, config, rngs, fallback)
     streams = _Streams(rngs, n, config)
     active = list(range(runs))  # the runs in the batch, in stacking order
     histories = [[] for _ in range(runs)]
@@ -419,16 +470,21 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
         for r, f in zip(active, best_fit):
             histories[r].append(f)
         last = generation >= config.max_generations
-        if last or 1.0 in best_fit:  # some runs stop and leave the batch
-            keep = [not last and f != 1.0 for f in best_fit]
+        keep = [not (last or f == 1.0 or settled)
+                for f, settled in zip(best_fit, scorer.settled(tie, best))]
+        if not all(keep):  # some runs stop and leave the batch
             for i, r in enumerate(active):
                 if not keep[i]:
+                    # Short of fitness 1.0 a run ends at the budget; a settled
+                    # run would repeat this best in every generation up to it.
+                    if best_fit[i] != 1.0:
+                        histories[r] += [best_fit[i]] * (config.max_generations - generation)
                     genome = pop[best[i]]
                     results[r] = SearchResult(
                         best_placement=genome_to_placement(problem, genome),
                         best_fitness=best_fit[i],
                         best_valid=True,
-                        generations_used=generation,
+                        generations_used=len(histories[r]),
                         history=histories[r],
                         best_genome=genome.copy(),
                     )
@@ -461,18 +517,25 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
     n = len(problem.unplaced)
     if n > cap:
         raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
-    scores, genes = build_scores(compile_problem(problem))
-    scores = scores.ravel()
-    best = scores.max()
+    best, index = _first_optimum(*build_scores(compile_problem(problem)))
     if best < 0:
         raise AllInvalidError("every searched placement is invalid")
-    # The first maximum in problem order: read each tie's digits off the
-    # build axes, weight them by their genes' places, keep the smallest.
+    genome = np.array(np.unravel_index(index, (3,) * n), dtype=np.int8) + 1
+    n_calls = len(problem.calls)
+    fitness = int(best) / n_calls if n_calls else 1.0
+    return genome_to_placement(problem, genome), fitness
+
+
+def _first_optimum(scores: np.ndarray, genes: list) -> tuple:
+    """The best of ``build_scores``'s scores, and the genome index in problem
+    order of the lexicographically smallest genome that has it: the tie-break
+    of the oracle and of the GA's ranking.  Reads each tie's digits off the
+    build axes and weights them by their genes' places."""
+    n = len(genes)
+    scores = scores.ravel()
+    best = scores.max()
     ties = np.flatnonzero(scores == best)
     index = np.zeros_like(ties)
     for axis, gene in enumerate(genes):
         index += ties // 3 ** (n - 1 - axis) % 3 * 3 ** (n - 1 - gene)
-    genome = np.array(np.unravel_index(index.min(), (3,) * n), dtype=np.int8) + 1
-    n_calls = len(problem.calls)
-    fitness = int(best) / n_calls if n_calls else 1.0
-    return genome_to_placement(problem, genome), fitness
+    return best, int(index.min())

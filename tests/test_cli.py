@@ -179,6 +179,38 @@ def test_assign_search_failure_exits_4(runner, tmp_path):
     result = invoke(runner, "assign", hopeless)
     assert result.exit_code == 4
     assert "search failed" in result.output
+    assert "the client slice 'cli' is reached from the server" in result.stderr
+
+
+def chain_source(n_helpers: int) -> str:
+    """A server slice calling helper 0 and each helper calling the next, none
+    with @reply: a valid placement puts every helper on the server, which
+    (2/3)^n_helpers of the random placements do.  The client calls every
+    helper, so the optimum puts them all on both tiers."""
+    helpers = "".join(
+        f"/* @slice helper{h} */\n{{ function h{h}(x) {{ "
+        + (f"h{h + 1}(x); " if h + 1 < n_helpers else "")
+        + "return x; } }\n" for h in range(n_helpers))
+    calls = " ".join(f"h{h}(1);" for h in range(n_helpers))
+    return ("/* @config browser : client, store : server */\n"
+            f"/* @slice browser */\n{{ function main() {{ {calls} }} }}\n"
+            "/* @slice store */\n{ function save(x) { h0(x); return x; } }\n" + helpers)
+
+
+@pytest.mark.parametrize("command, shown", [
+    (("assign",), "Application level of offline availability: 100 %"),
+    (("stats", "--runs", 3), "100.00"),
+])
+def test_search_succeeds_where_valid_placements_are_rare(runner, tmp_path, command, shown):
+    # 40 helpers: random seeding finds no valid row, so every run starts from
+    # the closure placement, all helpers on the server (40 of 80 calls
+    # local), and climbs to the optimum, all helpers on both tiers.
+    chain = tmp_path / "chain.tjs"
+    chain.write_text(chain_source(40))
+    result = invoke(runner, command[0], chain, *command[1:])
+    assert result.exit_code == 0, result.stderr
+    assert result.stderr == ""
+    assert shown in result.stdout
 
 
 @pytest.mark.parametrize("command", [

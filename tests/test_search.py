@@ -22,6 +22,7 @@ from tierslicer.search import (
     _layout,
     _Scorer,
     _Streams,
+    _closure_genome,
     _next_generation,
     _ranking,
     exhaustive_oracle,
@@ -594,6 +595,9 @@ def assert_table_rows_equal_the_kernel(problem, genomes):
     n = compiled.n_genes
     index = (genomes.astype(np.int64) - 1) @ 3 ** np.arange(n - 1, -1, -1)
     np.testing.assert_array_equal(tie, [index])
+    verdict = oracle_verdict(problem)  # the target is the oracle's genome
+    if verdict is not None:
+        assert scorer.target == (np.array(verdict[0]) - 1) @ 3 ** np.arange(n - 1, -1, -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -652,6 +656,14 @@ PATH_CASES += [(f"random_problem({seed})-seed{s}", lambda seed=seed: random_prob
 PATH_CASES += [("random_flat_problem(28)-early",
                 lambda: random_flat_problem(np.random.default_rng(28)),
                 replace(EARLY_STOP, rng_seed=5), 12)]
+# Tied optima: within the cap a run leaves the batch once its best row is the
+# smallest optimum, which the runs at cap 0 never do.  On wide-12-n11 seeds
+# 1003 and 1006 reach a larger optimal genome first, and most runs never
+# reach the smallest one.  random_problem(13)'s batch holds runs whose
+# seedings all fail.
+PATH_CASES += [(f"tied-{name}", lambda name=name: TIED[name], CRITERION_2, 10) for name in TIED]
+PATH_CASES += [("tied-wide-12-n11", lambda: wide_flat_problem(12, 11), CRITERION_2, 10),
+               ("random_problem(13)-batch", lambda: random_problem(13), GaConfig(), 4)]
 
 
 @pytest.mark.parametrize("make, config, runs", [case[1:] for case in PATH_CASES],
@@ -668,6 +680,98 @@ def test_run_many_is_the_same_from_the_table_and_from_classify_rows(make, config
         table = search_outcome(problem, config, runs)
     monkeypatch.setattr(search, "ORACLE_CAP", 0)  # every problem past the cap
     assert search_outcome(problem, config, runs) == table
+
+
+def test_a_run_settles_on_the_smallest_optimum_after_a_larger_one(monkeypatch):
+    # Seed 1006 first holds an optimal genome above the oracle's, then the
+    # oracle's at generation 70; there it leaves, and its history is padded
+    # with the optimum up to the budget, as the generations it skips would be.
+    problem = wide_flat_problem(12, 11)
+    placement, optimum = exhaustive_oracle(problem)
+    target = [placement.tier(s).mask for s in problem.unplaced]
+    bests = []
+
+    def recorded(pop, valid, order, streams, config):
+        bests.append(pop[order[0]].tolist())  # one run: its best row
+        return _next_generation(pop, valid, order, streams, config)
+
+    monkeypatch.setattr(search, "_next_generation", recorded)
+    result = run(problem, replace(CRITERION_2, rng_seed=1006))
+    assert len(bests) == 69
+    assert any(f == optimum and best != target for f, best in zip(result.history, bests))
+    assert target not in bests
+    assert result.best_genome.tolist() == target and result.best_fitness == optimum < 1.0
+    assert result.generations_used == len(result.history) == 300
+    assert result.history[69:] == [optimum] * 231
+
+
+def test_settled_runs_leave_the_batch(monkeypatch):
+    # Criterion 2's problems, 10 runs each: no run reaches fitness 1.0, so
+    # without the exit every batch would breed 299 generations.
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return _next_generation(*args)
+
+    monkeypatch.setattr(search, "_next_generation", counted)
+    for _, problem in random_problems(20):
+        calls.append(0)
+        results = run_many(problem, CRITERION_2, 10)
+        assert [r.generations_used for r in results] == [300] * 10
+    assert max(calls) <= 299
+    assert sum(c < 299 for c in calls) >= 15
+    assert sum(calls) < 20 * 299 / 2
+
+
+# --- Closure seeding ------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), layered=st.booleans())
+@example(seed=5, layered=True)  # no valid placement
+@example(seed=13, layered=True)  # valid fraction 0.0032
+@example(seed=78, layered=True)  # 0.0014
+def test_the_closure_finds_a_valid_genome_iff_one_exists(seed, layered):
+    # Unfiltered draws with at most 10 unplaced slices, checked against every genome.
+    if layered:
+        problem = random_problem(seed)
+    else:
+        problem = random_flat_problem(np.random.default_rng(seed))
+    compiled = compile_problem(problem)
+    genomes = np.array(list(product((1, 2, 3), repeat=compiled.n_genes)), dtype=np.int8)
+    valid = eval_population(compiled, genomes)[1]
+    if not valid.any():
+        with pytest.raises(AllInvalidError, match="is reached from the server"):
+            _closure_genome(problem)
+        return
+    genome = _closure_genome(problem)
+    assert genome.dtype == np.int8 and set(genome.tolist()) <= {1, 2}
+    assert eval_population(compiled, genome[None])[1][0]
+    # Every valid genome holds the server wherever the closure genome does.
+    assert ((genomes[valid] & 2) >= (genome & 2)).all()
+
+
+def test_a_run_whose_seedings_all_fail_starts_from_the_closure_genome():
+    # On random_problem(44) seeds 1 and 3 draw no valid row in 10 seedings;
+    # the batch used to raise AllInvalidError.  After one generation their
+    # best row is the closure genome, the only valid row of their last seeding.
+    problem = random_problem(44)
+    compiled = compile_problem(problem)
+    config = GaConfig(max_generations=1)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        seedings = [seed_population(config, compiled.n_genes, rng) for _ in range(10)]
+        assert any(eval_population(compiled, pop)[1].any() for pop in seedings) == (seed in (0, 2))
+    genome = _closure_genome(problem).tolist()
+    _, optimum = exhaustive_oracle(problem)
+    for budget in (config, GaConfig()):
+        batch = run_many(problem, budget, 4)
+        for seed, result in enumerate(batch):
+            assert_same_result(result, run(problem, replace(budget, rng_seed=seed)))
+            assert result.best_valid and result.best_fitness <= optimum
+        if budget is config:
+            assert [r.best_genome.tolist() for r in batch[1::2]] == [genome] * 2
 
 
 # (best_genome, generations_used, sha256(history as float64)[:16]) for seeds
