@@ -2,13 +2,17 @@
 """Run the genetic search over a fixed corpus and print one line per batch.
 
 The corpus is every bundled fixture with unplaced slices, then the
-``genprog`` problems ``random_problem(0..39)`` and ``random_flat_problem``
-of generator seeds 0-29, unfiltered, so some have rare valid placements or
-none.  Each problem runs one ``run_many`` batch under every configuration
+``genprog`` problems ``random_problem(0..39)``, ``random_flat_problem`` of
+generator seeds 0-29 and the ``wide_flat_problem`` draws in ``WIDE``, with 11
+and 12 unplaced slices, all unfiltered, so some have rare valid placements
+or none.  Each problem runs one ``run_many`` batch under every configuration
 in ``CONFIGS``.  Each line reads ``problem<TAB>configuration<TAB>sha256`` of
 the batch's ``SearchResult``s (placement, fitness, validity, generations,
 history and genome, all bit for bit), or ``AllInvalidError`` where the
-batch raised it, so two trees can be compared with one ``diff``::
+batch raised it.  One more line per problem reads
+``problem<TAB>oracle<TAB>genome fitness`` of ``exhaustive_oracle``'s answer
+(the fitness as a hex float), or ``AllInvalidError``.  So two trees can be
+compared with one ``diff``::
 
     python3 scripts/search_corpus.py > after.txt
     diff before.txt after.txt
@@ -25,14 +29,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from genprog import random_flat_problem, random_problem  # noqa: E402
+from genprog import random_flat_problem, random_problem, wide_flat_problem  # noqa: E402
 from tierslicer import parse, placement_problem, resolve_calls  # noqa: E402
 from tierslicer.depgraph import build_pdg  # noqa: E402
 from tierslicer.errors import AllInvalidError  # noqa: E402
-from tierslicer.search import GaConfig, run_many  # noqa: E402
+from tierslicer.search import GaConfig, exhaustive_oracle, run_many  # noqa: E402
 
 FIXTURES = ROOT / "src" / "tierslicer" / "fixtures"
 RUNS = 4
+# (generator seed, unplaced slices) of the wide_flat_problem draws.
+WIDE = ((9, 11), (12, 11), (20, 11), (11, 12), (12, 12), (21, 12))
 
 # The default and criterion 2's configuration, early stops, the smallest
 # population, no mutation, no crossover and a single generation.
@@ -57,6 +63,8 @@ def problems():
         yield f"random_problem({seed})", random_problem(seed)
     for seed in range(30):
         yield f"random_flat_problem({seed})", random_flat_problem(np.random.default_rng(seed))
+    for seed, n in WIDE:
+        yield f"wide_flat_problem({seed}, {n})", wide_flat_problem(seed, n)
 
 
 def digest(problem, config) -> str:
@@ -75,10 +83,20 @@ def digest(problem, config) -> str:
     return h.hexdigest()
 
 
+def oracle_answer(problem) -> str:
+    """The oracle's genome and fitness, or the error it raised."""
+    try:
+        placement, fitness = exhaustive_oracle(problem)
+    except AllInvalidError:
+        return "AllInvalidError"
+    return f"{[placement.tier(s).mask for s in problem.unplaced]} {fitness.hex()}"
+
+
 def main() -> None:
     for label, problem in problems():
         for name, config in CONFIGS.items():
             print(f"{label}\t{name}\t{digest(problem, config)}", flush=True)
+        print(f"{label}\toracle\t{oracle_answer(problem)}", flush=True)
 
 
 if __name__ == "__main__":

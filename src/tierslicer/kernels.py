@@ -17,18 +17,22 @@ count divided by the call count, the same double ``fitness.evaluate``
 computes for the placement.
 
 ``build_scores`` scores every one of the 3^n genomes at once, for the
-exhaustive oracle and for the genetic search within the cap.  Each call's
-locality and validity depend on at most two genes, so the calls are summed
-into one small table per pair of genes (a constant, a 3-vector or a 3x3
-table).  The array indexed by the genome is then grown one gene axis at a
-time, in the reverse Cuthill-McKee order of the gene-interaction graph
-(Cuthill & McKee, *Reducing the bandwidth of sparse symmetric matrices*, ACM
-'69): a gene's vector and its tables with the genes added before it form one
-step table, and one broadcast add puts its axis outermost.  So numpy's inner
-loop runs over every gene added before the step's earliest partner, which
-that order puts late, and the scores are held in the narrowest integer type
-that holds them.  Every genome is still scored, with about 1.5 * 3^n
-additions in all and no per-genome gather.
+genetic search within the cap.  Each call's locality and validity depend on
+at most two genes, so one ``np.bincount`` sums the calls into a dense table
+per pair of genes, from which ``score_steps`` reads a constant, a 3-vector
+per gene and a 3x3 table per pair of interacting genes.  The array indexed
+by the genome is then grown one gene axis at a time, in the reverse
+Cuthill-McKee order of the gene-interaction graph (Cuthill & McKee,
+*Reducing the bandwidth of sparse symmetric matrices*, ACM '69): a gene's
+vector and its tables with the genes added before it form one step table,
+and in ``grow_scores`` one broadcast add puts its axis outermost.  So numpy's
+inner loop runs over every gene added before the step's earliest partner,
+which that order puts late, and the scores are held in the narrowest integer
+type that holds them.  Every genome is still scored, with about 1.5 * 3^n
+additions in all and no per-genome gather.  The exhaustive oracle
+(``search._first_optimum``) grows the array from the same steps but first
+maximises the last-added gene out of its own step table, whose axes are
+just that gene and its partners, so its largest array has 3^(n-1) entries.
 """
 
 from __future__ import annotations
@@ -146,6 +150,68 @@ def build_order(n: int, edges) -> list:
     return order[::-1]
 
 
+def score_steps(compiled: CompiledProblem) -> tuple:
+    """``build_scores``'s parts before the array is grown: returns
+    ``(constant, steps, genes)``.  ``constant`` is a 0-d array; ``steps[k]``
+    is the step table of the gene added k-th in ``build_order``, with that
+    gene's axis first and its earlier partner added j-th on axis k - j (every
+    other axis has length 1); ``genes`` is ``build_scores``'s axis order.
+
+    Every call's score over its 3x3 grid of (caller, callee) masks is summed
+    into one dense table per ordered pair of end genes, a fixed end counting
+    as gene -1, by one ``np.bincount``.  Calls with both ends fixed give the
+    constant; calls with one fixed end or both ends in one slice give a
+    3-vector per gene; calls between two genes give a 3x3 table per pair.
+    """
+    n, ncalls = compiled.n_genes, compiled.n_calls
+    dtype = np.min_scalar_type(-(ncalls + 1) * max(ncalls, 1))  # int8 with no calls
+    cg, eg = compiled.caller_gene, compiled.callee_gene
+    # A fixed end, shared callees included, keeps its own mask along its axis.
+    a = np.where(cg[:, None] >= 0, _MASKS, compiled.caller_mask[:, None])
+    b = np.where(eg[:, None] >= 0, _MASKS, compiled.callee_mask[:, None])
+    local, bad = _call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
+    cells = ((cg + 1) * (n + 1) + eg + 1)[:, None] * 9 + np.arange(9)
+    terms = np.bincount(cells.ravel(), (local - (ncalls + 1) * bad).ravel(),
+                        minlength=(n + 1) ** 2 * 9)
+    terms = terms.astype(dtype).reshape(n + 1, n + 1, 3, 3)  # [caller + 1, callee + 1]
+    pair = terms[1:, 1:]
+    # A fixed caller's row 0, a fixed callee's column 0 and the diagonal of
+    # the calls within one slice.
+    own = np.arange(n)
+    vector = terms[0, 1:, 0] + terms[1:, 0, :, 0] + pair[own, own].diagonal(axis1=1, axis2=2)
+    pair = pair + pair.transpose(1, 0, 3, 2)  # [g, h] indexed (g's mask, h's mask)
+    # A call from the client to the client is local, so the (client, client)
+    # entry counts the calls between two genes.
+    linked = pair[:, :, 0, 0].tolist()
+    edges = [(g, h) for g in range(n) for h in range(g + 1, n) if linked[g][h]]
+    order = build_order(n, edges)
+    place = {gene: k for k, gene in enumerate(order)}
+    earlier = [[] for _ in range(n)]  # per build place: earlier places
+    for g, h in edges:
+        first, later = sorted((place[g], place[h]))
+        earlier[later].append(first)
+    steps = []
+    for k, h in enumerate(order):
+        # The step table spans h's axis, the new outermost one, and the axes
+        # of h's earlier partners: the one added at place p sits on axis k - p.
+        step = vector[h].reshape((3,) + (1,) * k)
+        for p in earlier[k]:
+            shape = [1] * (k + 1)
+            shape[0] = shape[k - p] = 3
+            step = step + pair[h, order[p]].reshape(shape)
+        steps.append(step)
+    return np.asarray(terms[0, 0, 0, 0]), steps, order[::-1]
+
+
+def grow_scores(constant: np.ndarray, steps: list) -> np.ndarray:
+    """The array of ``constant`` plus ``steps``: one broadcast add per step
+    prepends that step's axis."""
+    scores = constant
+    for step in steps:
+        scores = step + scores[None]
+    return scores
+
+
 def build_scores(compiled: CompiledProblem):
     """Score every genome, in build order: returns ``(scores, genes)``, where
     ``scores`` has shape ``(3,) * n_genes``, is indexed by mask - 1 in C
@@ -156,54 +222,8 @@ def build_scores(compiled: CompiledProblem):
     partial sum lies in ``[-(n_calls + 1) * n_calls, n_calls]``, so the scores
     are held in the narrowest signed integer type that holds that range.
 
-    Constants start the array as a scalar; one-gene terms and calls inside
-    one slice become a 3-vector per gene; the genes are then added in
-    ``build_order``, each as the new outermost axis (see the module notes).
+    The genes are added in ``build_order``, each as the new outermost axis
+    (see the module notes and ``score_steps``).
     """
-    n, ncalls = compiled.n_genes, compiled.n_calls
-    dtype = np.min_scalar_type(-(ncalls + 1) * max(ncalls, 1))  # int8 with no calls
-    cg, eg = compiled.caller_gene, compiled.callee_gene
-    # Each call's score over its 3x3 grid of (caller, callee) masks; a fixed
-    # end, shared callees included, keeps its own mask along its axis.
-    a = np.where(cg[:, None] >= 0, _MASKS, compiled.caller_mask[:, None])
-    b = np.where(eg[:, None] >= 0, _MASKS, compiled.callee_mask[:, None])
-    local, bad = _call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
-    grid = local.astype(np.int64) - (ncalls + 1) * bad
-    # Orient every grid as (lower gene, higher gene), a fixed end counting as
-    # gene -1, and sum the grids of calls with the same pair of genes.
-    swap = cg > eg
-    grid[swap] = grid[swap].transpose(0, 2, 1)
-    keys, term_of = np.unique((np.minimum(cg, eg) + 1) * (n + 1) + np.maximum(cg, eg) + 1,
-                              return_inverse=True)
-    terms = np.zeros((len(keys), 3, 3), dtype=np.int64)
-    np.add.at(terms, term_of, grid)
-    pairs = [(k // (n + 1) - 1, k % (n + 1) - 1) for k in keys.tolist()]
-    order = build_order(n, [(g, h) for g, h in pairs if 0 <= g < h])
-    place = {gene: k for k, gene in enumerate(order)}
-    constant = np.zeros((), dtype=dtype)
-    vector = np.zeros((n, 3), dtype=dtype)
-    earlier = [[] for _ in range(n)]  # per build place: (earlier place, 3x3 table)
-    for (g, h), term in zip(pairs, terms.astype(dtype)):
-        if h < 0:  # both ends fixed
-            constant += term[0, 0]
-        elif g < 0:  # one gene
-            vector[h] += term[0]
-        elif g == h:  # both ends in one unplaced slice
-            vector[h] += term.diagonal()
-        elif place[g] < place[h]:  # the table indexed (later gene, earlier gene)
-            earlier[place[h]].append((place[g], term.T))
-        else:
-            earlier[place[g]].append((place[h], term))
-    scores = constant
-    for k, h in enumerate(order):
-        # Gene h's step table spans its own axis, the new outermost one, and
-        # the axes of its earlier partners: the one added at place p sits on
-        # axis k - p.  One broadcast add prepends h's axis.
-        step = vector[h].reshape((3,) + (1,) * k)
-        for p, table in earlier[k]:
-            shape = [1] * (k + 1)
-            shape[0] = shape[k - p] = 3
-            step = step + table.reshape(shape)
-        scores = step + scores[None]
-    return scores, order[::-1]
-
+    constant, steps, genes = score_steps(compiled)
+    return grow_scores(constant, steps), genes

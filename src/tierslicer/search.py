@@ -21,11 +21,12 @@ slice fixed on the client, and if none exists ``run_many`` raises
 populations; if none holds a valid row, row 0 of its last one becomes the
 closure genome, which is valid, so no run fails its batch.
 
-Up to ``ORACLE_CAP`` unplaced slices the rows are scored from
-``kernels.build_scores``'s table of every genome's score, built once per
-``run_many`` call: one product with a two-column weight matrix gives each
-row its flat index into the table and its genome index in problem order, and
-one gather reads its score.  A row is valid iff its score is >= 0, its
+Up to ``ORACLE_CAP`` unplaced slices the rows are scored from the table of
+every genome's score that ``kernels.grow_scores`` grows from
+``kernels.score_steps``'s step tables, built once per ``run_many`` call: one
+product with a two-column weight matrix gives each row its flat index into
+the table and its genome index in problem order, and one gather reads its
+score.  A row is valid iff its score is >= 0, its
 fitness is the score over the call count, and the genome index, which orders
 genomes as their columns do, is its tie key.  Past the cap,
 ``kernels.eval_population`` computes each row's fitness and validity, and
@@ -49,12 +50,18 @@ exactly the values numpy's ``integers`` and ``random`` calls would return
 where a bounded draw is rejected.
 
 ``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced slices.
-It scores every one of the 3^n placements with ``kernels.build_scores`` (one
-table per pair of genes, added into an array grown one gene axis at a time in
-reverse Cuthill-McKee order) and takes the maximum.  The array's axes are in
-that build order, so among the tied entries ``_first_optimum`` maps each
-one's digits to its genome and keeps the lexicographically smallest genome;
-the GA's settled runs read the same function.
+It takes ``kernels.score_steps``'s step tables (one per gene, in reverse
+Cuthill-McKee order) and ``_first_optimum`` maximises the last gene out of
+its own step table, whose axes are just that gene and its partners.  That
+maximum is added to the step before it, one variable elimination of
+nonserial dynamic programming (Bertele & Brioschi, 1972), so the array grown
+from the other n - 1 steps holds, for each of their masks, the best score
+over the last gene: every one of the 3^n placements is scored through an
+array of 3^(n-1) entries.  The array's axes are in build order, so among the
+tied entries ``_first_optimum`` maps each one's digits to its genome, takes
+the smallest mask of the last gene that reaches the maximum, and keeps the
+lexicographically smallest genome; the GA's settled runs read the same
+function.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ import numpy as np
 
 from .errors import AllInvalidError, TooManySlicesError
 from .fitness import evaluate
-from .kernels import build_scores, compile_problem, eval_population
+from .kernels import compile_problem, eval_population, grow_scores, score_steps
 from .model import SHARED, TIER_FROM_MASK, PlacementProblem, Tier
 from .placement import Placement
 
@@ -139,8 +146,9 @@ class _Scorer:
     tie keys, the keys ``_ranking`` reads, and ``fitness`` turns scores into
     fitness values.
 
-    Up to ``ORACLE_CAP`` genes the score is the row's entry in
-    ``build_scores``'s table.  ``weights`` holds one column per index into it,
+    Up to ``ORACLE_CAP`` genes the score is the row's entry in the full
+    table grown from ``score_steps``'s step tables, which is
+    ``build_scores``'s.  ``weights`` holds one column per index into it,
     weighing mask - 1: gene ``genes[j]`` weighs ``3**(n - 1 - j)`` in the
     table's build order, and gene g weighs ``3**(n - 1 - g)`` in the genome
     index, whose order is the lexicographic order of the genomes.  The
@@ -148,9 +156,10 @@ class _Scorer:
     ``3**n``, so they are exact.  The genome index is held in the narrowest
     unsigned type that holds it, so ``_ranking`` sorts it by radix for up to
     10 genes.  ``target`` is the genome index of the lexicographically
-    smallest optimum, the row ``_ranking`` puts first wherever it occurs.
-    Past the cap the score is ``eval_population``'s fitness, the tie keys are
-    the genome columns and there is no target.
+    smallest optimum, the row ``_ranking`` puts first wherever it occurs,
+    which ``_first_optimum`` reads off the same step tables.  Past the cap
+    the score is ``eval_population``'s fitness, the tie keys are the genome
+    columns and there is no target.
     """
 
     def __init__(self, compiled):
@@ -159,9 +168,9 @@ class _Scorer:
         self.table = self.target = None
         if n > ORACLE_CAP:
             return
-        scores, genes = build_scores(compiled)
-        self.table = scores.ravel()
-        self.target = _first_optimum(self.table, genes)[1]
+        constant, steps, genes = score_steps(compiled)
+        self.table = grow_scores(constant, steps).ravel()
+        self.target = _first_optimum(constant, steps, genes)[1]
         place = 3.0 ** np.arange(n - 1, -1, -1)
         self.weights = np.empty((n, 2))
         self.weights[genes, 0] = place
@@ -517,7 +526,7 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
     n = len(problem.unplaced)
     if n > cap:
         raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
-    best, index = _first_optimum(*build_scores(compile_problem(problem)))
+    best, index = _first_optimum(*score_steps(compile_problem(problem)))
     if best < 0:
         raise AllInvalidError("every searched placement is invalid")
     genome = np.array(np.unravel_index(index, (3,) * n), dtype=np.int8) + 1
@@ -526,16 +535,28 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
     return genome_to_placement(problem, genome), fitness
 
 
-def _first_optimum(scores: np.ndarray, genes: list) -> tuple:
-    """The best of ``build_scores``'s scores, and the genome index in problem
-    order of the lexicographically smallest genome that has it: the tie-break
-    of the oracle and of the GA's ranking.  Reads each tie's digits off the
-    build axes and weights them by their genes' places."""
+def _first_optimum(constant, steps: list, genes: list) -> tuple:
+    """The best score of ``kernels.score_steps``'s parts, and the genome index
+    in problem order of the lexicographically smallest genome that has it:
+    the tie-break of the oracle and of the GA's ranking.
+
+    The last step's gene is maximised out: ``top`` is its step table's
+    maximum over its own axis, for each mask of its partners, and is added
+    to the step before it, so the array grown from the first n - 1 steps
+    holds the best score over that gene.  Each tied entry's digits are its
+    other genes' masks, and the smallest mask of the last gene that reaches
+    ``top`` completes its smallest genome.
+    """
     n = len(genes)
-    scores = scores.ravel()
-    best = scores.max()
-    ties = np.flatnonzero(scores == best)
-    index = np.zeros_like(ties)
-    for axis, gene in enumerate(genes):
-        index += ties // 3 ** (n - 1 - axis) % 3 * 3 ** (n - 1 - gene)
+    if n < 2:  # at most three genomes, on one axis in genome order
+        scores = grow_scores(constant, steps)
+        return scores.max(), int(scores.argmax())
+    last = steps[-1]
+    top = last.max(axis=0)
+    folded = grow_scores(constant, [*steps[:-2], steps[-2] + top])
+    best = folded.max()
+    rest = np.unravel_index(np.flatnonzero(folded == best), folded.shape)
+    digits = (np.broadcast_to(last.argmax(axis=0), folded.shape)[rest], *rest)
+    axes = sorted(range(n), key=genes.__getitem__)  # gene g's axis is axes[g]
+    index = np.ravel_multi_index([digits[axis] for axis in axes], (3,) * n)
     return best, int(index.min())

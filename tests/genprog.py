@@ -108,6 +108,25 @@ def random_flat_problem(rng: np.random.Generator):
     return PlacementProblem(names, fixed, tuple(calls))
 
 
+def wide_flat_problem(seed: int, n_genes: int):
+    """random_flat_problem's kind of slice graph, with ``n_genes`` unplaced
+    slices, two fixed ones and 8-30 calls that each have a gene at one end,
+    so many optima tie."""
+    from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
+
+    rng = np.random.default_rng(seed)
+    names = tuple(f"s{i}" for i in range(n_genes)) + ("srv", "cli")
+    calls = []
+    while len(calls) < 8 + seed % 23:
+        caller = names[int(rng.integers(len(names)))]
+        callee = SHARED if rng.random() < 0.1 else names[int(rng.integers(len(names)))]
+        if caller in names[n_genes:] and callee in (SHARED, *names[n_genes:]):
+            continue
+        calls.append(CallRecord(len(calls), caller, callee, f"fn{len(calls)}",
+                                bool(rng.random() < 0.4)))
+    return PlacementProblem(names, {"srv": Tier.SERVER, "cli": Tier.CLIENT}, tuple(calls))
+
+
 def fan_out_problem(n_calls: int):
     """Three unplaced slices and ``n_calls`` unannotated calls from g0,
     alternating to g1 and g2.  All client makes every call local; g0 on the

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture
+from genprog import random_source
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
 from tierslicer.frontend import Lexer, emit, parse, resolve_calls
 from tierslicer.syntax import AnnotationKind, Assign, Binary, Ident, NumberLit, Unary, VarDecl
@@ -54,6 +55,16 @@ def test_emit_is_idempotent(name):
     program = load_fixture(name)
     once = emit(program)
     assert emit(parse(once, name)) == once
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_generated_programs_round_trip_through_emit(seed):
+    program = parse(random_source(seed), "random.tjs")
+    once = emit(program)
+    reparsed = parse(once, "random.tjs")
+    assert reparsed == program
+    assert emit(reparsed) == once
 
 
 # A double quote in a single-quoted string, an escaped backslash and an

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import fixture_problem
 from genprog import (fan_out_problem, gene_order_scores, random_flat_problem, random_problem,
-                     random_problems)
+                     random_problems, wide_flat_problem)
 from tierslicer.errors import AllInvalidError, TooManySlicesError
-from tierslicer.kernels import build_scores, compile_problem, eval_population
+from tierslicer.kernels import build_scores, compile_problem, eval_population, score_steps
 from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer import search
 from tierslicer.search import (
@@ -461,23 +461,6 @@ TIED = {
 }
 
 
-def wide_flat_problem(seed: int, n_genes: int):
-    """random_flat_problem's kind of slice graph, with ``n_genes`` unplaced
-    slices, two fixed ones and 8-30 calls that each have a gene at one end,
-    so many optima tie."""
-    rng = np.random.default_rng(seed)
-    names = tuple(f"s{i}" for i in range(n_genes)) + ("srv", "cli")
-    calls = []
-    while len(calls) < 8 + seed % 23:
-        caller = names[int(rng.integers(len(names)))]
-        callee = SHARED if rng.random() < 0.1 else names[int(rng.integers(len(names)))]
-        if caller in names[n_genes:] and callee in (SHARED, *names[n_genes:]):
-            continue
-        calls.append(CallRecord(len(calls), caller, callee, f"fn{len(calls)}",
-                                bool(rng.random() < 0.4)))
-    return PlacementProblem(names, {"srv": Tier.SERVER, "cli": Tier.CLIENT}, tuple(calls))
-
-
 @pytest.mark.parametrize("problem", [*TIED.values(), *(
     wide_flat_problem(seed, n) for seed, n in ((9, 11), (12, 11), (11, 12), (12, 12)))],
     ids=[*TIED, "wide-9-n11", "wide-12-n11", "wide-11-n12", "wide-12-n12"])
@@ -493,6 +476,98 @@ def test_oracle_breaks_ties_in_problem_order_whatever_the_build_order(problem):
 def test_oracle_equals_the_chunked_argmax_at_each_score_type_boundary(n_calls):
     problem = fan_out_problem(n_calls)
     assert oracle_verdict(problem) == chunked_oracle(problem) == ([1, 1, 1], 1.0)
+
+
+# --- The oracle maximises the last-built gene out ----------------------------
+
+
+def optimal_genomes(problem):
+    """Every genome with the best score in the full table, lexicographically
+    ordered, and that score's fitness, or None if no genome is valid."""
+    scores = gene_order_scores(compile_problem(problem))
+    best = int(scores.max())
+    if best < 0:
+        return None
+    fitness = best / len(problem.calls) if problem.calls else 1.0
+    return (np.argwhere(scores == best) + 1).tolist(), fitness
+
+
+S, C = Tier.SERVER, Tier.CLIENT
+# name: (problem, the gene built last, its step table's shape, optimal
+# genomes, fitness).  The build order's last gene is its first breadth-first
+# start: the lowest degree, then the lowest index.
+FOLD_CASES = {
+    "no genes": (PlacementProblem(("srv", "cli"), {"srv": S, "cli": C},
+                                  calls_between([("cli", "srv"), ("srv", "cli")], {1})),
+                 None, None, [[]], 0.0),
+    "one gene": (PlacementProblem(("g0", "srv"), {"srv": S},
+                                  calls_between([("g0", "srv"), ("srv", "g0"), ("g0", SHARED)],
+                                                {1})),
+                 0, (3,), [[2]], 1.0),
+    "two genes": (PlacementProblem(("g0", "g1", "cli"), {"cli": C},
+                                   calls_between([("g0", "g1"), ("g1", "cli"), ("cli", "g0"),
+                                                  ("g1", "g0")], {3})),
+                  0, (3, 3), [[1, 1]], 1.0),
+    # p on both tiers serves both fixed slices, and then h -> p is local
+    # whatever h's mask, so all three masks of h tie.
+    "last gene free": (PlacementProblem(("h", "p", "cli", "srv"), {"cli": C, "srv": S},
+                                        calls_between([("cli", "p"), ("srv", "p"), ("h", "p")],
+                                                      {2})),
+                       0, (3, 3), [[1, 3], [2, 3], [3, 3]], 1.0),
+    # srv -> h needs h on the server, so h = server and h = both tie.
+    "two optima in the last gene": (
+        PlacementProblem(("h", "p", "cli", "srv"), {"cli": C, "srv": S},
+                         calls_between([("srv", "h"), ("h", "p"), ("cli", "p"), ("srv", "p"),
+                                        ("srv", "cli")], {1, 4})),
+        0, (3, 3), [[2, 3], [3, 3]], 0.8),
+    # h calls and is called only by fixed slices: its step spans its axis alone.
+    "last gene without partners": (
+        PlacementProblem(("g0", "g1", "h", "cli", "srv"), {"cli": C, "srv": S},
+                         calls_between([("cli", "h"), ("h", "srv"), ("g0", "g1"), ("g1", "g0"),
+                                        ("srv", "g0"), ("g1", "cli")], {3, 5})),
+        2, (3, 1, 1), [[2, 2, 1], [2, 2, 2], [2, 2, 3], [3, 3, 1], [3, 3, 2], [3, 3, 3]], 4 / 6),
+    # g0 and g1 have three partners each, g2 and g3 two: g2 is built last.
+    "gene 2 last": (
+        PlacementProblem(("g0", "g1", "g2", "g3", "srv"), {"srv": S},
+                         calls_between([("g0", "g1"), ("g0", "g2"), ("g2", "g1"), ("g3", "g0"),
+                                        ("g1", "g3"), ("srv", "g2")], {0})),
+        2, (3, 3, 3, 1), [[2, 2, 2, 2], [3, 3, 3, 3]], 1.0),
+    # srv -> g0 puts g0 on the server, and then g0 -> cli violates.
+    "all invalid": (PlacementProblem(("g0", "g1", "cli", "srv"), {"cli": C, "srv": S},
+                                     calls_between([("srv", "g0"), ("g0", "cli"), ("g1", "g0"),
+                                                    ("g1", "cli")])),
+                    0, (3, 3), None, None),
+}
+
+
+@pytest.mark.parametrize("name", FOLD_CASES)
+def test_the_oracle_maximises_the_last_built_gene_out(name):
+    problem, last, shape, optima, fitness = FOLD_CASES[name]
+    _, steps, genes = score_steps(compile_problem(problem))
+    assert genes[:1] == ([] if last is None else [last])
+    assert (steps[-1].shape if steps else None) == shape
+    if optima is None:
+        assert optimal_genomes(problem) is None
+        with pytest.raises(AllInvalidError):
+            exhaustive_oracle(problem)
+        return
+    assert optimal_genomes(problem) == (optima, fitness)
+    assert oracle_verdict(problem) == (optima[0], fitness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["layered", "flat", "wide"]),
+       n_genes=st.integers(1, 10))
+def test_the_oracle_is_the_lexicographic_argmax_of_the_score_table(seed, kind, n_genes):
+    # Unfiltered draws, with no valid placement or with many tied optima.
+    if kind == "layered":
+        problem = random_problem(seed)
+    elif kind == "flat":
+        problem = random_flat_problem(np.random.default_rng(seed))
+    else:
+        problem = wide_flat_problem(seed, n_genes)
+    expected = optimal_genomes(problem)
+    assert oracle_verdict(problem) == (expected and (expected[0][0], expected[1]))
 
 
 def test_ga_never_beats_the_oracle(manifest):
