@@ -34,7 +34,7 @@ def valid_count(problem):
     n = len(problem.unplaced)
     if n == 0:
         return None
-    return int((build_scores(compile_problem(problem))[0] >= 0).sum())
+    return int((build_scores(compile_problem(problem)) >= 0).sum())
 
 
 def describe(name):

@@ -1,0 +1,128 @@
+"""The exact optimum placement, from one s-t minimum cut.
+
+Write a tier mask as a client bit c and a server bit s, and put t = 1 - s.
+By ``kernels._call_rule`` a call a -> b is remote iff c_a > c_b or s_a > s_b
+(not both, or b's mask would be empty), so it adds the arc c_a -> c_b of
+weight 1 and t_b -> t_a, of weight 1 with @reply or @broadcast and else
+``inf = n_calls + 1``, the cost of violating validity (Kolmogorov & Zabih,
+TPAMI 26(2), 2004).  The arc t_g -> c_g of weight ``inf`` keeps gene g's mask
+nonempty; a fixed bit is the source if 1 and the sink if 0.  So a minimum
+cut below ``inf`` is the fewest remote calls of a valid placement, and none
+is valid otherwise.  The minimum cuts are the sets that hold the source, not
+the sink, and every head of a residual arc out of them (Picard & Queyranne,
+Math. Prog. Study 13, 1980), so the smallest optimum fixes genes 0, 1, ...
+in turn to the smallest mask whose bits spread without a conflict, ones
+forward along residual arcs and zeros backward.  Nothing recurses.
+"""
+
+from __future__ import annotations
+
+from .model import SHARED, PlacementProblem
+
+SOURCE, SINK = 0, 1
+
+
+def _arcs(problem: PlacementProblem) -> tuple:
+    """``({(tail, head): weight}, inf)``; gene g's bits are the nodes
+    c_g = 2g + 2 and t_g = 2g + 3."""
+    genes, inf = problem.unplaced, len(problem.calls) + 1
+    side = {name: SOURCE if tier.mask == 1 else SINK for name, tier in problem.fixed.items()}
+    c = {SHARED: SOURCE, **side, **{name: 2 * g + 2 for g, name in enumerate(genes)}}
+    t = {SHARED: SINK, **side, **{name: 2 * g + 3 for g, name in enumerate(genes)}}
+    weight = {(t[name], c[name]): inf for name in genes}
+    for call in problem.calls:
+        a, b = call.caller, call.callee
+        for arc, w in (((c[a], c[b]), 1), ((t[b], t[a]), 1 if call.annotated else inf)):
+            if arc[0] != arc[1] and arc[0] != SINK and arc[1] != SOURCE:
+                weight[arc] = weight.get(arc, 0) + w
+    return weight, inf
+
+
+class _Residual:
+    """A flow network as paired arcs: arc e runs to ``head[e]`` with residual
+    capacity ``cap[e]``, and arc ``e ^ 1`` is its reverse."""
+
+    def __init__(self, n_nodes: int, weight: dict):
+        self.out = [[] for _ in range(n_nodes)]
+        self.head, self.cap = [], []
+        for (u, v), w in weight.items():
+            self.out[u].append(len(self.head))
+            self.out[v].append(len(self.head) + 1)
+            self.head += [v, u]
+            self.cap += [w, 0]
+
+    def max_flow(self) -> int:
+        """Dinic's algorithm: per level graph, augment along paths found by an
+        explicit-stack search that skips each node's dead arcs."""
+        out, head, cap = self.out, self.head, self.cap
+        flow = 0
+        while True:
+            level = [-1] * len(out)
+            level[SOURCE] = 0
+            queue = [SOURCE]
+            for u in queue:  # breadth first: the loop reads what it appends
+                for e in out[u]:
+                    if cap[e] and level[head[e]] < 0:
+                        level[head[e]] = level[u] + 1
+                        queue.append(head[e])
+            if level[SINK] < 0:
+                return flow
+            nxt = [0] * len(out)  # each node's first arc not known to be dead
+            path, u = [], SOURCE
+            while True:
+                if u == SINK:
+                    push = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= push
+                        cap[e ^ 1] += push
+                    flow += push
+                    path, u = [], SOURCE
+                arcs, i = out[u], nxt[u]
+                while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == level[u] + 1):
+                    i += 1
+                nxt[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = head[arcs[i]]
+                elif path:  # a dead end: retreat past its arc
+                    u = head[path.pop() ^ 1]
+                    nxt[u] += 1
+                else:
+                    break
+
+    def settle(self, value: list, seeds) -> bool:
+        """Set the bits that ``seeds``, ``(node, bit)`` pairs, force on the
+        nodes that ``value`` leaves unset: a 1 forces the head of each residual
+        arc out of its node, a 0 the tail of each residual arc into it.  On a
+        conflict, set none and return False."""
+        out, head, cap = self.out, self.head, self.cap
+        forced, stack = {}, list(seeds)
+        while stack:
+            u, bit = stack.pop()
+            known = forced.get(u, value[u])
+            if known is None:
+                forced[u] = bit
+                stack += [(head[e], bit) for e in out[u] if cap[e if bit else e ^ 1]]
+            elif known != bit:
+                return False
+        for u, bit in forced.items():
+            value[u] = bit
+        return True
+
+
+def optimum(problem: PlacementProblem) -> tuple:
+    """``(remote calls, genome)`` of the lexicographically smallest valid
+    genome with the fewest remote calls, its masks in ``problem.unplaced``
+    order; ``(None, None)`` when no placement is valid."""
+    weight, inf = _arcs(problem)
+    n_genes = len(problem.unplaced)
+    graph = _Residual(2 * n_genes + 2, weight)
+    remote = graph.max_flow()
+    if remote >= inf:
+        return None, None
+    value = [None] * len(graph.out)
+    graph.settle(value, [(SOURCE, 1), (SINK, 0)])
+    genome = [next(mask for mask in (1, 2, 3)
+                   if graph.settle(value, [(2 * g + 2, mask & 1), (2 * g + 3, 1 - (mask >> 1))]))
+              for g in range(n_genes)]
+    return remote, genome

@@ -9,7 +9,7 @@ cap the search reads ``build_scores``'s table instead.
 which violate validity.  ``classify_rows`` applies it per row and call, and
 ``eval_population``, ``build_scores`` and ``placement.classify_placement``
 (so ``classify_calls``, ``is_valid`` and ``fitness.evaluate`` too) all read
-it.
+it.  ``exact._arcs`` encodes the same rule as the arcs of a cut.
 
 Genomes are int8 vectors of tier masks (client=1, server=2, both=3), one
 gene per unplaced slice in problem order.  A row's fitness is its local call
@@ -19,20 +19,10 @@ computes for the placement.
 ``build_scores`` scores every one of the 3^n genomes at once, for the
 genetic search within the cap.  Each call's locality and validity depend on
 at most two genes, so one ``np.bincount`` sums the calls into a dense table
-per pair of genes, from which ``score_steps`` reads a constant, a 3-vector
-per gene and a 3x3 table per pair of interacting genes.  The array indexed
-by the genome is then grown one gene axis at a time, in the reverse
-Cuthill-McKee order of the gene-interaction graph (Cuthill & McKee,
-*Reducing the bandwidth of sparse symmetric matrices*, ACM '69): a gene's
-vector and its tables with the genes added before it form one step table,
-and in ``grow_scores`` one broadcast add puts its axis outermost.  So numpy's
-inner loop runs over every gene added before the step's earliest partner,
-which that order puts late, and the scores are held in the narrowest integer
-type that holds them.  Every genome is still scored, with about 1.5 * 3^n
-additions in all and no per-genome gather.  The exhaustive oracle
-(``search._first_optimum``) grows the array from the same steps but first
-maximises the last-added gene out of its own step table, whose axes are
-just that gene and its partners, so its largest array has 3^(n-1) entries.
+per pair of genes, and the array indexed by the genome then grows one gene
+axis at a time, from the last gene to the first, by one broadcast add each.
+The scores are held in the narrowest integer type that holds them.  The
+exact optimum comes from ``exact.optimum``, which builds no such array.
 """
 
 from __future__ import annotations
@@ -121,47 +111,19 @@ def eval_population(compiled: CompiledProblem, genomes: np.ndarray):
 _MASKS = np.arange(1, 4, dtype=np.int8)
 
 
-def build_order(n: int, edges) -> list:
-    """Genes 0..n-1 in reverse Cuthill-McKee order over the gene-interaction
-    graph with ``edges``: breadth-first from a lowest-degree gene, visiting
-    neighbours by ascending degree with ties broken by gene index, one
-    component after another; then reversed, so that each breadth-first start
-    comes last."""
-    neighbours = [set() for _ in range(n)]
-    for g, h in edges:
-        neighbours[g].add(h)
-        neighbours[h].add(g)
+def build_scores(compiled: CompiledProblem) -> np.ndarray:
+    """Score every genome: an array of shape ``(3,) * n_genes`` indexed by
+    mask - 1, gene 0 outermost, so the flat index is the genome index.
 
-    def by_degree(g):
-        return len(neighbours[g]), g
-
-    seen, order = set(), []
-    for start in sorted(range(n), key=by_degree):
-        if start in seen:
-            continue
-        seen.add(start)
-        head = len(order)
-        order.append(start)
-        while head < len(order):
-            fresh = sorted(neighbours[order[head]] - seen, key=by_degree)
-            seen.update(fresh)
-            order += fresh
-            head += 1
-    return order[::-1]
-
-
-def score_steps(compiled: CompiledProblem) -> tuple:
-    """``build_scores``'s parts before the array is grown: returns
-    ``(constant, steps, genes)``.  ``constant`` is a 0-d array; ``steps[k]``
-    is the step table of the gene added k-th in ``build_order``, with that
-    gene's axis first and its earlier partner added j-th on axis k - j (every
-    other axis has length 1); ``genes`` is ``build_scores``'s axis order.
-
-    Every call's score over its 3x3 grid of (caller, callee) masks is summed
-    into one dense table per ordered pair of end genes, a fixed end counting
-    as gene -1, by one ``np.bincount``.  Calls with both ends fixed give the
-    constant; calls with one fixed end or both ends in one slice give a
-    3-vector per gene; calls between two genes give a 3x3 table per pair.
+    An entry is the genome's local call count minus ``n_calls + 1`` for each
+    violating call, so it is >= 0 exactly when the placement is valid, and
+    every partial sum fits the narrowest signed type holding
+    ``[-(n_calls + 1) * n_calls, n_calls]``.  One ``np.bincount`` sums every
+    call's 3x3 grid of (caller, callee) mask scores into a dense table per
+    ordered pair of end genes, a fixed end counting as gene -1.  The genes are
+    then added from last to first, each as the new outermost axis, by one
+    broadcast add of its step table: its 3-vector and its tables with the
+    genes after it, gene h on axis h - g.
     """
     n, ncalls = compiled.n_genes, compiled.n_calls
     dtype = np.min_scalar_type(-(ncalls + 1) * max(ncalls, 1))  # int8 with no calls
@@ -183,47 +145,13 @@ def score_steps(compiled: CompiledProblem) -> tuple:
     # A call from the client to the client is local, so the (client, client)
     # entry counts the calls between two genes.
     linked = pair[:, :, 0, 0].tolist()
-    edges = [(g, h) for g in range(n) for h in range(g + 1, n) if linked[g][h]]
-    order = build_order(n, edges)
-    place = {gene: k for k, gene in enumerate(order)}
-    earlier = [[] for _ in range(n)]  # per build place: earlier places
-    for g, h in edges:
-        first, later = sorted((place[g], place[h]))
-        earlier[later].append(first)
-    steps = []
-    for k, h in enumerate(order):
-        # The step table spans h's axis, the new outermost one, and the axes
-        # of h's earlier partners: the one added at place p sits on axis k - p.
-        step = vector[h].reshape((3,) + (1,) * k)
-        for p in earlier[k]:
-            shape = [1] * (k + 1)
-            shape[0] = shape[k - p] = 3
-            step = step + pair[h, order[p]].reshape(shape)
-        steps.append(step)
-    return np.asarray(terms[0, 0, 0, 0]), steps, order[::-1]
-
-
-def grow_scores(constant: np.ndarray, steps: list) -> np.ndarray:
-    """The array of ``constant`` plus ``steps``: one broadcast add per step
-    prepends that step's axis."""
-    scores = constant
-    for step in steps:
+    scores = np.asarray(terms[0, 0, 0, 0])
+    for g in range(n - 1, -1, -1):
+        step = vector[g].reshape((3,) + (1,) * (n - 1 - g))
+        for h in range(g + 1, n):
+            if linked[g][h]:
+                shape = [1] * (n - g)
+                shape[0] = shape[h - g] = 3
+                step = step + pair[g, h].reshape(shape)
         scores = step + scores[None]
     return scores
-
-
-def build_scores(compiled: CompiledProblem):
-    """Score every genome, in build order: returns ``(scores, genes)``, where
-    ``scores`` has shape ``(3,) * n_genes``, is indexed by mask - 1 in C
-    order and holds gene ``genes[j]`` on axis j.
-
-    An entry is the genome's local call count minus ``n_calls + 1`` for each
-    violating call, so it is >= 0 exactly when the placement is valid.  Every
-    partial sum lies in ``[-(n_calls + 1) * n_calls, n_calls]``, so the scores
-    are held in the narrowest signed integer type that holds that range.
-
-    The genes are added in ``build_order``, each as the new outermost axis
-    (see the module notes and ``score_steps``).
-    """
-    constant, steps, genes = score_steps(compiled)
-    return grow_scores(constant, steps), genes

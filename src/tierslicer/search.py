@@ -21,23 +21,20 @@ slice fixed on the client, and if none exists ``run_many`` raises
 populations; if none holds a valid row, row 0 of its last one becomes the
 closure genome, which is valid, so no run fails its batch.
 
-Up to ``ORACLE_CAP`` unplaced slices the rows are scored from the table of
-every genome's score that ``kernels.grow_scores`` grows from
-``kernels.score_steps``'s step tables, built once per ``run_many`` call: one
-product with a two-column weight matrix gives each row its flat index into
-the table and its genome index in problem order, and one gather reads its
-score.  A row is valid iff its score is >= 0, its
-fitness is the score over the call count, and the genome index, which orders
-genomes as their columns do, is its tie key.  Past the cap,
-``kernels.eval_population`` computes each row's fitness and validity, and
-the genome columns are the tie keys.  An invalid row's score steers nothing:
-valid rows rank first and only they enter tournaments, so both paths give the
-same runs.  Within the cap the table also names the lexicographically
-smallest optimum, and a run whose best row is that genome is settled: its
-elite ranks first in every later generation, since no genome scores higher
-and every genome that scores as high has a larger tie key.  So a settled run
-leaves the batch at once, with its history padded with that best fitness up
-to the budget, the result its remaining generations would give.
+Up to ``ORACLE_CAP`` unplaced slices the rows are scored from
+``kernels.build_scores``'s table, built once per ``run_many`` call: a row's
+genome index, one product with the genes' place values, is its flat index
+into the table and its tie key, and one gather reads its score.  A row is
+valid iff its score is >= 0; its fitness is the score over the call count.
+Past the cap ``kernels.eval_population`` scores the rows and the genome
+columns are the tie keys.  Invalid rows steer nothing, as valid rows rank
+first and only they enter tournaments, so both paths give the same runs.
+Within the cap the table's first maximum is the lexicographically smallest
+optimum, and a run whose best row is that genome is settled: no genome scores
+higher and every one that scores as high has a larger tie key, so its elite
+ranks first in every later generation.  A settled run leaves the batch at
+once, its history padded with that best fitness up to the budget, the result
+its remaining generations would give.
 
 Each run owns its random stream, ``np.random.default_rng(seed)``, and makes
 the same draws in the same order and shapes as it would alone, so a seed's
@@ -49,19 +46,9 @@ exactly the values numpy's ``integers`` and ``random`` calls would return
 (``_draw_alone``), handing a run back to those calls in the rare generation
 where a bounded draw is rejected.
 
-``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced slices.
-It takes ``kernels.score_steps``'s step tables (one per gene, in reverse
-Cuthill-McKee order) and ``_first_optimum`` maximises the last gene out of
-its own step table, whose axes are just that gene and its partners.  That
-maximum is added to the step before it, one variable elimination of
-nonserial dynamic programming (Bertele & Brioschi, 1972), so the array grown
-from the other n - 1 steps holds, for each of their masks, the best score
-over the last gene: every one of the 3^n placements is scored through an
-array of 3^(n-1) entries.  The array's axes are in build order, so among the
-tied entries ``_first_optimum`` maps each one's digits to its genome, takes
-the smallest mask of the last gene that reaches the maximum, and keeps the
-lexicographically smallest genome; the GA's settled runs read the same
-function.
+``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced
+slices: ``exact.optimum`` reads the fewest remote calls and the
+lexicographically smallest genome that has them off one s-t minimum cut.
 """
 
 from __future__ import annotations
@@ -74,7 +61,8 @@ import numpy as np
 
 from .errors import AllInvalidError, TooManySlicesError
 from .fitness import evaluate
-from .kernels import compile_problem, eval_population, grow_scores, score_steps
+from .exact import optimum
+from .kernels import build_scores, compile_problem, eval_population
 from .model import SHARED, TIER_FROM_MASK, PlacementProblem, Tier
 from .placement import Placement
 
@@ -146,20 +134,16 @@ class _Scorer:
     tie keys, the keys ``_ranking`` reads, and ``fitness`` turns scores into
     fitness values.
 
-    Up to ``ORACLE_CAP`` genes the score is the row's entry in the full
-    table grown from ``score_steps``'s step tables, which is
-    ``build_scores``'s.  ``weights`` holds one column per index into it,
-    weighing mask - 1: gene ``genes[j]`` weighs ``3**(n - 1 - j)`` in the
-    table's build order, and gene g weighs ``3**(n - 1 - g)`` in the genome
-    index, whose order is the lexicographic order of the genomes.  The
-    product runs in float64, through BLAS; its sums are integers below
-    ``3**n``, so they are exact.  The genome index is held in the narrowest
-    unsigned type that holds it, so ``_ranking`` sorts it by radix for up to
-    10 genes.  ``target`` is the genome index of the lexicographically
-    smallest optimum, the row ``_ranking`` puts first wherever it occurs,
-    which ``_first_optimum`` reads off the same step tables.  Past the cap
-    the score is ``eval_population``'s fitness, the tie keys are the genome
-    columns and there is no target.
+    Up to ``ORACLE_CAP`` genes the score is the row's entry in
+    ``build_scores``'s table, and a row's product with ``place``, the place
+    values ``3**(n - 1 - g)`` of the genes' masks - 1, is its genome index:
+    its flat index into the table and its tie key.  The product runs in
+    float64, through BLAS, and is exact, as its sums are integers below
+    ``3**n``.  The tie key takes the narrowest unsigned type that holds it, so
+    ``_ranking`` sorts it by radix for up to 10 genes.  ``target``, the
+    table's first maximum, is the lexicographically smallest optimum.  Past
+    the cap the score is ``eval_population``'s fitness, the tie keys are the
+    genome columns and there is no target.
     """
 
     def __init__(self, compiled):
@@ -168,21 +152,17 @@ class _Scorer:
         self.table = self.target = None
         if n > ORACLE_CAP:
             return
-        constant, steps, genes = score_steps(compiled)
-        self.table = grow_scores(constant, steps).ravel()
-        self.target = _first_optimum(constant, steps, genes)[1]
-        place = 3.0 ** np.arange(n - 1, -1, -1)
-        self.weights = np.empty((n, 2))
-        self.weights[genes, 0] = place
-        self.weights[:, 1] = place
+        self.table = build_scores(compiled).ravel()
+        self.target = int(self.table.argmax())
+        self.place = 3.0 ** np.arange(n - 1, -1, -1)
         self.index_type = np.min_scalar_type(3**n - 1)
 
     def __call__(self, pop: np.ndarray) -> tuple:
         if self.table is None:
             fitness, valid = eval_population(self.compiled, pop)
             return fitness, valid, pop.T[::-1]
-        flat, index = ((pop - 1) @ self.weights).T
-        score = self.table[flat.astype(np.intp)]
+        index = (pop - 1) @ self.place
+        score = self.table[index.astype(np.intp)]
         return score, score >= 0, index.astype(self.index_type)[None]
 
     def settled(self, tie: np.ndarray, rows: np.ndarray) -> list:
@@ -511,11 +491,11 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
 # --- Exhaustive oracle ----------------------------------------------------
 
 
-ORACLE_CAP = 12  # the most unplaced slices the oracle enumerates by default
+ORACLE_CAP = 12  # the most unplaced slices the oracle takes by default and the GA scores by table
 
 
 def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
-    """Score all 3^n searched placements; argmax fitness over valid ones.
+    """The valid placement of the searched slices with the highest fitness.
 
     Ties break toward the genome-lexicographically smallest placement.
     Returns (best Placement, best fitness).  A negative ``cap`` raises
@@ -526,37 +506,9 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
     n = len(problem.unplaced)
     if n > cap:
         raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
-    best, index = _first_optimum(*score_steps(compile_problem(problem)))
-    if best < 0:
+    remote, genome = optimum(problem)
+    if genome is None:
         raise AllInvalidError("every searched placement is invalid")
-    genome = np.array(np.unravel_index(index, (3,) * n), dtype=np.int8) + 1
     n_calls = len(problem.calls)
-    fitness = int(best) / n_calls if n_calls else 1.0
+    fitness = (n_calls - remote) / n_calls if n_calls else 1.0
     return genome_to_placement(problem, genome), fitness
-
-
-def _first_optimum(constant, steps: list, genes: list) -> tuple:
-    """The best score of ``kernels.score_steps``'s parts, and the genome index
-    in problem order of the lexicographically smallest genome that has it:
-    the tie-break of the oracle and of the GA's ranking.
-
-    The last step's gene is maximised out: ``top`` is its step table's
-    maximum over its own axis, for each mask of its partners, and is added
-    to the step before it, so the array grown from the first n - 1 steps
-    holds the best score over that gene.  Each tied entry's digits are its
-    other genes' masks, and the smallest mask of the last gene that reaches
-    ``top`` completes its smallest genome.
-    """
-    n = len(genes)
-    if n < 2:  # at most three genomes, on one axis in genome order
-        scores = grow_scores(constant, steps)
-        return scores.max(), int(scores.argmax())
-    last = steps[-1]
-    top = last.max(axis=0)
-    folded = grow_scores(constant, [*steps[:-2], steps[-2] + top])
-    best = folded.max()
-    rest = np.unravel_index(np.flatnonzero(folded == best), folded.shape)
-    digits = (np.broadcast_to(last.argmax(axis=0), folded.shape)[rest], *rest)
-    axes = sorted(range(n), key=genes.__getitem__)  # gene g's axis is axes[g]
-    index = np.ravel_multi_index([digits[axis] for axis in axes], (3,) * n)
-    return best, int(index.min())

@@ -12,7 +12,6 @@ from tierslicer.fitness import evaluate
 from tierslicer.kernels import (
     _MASKS,
     _call_rule,
-    build_order,
     build_scores,
     classify_rows,
     compile_problem,
@@ -275,7 +274,7 @@ def test_placement_scores_equal_the_per_term_sum():
 ])
 def test_scores_use_the_narrowest_type_that_holds_them(n_calls, dtype):
     compiled = compile_problem(fan_out_problem(n_calls))
-    assert build_scores(compiled)[0].dtype == dtype
+    assert build_scores(compiled).dtype == dtype
     # Count each genome's local and violating calls one call at a time.
     _, local, violating = classify_rows(compiled, full_enumeration(3))
     expected = local.sum(axis=1) - (n_calls + 1) * violating.sum(axis=1)
@@ -284,11 +283,3 @@ def test_scores_use_the_narrowest_type_that_holds_them(n_calls, dtype):
     assert scores.dtype == np.int64
     np.testing.assert_array_equal(scores.ravel(), expected)
 
-
-def test_build_order_is_reverse_cuthill_mckee():
-    # A path 0-1-2-3-8 with a pendant 4 on 2, an isolated gene 5 and a pair
-    # 6-7.  Each breadth-first search starts at the lowest-degree gene left
-    # (5, then 0, then 6) and visits neighbours by degree, then index (2 visits
-    # 4 before 3); the whole order is then reversed.
-    edges = [(0, 1), (1, 2), (2, 3), (2, 4), (3, 8), (6, 7)]
-    assert build_order(9, edges) == [7, 6, 8, 3, 4, 2, 1, 0, 5]

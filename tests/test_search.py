@@ -13,7 +13,7 @@ from conftest import fixture_problem
 from genprog import (fan_out_problem, gene_order_scores, random_flat_problem, random_problem,
                      random_problems, wide_flat_problem)
 from tierslicer.errors import AllInvalidError, TooManySlicesError
-from tierslicer.kernels import build_scores, compile_problem, eval_population, score_steps
+from tierslicer.kernels import compile_problem, eval_population
 from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
 from tierslicer import search
 from tierslicer.search import (
@@ -433,8 +433,8 @@ def calls_between(pairs, annotated=()):
     return tuple(CallRecord(i, a, b, f"f{i}", i in annotated) for i, (a, b) in enumerate(pairs))
 
 
-# Problems whose build order is not the problem order and whose optima tie,
-# so the oracle must map each tie's build-order digits back to its genome.
+# Problems whose optima tie, so the oracle must break ties in problem order;
+# the cut's residual graph leaves several genes free there.
 TIED = {
     # g1, g3 and g6 make no calls: every mask of theirs ties
     "call-free genes": PlacementProblem(
@@ -465,8 +465,6 @@ TIED = {
     wide_flat_problem(seed, n) for seed, n in ((9, 11), (12, 11), (11, 12), (12, 12)))],
     ids=[*TIED, "wide-9-n11", "wide-12-n11", "wide-11-n12", "wide-12-n12"])
 def test_oracle_breaks_ties_in_problem_order_whatever_the_build_order(problem):
-    n = len(problem.unplaced)
-    assert build_scores(compile_problem(problem))[1] != list(range(n))
     scores = gene_order_scores(compile_problem(problem)).ravel()
     assert scores.max() >= 0 and (scores == scores.max()).sum() > 1  # a valid optimum ties
     assert oracle_verdict(problem) == chunked_oracle(problem)
@@ -478,7 +476,7 @@ def test_oracle_equals_the_chunked_argmax_at_each_score_type_boundary(n_calls):
     assert oracle_verdict(problem) == chunked_oracle(problem) == ([1, 1, 1], 1.0)
 
 
-# --- The oracle maximises the last-built gene out ----------------------------
+# --- Hand-made optima --------------------------------------------------------
 
 
 def optimal_genomes(problem):
@@ -493,59 +491,54 @@ def optimal_genomes(problem):
 
 
 S, C = Tier.SERVER, Tier.CLIENT
-# name: (problem, the gene built last, its step table's shape, optimal
-# genomes, fitness).  The build order's last gene is its first breadth-first
-# start: the lowest degree, then the lowest index.
+# name: (problem, optimal genomes, fitness).
 FOLD_CASES = {
     "no genes": (PlacementProblem(("srv", "cli"), {"srv": S, "cli": C},
                                   calls_between([("cli", "srv"), ("srv", "cli")], {1})),
-                 None, None, [[]], 0.0),
+                 [[]], 0.0),
     "one gene": (PlacementProblem(("g0", "srv"), {"srv": S},
                                   calls_between([("g0", "srv"), ("srv", "g0"), ("g0", SHARED)],
                                                 {1})),
-                 0, (3,), [[2]], 1.0),
+                 [[2]], 1.0),
     "two genes": (PlacementProblem(("g0", "g1", "cli"), {"cli": C},
                                    calls_between([("g0", "g1"), ("g1", "cli"), ("cli", "g0"),
                                                   ("g1", "g0")], {3})),
-                  0, (3, 3), [[1, 1]], 1.0),
+                  [[1, 1]], 1.0),
     # p on both tiers serves both fixed slices, and then h -> p is local
     # whatever h's mask, so all three masks of h tie.
     "last gene free": (PlacementProblem(("h", "p", "cli", "srv"), {"cli": C, "srv": S},
                                         calls_between([("cli", "p"), ("srv", "p"), ("h", "p")],
                                                       {2})),
-                       0, (3, 3), [[1, 3], [2, 3], [3, 3]], 1.0),
+                       [[1, 3], [2, 3], [3, 3]], 1.0),
     # srv -> h needs h on the server, so h = server and h = both tie.
     "two optima in the last gene": (
         PlacementProblem(("h", "p", "cli", "srv"), {"cli": C, "srv": S},
                          calls_between([("srv", "h"), ("h", "p"), ("cli", "p"), ("srv", "p"),
                                         ("srv", "cli")], {1, 4})),
-        0, (3, 3), [[2, 3], [3, 3]], 0.8),
-    # h calls and is called only by fixed slices: its step spans its axis alone.
+        [[2, 3], [3, 3]], 0.8),
+    # h calls and is called only by fixed slices: no other gene interacts with it.
     "last gene without partners": (
         PlacementProblem(("g0", "g1", "h", "cli", "srv"), {"cli": C, "srv": S},
                          calls_between([("cli", "h"), ("h", "srv"), ("g0", "g1"), ("g1", "g0"),
                                         ("srv", "g0"), ("g1", "cli")], {3, 5})),
-        2, (3, 1, 1), [[2, 2, 1], [2, 2, 2], [2, 2, 3], [3, 3, 1], [3, 3, 2], [3, 3, 3]], 4 / 6),
-    # g0 and g1 have three partners each, g2 and g3 two: g2 is built last.
+        [[2, 2, 1], [2, 2, 2], [2, 2, 3], [3, 3, 1], [3, 3, 2], [3, 3, 3]], 4 / 6),
+    # The two optima differ in every gene.
     "gene 2 last": (
         PlacementProblem(("g0", "g1", "g2", "g3", "srv"), {"srv": S},
                          calls_between([("g0", "g1"), ("g0", "g2"), ("g2", "g1"), ("g3", "g0"),
                                         ("g1", "g3"), ("srv", "g2")], {0})),
-        2, (3, 3, 3, 1), [[2, 2, 2, 2], [3, 3, 3, 3]], 1.0),
+        [[2, 2, 2, 2], [3, 3, 3, 3]], 1.0),
     # srv -> g0 puts g0 on the server, and then g0 -> cli violates.
     "all invalid": (PlacementProblem(("g0", "g1", "cli", "srv"), {"cli": C, "srv": S},
                                      calls_between([("srv", "g0"), ("g0", "cli"), ("g1", "g0"),
                                                     ("g1", "cli")])),
-                    0, (3, 3), None, None),
+                    None, None),
 }
 
 
 @pytest.mark.parametrize("name", FOLD_CASES)
 def test_the_oracle_maximises_the_last_built_gene_out(name):
-    problem, last, shape, optima, fitness = FOLD_CASES[name]
-    _, steps, genes = score_steps(compile_problem(problem))
-    assert genes[:1] == ([] if last is None else [last])
-    assert (steps[-1].shape if steps else None) == shape
+    problem, optima, fitness = FOLD_CASES[name]
     if optima is None:
         assert optimal_genomes(problem) is None
         with pytest.raises(AllInvalidError):
