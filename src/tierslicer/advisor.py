@@ -5,6 +5,9 @@ placement: a declaration whose readers sit in functions that are called
 remotely more than locally should be replicated; a function in a fixed slice
 that is called remotely much more than locally should move to a fresh
 unplaced slice so the search can relocate (or duplicate) it.
+
+``AdvisorConfig`` and ``MAX_REFINE_ITERATIONS`` live in ``model``.  Only
+``refine_loop`` searches, so only it imports ``search`` and with it numpy.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from . import frontend
 from .depgraph import DATA, DECLARATION, DependenceGraph, build_pdg, placement_problem
 from .errors import TargetNotFoundError
 from .fitness import offline_percent, report_header
-from .model import SHARED, PlacementProblem
+from .model import MAX_REFINE_ITERATIONS, SHARED, AdvisorConfig, GaConfig, PlacementProblem
 from .placement import Placement, classify_calls
-from .search import GaConfig, run
 from .syntax import Annotation, AnnotationKind, FunctionDecl, SliceDecl, SourceProgram, VarDecl
 
 
@@ -35,15 +37,6 @@ class Advice:
     local_incoming: int = 0  # move advice evidence
     remote_incoming: int = 0
     dependent_functions: list = field(default_factory=list)  # replication evidence
-
-
-@dataclass(frozen=True)
-class AdvisorConfig:
-    move_threshold: float = 0.2  # relative difference (R - L) / (R + L)
-
-    def __post_init__(self):
-        if not 0.0 <= self.move_threshold < 1.0:
-            raise ValueError("move threshold must lie in [0, 1)")
 
 
 def incoming_counts(problem: PlacementProblem, placement: Placement) -> dict:
@@ -190,13 +183,12 @@ class RefineResult:
     fitness_history: list = field(default_factory=list)  # fitness before each apply + final
 
 
-MAX_REFINE_ITERATIONS = 10  # advice integrations before refine_loop stops by default
-
-
 def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
                 advisor_config: AdvisorConfig = AdvisorConfig(),
                 max_iterations: int = MAX_REFINE_ITERATIONS) -> RefineResult:
     """Alternate search and advice integration until a fixpoint."""
+    from .search import run
+
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     iterations = 0

@@ -3,28 +3,23 @@
 Subcommands: parse, graph, assign, oracle, advise, refine, split, stats.
 Exit codes: 0 ok, 1 usage, 2 parse error, 3 invalid placement, 4 search
 failure.
+
+Each command imports the stages it runs when it runs, so start-up loads only
+click and the domain types, and only the commands that search (``assign``,
+``stats``, ``refine`` and ``advise`` without ``--placement``) load numpy.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-import statistics
 import sys
 from collections import Counter
 
 import click
 
-from . import advisor as advisor_mod
-from . import depgraph, frontend
-from .advisor import MAX_REFINE_ITERATIONS, AdvisorConfig
+from . import __version__
 from .errors import AllInvalidError, TierSlicerError, TooManySlicesError
-from .fitness import evaluate, offline_percent, report_header
-from .model import PlacementProblem, Tier
-from .placement import Placement, classify_calls, is_valid
-from .search import ORACLE_CAP, GaConfig, exhaustive_oracle, run, run_many
-from .syntax import ANNOTATION_CATEGORIES
+from .model import (MAX_REFINE_ITERATIONS, ORACLE_CAP, AdvisorConfig, GaConfig,
+                    PlacementProblem, Tier)
 
 EXIT_USAGE = 1
 EXIT_PARSE = 2
@@ -38,6 +33,8 @@ COUNT = click.IntRange(min=1)
 
 
 def load_program(path: str):
+    from . import frontend
+
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -56,9 +53,20 @@ def load_program(path: str):
     return program
 
 
-def load_placement(path: str, problem: PlacementProblem) -> Placement:
+def load_problem(path: str) -> tuple:
+    """``(program, dependence graph, placement problem)`` of the source file ``path``."""
+    from .depgraph import build_pdg, placement_problem
+
+    program = load_program(path)
+    graph = build_pdg(program)
+    return program, graph, placement_problem(graph)
+
+
+def load_placement(path: str, problem: PlacementProblem):
     """Read a placement file that gives every slice of ``problem`` a tier and
     keeps its @config tiers; a file that does not exits 3."""
+    from .placement import Placement
+
     try:
         with open(path, encoding="utf-8") as fh:
             placement = Placement.from_json(fh.read())
@@ -133,7 +141,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option()
+@click.version_option(version=__version__)
 def main():
     """Analyze slice-structured TierJS programs and assign slices to tiers."""
 
@@ -142,13 +150,16 @@ def main():
 @click.argument("path", type=click.Path())
 def cmd_parse(path):
     """Parse PATH and print a slice/annotation summary."""
+    from .frontend import iter_annotated_nodes
+    from .syntax import ANNOTATION_CATEGORIES
+
     program = load_program(path)
     fixed = sum(1 for s in program.slices if s.fixed_tier)
     click.echo(f"slices: {len(program.slices)} ({fixed} fixed)")
     for s in program.slices:
         tier = s.fixed_tier or "unplaced"
         click.echo(f"  {s.name}: {tier}")
-    kinds = Counter(a.kind for _, anns in frontend.iter_annotated_nodes(program) for a in anns)
+    kinds = Counter(a.kind for _, anns in iter_annotated_nodes(program) for a in anns)
     click.echo("annotations: " + " ".join(f"{category}={sum(kinds[k] for k in members)}"
                                           for category, members in ANNOTATION_CATEGORIES.items()))
     if program.warnings:
@@ -162,6 +173,8 @@ def cmd_parse(path):
 @click.option("-o", "--output", type=click.Path(), default=None, help="Write to file instead of stdout.")
 def cmd_graph(path, fmt, output):
     """Export the dependence graph of PATH."""
+    from . import depgraph
+
     program = load_program(path)
     graph = depgraph.build_pdg(program)
     if fmt == "dot":
@@ -172,6 +185,8 @@ def cmd_graph(path, fmt, output):
 
 
 def _print_fitness(report):
+    from .fitness import offline_percent, report_header
+
     click.echo(report_header(report.program))
     click.echo(f"valid: {'yes' if report.valid else 'no'}")
     for name, sf in report.per_slice.items():
@@ -195,9 +210,10 @@ def cmd_assign(path, runs, jobs, csv_path, output, **ga):
         raise click.UsageError("-o/--output cannot be used with --runs above 1")
     if runs == 1 and csv_path is not None:
         raise click.UsageError("--csv needs --runs above 1")
-    program = load_program(path)
-    graph = depgraph.build_pdg(program)
-    problem = depgraph.placement_problem(graph)
+    from .fitness import evaluate
+    from .search import run
+
+    program, graph, problem = load_problem(path)
     config = make_config(GaConfig, **ga)
     if runs > 1:
         _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
@@ -217,14 +233,19 @@ def cmd_assign(path, runs, jobs, csv_path, output, **ga):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def cmd_stats(path, runs, jobs, csv_path, **ga):
     """Run the search many times and summarize the tier distribution."""
-    program = load_program(path)
-    graph = depgraph.build_pdg(program)
-    problem = depgraph.placement_problem(graph)
+    program, graph, problem = load_problem(path)
     config = make_config(GaConfig, **ga)
     _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
 
 
 def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
+    import csv
+    import io
+    import statistics
+
+    from . import advisor as advisor_mod
+    from .search import run_many
+
     results = run_many(problem, config, runs, jobs)
 
     per_tier = {Tier.CLIENT: [], Tier.SERVER: [], Tier.BOTH: []}
@@ -274,8 +295,10 @@ def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_oracle(path, cap, output):
     """Exhaustively enumerate all placements of PATH's unplaced slices."""
-    program = load_program(path)
-    problem = depgraph.placement_problem(depgraph.build_pdg(program))
+    from .exact import exhaustive_oracle
+    from .fitness import evaluate
+
+    _, _, problem = load_problem(path)
     try:
         placement, fitness_value = exhaustive_oracle(problem, cap=cap)
     except TooManySlicesError as exc:
@@ -294,14 +317,19 @@ def cmd_oracle(path, cap, output):
 @ga_options
 def cmd_advise(path, placement_path, move_threshold, as_json, **ga):
     """Print refinement advice for PATH under a placement."""
-    program = load_program(path)
+    import json
+
+    from . import advisor as advisor_mod
+    from .fitness import evaluate
+
+    program, graph, problem = load_problem(path)
     config = None if placement_path else make_config(GaConfig, **ga)
     adv_cfg = make_config(AdvisorConfig, move_threshold=move_threshold)
-    graph = depgraph.build_pdg(program)
-    problem = depgraph.placement_problem(graph)
     if placement_path:
         placement = load_placement(placement_path, problem)
     else:
+        from .search import run
+
         placement = run(problem, config).best_placement
     fitness_value = evaluate(problem, placement).program
     advices = advisor_mod.advise(graph, problem, placement, program, adv_cfg)
@@ -332,11 +360,15 @@ def cmd_refine(ctx, path, do_apply, max_iterations, move_threshold, output, **ga
     if not do_apply:
         ctx.invoke(cmd_advise, path=path, move_threshold=move_threshold, **ga)
         return
+    from . import advisor as advisor_mod
+    from .fitness import report_header
+    from .frontend import emit
+
     program = load_program(path)
     config = make_config(GaConfig, **ga)
     adv_cfg = make_config(AdvisorConfig, move_threshold=move_threshold)
     result = advisor_mod.refine_loop(program, config, adv_cfg, max_iterations=max_iterations)
-    write_or_echo(frontend.emit(result.program), output)
+    write_or_echo(emit(result.program), output)
     click.echo(report_header(result.fitness))
     click.echo(f"iterations: {result.iterations}")
     click.echo(f"slices: {len(result.program.slices)}")
@@ -347,8 +379,9 @@ def cmd_refine(ctx, path, do_apply, max_iterations, move_threshold, output, **ga
 @click.option("--placement", "placement_path", type=click.Path(), required=True)
 def cmd_split(path, placement_path):
     """Structural per-tier listing for PATH under a placement."""
-    program = load_program(path)
-    problem = depgraph.placement_problem(depgraph.build_pdg(program))
+    from .placement import classify_calls, is_valid
+
+    program, _, problem = load_problem(path)
     placement = load_placement(placement_path, problem)
     valid, bad = is_valid(problem, placement)
     if not valid:

@@ -1,7 +1,12 @@
 """The exact optimum placement, from one s-t minimum cut.
 
+``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced slices:
+``optimum`` reads the fewest remote calls and the lexicographically smallest
+genome that has them off one s-t minimum cut.  Nothing here imports numpy,
+so the ``oracle`` command never loads it.
+
 Write a tier mask as a client bit c and a server bit s, and put t = 1 - s.
-By ``kernels._call_rule`` a call a -> b is remote iff c_a > c_b or s_a > s_b
+By ``model.call_rule`` a call a -> b is remote iff c_a > c_b or s_a > s_b
 (not both, or b's mask would be empty), so it adds the arc c_a -> c_b of
 weight 1 and t_b -> t_a, of weight 1 with @reply or @broadcast and else
 ``inf = n_calls + 1``, the cost of violating validity (Kolmogorov & Zabih,
@@ -17,7 +22,9 @@ forward along residual arcs and zeros backward.  Nothing recurses.
 
 from __future__ import annotations
 
-from .model import SHARED, PlacementProblem
+from .errors import AllInvalidError, TooManySlicesError
+from .model import ORACLE_CAP, SHARED, TIER_FROM_MASK, PlacementProblem
+from .placement import Placement
 
 SOURCE, SINK = 0, 1
 
@@ -126,3 +133,31 @@ def optimum(problem: PlacementProblem) -> tuple:
                    if graph.settle(value, [(2 * g + 2, mask & 1), (2 * g + 3, 1 - (mask >> 1))]))
               for g in range(n_genes)]
     return remote, genome
+
+
+def genome_to_placement(problem: PlacementProblem, genome) -> Placement:
+    searched = {
+        name: TIER_FROM_MASK[int(mask)]
+        for name, mask in zip(problem.unplaced, genome)
+    }
+    return Placement(fixed=dict(problem.fixed), searched=searched)
+
+
+def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
+    """The valid placement of the searched slices with the highest fitness.
+
+    Ties break toward the genome-lexicographically smallest placement.
+    Returns (best Placement, best fitness).  A negative ``cap`` raises
+    ValueError.
+    """
+    if cap < 0:
+        raise ValueError(f"oracle cap must be >= 0, not {cap}")
+    n = len(problem.unplaced)
+    if n > cap:
+        raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
+    remote, genome = optimum(problem)
+    if genome is None:
+        raise AllInvalidError("every searched placement is invalid")
+    n_calls = len(problem.calls)
+    fitness = (n_calls - remote) / n_calls if n_calls else 1.0
+    return genome_to_placement(problem, genome), fitness

@@ -4,14 +4,13 @@ Per slice: the fraction of its calls that stay local (1.0 for call-free
 slices, which then carry zero weight).  Per program: the ratio of local calls
 to total calls (1.0 with no calls), which is the call-count-weighted mean over
 slices and the same double ``kernels.eval_population`` returns for the
-placement's genome.
+placement's genome.  Both sums run over ``placement.classify_placement`` in
+plain Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .model import PlacementProblem
 from .placement import Placement, classify_placement
@@ -32,19 +31,21 @@ class FitnessReport:
 
 
 def evaluate(problem: PlacementProblem, placement: Placement) -> FitnessReport:
-    compiled, _, local, violating = classify_placement(problem, placement)
-    # Every slice is a gene, so a call's caller gene is its slice's index.
-    n = len(problem.slices)
-    total = np.bincount(compiled.caller_gene, minlength=n).tolist()
-    mine = np.bincount(compiled.caller_gene[local], minlength=n).tolist()
+    classified = classify_placement(problem, placement)
+    total = dict.fromkeys(problem.slices, 0)
+    mine = dict.fromkeys(problem.slices, 0)
+    for rec, (_, local, _) in zip(problem.calls, classified):
+        total[rec.caller] += 1
+        mine[rec.caller] += local
     per_slice = {
-        name: SliceFitness(m / t if t else 1.0, m, t)
-        for name, m, t in zip(problem.slices, mine, total)
+        name: SliceFitness(mine[name] / t if t else 1.0, mine[name], t)
+        for name, t in total.items()
     }
+    n_calls = len(problem.calls)
     return FitnessReport(
         per_slice=per_slice,
-        program=sum(mine) / compiled.n_calls if compiled.n_calls else 1.0,
-        valid=not violating.any(),
+        program=sum(mine.values()) / n_calls if n_calls else 1.0,
+        valid=not any(bad for _, _, bad in classified),
     )
 
 

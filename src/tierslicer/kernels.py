@@ -3,13 +3,14 @@
 This module compiles a placement problem's call table into flat arrays and
 evaluates whole genome batches at once with numpy.  ``eval_population`` is
 the genetic search's evaluator past ``search.ORACLE_CAP`` genes; up to the
-cap the search reads ``build_scores``'s table instead.
+cap the search reads ``build_scores``'s table instead.  Only the search
+imports this module, so only the commands that search load numpy.
 
-``_call_rule`` is tierslicer's one definition of which calls are local and
-which violate validity.  ``classify_rows`` applies it per row and call, and
-``eval_population``, ``build_scores`` and ``placement.classify_placement``
-(so ``classify_calls``, ``is_valid`` and ``fitness.evaluate`` too) all read
-it.  ``exact._arcs`` encodes the same rule as the arcs of a cut.
+``model.call_rule`` is tierslicer's one definition of which calls are local
+and which violate validity.  ``classify_rows`` and ``build_scores`` apply it
+to numpy arrays; ``placement.classify_placement`` (so ``classify_calls``,
+``is_valid`` and ``fitness.evaluate`` too) applies it call by call to Python
+ints, and ``exact._arcs`` encodes it as the arcs of a cut.
 
 Genomes are int8 vectors of tier masks (client=1, server=2, both=3), one
 gene per unplaced slice in problem order.  A row's fitness is its local call
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SHARED, PlacementProblem
+from .model import SHARED, PlacementProblem, call_rule
 
 
 @dataclass
@@ -54,18 +55,14 @@ class CompiledProblem:
 
 def compile_problem(problem: PlacementProblem) -> CompiledProblem:
     """One gene per unplaced slice; the @config slices keep their fixed masks."""
-    return compile_genes(problem, problem.unplaced)
-
-
-def compile_genes(problem: PlacementProblem, genes: tuple) -> CompiledProblem:
-    """One gene per slice in ``genes``, in order; any other slice is fixed."""
+    genes = problem.unplaced
     gene_of = {name: i for i, name in enumerate(genes)}
     # Genes read no mask; shared callees carry mask 3, so they are always local.
     mask_of = {SHARED: 3, **{s: t.mask for s, t in problem.fixed.items()}, **dict.fromkeys(genes, 0)}
     callers = [rec.caller for rec in problem.calls]
     callees = [rec.callee for rec in problem.calls]
     return CompiledProblem(
-        unplaced=tuple(genes),
+        unplaced=genes,
         caller_gene=np.array([gene_of.get(s, -1) for s in callers], dtype=np.int32),
         caller_mask=np.array([mask_of[s] for s in callers], dtype=np.int8),
         callee_gene=np.array([gene_of.get(s, -1) for s in callees], dtype=np.int32),
@@ -81,23 +78,15 @@ def _endpoint(genomes, gene, mask):
     return np.where(gene >= 0, genomes[:, np.maximum(gene, 0)], mask)
 
 
-def _call_rule(a, b, ann):
-    """(local, violating) for calls whose ends have tier masks ``a`` and ``b``:
-    local iff a is a subset of b; violating iff remote, from a server-side
-    caller to a callee off the server, without @reply or @broadcast."""
-    local = (a & (3 ^ b)) == 0
-    return local, ~local & ((a & 2) != 0) & ((b & 2) == 0) & ~ann
-
-
 def classify_rows(compiled: CompiledProblem, genomes: np.ndarray):
     """Per genome row and call: the callee's tier mask, and whether the call
-    is local and whether it is violating, by ``_call_rule``."""
+    is local and whether it is violating, by ``call_rule``."""
     genomes = np.ascontiguousarray(genomes, dtype=np.int8)
     if genomes.ndim != 2 or genomes.shape[1] != compiled.n_genes:
         raise ValueError("genome matrix shape does not match the problem")
     callee = _endpoint(genomes, compiled.callee_gene, compiled.callee_mask)
     caller = _endpoint(genomes, compiled.caller_gene, compiled.caller_mask)
-    return (callee, *_call_rule(caller, callee, compiled.annotated))
+    return (callee, *call_rule(caller, callee, compiled.annotated))
 
 
 def eval_population(compiled: CompiledProblem, genomes: np.ndarray):
@@ -131,7 +120,7 @@ def build_scores(compiled: CompiledProblem) -> np.ndarray:
     # A fixed end, shared callees included, keeps its own mask along its axis.
     a = np.where(cg[:, None] >= 0, _MASKS, compiled.caller_mask[:, None])
     b = np.where(eg[:, None] >= 0, _MASKS, compiled.callee_mask[:, None])
-    local, bad = _call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
+    local, bad = call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
     cells = ((cg + 1) * (n + 1) + eg + 1)[:, None] * 9 + np.arange(9)
     terms = np.bincount(cells.ravel(), (local - (ncalls + 1) * bad).ravel(),
                         minlength=(n + 1) ** 2 * 9)

@@ -3,9 +3,10 @@
 A call from slice A to slice B is local iff tiers(A) is a subset of tiers(B)
 (with Both = {client, server}); shared callees are always local.  A placement
 is invalid iff some remote call needs a server-to-client hop and its call
-site carries neither @reply nor @broadcast.  ``classify_calls`` reads that
-rule from its one definition, ``kernels._call_rule``, through
-``kernels.classify_rows`` on the placement's one row of tier masks.
+site carries neither @reply nor @broadcast.  ``classify_placement`` applies
+that rule's one definition, ``model.call_rule``, call by call in plain
+Python, so ``classify_calls``, ``is_valid`` and ``fitness.evaluate`` need no
+numpy.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import MissingPlacementError
-from .kernels import classify_rows, compile_genes
-from .model import CallRecord, Direction, PlacementProblem, Tier
+from .model import SHARED, CallRecord, Direction, PlacementProblem, Tier, call_rule
 
 
 @dataclass
@@ -73,24 +71,23 @@ class ClassifiedCall:
 _TOWARD = {1: Direction.SERVER_TO_CLIENT, 2: Direction.CLIENT_TO_SERVER}
 
 
-def classify_placement(problem: PlacementProblem, placement: Placement):
-    """The placement as one row with every slice a gene, so every tier,
-    @config ones included, comes from the placement: returns the compiled
-    problem and, per call, the callee's tier mask and whether the call is
-    local and whether it is violating."""
-    compiled = compile_genes(problem, problem.slices)
-    row = np.array([[placement.mask(name) for name in problem.slices]], dtype=np.int8)
-    callee, local, violating = classify_rows(compiled, row)
-    return compiled, callee[0], local[0], violating[0]
+def classify_placement(problem: PlacementProblem, placement: Placement) -> list:
+    """Per call, ``(callee mask, local, violating)`` under the placement;
+    every tier, @config ones included, comes from the placement, and shared
+    callees carry mask 3, so they are always local."""
+    mask = {SHARED: 3, **{name: placement.mask(name) for name in problem.slices}}
+    out = []
+    for rec in problem.calls:
+        callee = mask[rec.callee]
+        out.append((callee, *call_rule(mask[rec.caller], callee, rec.annotated)))
+    return out
 
 
 def classify_calls(problem: PlacementProblem, placement: Placement) -> list:
     """Label every resolved call Local or Remote under the placement."""
-    _, callee, local, violating = classify_placement(problem, placement)
     return [
-        ClassifiedCall(rec, is_local, None if is_local else _TOWARD[mask], bad)
-        for rec, mask, is_local, bad in zip(problem.calls, callee.tolist(),
-                                            local.tolist(), violating.tolist())
+        ClassifiedCall(rec, local, None if local else _TOWARD[callee], bad)
+        for rec, (callee, local, bad) in zip(problem.calls, classify_placement(problem, placement))
     ]
 
 

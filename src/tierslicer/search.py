@@ -1,4 +1,4 @@
-"""Genetic search over tier placements, plus an exhaustive oracle.
+"""Genetic search over tier placements.
 
 Individuals are tier-mask genomes over the unplaced slices.  ``run_many``
 advances all its independent runs together: their populations are stacked
@@ -46,49 +46,27 @@ exactly the values numpy's ``integers`` and ``random`` calls would return
 (``_draw_alone``), handing a run back to those calls in the rare generation
 where a bounded draw is rejected.
 
-``exhaustive_oracle`` is the exact answer for up to ``cap`` unplaced
-slices: ``exact.optimum`` reads the fewest remote calls and the
-lexicographically smallest genome that has them off one s-t minimum cut.
+``GaConfig`` and ``ORACLE_CAP`` live in ``model`` and ``exhaustive_oracle``
+and ``genome_to_placement`` in ``exact``, which import no numpy; this module
+re-exports them, and ``_Scorer`` reads this module's ``ORACLE_CAP``.  Only
+``run_many`` with more than one job imports ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import AllInvalidError, TooManySlicesError
+from .errors import AllInvalidError
+from .exact import exhaustive_oracle, genome_to_placement  # noqa: F401 (re-exported)
 from .fitness import evaluate
-from .exact import optimum
 from .kernels import build_scores, compile_problem, eval_population
-from .model import SHARED, TIER_FROM_MASK, PlacementProblem, Tier
+from .model import ORACLE_CAP, SHARED, GaConfig, PlacementProblem, Tier
 from .placement import Placement
 
 _SEED_RETRIES = 10
-
-
-@dataclass(frozen=True)
-class GaConfig:
-    population_size: int = 30
-    max_generations: int = 300
-    crossover_prob: float = 0.6
-    mutation_prob: float = 0.6
-    tournament_size: int = 4
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.crossover_prob <= 1.0 or not 0.0 <= self.mutation_prob <= 1.0:
-            raise ValueError("probabilities must lie in [0, 1]")
-        if self.population_size < 2:
-            raise ValueError("population size must be >= 2")
-        if self.max_generations < 1:
-            raise ValueError("max generations must be >= 1")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ValueError("tournament size must be in [1, population size]")
-        if self.rng_seed < 0:
-            raise ValueError("RNG seed must be >= 0")
 
 
 @dataclass
@@ -99,14 +77,6 @@ class SearchResult:
     generations_used: int
     history: list = field(default_factory=list)  # best fitness per generation
     best_genome: np.ndarray | None = None
-
-
-def genome_to_placement(problem: PlacementProblem, genome) -> Placement:
-    searched = {
-        name: TIER_FROM_MASK[int(mask)]
-        for name, mask in zip(problem.unplaced, genome)
-    }
-    return Placement(fixed=dict(problem.fixed), searched=searched)
 
 
 # --- Operators --------------------------------------------------------------
@@ -185,7 +155,7 @@ def _closure_genome(problem: PlacementProblem) -> np.ndarray:
     """A valid genome: server for the slices that every valid placement puts
     on the server, client for the rest.
 
-    By ``_call_rule`` a call violates iff it is unannotated, its caller holds
+    By ``call_rule`` a call violates iff it is unannotated, its caller holds
     the server and its callee does not.  So the slices that hold the server
     are closed forward along unannotated calls, and the least such set is the
     closure of the fixed server slices and of shared code, which runs on
@@ -429,6 +399,8 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
         counts = [runs // jobs + (j < runs % jobs) for j in range(jobs)]
         configs = [replace(config, rng_seed=seed)
                    for seed in accumulate(counts[:-1], initial=config.rng_seed)]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             blocks = pool.map(run_many, [problem] * jobs, configs, counts)
             return [result for block in blocks for result in block]
@@ -486,29 +458,3 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
             order = _ranking(tie[:, rows], score[rows], valid, P)
         pop = _next_generation(pop, valid, order, streams, config)
         generation += 1
-
-
-# --- Exhaustive oracle ----------------------------------------------------
-
-
-ORACLE_CAP = 12  # the most unplaced slices the oracle takes by default and the GA scores by table
-
-
-def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
-    """The valid placement of the searched slices with the highest fitness.
-
-    Ties break toward the genome-lexicographically smallest placement.
-    Returns (best Placement, best fitness).  A negative ``cap`` raises
-    ValueError.
-    """
-    if cap < 0:
-        raise ValueError(f"oracle cap must be >= 0, not {cap}")
-    n = len(problem.unplaced)
-    if n > cap:
-        raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
-    remote, genome = optimum(problem)
-    if genome is None:
-        raise AllInvalidError("every searched placement is invalid")
-    n_calls = len(problem.calls)
-    fitness = (n_calls - remote) / n_calls if n_calls else 1.0
-    return genome_to_placement(problem, genome), fitness

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import fixture_path
-from tierslicer import advisor, cli
+from tierslicer import advisor, search
 from tierslicer.advisor import AdvisorConfig
 from tierslicer.cli import main
 from tierslicer.search import GaConfig
@@ -426,8 +426,8 @@ ADVISE_OPTIONS = [
 ])
 def test_refine_without_apply_prints_what_advise_prints(runner, monkeypatch, name):
     seen = []  # the configs that reach the library's search and advisor
-    real_run, real_advise = cli.run, advisor.advise
-    monkeypatch.setattr(cli, "run", lambda problem, config: seen.append(config)
+    real_run, real_advise = search.run, advisor.advise
+    monkeypatch.setattr(search, "run", lambda problem, config: seen.append(config)
                         or real_run(problem, config))
     monkeypatch.setattr(advisor, "advise", lambda *args: seen.append(args[4])
                         or real_advise(*args))

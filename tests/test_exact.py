@@ -34,7 +34,7 @@ def cut_costs(problem, genomes):
 
 @pytest.mark.parametrize("source", ["flat", "layered", "fixtures"])
 def test_the_cut_charges_every_genome_what_call_rule_does(source):
-    # The arcs encode kernels._call_rule: a remote call costs 1, a violating
+    # The arcs encode model.call_rule: a remote call costs 1, a violating
     # one inf = n_calls + 1 instead, and a local one nothing.
     if source == "flat":
         rng = np.random.default_rng(41)

@@ -5,20 +5,21 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_problem
 from genprog import fan_out_problem, gene_order_scores, random_flat_problem, random_problem
 from tierslicer.fitness import evaluate
 from tierslicer.kernels import (
     _MASKS,
-    _call_rule,
     build_scores,
     classify_rows,
     compile_problem,
     eval_population,
 )
-from tierslicer.model import SHARED, CallRecord, PlacementProblem, Tier
-from tierslicer.placement import is_valid
+from tierslicer.model import SHARED, CallRecord, Direction, PlacementProblem, Tier, call_rule
+from tierslicer.placement import classify_calls, is_valid
 from tierslicer.search import genome_to_placement
 
 
@@ -40,6 +41,32 @@ def test_kernel_equals_evaluate_exactly_on_random_problems():
             placement = genome_to_placement(problem, genome)
             assert f == evaluate(problem, placement).program
             assert bool(v) == is_valid(problem, placement)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(layered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pure_python_rule_equals_the_kernel_on_every_genome(layered, seed):
+    # classify_calls and evaluate apply call_rule call by call in Python; the
+    # kernel applies it to arrays.  On every genome of a small unfiltered
+    # problem they must agree on each call's locality, direction and
+    # violation, on validity and on the fitness double.
+    problem = random_problem(seed) if layered else random_flat_problem(np.random.default_rng(seed))
+    assume(len(problem.unplaced) <= 6)
+    compiled = compile_problem(problem)
+    genomes = full_enumeration(compiled.n_genes)
+    callee, local, violating = classify_rows(compiled, genomes)
+    fitness, valid = eval_population(compiled, genomes)
+    toward = {1: Direction.SERVER_TO_CLIENT, 2: Direction.CLIENT_TO_SERVER}
+    for i, genome in enumerate(genomes):
+        placement = genome_to_placement(problem, genome)
+        classified = classify_calls(problem, placement)
+        assert [c.local for c in classified] == local[i].tolist()
+        assert [c.violating for c in classified] == violating[i].tolist()
+        assert [c.direction for c in classified] == [
+            None if ok else toward[mask] for ok, mask in zip(local[i].tolist(), callee[i].tolist())]
+        report = evaluate(problem, placement)
+        assert report.program == fitness[i]
+        assert report.valid == is_valid(problem, placement)[0] == valid[i]
 
 
 @pytest.mark.parametrize("name", [
@@ -227,7 +254,7 @@ def per_term_scores(compiled):
     cg, eg = compiled.caller_gene, compiled.callee_gene
     a = np.where(cg[:, None] >= 0, _MASKS, compiled.caller_mask[:, None])
     b = np.where(eg[:, None] >= 0, _MASKS, compiled.callee_mask[:, None])
-    local, bad = _call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
+    local, bad = call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
     grid = local.astype(np.int64) - (ncalls + 1) * bad
     swap = cg > eg
     grid[swap] = grid[swap].transpose(0, 2, 1)
