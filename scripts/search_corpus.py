@@ -3,14 +3,16 @@
 
 The corpus is every bundled fixture with unplaced slices, then the
 ``genprog`` problems ``random_problem(0..39)``, ``random_flat_problem`` of
-generator seeds 0-29 and the ``wide_flat_problem`` draws in ``WIDE``, with 11
-and 12 unplaced slices, all unfiltered, so some have rare valid placements
-or none.  Each problem runs one ``run_many`` batch under every configuration
-in ``CONFIGS``.  Each line reads ``problem<TAB>configuration<TAB>sha256`` of
-the batch's ``SearchResult``s (placement, fitness, validity, generations,
-history and genome, all bit for bit), or ``AllInvalidError`` where the
-batch raised it.  One more line per problem reads
-``problem<TAB>oracle<TAB>genome fitness`` of ``exhaustive_oracle``'s answer
+generator seeds 0-29 and the ``wide_flat_problem`` draws in ``WIDE``, with 11,
+12, 13 and 16 unplaced slices, all unfiltered, so some have rare valid
+placements or none.  The draws of 13 and 16 slices lie past ``ORACLE_CAP``,
+where the search scores rows with ``eval_population``.  Each problem runs
+one ``run_many`` batch under every configuration in ``CONFIGS``.  Each line
+reads ``problem<TAB>configuration<TAB>sha256`` of the batch's
+``SearchResult``s (placement, fitness, validity, generations, history and
+genome, all bit for bit), or ``AllInvalidError`` where the batch raised it.
+One more line per problem reads ``problem<TAB>oracle<TAB>genome fitness`` of
+``exhaustive_oracle``'s answer, with the cap raised to the problem's size
 (the fitness as a hex float), or ``AllInvalidError``.  So two trees can be
 compared with one ``diff``::
 
@@ -38,7 +40,8 @@ from tierslicer.search import GaConfig, exhaustive_oracle, run_many  # noqa: E40
 FIXTURES = ROOT / "src" / "tierslicer" / "fixtures"
 RUNS = 4
 # (generator seed, unplaced slices) of the wide_flat_problem draws.
-WIDE = ((9, 11), (12, 11), (20, 11), (11, 12), (12, 12), (21, 12))
+WIDE = ((9, 11), (12, 11), (20, 11), (11, 12), (12, 12), (21, 12),
+        (4, 13), (8, 13), (12, 16), (19, 16))
 
 # The default and criterion 2's configuration, early stops, the smallest
 # population, no mutation, no crossover and a single generation.
@@ -86,7 +89,7 @@ def digest(problem, config) -> str:
 def oracle_answer(problem) -> str:
     """The oracle's genome and fitness, or the error it raised."""
     try:
-        placement, fitness = exhaustive_oracle(problem)
+        placement, fitness = exhaustive_oracle(problem, len(problem.unplaced))
     except AllInvalidError:
         return "AllInvalidError"
     return f"{[placement.tier(s).mask for s in problem.unplaced]} {fitness.hex()}"

@@ -198,7 +198,7 @@ def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
         problem = placement_problem(graph)
         result = run(problem, ga_config)
         history.append(result.best_fitness)
-        if result.best_fitness == 1.0 and result.best_valid:
+        if result.best_fitness == 1.0:
             break
         advices = advise(graph, problem, result.best_placement, program, advisor_config)
         if not advices or iterations >= max_iterations:

@@ -10,8 +10,8 @@ only; then ``_next_generation`` makes one uniform crossover of each parent
 pair and one mutation that rewrites one position per child.  Invalid
 individuals stay in the population (they may mutate back to validity) but
 never parent.  Replacement is generational with 1-elitism on the best valid
-individual.  A run stops at its first valid individual with fitness 1.0 or
-after the generation budget, and then leaves the batch.
+individual.  A run stops at its first valid individual with fitness 1.0, once
+settled (below) or after the generation budget, and then leaves the batch.
 
 Before seeding, ``_closure_genome`` settles whether any placement is valid:
 the slices that hold the server must be closed forward along unannotated
@@ -29,12 +29,13 @@ valid iff its score is >= 0; its fitness is the score over the call count.
 Past the cap ``kernels.eval_population`` scores the rows and the genome
 columns are the tie keys.  Invalid rows steer nothing, as valid rows rank
 first and only they enter tournaments, so both paths give the same runs.
-Within the cap the table's first maximum is the lexicographically smallest
-optimum, and a run whose best row is that genome is settled: no genome scores
-higher and every one that scores as high has a larger tie key, so its elite
-ranks first in every later generation.  A settled run leaves the batch at
-once, its history padded with that best fitness up to the budget, the result
-its remaining generations would give.
+Either way the tie keys order genomes lexicographically, gene 0 first.
+``exact.optimum``'s minimum cut names the lexicographically smallest
+optimum, and a run whose best row is that genome is settled: no genome
+scores higher and every one that scores as high has a larger tie key, so its
+elite ranks first in every later generation.  A settled run leaves the batch
+at once, its history padded with that best fitness up to the budget, the
+result its remaining generations would give.
 
 Each run owns its random stream, ``np.random.default_rng(seed)``, and makes
 the same draws in the same order and shapes as it would alone, so a seed's
@@ -60,7 +61,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import AllInvalidError
-from .exact import exhaustive_oracle, genome_to_placement  # noqa: F401 (re-exported)
+from .exact import exhaustive_oracle, genome_to_placement, optimum  # noqa: F401 (re-exported)
 from .fitness import evaluate
 from .kernels import build_scores, compile_problem, eval_population
 from .model import ORACLE_CAP, SHARED, GaConfig, PlacementProblem, Tier
@@ -102,30 +103,28 @@ def _ranking(tie: np.ndarray, score: np.ndarray, valid: np.ndarray, size: int) -
 class _Scorer:
     """Scores ``run_many``'s rows: a call gives each row's score, validity and
     tie keys, the keys ``_ranking`` reads, and ``fitness`` turns scores into
-    fitness values.
+    fitness values.  ``settled`` tells the rows that are ``target``, the
+    genome ``run_many`` gives, by that genome's own tie keys.
 
     Up to ``ORACLE_CAP`` genes the score is the row's entry in
     ``build_scores``'s table, and a row's product with ``place``, the place
     values ``3**(n - 1 - g)`` of the genes' masks - 1, is its genome index:
-    its flat index into the table and its tie key.  The product runs in
+    its flat index into the table and its one tie key.  The product runs in
     float64, through BLAS, and is exact, as its sums are integers below
     ``3**n``.  The tie key takes the narrowest unsigned type that holds it, so
-    ``_ranking`` sorts it by radix for up to 10 genes.  ``target``, the
-    table's first maximum, is the lexicographically smallest optimum.  Past
-    the cap the score is ``eval_population``'s fitness, the tie keys are the
-    genome columns and there is no target.
+    ``_ranking`` sorts it by radix for up to 10 genes.  Past the cap the score
+    is ``eval_population``'s fitness and the tie keys are the genome columns.
     """
 
-    def __init__(self, compiled):
+    def __init__(self, compiled, target):
         n = compiled.n_genes
         self.compiled, self.n_calls = compiled, compiled.n_calls
-        self.table = self.target = None
-        if n > ORACLE_CAP:
-            return
-        self.table = build_scores(compiled).ravel()
-        self.target = int(self.table.argmax())
-        self.place = 3.0 ** np.arange(n - 1, -1, -1)
-        self.index_type = np.min_scalar_type(3**n - 1)
+        self.table = None
+        if n <= ORACLE_CAP:
+            self.table = build_scores(compiled).ravel()
+            self.place = 3.0 ** np.arange(n - 1, -1, -1)
+            self.index_type = np.min_scalar_type(3**n - 1)
+        self.target = self(np.array([target], dtype=np.int8))[2]
 
     def __call__(self, pop: np.ndarray) -> tuple:
         if self.table is None:
@@ -136,10 +135,8 @@ class _Scorer:
         return score, score >= 0, index.astype(self.index_type)[None]
 
     def settled(self, tie: np.ndarray, rows: np.ndarray) -> list:
-        """Whether each of ``rows`` is the target; past the cap none is known to be."""
-        if self.target is None:
-            return [False] * len(rows)
-        return (tie[0, rows] == self.target).tolist()
+        """Whether each of ``rows`` is the target genome."""
+        return (tie[:, rows] == self.target).all(axis=0).tolist()
 
     def fitness(self, score: np.ndarray) -> list:
         """The fitness of rows with these scores; a table score is the local
@@ -415,7 +412,7 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
                 for _ in range(runs)]
 
     P = config.population_size
-    scorer = _Scorer(compile_problem(problem))
+    scorer = _Scorer(compile_problem(problem), optimum(problem)[1])
     rngs = [np.random.default_rng(config.rng_seed + i) for i in range(runs)]
     pop = _seed_populations(scorer, config, rngs, fallback)
     streams = _Streams(rngs, n, config)

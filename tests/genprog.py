@@ -21,9 +21,12 @@ from tierslicer.kernels import build_scores, compile_problem
 MIN_VALID_FRACTION = 0.02
 
 
-def random_source(seed: int) -> str:
+def random_source(seed: int, n_helpers: int | None = None) -> str:
+    """A layered program; ``n_helpers`` overrides the drawn 4-8 helper slices
+    and leaves the rest of the seed's draws as they are."""
     rng = np.random.default_rng(seed)
-    n_helpers = int(rng.integers(4, 9))
+    drawn = int(rng.integers(4, 9))
+    n_helpers = drawn if n_helpers is None else n_helpers
     helper_funcs = {
         h: [f"h{h}_{j}" for j in range(int(rng.integers(1, 3)))]
         for h in range(n_helpers)
@@ -83,8 +86,8 @@ def random_source(seed: int) -> str:
     return "\n".join(lines)
 
 
-def random_problem(seed: int):
-    program = resolve_calls(parse(random_source(seed), f"random-{seed}.tjs"))
+def random_problem(seed: int, n_helpers: int | None = None):
+    program = resolve_calls(parse(random_source(seed, n_helpers), f"random-{seed}.tjs"))
     return placement_problem(build_pdg(program))
 
 

@@ -652,9 +652,13 @@ def test_no_unplaced_slices_and_an_invalid_config_placement_fail_every_search():
 def assert_table_rows_equal_the_kernel(problem, genomes):
     """Within the cap, ``_Scorer`` reads build_scores's table: each row's
     validity must be eval_population's, its fitness must be the same double on
-    every valid row, and its tie key its genome index in problem order."""
+    every valid row, and its tie key its genome index in problem order.  Given
+    the oracle's genome as its target, it settles on that genome's row alone;
+    with no valid placement any genome serves as the target."""
     compiled = compile_problem(problem)
-    scorer = _Scorer(compiled)
+    verdict = oracle_verdict(problem)
+    target = genomes[0] if verdict is None else np.array(verdict[0], dtype=np.int8)
+    scorer = _Scorer(compiled, target)
     assert scorer.table is not None
     score, valid, tie = scorer(genomes)
     fitness, kernel_valid = eval_population(compiled, genomes)
@@ -663,9 +667,11 @@ def assert_table_rows_equal_the_kernel(problem, genomes):
     n = compiled.n_genes
     index = (genomes.astype(np.int64) - 1) @ 3 ** np.arange(n - 1, -1, -1)
     np.testing.assert_array_equal(tie, [index])
-    verdict = oracle_verdict(problem)  # the target is the oracle's genome
-    if verdict is not None:
-        assert scorer.target == (np.array(verdict[0]) - 1) @ 3 ** np.arange(n - 1, -1, -1)
+    settled = scorer.settled(tie, np.arange(len(genomes)))
+    assert settled == (genomes == target).all(axis=1).tolist()
+    if verdict is not None:  # the target is the first of the best valid rows
+        best = np.flatnonzero(valid & (score == score[valid].max()))
+        assert settled.index(True) == best[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -724,11 +730,10 @@ PATH_CASES += [(f"random_problem({seed})-seed{s}", lambda seed=seed: random_prob
 PATH_CASES += [("random_flat_problem(28)-early",
                 lambda: random_flat_problem(np.random.default_rng(28)),
                 replace(EARLY_STOP, rng_seed=5), 12)]
-# Tied optima: within the cap a run leaves the batch once its best row is the
-# smallest optimum, which the runs at cap 0 never do.  On wide-12-n11 seeds
-# 1003 and 1006 reach a larger optimal genome first, and most runs never
-# reach the smallest one.  random_problem(13)'s batch holds runs whose
-# seedings all fail.
+# Tied optima: a run leaves the batch once its best row is the smallest
+# optimum, at cap 0 too.  On wide-12-n11 seeds 1003 and 1006 reach a larger
+# optimal genome first, and most runs never reach the smallest one.
+# random_problem(13)'s batch holds runs whose seedings all fail.
 PATH_CASES += [(f"tied-{name}", lambda name=name: TIED[name], CRITERION_2, 10) for name in TIED]
 PATH_CASES += [("tied-wide-12-n11", lambda: wide_flat_problem(12, 11), CRITERION_2, 10),
                ("random_problem(13)-batch", lambda: random_problem(13), GaConfig(), 4)]
@@ -748,6 +753,40 @@ def test_run_many_is_the_same_from_the_table_and_from_classify_rows(make, config
         table = search_outcome(problem, config, runs)
     monkeypatch.setattr(search, "ORACLE_CAP", 0)  # every problem past the cap
     assert search_outcome(problem, config, runs) == table
+
+
+# Past the cap, batches whose runs settle: wide draws of 13 and 16 genes, on
+# which runs hold a larger optimal genome before the smallest one, and
+# layered programs of 20 helpers.  random_problem(0, 20)'s seedings hold no
+# valid row, so its runs start from the closure genome, which is optimal.
+PAST_CAP_CASES = [(f"wide-{seed}-n{n}", lambda seed=seed, n=n: wide_flat_problem(seed, n),
+                   CRITERION_2, 10) for seed, n in ((8, 13), (14, 13), (19, 16), (20, 16))]
+PAST_CAP_CASES += [(f"random_problem({seed}, 20)", lambda seed=seed: random_problem(seed, 20),
+                    GaConfig(rng_seed=100), 5) for seed in (0, 3)]
+
+
+@pytest.mark.parametrize("make, config, runs",
+                         [case[1:] for case in PATH_CASES + PAST_CAP_CASES],
+                         ids=[case[0] for case in PATH_CASES + PAST_CAP_CASES])
+def test_settled_runs_give_what_full_runs_give(make, config, runs, monkeypatch):
+    # With settling off, every run breeds up to fitness 1.0 or the budget.
+    problem = make()
+    bred = []
+
+    def counted(*args):
+        bred[-1] += 1
+        return _next_generation(*args)
+
+    def outcome():
+        bred.append(0)
+        return search_outcome(problem, config, runs)
+
+    monkeypatch.setattr(search, "_next_generation", counted)
+    settled = outcome()
+    monkeypatch.setattr(_Scorer, "settled", lambda self, tie, rows: [False] * len(rows))
+    assert outcome() == settled
+    if len(problem.unplaced) > search.ORACLE_CAP:  # past the cap, runs leave early
+        assert bred[0] < bred[1]
 
 
 def test_a_run_settles_on_the_smallest_optimum_after_a_larger_one(monkeypatch):
