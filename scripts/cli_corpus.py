@@ -2,7 +2,8 @@
 """Run the CLI corpus in process and print one line per case.
 
 The corpus is ``--help`` of the group and of each command, then the 10
-bundled fixtures and the ``genprog`` programs of seeds 0-5, each under the
+bundled fixtures, the ``genprog`` programs of seeds 0-5 and the programs in
+``EXTRA``, each under the
 commands listed in ``COMMANDS`` plus ``split`` and ``advise --placement``
 with the oracle placement (where one exists) and with an all-``both``
 placement.  Each line reads ``case<TAB>exit code<TAB>sha256
@@ -41,6 +42,44 @@ from tierslicer.search import exhaustive_oracle  # noqa: E402
 FIXTURES = ROOT / "src" / "tierslicer" / "fixtures"
 GENPROG_SEEDS = range(6)
 
+# What no fixture or generated program has: a function, a var and a @reply
+# declared inside function-expression bodies, and a function-local var that
+# draws replication advice `refine --apply` cannot act on.
+EXTRA = {
+    "func_expr.tjs": """\
+/* @config ui : client, db : server */
+/* @slice db */
+{
+  var cache = [];
+  var api = {load: function (k) {
+    function pick(i) { return cache[i]; }
+    var row = pick(k);
+    /* @reply */ notify(row);
+    return row;
+  }};
+  function push(r) { return r; }
+}
+/* @slice ui */
+{
+  function notify(m) { return m; }
+  var run = function () {
+    function helper(x) { return push(x); }
+    return helper(2);
+  };
+}
+/* @slice mid */
+{
+  function relay(v) { return helper(v) + notify(v); }
+}
+""",
+    "local_var.tjs": """\
+/* @config ui : client, db : server, q : server */
+/* @slice db */ { function store(x) { return x; } }
+/* @slice q */ { function get(k) { var rows = store(k); return rows; } }
+/* @slice ui */ { function main() { get(1); get(2); get(3); } }
+""",
+}
+
 COMMANDS = (
     ("parse",),
     ("graph",),
@@ -61,6 +100,7 @@ def programs() -> dict:
     """File name -> source text, fixtures first."""
     out = {p.name: p.read_text(encoding="utf-8") for p in sorted(FIXTURES.glob("*.tjs"))}
     out.update({f"random-{seed}.tjs": random_source(seed) for seed in GENPROG_SEEDS})
+    out.update(EXTRA)
     return out
 
 

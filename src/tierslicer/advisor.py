@@ -178,7 +178,6 @@ class RefineResult:
     program: SourceProgram
     placement: Placement
     fitness: float
-    valid: bool
     iterations: int
     fitness_history: list = field(default_factory=list)  # fitness before each apply + final
 
@@ -186,7 +185,7 @@ class RefineResult:
 def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
                 advisor_config: AdvisorConfig = AdvisorConfig(),
                 max_iterations: int = MAX_REFINE_ITERATIONS) -> RefineResult:
-    """Alternate search and advice integration until a fixpoint."""
+    """Alternate search and the integration of applicable advice until a fixpoint."""
     from .search import run
 
     if max_iterations < 1:
@@ -200,13 +199,23 @@ def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
         history.append(result.best_fitness)
         if result.best_fitness == 1.0:
             break
-        advices = advise(graph, problem, result.best_placement, program, advisor_config)
+        advices = applicable_advice(
+            program, advise(graph, problem, result.best_placement, program, advisor_config))
         if not advices or iterations >= max_iterations:
             break
         program = apply_advice(program, advices)
         iterations += 1
-    return RefineResult(program, result.best_placement, result.best_fitness,
-                        result.best_valid, iterations, history)
+    return RefineResult(program, result.best_placement, result.best_fitness, iterations, history)
+
+
+def applicable_advice(program: SourceProgram, advices: list) -> list:
+    """The advice whose target ``apply_advice`` finds: a var or function
+    declared at the top level of its slice's body."""
+    bodies = {s.name: s.body for s in program.slices}
+    return [a for a in advices if _find_stmt(
+        bodies.get(a.owner, ()),
+        VarDecl if a.kind is AdviceKind.REPLICATE_DECLARATION else FunctionDecl,
+        a.target) is not None]
 
 
 def _find_stmt(body, cls, name) -> int | None:

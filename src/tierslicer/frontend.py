@@ -22,6 +22,13 @@ starts with ``@``; one comment may carry several annotations (e.g. a
 the syntactically next block, declaration or statement.  Plain block comments
 and ``//`` line comments are ignored.
 
+``parse`` walks the statements once, in pre-order (``_walk``); the walk
+enters a function expression's body right after the statement that holds it.
+From that one walk it applies ``@config``, lists the declarations and records
+the call sites, so code inside function expressions is declared, called and
+annotated like any other.  ``resolve_calls`` walks nothing: it looks each
+recorded callee up among the function declarations.
+
 AST equality ignores spans, so ``parse(emit(program))`` equals ``program``
 slice for slice and statement for statement.
 """
@@ -385,13 +392,17 @@ class Parser:
 
     def _parse_params(self) -> list:
         self.expect("(")
-        params = []
-        while not self.at_punct(")"):
-            params.append(self._ident_name())
-            if not self.at_punct(")"):
+        return self._comma_list(")", self._ident_name)
+
+    def _comma_list(self, close: str, item) -> list:
+        """``item()`` results separated by commas, up to and including ``close``."""
+        items = []
+        while not self.at_punct(close):
+            items.append(item())
+            if not self.at_punct(close):
                 self.expect(",")
-        self.expect(")")
-        return params
+        self.expect(close)
+        return items
 
     def _ident_name(self) -> str:
         tok = self.tok
@@ -512,13 +523,7 @@ class Parser:
                 self.expect("]")
                 expr = Index(expr, index, tok.span)
             else:
-                args = []
-                while not self.at_punct(")"):
-                    args.append(self.parse_expr())
-                    if not self.at_punct(")"):
-                        self.expect(",")
-                self.expect(")")
-                expr = Call(expr, args, tok.span)
+                expr = Call(expr, self._comma_list(")", self.parse_expr), tok.span)
             self.deeper()
 
     def _parse_primary(self):
@@ -558,15 +563,10 @@ class Parser:
             return expr
         if self.at_punct("["):
             span = self.advance().span
-            elements = []
-            while not self.at_punct("]"):
-                elements.append(self.parse_expr())
-                if not self.at_punct("]"):
-                    self.expect(",")
-            self.expect("]")
-            return ArrayLit(elements, span)
+            return ArrayLit(self._comma_list("]", self.parse_expr), span)
         if self.at_punct("{"):
-            return self._parse_object()
+            span = self.advance().span
+            return ObjectLit(self._comma_list("}", self._object_entry), span)
         self.error(f"unexpected token {tok.value or tok.kind!r}")
 
     def _parse_func_expr(self) -> FuncExpr:
@@ -576,41 +576,64 @@ class Parser:
         body = self._statements_until_brace()
         return FuncExpr(params, body, span)
 
-    def _parse_object(self) -> ObjectLit:
-        span = self.expect("{").span
-        entries = []
-        while not self.at_punct("}"):
-            tok = self.tok
-            if tok.kind not in ("IDENT", "STRING"):
-                self.error("expected object key")
-            self.advance()
-            self.expect(":")
-            entries.append((tok.value, self.parse_expr()))
-            if not self.at_punct("}"):
-                self.expect(",")
-        self.expect("}")
-        return ObjectLit(entries, span)
+    def _object_entry(self) -> tuple:
+        tok = self.tok
+        if tok.kind not in ("IDENT", "STRING"):
+            self.error("expected object key")
+        self.advance()
+        self.expect(":")
+        return tok.value, self.parse_expr()
 
 
 def parse(source_text: str, filename: str = "<input>") -> SourceProgram:
-    """Parse TierJS text into a SourceProgram (calls not yet resolved)."""
+    """Parse TierJS text into a SourceProgram; its call sites are recorded,
+    not yet resolved."""
     tokens = Lexer(source_text, filename).tokens()
     slices, shared = Parser(tokens, filename).parse_program()
     program = SourceProgram(slices=slices, shared_top_level=shared, filename=filename)
-    _apply_configs(program)
-    _collect_declarations(program)
+    nodes, program.call_sites = _walk(program)
+    _apply_configs(program, nodes)
+    program.declarations = [
+        Declaration(st.name, "var" if isinstance(st, VarDecl) else "function", owner, st)
+        for st, owner in nodes if isinstance(st, (VarDecl, FunctionDecl))
+    ]
     return program
 
 
-def _apply_configs(program: SourceProgram) -> None:
+def _walk(program: SourceProgram) -> tuple[list, list]:
+    """The one pre-order walk: (node, owner) pairs, each slice before its
+    statements, and the unresolved call sites.  An expression's calls come
+    before its function expressions' bodies, and those before the
+    statement's nested statements."""
+    nodes, calls = [], []
+
+    def visit(stmts, owner):
+        for st in stmts:
+            nodes.append((st, owner))
+            for expr in _stmt_expressions(st):
+                inner = list(_iter_expr(expr))
+                calls.extend(CallSiteInfo(n, st, owner) for n in inner if isinstance(n, Call))
+                for fx in inner:
+                    if isinstance(fx, FuncExpr):
+                        visit(fx.body, owner)
+            visit(_child_statements(st), owner)
+
+    for s in program.slices:
+        nodes.append((s, s.name))
+        visit(s.body, s.name)
+    visit(program.shared_top_level, SHARED)
+    return nodes, calls
+
+
+def _apply_configs(program: SourceProgram, nodes: list) -> None:
     names = set()
     for s in program.slices:
         if s.name in names:
             raise DuplicateSliceNameError(f"duplicate slice name {s.name!r}")
         names.add(s.name)
     assigned: dict[str, str] = {}
-    for node, anns in iter_annotated_nodes(program):
-        for a in anns:
+    for node, _ in nodes:
+        for a in getattr(node, "annotations", []):
             if a.kind is not AnnotationKind.CONFIG:
                 continue
             for name, tier in a.args:
@@ -624,18 +647,10 @@ def _apply_configs(program: SourceProgram) -> None:
 
 
 def iter_annotated_nodes(program: SourceProgram):
-    """Yields (node, annotations) pairs over slices and all statements."""
-    for s in program.slices:
-        yield s, s.annotations
-        yield from _iter_stmt_annotations(s.body)
-    yield from _iter_stmt_annotations(program.shared_top_level)
-
-
-def _iter_stmt_annotations(stmts):
-    for st in stmts:
-        yield st, getattr(st, "annotations", [])
-        for child in _child_statements(st):
-            yield from _iter_stmt_annotations([child])
+    """Yields (node, annotations) pairs over the slices and every statement,
+    function-expression bodies included, in the order of the one walk."""
+    for node, _ in _walk(program)[0]:
+        yield node, getattr(node, "annotations", [])
 
 
 def _child_statements(st: Stmt) -> list:
@@ -658,28 +673,11 @@ def _iter_expr(expr):
             yield from _iter_expr(child)
 
 
-def _collect_declarations(program: SourceProgram) -> None:
-    decls = []
-
-    def walk(stmts, owner):
-        for st in stmts:
-            if isinstance(st, VarDecl):
-                decls.append(Declaration(st.name, "var", owner, st))
-            elif isinstance(st, FunctionDecl):
-                decls.append(Declaration(st.name, "function", owner, st))
-            walk(_child_statements(st), owner)
-
-    for s in program.slices:
-        walk(s.body, s.name)
-    walk(program.shared_top_level, SHARED)
-    program.declarations = decls
-
-
 # --- Call resolution ------------------------------------------------------
 
 
 def resolve_calls(program: SourceProgram) -> SourceProgram:
-    """Resolve plain-identifier calls against function declarations.
+    """Resolve the recorded plain-identifier calls against function declarations.
 
     A call resolves when its callee identifier names exactly one function
     declaration program-wide.  Ambiguous and undeclared callees stay
@@ -691,43 +689,23 @@ def resolve_calls(program: SourceProgram) -> SourceProgram:
         if d.kind == "function":
             table.setdefault(d.name, []).append(d)
 
-    sites: list[CallSiteInfo] = []
     warnings: list[str] = []
-
-    def visit_stmts(stmts, owner):
-        for st in stmts:
-            for expr in _stmt_expressions(st):
-                nodes = list(_iter_expr(expr))
-                sites.extend(_make_site(n, st, owner) for n in nodes if isinstance(n, Call))
-                for fx in nodes:
-                    if isinstance(fx, FuncExpr):
-                        visit_stmts(fx.body, owner)
-            visit_stmts(_child_statements(st), owner)
-
-    def _make_site(call, st, owner):
-        info = CallSiteInfo(node=call, stmt=st, owner=owner)
-        if isinstance(call.callee, Ident):
-            name = call.callee.name
-            info.callee_name = name
-            decls = table.get(name, [])
-            if len(decls) == 1:
-                info.resolved = decls[0].node
-                info.resolved_owner = decls[0].owner
-            elif not decls:
-                info.unresolved_reason = "undeclared"
-                warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (no declaration)"))
-            else:
-                info.unresolved_reason = "ambiguous"
-                warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (ambiguous: {len(decls)} declarations)"))
-        else:
+    for info in program.call_sites:
+        call = info.node
+        if not isinstance(call.callee, Ident):
             info.unresolved_reason = "non-identifier"
-        return info
-
-    for s in program.slices:
-        visit_stmts(s.body, s.name)
-    visit_stmts(program.shared_top_level, SHARED)
-
-    program.call_sites = sites
+            continue
+        name = info.callee_name = call.callee.name
+        decls = table.get(name, [])
+        if len(decls) == 1:
+            info.resolved = decls[0].node
+            info.resolved_owner = decls[0].owner
+        elif not decls:
+            info.unresolved_reason = "undeclared"
+            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (no declaration)"))
+        else:
+            info.unresolved_reason = "ambiguous"
+            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (ambiguous: {len(decls)} declarations)"))
     program.warnings = warnings
     return program
 

@@ -447,3 +447,34 @@ def test_unresolved_call_warning_goes_to_stderr(runner, tmp_path):
     result = runner.invoke(main, ["parse", str(src)])
     assert result.exit_code == 0
     assert "unresolved call to 'ghost'" in result.output
+
+
+# The advice names `rows`, a var local to `get`, which apply_advice cannot
+# mark; `refine --apply` applies the move advice only.
+LOCAL_VAR_SOURCE = """\
+/* @config ui : client, db : server, q : server */
+/* @slice db */ { function store(x) { return x; } }
+/* @slice q */ { function get(k) { var rows = store(k); return rows; } }
+/* @slice ui */ { function main() { get(1); get(2); get(3); } }
+"""
+
+
+def test_refine_apply_skips_advice_it_cannot_apply(runner, tmp_path):
+    path = tmp_path / "local_var.tjs"
+    path.write_text(LOCAL_VAR_SOURCE)
+    advice = invoke(runner, "advise", path, "--seed", 0)
+    assert advice.exit_code == 0 and "      - var rows\n" in advice.output
+    result = invoke(runner, "refine", path, "--apply", "--seed", 0)
+    assert result.exception is None and result.exit_code == 0
+    assert "@slice auto_get" in result.output and "@replicated" not in result.output
+    assert result.output.endswith("Application level of offline availability: 100 %\n"
+                                  "iterations: 2\nslices: 5\n")
+
+
+def test_parse_counts_annotations_inside_function_expressions(runner, tmp_path):
+    path = tmp_path / "func_expr.tjs"
+    path.write_text("/* @slice a */\n{ function g() { return 1; }\n"
+                    "  var run = function () { /* @reply */ g(); return g(); };\n}\n")
+    result = invoke(runner, "parse", path)
+    assert result.exit_code == 0
+    assert "annotations: placement=1 communication=1 sharing=0 failure=0\n" in result.output

@@ -261,14 +261,17 @@ WALKER_CALLS = [
 ]
 
 
+def call_site_rows(program):
+    return [(s.owner, s.callee_name, s.resolved_owner, s.unresolved_reason,
+             type(s.stmt).__name__, s.node.span.line, s.node.span.col)
+            for s in program.call_sites]
+
+
 def test_walker_program_is_frozen():
     """Outputs on WALKER_SOURCE, recorded before the expression walks became
     one generic walk; the graph is pinned by the sha256 of its JSON."""
     program = resolve_calls(parse(WALKER_SOURCE, "walker.tjs"))
-    sites = [(s.owner, s.callee_name, s.resolved_owner, s.unresolved_reason,
-              type(s.stmt).__name__, s.node.span.line, s.node.span.col)
-             for s in program.call_sites]
-    assert sites == WALKER_CALL_SITES
+    assert call_site_rows(program) == WALKER_CALL_SITES
     assert program.warnings == WALKER_WARNINGS
     graph = build_pdg(program)
     assert hashlib.sha256(to_json(graph).encode()).hexdigest() == (
@@ -280,6 +283,94 @@ def test_walker_program_is_frozen():
     reparsed = parse(emit(program), "walker.tjs")
     assert reparsed.slices == program.slices
     assert reparsed.shared_top_level == program.shared_top_level
+
+
+# Functions, vars and a @reply inside function-expression bodies: in shared
+# code, an object literal, a for condition, a return and var initializers.
+# `dup` is declared in two of them, `ghost` in none, and `helper`, `pick` and
+# `init` are each called from outside the body that declares them.
+FUNC_EXPR_SOURCE = """\
+/* @config store : server, view : client */
+var boot = function () { function init() { return 0; } return init(); };
+
+/* @slice store */
+{
+  var api = {get: function (k) {
+    function pick(i) { var hit = i; return hit; }
+    /* @reply */ show(pick(k));
+    return dup(k);
+  }};
+  function save(r) { return r; }
+}
+
+/* @slice view */
+{
+  function show(v) { return v; }
+  for (var i = save(0); save(function () { var n = 1; return helper(n); }); i = save(2)) { ghost(i); }
+  var run = function () {
+    function helper(x) { return save(x) + pick(x); }
+    return [helper(1), function () { function dup(y) { return y; } return dup(2); }];
+  };
+  var other = function () { function dup(z) { return z; } return init(); };
+}
+"""
+
+# As WALKER_CALL_SITES.  Each expression's calls come first, then the bodies of
+# its function expressions, then the nested statements: line 17's for gives
+# its condition, the body of the function expression in it, its update, its
+# init and its body, in that order.
+FUNC_EXPR_CALL_SITES = [
+    ("store", "show", "view", None, "ExprStmt", 8, 22),
+    ("store", "pick", "store", None, "ExprStmt", 8, 27),
+    ("store", "dup", None, "ambiguous", "ReturnStmt", 9, 15),
+    ("view", "save", "store", None, "ForStmt", 17, 29),
+    ("view", "helper", "view", None, "ReturnStmt", 17, 68),
+    ("view", "save", "store", None, "ForStmt", 17, 85),
+    ("view", "save", "store", None, "VarDecl", 17, 20),
+    ("view", "ghost", None, "undeclared", "ExprStmt", 17, 97),
+    ("view", "save", "store", None, "ReturnStmt", 19, 37),
+    ("view", "pick", "store", None, "ReturnStmt", 19, 47),
+    ("view", "helper", "view", None, "ReturnStmt", 20, 19),
+    ("view", "dup", None, "ambiguous", "ReturnStmt", 20, 78),
+    ("view", "init", SHARED, None, "ReturnStmt", 22, 70),
+    (SHARED, "init", SHARED, None, "ReturnStmt", 2, 67),
+]
+
+FUNC_EXPR_WARNINGS = [
+    "func_expr.tjs:9:15: unresolved call to 'dup' (ambiguous: 2 declarations)",
+    "func_expr.tjs:17:97: unresolved call to 'ghost' (no declaration)",
+    "func_expr.tjs:20:78: unresolved call to 'dup' (ambiguous: 2 declarations)",
+]
+
+
+def test_function_expression_bodies_declare_and_call_like_any_other_code():
+    program = resolve_calls(parse(FUNC_EXPR_SOURCE, "func_expr.tjs"))
+    assert call_site_rows(program) == FUNC_EXPR_CALL_SITES
+    assert program.warnings == FUNC_EXPR_WARNINGS
+    graph = build_pdg(program)
+    entry = {n.id: n.name for n in graph.nodes if n.kind == FUNCTION_ENTRY}
+    site = {n.id: (n.span.line, n.span.col) for n in graph.nodes if n.kind == CALL_SITE}
+    called = sorted((entry[e.dst], site[e.src]) for e in graph.edges if e.kind == CALL)
+    assert called == [
+        ("helper", (17, 68)), ("helper", (20, 19)), ("init", (2, 67)), ("init", (22, 70)),
+        ("pick", (8, 27)), ("pick", (19, 47)), ("save", (17, 20)), ("save", (17, 29)),
+        ("save", (17, 85)), ("save", (19, 37)), ("show", (8, 22))]
+    problem = placement_problem(graph)
+    assert [(c.caller, c.callee, c.callee_name, c.annotated) for c in problem.calls
+            if c.label == "8:22"] == [("store", "view", "show", True)]
+
+
+def test_a_function_declared_in_a_function_expression_gets_its_call_edge():
+    src = ("/* @slice a */\n"
+           "{ var run = function () { function helper() { return 1; } return helper(); }; }\n")
+    program = resolve_calls(parse(src))
+    assert program.warnings == []
+    (site,) = program.call_sites
+    assert (site.resolved.name, site.resolved_owner) == ("helper", "a")
+    graph = build_pdg(program)
+    (entry,) = [n.id for n in graph.nodes if n.kind == FUNCTION_ENTRY]
+    (call,) = [n.id for n in graph.nodes if n.kind == CALL_SITE]
+    assert [e for e in graph.edges if e.kind == CALL] == [PdgEdge(call, entry, CALL)]
 
 
 # Re-assigns each var inside a function expression in its own initializer,
@@ -330,3 +421,18 @@ def test_graph_is_frozen(name):
         source = fixture_path(name).read_text()
     graph = build_pdg(resolve_calls(parse(source, name)))
     assert hashlib.sha256(to_json(graph).encode()).hexdigest() == FROZEN_GRAPHS[name]
+
+
+INLINE_SOURCES = {"walker.tjs": WALKER_SOURCE, "var_scope.tjs": VAR_SCOPE_SOURCE,
+                  "func_expr.tjs": FUNC_EXPR_SOURCE}
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + sorted(INLINE_SOURCES))
+def test_pdg_declarations_are_the_program_declarations(name):
+    """The builder's walk and the front end's walk see the same declarations,
+    function-expression bodies included, in the same order."""
+    source = INLINE_SOURCES.get(name) or fixture_path(name).read_text()
+    program = resolve_calls(parse(source, name))
+    graph = build_pdg(program)
+    assert [(n.slice, n.span.start) for n in graph.nodes if n.kind == DECLARATION] == [
+        (d.owner, d.node.span.start) for d in program.declarations]

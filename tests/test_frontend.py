@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import fixture_path, load_fixture
 from genprog import random_source
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
-from tierslicer.frontend import Lexer, emit, parse, resolve_calls
+from tierslicer.frontend import Lexer, emit, iter_annotated_nodes, parse, resolve_calls
 from tierslicer.syntax import AnnotationKind, Assign, Binary, Ident, NumberLit, Unary, VarDecl
 
 ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
@@ -289,3 +289,38 @@ def test_binary_operators_group_as_the_reference_does(tokens):
     assignment: the parser builds the shunting-yard reference's tree."""
     program = parse(" ".join(tokens) + ";")
     assert program.shared_top_level[0].expr == shunting_yard(tokens)
+
+
+def test_config_and_annotations_inside_function_expressions_are_seen():
+    src = ("/* @slice a */\n{ function g() { return 1; }\n"
+           "  var f = function () { /* @config a : server\n @reply */ g(); };\n}\n")
+    program = parse(src)
+    assert program.slices[0].fixed_tier == "server"
+    kinds = [a.kind for _, anns in iter_annotated_nodes(program) for a in anns]
+    assert kinds == [AnnotationKind.SLICE, AnnotationKind.CONFIG, AnnotationKind.REPLY]
+    assert [(d.name, d.kind) for d in program.declarations] == [("g", "function"), ("f", "var")]
+
+
+# Each comma-separated list: call arguments, array elements, object entries
+# and parameters.  A trailing comma is accepted.
+@pytest.mark.parametrize("text, message", [
+    ("f(1 2);", "2:7: expected ',', found '2'"),
+    ("f(1,;", "2:7: unexpected token ';'"),
+    ("var x = [1 2];", "2:14: expected ',', found '2'"),
+    ("var x = [1,", "2:15: unexpected token '}'"),
+    ("var x = {a: 1 b: 2};", "2:17: expected ',', found 'b'"),
+    ("var x = {1: 2};", "2:12: expected object key"),
+    ("var x = {a 1};", "2:14: expected ':', found '1'"),
+    ("function g(a b) {}", "2:16: expected ',', found 'b'"),
+    ("function g(1) {}", "2:14: expected identifier"),
+])
+def test_comma_list_errors(text, message):
+    with pytest.raises(ParseError) as err:
+        parse("/* @slice a */\n{ " + text + " }\n", "c.tjs")
+    assert str(err.value) == "c.tjs:" + message
+
+
+def test_comma_lists_accept_a_trailing_comma():
+    program = parse("/* @slice a */\n{ function g(a,) { return [a,]; } var o = {k: g(1,),}; }\n")
+    assert emit(program) == emit(parse("/* @slice a */\n"
+                                       "{ function g(a) { return [a]; } var o = {k: g(1)}; }\n"))

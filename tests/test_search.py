@@ -492,7 +492,7 @@ def optimal_genomes(problem):
 
 S, C = Tier.SERVER, Tier.CLIENT
 # name: (problem, optimal genomes, fitness).
-FOLD_CASES = {
+HAND_MADE_OPTIMA = {
     "no genes": (PlacementProblem(("srv", "cli"), {"srv": S, "cli": C},
                                   calls_between([("cli", "srv"), ("srv", "cli")], {1})),
                  [[]], 0.0),
@@ -536,9 +536,9 @@ FOLD_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", FOLD_CASES)
+@pytest.mark.parametrize("name", HAND_MADE_OPTIMA)
 def test_the_oracle_maximises_the_last_built_gene_out(name):
-    problem, optima, fitness = FOLD_CASES[name]
+    problem, optima, fitness = HAND_MADE_OPTIMA[name]
     if optima is None:
         assert optimal_genomes(problem) is None
         with pytest.raises(AllInvalidError):
