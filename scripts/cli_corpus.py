@@ -43,8 +43,10 @@ FIXTURES = ROOT / "src" / "tierslicer" / "fixtures"
 GENPROG_SEEDS = range(6)
 
 # What no fixture or generated program has: a function, a var and a @reply
-# declared inside function-expression bodies, and a function-local var that
-# draws replication advice `refine --apply` cannot act on.
+# declared inside function-expression bodies, a function-local var that
+# draws replication advice `refine --apply` cannot act on, a call to a nested
+# function from outside its body, and an inner function that shadows a
+# top-level one.
 EXTRA = {
     "func_expr.tjs": """\
 /* @config ui : client, db : server */
@@ -77,6 +79,16 @@ EXTRA = {
 /* @slice db */ { function store(x) { return x; } }
 /* @slice q */ { function get(k) { var rows = store(k); return rows; } }
 /* @slice ui */ { function main() { get(1); get(2); get(3); } }
+""",
+    "nested.tjs": """\
+/* @config ui : client, db : server */
+/* @slice db */ { function store(x) { function helper(y) { return y; } return helper(x); } }
+/* @slice ui */ { function main() { helper(1); store(2); } }
+""",
+    "shadow.tjs": """\
+/* @config ui : client, db : server */
+/* @slice db */ { function helper(y) { return y; } function store(x) { return helper(x); } }
+/* @slice ui */ { function main() { function helper(z) { return z; } helper(1); store(2); } }
 """,
 }
 

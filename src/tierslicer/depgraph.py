@@ -5,12 +5,12 @@ owned by a slice (or shared).  Control edges follow block nesting, data edges
 follow def-use over lexically scoped variable names, call edges connect call
 sites to the entry of their resolved callee.
 
-The graph is built in one scoped walk after a global hoist.  The hoist
-collects every var declared outside a function body, in all slices and in
-shared code; the walk then visits each statement once, creating its node and
-recording its defs and uses against the lexical scope chain as it goes.  Node
-ids follow visit order, and edges come in three runs: control edges in visit
-order, call edges in call-site order, data edges in first-def order.
+The graph is built in one pass over the steps of the front end's walk,
+which hold each statement's scope and expressions.  A read or write of a
+name binds, as a callee does, in the innermost scope declaring it: to that
+scope's first var of the name, or to nothing for a parameter or function.
+Node ids follow the walk, and edges come in three runs: control edges in
+that order, call edges in call-site order, data edges in first-def order.
 
 The collapsed slice graph aggregates cross-slice edges in *dependence*
 orientation: call edges already point caller -> callee; data edges are
@@ -23,14 +23,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .frontend import _child_statements, _iter_expr, _stmt_expressions
 from .model import SHARED, CallRecord, PlacementProblem, Tier
 from .syntax import (
     Assign,
     Call,
+    CallSiteInfo,
     FuncExpr,
     FunctionDecl,
     Ident,
+    SliceDecl,
     SourceProgram,
     Span,
     UiBlock,
@@ -48,7 +49,7 @@ DATA = "data"
 CALL = "call"
 
 
-@dataclass
+@dataclass(slots=True)
 class PdgNode:
     id: int
     kind: str
@@ -60,7 +61,7 @@ class PdgNode:
     unresolved: str | None = None  # call sites only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PdgEdge:
     src: int
     dst: int
@@ -83,150 +84,99 @@ class SliceGraph:
 
 
 def _annotation_kinds(stmt) -> list:
-    return [a.kind.value for a in getattr(stmt, "annotations", [])]
-
-
-def hoist(stmts, env: dict) -> None:
-    """Add the vars declared in ``stmts`` to ``env``, the first declaration of
-    a name winning.  Blocks do not scope vars; a FunctionDecl's body does."""
-    for st in stmts:
-        if isinstance(st, VarDecl):
-            env.setdefault(st.name, st)
-        if not isinstance(st, FunctionDecl):
-            hoist(_child_statements(st), env)
-
-
-def lookup(name: str, scopes: list) -> VarDecl | None:
-    """The VarDecl that ``name`` denotes in the innermost scope declaring it;
-    None for a parameter (held as None) or an undeclared name."""
-    for env in reversed(scopes):
-        if name in env:
-            return env[name]
-    return None
-
-
-class _Builder:
-    def __init__(self, program: SourceProgram):
-        self.program = program
-        self.graph = DependenceGraph(
-            slice_order=list(program.slice_names()),
-            fixed={s.name: s.fixed_tier for s in program.slices if s.fixed_tier},
-        )
-        self.func_entry: dict[int, int] = {}  # id(FunctionDecl) -> entry node id
-        self.calls: list[tuple] = []  # (call-site node id, resolved FunctionDecl)
-        self.defs: dict[int, list[int]] = {}  # id(VarDecl) -> def node ids
-        self.uses: dict[int, set[int]] = {}  # id(VarDecl) -> use node ids
-        self.site_by_call = {id(s.node): s for s in program.call_sites}
-
-    def new_node(self, kind, owner, span, **kw) -> int:
-        node = PdgNode(id=len(self.graph.nodes), kind=kind, slice=owner, span=span, **kw)
-        self.graph.nodes.append(node)
-        return node.id
-
-    def edge(self, src, dst, kind):
-        self.graph.edges.append(PdgEdge(src, dst, kind))
-
-    def build(self) -> DependenceGraph:
-        # Hoisted global scope: every var declared outside a function body,
-        # across all slices and shared code (slice blocks do not scope vars).
-        scopes = [{}]
-        for s in self.program.slices:
-            hoist(s.body, scopes[0])
-        hoist(self.program.shared_top_level, scopes[0])
-
-        entry = self.new_node(ENTRY, SHARED, Span.zero())
-        for s in self.program.slices:
-            for st in s.body:
-                self.visit_stmt(st, entry, s.name, None, scopes)
-        for st in self.program.shared_top_level:
-            self.visit_stmt(st, entry, SHARED, None, scopes)
-        for cid, fn in self.calls:
-            self.edge(cid, self.func_entry[id(fn)], CALL)
-        seen = set()
-        for decl_key, def_nodes in self.defs.items():
-            for d in def_nodes:
-                for u in self.uses.get(decl_key, ()):
-                    if d != u and (d, u) not in seen:
-                        seen.add((d, u))
-                        self.edge(d, u, DATA)
-        return self.graph
-
-    def visit_stmt(self, st, parent: int, owner: str, func: str | None, scopes: list):
-        """Add ``st``'s node, its control edge and its defs and uses, then the
-        nodes nested in it: call sites, function-expression bodies, children."""
-        if isinstance(st, UiBlock):
-            return
-        named = isinstance(st, (VarDecl, FunctionDecl))
-        nid = self.new_node(DECLARATION if named else STATEMENT, owner, st.span,
-                            name=st.name if named else None, function=func,
-                            annotations=_annotation_kinds(st))
-        self.edge(parent, nid, CONTROL)
-
-        if isinstance(st, FunctionDecl):
-            fid = self.new_node(FUNCTION_ENTRY, owner, st.span, name=st.name, function=func)
-            self.func_entry[id(st)] = fid
-            self.edge(nid, fid, CONTROL)
-            self.visit_body(st, fid, owner, st.name, scopes)
-            return
-        if isinstance(st, VarDecl):
-            # before the initializer's function expressions record their defs
-            self.define(st.name, scopes, nid)
-
-        reads, writes = [], []
-        for expr in _stmt_expressions(st):
-            # Pre-order: a Call or Assign comes before its callee or target.
-            not_read, func_exprs = set(), []
-            for n in _iter_expr(expr):
-                if isinstance(n, Call):
-                    self.visit_call(n, nid, owner, func)
-                    not_read.add(id(n.callee))
-                elif isinstance(n, Assign):
-                    not_read.add(id(n.target))
-                    if isinstance(n.target, Ident):
-                        writes.append(n.target.name)
-                elif isinstance(n, Ident) and id(n) not in not_read:
-                    reads.append(n.name)
-                elif isinstance(n, FuncExpr):
-                    func_exprs.append(n)
-            for fx in func_exprs:
-                self.visit_body(fx, nid, owner, func, scopes)
-        for name in writes:
-            self.define(name, scopes, nid)
-        for name in reads:
-            decl = lookup(name, scopes)
-            if decl is not None:
-                self.uses.setdefault(id(decl), set()).add(nid)
-        for child in _child_statements(st):
-            self.visit_stmt(child, nid, owner, func, scopes)
-
-    def visit_body(self, fn, parent: int, owner: str, func: str | None, scopes: list):
-        """A function's body, in a fresh scope holding its params and vars."""
-        local = dict.fromkeys(fn.params)
-        hoist(fn.body, local)
-        for child in fn.body:
-            self.visit_stmt(child, parent, owner, func, scopes + [local])
-
-    def define(self, name: str, scopes: list, nid: int):
-        """Record node ``nid`` as a def of the var that ``name`` denotes."""
-        decl = lookup(name, scopes)
-        if decl is not None:
-            self.defs.setdefault(id(decl), []).append(nid)
-
-    def visit_call(self, call, stmt_node: int, owner: str, func: str | None):
-        site = self.site_by_call.get(id(call))
-        cid = self.new_node(
-            CALL_SITE, owner, call.span, name=site.callee_name if site else None, function=func,
-            annotations=_annotation_kinds(site.stmt) if site else [],
-            unresolved=site.unresolved_reason if site else "non-identifier",
-        )
-        self.edge(stmt_node, cid, CONTROL)
-        if site and site.resolved is not None:
-            self.calls.append((cid, site.resolved))
+    return [a.kind.value for a in stmt.annotations]
 
 
 def build_pdg(program: SourceProgram) -> DependenceGraph:
-    """Build the dependence graph; requires resolve_calls to have run."""
-    return _Builder(program).build()
+    """Build the dependence graph in one pass over the front end's walk;
+    requires resolve_calls to have run.  A statement's reads and writes count
+    after the bodies of its function expressions, so a statement that holds
+    some waits for its None step."""
+    graph = DependenceGraph(
+        slice_order=list(program.slice_names()),
+        fixed={s.name: s.fixed_tier for s in program.slices if s.fixed_tier},
+    )
+    nodes = graph.nodes
+    defs: dict[int, list[int]] = {}  # id(var Declaration) -> def node ids
+    uses: dict[int, set[int]] = {}  # id(var Declaration) -> use node ids
+
+    def new_node(kind, owner, span, parent=None, **kw) -> int:
+        """A node, and its control edge from ``parent``."""
+        nodes.append(PdgNode(id=len(nodes), kind=kind, slice=owner, span=span, **kw))
+        if parent is not None:
+            graph.edges.append(PdgEdge(parent, len(nodes) - 1, CONTROL))
+        return len(nodes) - 1
+
+    def bind(nid: int, scope, reads: list, writes: list):
+        """Node ``nid`` defines and uses the vars its names bind to in ``scope``."""
+        for name in writes:
+            decl = scope.var(name)
+            if decl is not None:
+                defs.setdefault(id(decl), []).append(nid)
+        for name in reads:
+            decl = scope.var(name)
+            if decl is not None:
+                uses.setdefault(id(decl), set()).add(nid)
+
+    entry = new_node(ENTRY, SHARED, Span.zero())
+    node_of = {}  # id(statement) -> its node id; a function's entry node
+    calls, waiting = [], []
+    for step in program.steps:
+        if step is None:
+            bind(*waiting.pop())
+            continue
+        if isinstance(step, CallSiteInfo):
+            parent = node_of[id(step.stmt)]
+            cid = new_node(CALL_SITE, step.owner, step.node.span, parent, name=step.callee_name,
+                           function=nodes[parent].function, unresolved=step.unresolved_reason,
+                           annotations=_annotation_kinds(step.stmt))
+            if step.resolved is not None:
+                calls.append((cid, step.resolved))
+            continue
+        st, owner, scope, parent, exprs = step
+        if isinstance(st, (SliceDecl, UiBlock)):
+            continue
+        parent = entry if parent is None else node_of[id(parent)]
+        up = nodes[parent]
+        func = up.name if up.kind == FUNCTION_ENTRY else up.function
+        named = isinstance(st, (VarDecl, FunctionDecl))
+        nid = node_of[id(st)] = new_node(
+            DECLARATION if named else STATEMENT, owner, st.span, parent,
+            name=st.name if named else None, function=func, annotations=_annotation_kinds(st))
+        if isinstance(st, FunctionDecl):
+            node_of[id(st)] = new_node(FUNCTION_ENTRY, owner, st.span, nid, name=st.name,
+                                       function=func)
+            continue
+        if isinstance(st, VarDecl):
+            # before the initializer's function expressions record their defs
+            bind(nid, scope, [], [st.name])
+        # Pre-order: a Call or Assign comes before its callee or target.
+        reads, writes, not_read, bodies = [], [], set(), False
+        for n in exprs:
+            if isinstance(n, Call):
+                not_read.add(id(n.callee))
+            elif isinstance(n, Assign):
+                not_read.add(id(n.target))
+                if isinstance(n.target, Ident):
+                    writes.append(n.target.name)
+            elif isinstance(n, Ident) and id(n) not in not_read:
+                reads.append(n.name)
+            elif isinstance(n, FuncExpr):
+                bodies = True
+        if bodies:
+            waiting.append((nid, scope, reads, writes))
+        else:
+            bind(nid, scope, reads, writes)
+    for cid, fn in calls:
+        graph.edges.append(PdgEdge(cid, node_of[id(fn)], CALL))
+    seen = set()
+    for decl_key, def_nodes in defs.items():
+        for d in def_nodes:
+            for u in uses.get(decl_key, ()):
+                if d != u and (d, u) not in seen:
+                    seen.add((d, u))
+                    graph.edges.append(PdgEdge(d, u, DATA))
+    return graph
 
 
 def collapse_to_slice_graph(graph: DependenceGraph) -> SliceGraph:

@@ -24,10 +24,11 @@ and ``//`` line comments are ignored.
 
 ``parse`` walks the statements once, in pre-order (``_walk``); the walk
 enters a function expression's body right after the statement that holds it.
-From that one walk it applies ``@config``, lists the declarations and records
-the call sites, so code inside function expressions is declared, called and
-annotated like any other.  ``resolve_calls`` walks nothing: it looks each
-recorded callee up among the function declarations.
+It carries the ES5 scope chain: one global scope, and one per function and
+function-expression body.  From that one walk ``parse`` applies ``@config``,
+lists the declarations, records the call sites with their scopes and keeps
+the steps for the dependence graph.  ``resolve_calls`` walks nothing: it
+looks each recorded callee up in its scope chain.
 
 AST equality ignores spans, so ``parse(emit(program))`` equals ``program``
 slice for slice and statement for statement.
@@ -73,6 +74,7 @@ from .syntax import (
     NumberLit,
     ObjectLit,
     ReturnStmt,
+    Scope,
     SliceDecl,
     SourceProgram,
     Span,
@@ -591,49 +593,70 @@ def parse(source_text: str, filename: str = "<input>") -> SourceProgram:
     tokens = Lexer(source_text, filename).tokens()
     slices, shared = Parser(tokens, filename).parse_program()
     program = SourceProgram(slices=slices, shared_top_level=shared, filename=filename)
-    nodes, program.call_sites = _walk(program)
-    _apply_configs(program, nodes)
-    program.declarations = [
-        Declaration(st.name, "var" if isinstance(st, VarDecl) else "function", owner, st)
-        for st, owner in nodes if isinstance(st, (VarDecl, FunctionDecl))
-    ]
+    program.steps, program.declarations, program.call_sites = _walk(program)
+    _apply_configs(program)
     return program
 
 
-def _walk(program: SourceProgram) -> tuple[list, list]:
-    """The one pre-order walk: (node, owner) pairs, each slice before its
-    statements, and the unresolved call sites.  An expression's calls come
-    before its function expressions' bodies, and those before the
-    statement's nested statements."""
-    nodes, calls = [], []
+def _walk(program: SourceProgram) -> tuple[list, list, list]:
+    """The one pre-order walk, carrying the scope chain: its steps, the
+    declarations and the unresolved call sites.
 
-    def visit(stmts, owner):
+    The steps come in the order the dependence graph numbers its nodes.  A
+    slice or statement is a ``(node, owner, scope, parent, exprs)`` tuple,
+    ``parent`` being the statement that holds it (None at the top) and
+    ``exprs`` its expressions' nodes in pre-order; a call site is its
+    CallSiteInfo.  An expression's calls come before its function
+    expressions' bodies, and those before the statement's nested statements.
+    A None step ends the bodies of the innermost statement not yet ended."""
+    steps, decls, calls = [], [], []
+
+    def visit(stmts, owner, scope, parent):
         for st in stmts:
-            nodes.append((st, owner))
-            for expr in _stmt_expressions(st):
+            exprs, kids, bodies = [], list(subnodes(st)), False
+            steps.append((st, owner, scope, parent, exprs))
+            if isinstance(st, (VarDecl, FunctionDecl)):
+                decls.append(Declaration(st.name, "var" if isinstance(st, VarDecl) else "function",
+                                         owner, st))
+                scope.names.setdefault(st.name, []).append(decls[-1])
+            for expr in (k for k in kids if isinstance(k, Expr)):
                 inner = list(_iter_expr(expr))
-                calls.extend(CallSiteInfo(n, st, owner) for n in inner if isinstance(n, Call))
+                exprs += inner
+                for n in inner:
+                    if isinstance(n, Call):
+                        calls.append(CallSiteInfo(n, st, owner, scope))
+                        steps.append(calls[-1])
                 for fx in inner:
                     if isinstance(fx, FuncExpr):
-                        visit(fx.body, owner)
-            visit(_child_statements(st), owner)
+                        visit(fx.body, owner, _function_scope(fx, scope), st)
+                        bodies = True
+            if bodies:
+                steps.append(None)
+            inside = _function_scope(st, scope) if isinstance(st, FunctionDecl) else scope
+            visit([k for k in kids if isinstance(k, Stmt)], owner, inside, st)
 
+    top = Scope()
     for s in program.slices:
-        nodes.append((s, s.name))
-        visit(s.body, s.name)
-    visit(program.shared_top_level, SHARED)
-    return nodes, calls
+        steps.append((s, s.name, top, None, []))
+        visit(s.body, s.name, top, None)
+    visit(program.shared_top_level, SHARED, top, None)
+    return steps, decls, calls
 
 
-def _apply_configs(program: SourceProgram, nodes: list) -> None:
+def _function_scope(fn, parent: Scope) -> Scope:
+    """A fresh scope for ``fn``'s body, holding its parameters."""
+    return Scope(parent, {p: [None] for p in fn.params})
+
+
+def _apply_configs(program: SourceProgram) -> None:
     names = set()
     for s in program.slices:
         if s.name in names:
             raise DuplicateSliceNameError(f"duplicate slice name {s.name!r}")
         names.add(s.name)
     assigned: dict[str, str] = {}
-    for node, _ in nodes:
-        for a in getattr(node, "annotations", []):
+    for _, annotations in iter_annotated_nodes(program):
+        for a in annotations:
             if a.kind is not AnnotationKind.CONFIG:
                 continue
             for name, tier in a.args:
@@ -649,19 +672,9 @@ def _apply_configs(program: SourceProgram, nodes: list) -> None:
 def iter_annotated_nodes(program: SourceProgram):
     """Yields (node, annotations) pairs over the slices and every statement,
     function-expression bodies included, in the order of the one walk."""
-    for node, _ in _walk(program)[0]:
-        yield node, getattr(node, "annotations", [])
-
-
-def _child_statements(st: Stmt) -> list:
-    """The statements nested directly in ``st``.  Function-expression bodies
-    are not among them: they sit inside expressions."""
-    return [c for c in subnodes(st) if isinstance(c, Stmt)]
-
-
-def _stmt_expressions(st: Stmt) -> list:
-    """The expressions held directly by ``st`` (a ``for`` init is a statement)."""
-    return [c for c in subnodes(st) if isinstance(c, Expr)]
+    for step in program.steps:
+        if isinstance(step, tuple):
+            yield step[0], step[0].annotations
 
 
 def _iter_expr(expr):
@@ -677,18 +690,14 @@ def _iter_expr(expr):
 
 
 def resolve_calls(program: SourceProgram) -> SourceProgram:
-    """Resolve the recorded plain-identifier calls against function declarations.
+    """Resolve the recorded plain-identifier calls by lexical scope.
 
-    A call resolves when its callee identifier names exactly one function
-    declaration program-wide.  Ambiguous and undeclared callees stay
-    unresolved and produce warnings; member/index callees are treated as
-    external library calls and excluded silently.
+    A callee resolves when the innermost scope declaring its name declares
+    exactly one function of it.  With more it is ambiguous; with none (a
+    parameter, a var, or no scope at all) undeclared.  Both stay unresolved
+    and produce warnings; member/index callees are treated as external
+    library calls and excluded silently.
     """
-    table: dict[str, list[Declaration]] = {}
-    for d in program.declarations:
-        if d.kind == "function":
-            table.setdefault(d.name, []).append(d)
-
     warnings: list[str] = []
     for info in program.call_sites:
         call = info.node
@@ -696,16 +705,16 @@ def resolve_calls(program: SourceProgram) -> SourceProgram:
             info.unresolved_reason = "non-identifier"
             continue
         name = info.callee_name = call.callee.name
-        decls = table.get(name, [])
-        if len(decls) == 1:
-            info.resolved = decls[0].node
-            info.resolved_owner = decls[0].owner
-        elif not decls:
+        funcs = [d for d in info.scope.lookup(name) if d is not None and d.kind == "function"]
+        if len(funcs) == 1:
+            info.resolved = funcs[0].node
+            info.resolved_owner = funcs[0].owner
+        elif not funcs:
             info.unresolved_reason = "undeclared"
             warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (no declaration)"))
         else:
             info.unresolved_reason = "ambiguous"
-            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (ambiguous: {len(decls)} declarations)"))
+            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (ambiguous: {len(funcs)} declarations)"))
     program.warnings = warnings
     return program
 

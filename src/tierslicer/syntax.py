@@ -69,7 +69,7 @@ ANNOTATION_CATEGORIES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Annotation:
     kind: AnnotationKind
     # Identifier arguments; @config args are (name, tier) pairs.
@@ -80,74 +80,74 @@ class Annotation:
 # --- Expressions ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Expr:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class NumberLit(Expr):
     value: float
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class StringLit(Expr):
     value: str
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class NullLit(Expr):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class ThisExpr(Expr):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Ident(Expr):
     name: str
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Member(Expr):
     obj: Expr
     attr: str
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Index(Expr):
     obj: Expr
     index: Expr
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Expr):
     callee: Expr
     args: list[Expr] = field(default_factory=list)
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary(Expr):
     op: str
     operand: Expr = None
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Expr):
     op: str
     left: Expr = None
@@ -155,26 +155,26 @@ class Binary(Expr):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Expr):
     target: Expr = None
     value: Expr = None
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectLit(Expr):
     entries: list[tuple[str, Expr]] = field(default_factory=list)
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class ArrayLit(Expr):
     elements: list[Expr] = field(default_factory=list)
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class FuncExpr(Expr):
     params: list = field(default_factory=list)
     body: list[Stmt] = field(default_factory=list)
@@ -184,12 +184,12 @@ class FuncExpr(Expr):
 # --- Statements -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Stmt:
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class VarDecl(Stmt):
     name: str
     init: Expr | None = None
@@ -197,7 +197,7 @@ class VarDecl(Stmt):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDecl(Stmt):
     name: str
     params: list = field(default_factory=list)
@@ -206,14 +206,14 @@ class FunctionDecl(Stmt):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr = None
     annotations: list = field(default_factory=list)
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStmt(Stmt):
     cond: Expr = None
     then: list[Stmt] = field(default_factory=list)
@@ -222,7 +222,7 @@ class IfStmt(Stmt):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class WhileStmt(Stmt):
     cond: Expr = None
     body: list[Stmt] = field(default_factory=list)
@@ -230,7 +230,7 @@ class WhileStmt(Stmt):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class ForStmt(Stmt):
     init: Stmt | None = None  # VarDecl or ExprStmt, semicolon-less
     cond: Expr | None = None
@@ -240,21 +240,21 @@ class ForStmt(Stmt):
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStmt(Stmt):
     value: Expr | None = None
     annotations: list = field(default_factory=list)
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockStmt(Stmt):
     body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class UiBlock(Stmt):
     """A @ui block: stored verbatim, excluded from dependence analysis."""
 
@@ -286,7 +286,7 @@ def subnodes(node):
 # --- Program structure ----------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class SliceDecl:
     name: str
     body: list = field(default_factory=list)
@@ -295,7 +295,7 @@ class SliceDecl:
     span: Span = _span()
 
 
-@dataclass
+@dataclass(slots=True)
 class Declaration:
     """A variable or function declaration together with its owner."""
 
@@ -305,20 +305,51 @@ class Declaration:
     node: Stmt = None
 
 
-@dataclass
+@dataclass(slots=True, eq=False, repr=False)
+class Scope:
+    """An ES5 scope (ECMA-262 5.1 §10.5): the global one, or a function or
+    function-expression body's.  ``names`` maps each name declared in it to
+    its parameters (None, first), then its var and function Declarations in
+    walk order.  Blocks and slices open no scope."""
+
+    parent: Scope | None = None
+    names: dict = field(default_factory=dict)
+
+    def lookup(self, name: str) -> list:
+        """``name``'s bindings in the innermost scope declaring it, or []."""
+        scope = self
+        while scope is not None:
+            bindings = scope.names.get(name)
+            if bindings is not None:
+                return bindings
+            scope = scope.parent
+        return []
+
+    def var(self, name: str) -> Declaration | None:
+        """The var that a data use or def of ``name`` binds to: the first var
+        of that innermost scope; None where it holds ``name`` as a parameter
+        or only as a function, or where no scope declares it."""
+        bindings = self.lookup(name)
+        if bindings and bindings[0] is not None:
+            return next((d for d in bindings if d.kind == "var"), None)
+        return None
+
+
+@dataclass(slots=True)
 class CallSiteInfo:
     """A call expression with its resolution result."""
 
     node: Call = None
     stmt: Stmt = None  # enclosing statement (annotation carrier)
     owner: str = ""  # slice name or model.SHARED
+    scope: Scope | None = field(default=None, repr=False, compare=False)  # callee's scope
     callee_name: str | None = None  # plain-identifier callee, if any
     resolved: FunctionDecl | None = None
     resolved_owner: str | None = None
     unresolved_reason: str | None = None  # None | "undeclared" | "ambiguous" | "non-identifier"
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceProgram:
     slices: list = field(default_factory=list)  # SliceDecl, source order
     shared_top_level: list = field(default_factory=list)  # Stmt
@@ -326,6 +357,7 @@ class SourceProgram:
     call_sites: list = field(default_factory=list)  # CallSiteInfo
     warnings: list = field(default_factory=list)  # resolution diagnostics (str)
     filename: str = "<input>"
+    steps: list = field(default_factory=list, repr=False, compare=False)  # see frontend._walk
 
     def slice_names(self):
         return [s.name for s in self.slices]

@@ -322,24 +322,29 @@ var boot = function () { function init() { return 0; } return init(); };
 FUNC_EXPR_CALL_SITES = [
     ("store", "show", "view", None, "ExprStmt", 8, 22),
     ("store", "pick", "store", None, "ExprStmt", 8, 27),
-    ("store", "dup", None, "ambiguous", "ReturnStmt", 9, 15),
+    ("store", "dup", None, "undeclared", "ReturnStmt", 9, 15),
     ("view", "save", "store", None, "ForStmt", 17, 29),
-    ("view", "helper", "view", None, "ReturnStmt", 17, 68),
+    ("view", "helper", None, "undeclared", "ReturnStmt", 17, 68),
     ("view", "save", "store", None, "ForStmt", 17, 85),
     ("view", "save", "store", None, "VarDecl", 17, 20),
     ("view", "ghost", None, "undeclared", "ExprStmt", 17, 97),
     ("view", "save", "store", None, "ReturnStmt", 19, 37),
-    ("view", "pick", "store", None, "ReturnStmt", 19, 47),
+    ("view", "pick", None, "undeclared", "ReturnStmt", 19, 47),
     ("view", "helper", "view", None, "ReturnStmt", 20, 19),
-    ("view", "dup", None, "ambiguous", "ReturnStmt", 20, 78),
-    ("view", "init", SHARED, None, "ReturnStmt", 22, 70),
+    ("view", "dup", "view", None, "ReturnStmt", 20, 78),
+    ("view", "init", None, "undeclared", "ReturnStmt", 22, 70),
     (SHARED, "init", SHARED, None, "ReturnStmt", 2, 67),
 ]
 
+# A name binds in the innermost function body that declares it, so `dup` at
+# 9:15, `helper` at 17:68, `pick` at 19:47 and `init` at 22:70 see no
+# declaration, and `dup` at 20:78 is the one its own body declares.
 FUNC_EXPR_WARNINGS = [
-    "func_expr.tjs:9:15: unresolved call to 'dup' (ambiguous: 2 declarations)",
+    "func_expr.tjs:9:15: unresolved call to 'dup' (no declaration)",
+    "func_expr.tjs:17:68: unresolved call to 'helper' (no declaration)",
     "func_expr.tjs:17:97: unresolved call to 'ghost' (no declaration)",
-    "func_expr.tjs:20:78: unresolved call to 'dup' (ambiguous: 2 declarations)",
+    "func_expr.tjs:19:47: unresolved call to 'pick' (no declaration)",
+    "func_expr.tjs:22:70: unresolved call to 'init' (no declaration)",
 ]
 
 
@@ -352,9 +357,9 @@ def test_function_expression_bodies_declare_and_call_like_any_other_code():
     site = {n.id: (n.span.line, n.span.col) for n in graph.nodes if n.kind == CALL_SITE}
     called = sorted((entry[e.dst], site[e.src]) for e in graph.edges if e.kind == CALL)
     assert called == [
-        ("helper", (17, 68)), ("helper", (20, 19)), ("init", (2, 67)), ("init", (22, 70)),
-        ("pick", (8, 27)), ("pick", (19, 47)), ("save", (17, 20)), ("save", (17, 29)),
-        ("save", (17, 85)), ("save", (19, 37)), ("show", (8, 22))]
+        ("dup", (20, 78)), ("helper", (20, 19)), ("init", (2, 67)), ("pick", (8, 27)),
+        ("save", (17, 20)), ("save", (17, 29)), ("save", (17, 85)), ("save", (19, 37)),
+        ("show", (8, 22))]
     problem = placement_problem(graph)
     assert [(c.caller, c.callee, c.callee_name, c.annotated) for c in problem.calls
             if c.label == "8:22"] == [("store", "view", "show", True)]
@@ -371,6 +376,75 @@ def test_a_function_declared_in_a_function_expression_gets_its_call_edge():
     (entry,) = [n.id for n in graph.nodes if n.kind == FUNCTION_ENTRY]
     (call,) = [n.id for n in graph.nodes if n.kind == CALL_SITE]
     assert [e for e in graph.edges if e.kind == CALL] == [PdgEdge(call, entry, CALL)]
+
+
+# A call binds its callee's name in the innermost function body that declares
+# it, so `helper`, nested in `store`, cannot be called from `main`.
+NESTED_SOURCE = """\
+/* @config ui : client, db : server */
+/* @slice db */ { function store(x) { function helper(y) { return y; } return helper(x); } }
+/* @slice ui */ { function main() { helper(1); store(2); } }
+"""
+
+# As NESTED_SOURCE, with `helper` at the top of db and a `helper` of main's
+# own that shadows it there.
+SHADOW_SOURCE = """\
+/* @config ui : client, db : server */
+/* @slice db */ { function helper(y) { return y; } function store(x) { return helper(x); } }
+/* @slice ui */ { function main() { function helper(z) { return z; } helper(1); store(2); } }
+"""
+
+
+def call_table(source, name):
+    program = resolve_calls(parse(source, name))
+    problem = placement_problem(build_pdg(program))
+    rows = [(c.caller, c.callee, c.callee_name, c.label) for c in problem.calls]
+    return rows, problem.unresolved_calls, program.warnings
+
+
+def test_a_nested_function_cannot_be_called_from_outside_its_body():
+    assert call_table(NESTED_SOURCE, "nested.tjs") == (
+        [("db", "db", "helper", "2:85"), ("ui", "db", "store", "3:53")], 1,
+        ["nested.tjs:3:43: unresolved call to 'helper' (no declaration)"])
+    graph = build_pdg(resolve_calls(parse(NESTED_SOURCE)))
+    assert '"ui" -> "db" [label="call:1"];' in to_dot(collapse_to_slice_graph(graph))
+
+
+def test_an_inner_function_shadows_a_top_level_one():
+    assert call_table(SHADOW_SOURCE, "shadow.tjs") == (
+        [("db", "db", "helper", "2:85"), ("ui", "ui", "helper", "3:76"),
+         ("ui", "db", "store", "3:86")], 0, [])
+
+
+def test_same_named_inner_functions_each_serve_their_own_body():
+    src = ("/* @slice a */ { function f() { function inner() { return 1; } return inner(); } }\n"
+           "/* @slice b */ { function g() { function inner() { return 2; } return inner(); } }\n"
+           "/* @slice c */ { function h() { return inner(); } }\n")
+    program = resolve_calls(parse(src, "inner.tjs"))
+    in_f, in_g, in_h = program.call_sites
+    assert in_f.resolved is program.slices[0].body[0].body[0]
+    assert in_g.resolved is program.slices[1].body[0].body[0]
+    assert [s.resolved_owner for s in (in_f, in_g, in_h)] == ["a", "b", None]
+    assert program.warnings == ["inner.tjs:3:45: unresolved call to 'inner' (no declaration)"]
+
+
+def test_a_parameter_shadows_a_top_level_function():
+    """Only in its own body: ``k`` still calls the top-level ``f``."""
+    src = ("/* @slice a */ { function f(x) { return x; } function g(f) { return f(1); }\n"
+           "  function k() { return f(2); } }\n")
+    assert call_table(src, "param.tjs") == (
+        [("a", "a", "f", "2:26")], 1, ["param.tjs:1:70: unresolved call to 'f' (no declaration)"])
+
+
+def test_data_uses_bind_by_the_same_scope_rule():
+    """A function declared in a body shadows an outer var there, as a
+    parameter does: only ``h`` reads the top-level ``f``."""
+    src = ("/* @slice a */ { var f = 0; function g(p) { function f() { return 1; } return f; }\n"
+           "  function h() { return f; } function k(f) { return f; } }\n")
+    graph = build_pdg(resolve_calls(parse(src)))
+    nodes = graph.nodes
+    assert [(nodes[e.src].name, nodes[e.dst].function) for e in graph.edges if e.kind == DATA] == [
+        ("f", "h")]
 
 
 # Re-assigns each var inside a function expression in its own initializer,

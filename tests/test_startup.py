@@ -74,6 +74,16 @@ def test_searching_commands_load_numpy_and_worker_pools_only_for_jobs(args, expe
     assert loaded == expected
 
 
+def test_importing_the_cli_loads_only_the_domain_types():
+    """Every benchmark workload times this import, so no stage may reach it."""
+    code = "import sys, tierslicer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'tierslicer'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == str(
+        ["tierslicer", "tierslicer.cli", "tierslicer.errors", "tierslicer.model"])
+
+
 def test_version_runs_from_a_checkout():
     proc = subprocess.run([sys.executable, "-m", "tierslicer.cli", "--version"], env=ENV,
                           capture_output=True, text=True, timeout=60)
