@@ -45,8 +45,9 @@ GENPROG_SEEDS = range(6)
 # What no fixture or generated program has: a function, a var and a @reply
 # declared inside function-expression bodies, a function-local var that
 # draws replication advice `refine --apply` cannot act on, a call to a nested
-# function from outside its body, and an inner function that shadows a
-# top-level one.
+# function from outside its body, an inner function that shadows a
+# top-level one, and a moved function that holds a nested function
+# declaration and a function expression, beside a replicated var.
 EXTRA = {
     "func_expr.tjs": """\
 /* @config ui : client, db : server */
@@ -89,6 +90,23 @@ EXTRA = {
 /* @config ui : client, db : server */
 /* @slice db */ { function helper(y) { return y; } function store(x) { return helper(x); } }
 /* @slice ui */ { function main() { function helper(z) { return z; } helper(1); store(2); } }
+""",
+    "moved_nested.tjs": """\
+/* @config ui : client, db : server */
+/* @slice db */
+{
+  var table = [];
+  function load(k) {
+    function pick(i) { return table[i]; }
+    var fmt = function (r) { return [r, table.length]; };
+    return fmt(pick(k));
+  }
+  function save(k, v) { table[k] = v; return load(k); }
+}
+/* @slice ui */
+{
+  function main() { load(1); load(2); load(3); save(4, 5); }
+}
 """,
 }
 

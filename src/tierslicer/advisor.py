@@ -57,23 +57,18 @@ def _tier_mask(placement: Placement, slice_name: str) -> int:
 
 def advise_replication(graph: DependenceGraph, placement: Placement,
                        program: SourceProgram, incoming: dict) -> list:
-    by_start = {}
-    for n in graph.nodes:
-        if n.kind == DECLARATION:
-            by_start[(n.slice, n.span[0])] = n
+    # The graph's declaration nodes are the program's declarations, in order.
+    decl_nodes = [n for n in graph.nodes if n.kind == DECLARATION]
     readers: dict[int, list] = {}
     for e in graph.edges:
         if e.kind == DATA:
             readers.setdefault(e.src, []).append(graph.nodes[e.dst])
 
     out = []
-    for decl in program.declarations:
+    for decl, node in zip(program.declarations, decl_nodes, strict=True):
         if decl.kind != "var" or decl.owner == SHARED:
             continue
         if any(a.kind is AnnotationKind.REPLICATED for a in decl.node.annotations):
-            continue
-        node = by_start.get((decl.owner, decl.node.span.start))
-        if node is None:
             continue
         decl_mask = _tier_mask(placement, decl.owner)
         evidence = []
@@ -125,12 +120,15 @@ def _fresh_slice_name(base: str, taken: set) -> str:
 
 
 def apply_advice(program: SourceProgram, advices: list) -> SourceProgram:
-    """Apply ``advices`` and return the program parsed again from its emitted text.
+    """Apply ``advices`` and return the edited program, walked and resolved.
 
     Pure: ``program`` is copied on write.  The slice list, the body of each
     slice an advice edits and each VarDecl that gains ``@replicated`` are
-    copied, so no node of ``program`` changes.  The result's spans refer to its
-    own emitted text, and its calls are resolved.
+    copied, so no node of ``program`` changes.  There is no text round trip:
+    the result's statements keep the spans of the source they were parsed
+    from, a moved function its own, and a new slice has the zero span and no
+    fixed tier.  The result has its own walk, so its declarations, call sites
+    and steps are its own, and its calls are resolved.
     """
     slices = list(program.slices)
     index = {s.name: k for k, s in enumerate(slices)}
@@ -166,8 +164,9 @@ def apply_advice(program: SourceProgram, advices: list) -> SourceProgram:
                 annotations=[Annotation(AnnotationKind.SLICE, [name])],
             ))
 
-    work = SourceProgram(slices=slices, shared_top_level=program.shared_top_level)
-    return frontend.resolve_calls(frontend.parse(frontend.emit(work), program.filename))
+    work = SourceProgram(slices=slices, shared_top_level=program.shared_top_level,
+                         filename=program.filename)
+    return frontend.resolve_calls(frontend.walk(work))
 
 
 # --- Refinement loop ------------------------------------------------------

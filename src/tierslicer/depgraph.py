@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import SHARED, CallRecord, PlacementProblem, Tier
 from .syntax import (
@@ -61,8 +62,7 @@ class PdgNode:
     unresolved: str | None = None  # call sites only
 
 
-@dataclass(frozen=True, slots=True)
-class PdgEdge:
+class PdgEdge(NamedTuple):
     src: int
     dst: int
     kind: str
@@ -84,7 +84,7 @@ class SliceGraph:
 
 
 def _annotation_kinds(stmt) -> list:
-    return [a.kind.value for a in stmt.annotations]
+    return [a.kind.value for a in stmt.annotations] if stmt.annotations else []
 
 
 def build_pdg(program: SourceProgram) -> DependenceGraph:
@@ -100,12 +100,13 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
     defs: dict[int, list[int]] = {}  # id(var Declaration) -> def node ids
     uses: dict[int, set[int]] = {}  # id(var Declaration) -> use node ids
 
-    def new_node(kind, owner, span, parent=None, **kw) -> int:
+    def new_node(kind, owner, span, parent, name, function, annotations, unresolved=None) -> int:
         """A node, and its control edge from ``parent``."""
-        nodes.append(PdgNode(id=len(nodes), kind=kind, slice=owner, span=span, **kw))
+        nid = len(nodes)
+        nodes.append(PdgNode(nid, kind, owner, span, name, function, annotations, unresolved))
         if parent is not None:
-            graph.edges.append(PdgEdge(parent, len(nodes) - 1, CONTROL))
-        return len(nodes) - 1
+            graph.edges.append(PdgEdge(parent, nid, CONTROL))
+        return nid
 
     def bind(nid: int, scope, reads: list, writes: list):
         """Node ``nid`` defines and uses the vars its names bind to in ``scope``."""
@@ -118,7 +119,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             if decl is not None:
                 uses.setdefault(id(decl), set()).add(nid)
 
-    entry = new_node(ENTRY, SHARED, Span.zero())
+    entry = new_node(ENTRY, SHARED, Span.zero(), None, None, None, [])
     node_of = {}  # id(statement) -> its node id; a function's entry node
     calls, waiting = [], []
     for step in program.steps:
@@ -127,9 +128,9 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             continue
         if isinstance(step, CallSiteInfo):
             parent = node_of[id(step.stmt)]
-            cid = new_node(CALL_SITE, step.owner, step.node.span, parent, name=step.callee_name,
-                           function=nodes[parent].function, unresolved=step.unresolved_reason,
-                           annotations=_annotation_kinds(step.stmt))
+            cid = new_node(CALL_SITE, step.owner, step.node.span, parent, step.callee_name,
+                           nodes[parent].function, _annotation_kinds(step.stmt),
+                           step.unresolved_reason)
             if step.resolved is not None:
                 calls.append((cid, step.resolved))
             continue
@@ -142,10 +143,9 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
         named = isinstance(st, (VarDecl, FunctionDecl))
         nid = node_of[id(st)] = new_node(
             DECLARATION if named else STATEMENT, owner, st.span, parent,
-            name=st.name if named else None, function=func, annotations=_annotation_kinds(st))
+            st.name if named else None, func, _annotation_kinds(st))
         if isinstance(st, FunctionDecl):
-            node_of[id(st)] = new_node(FUNCTION_ENTRY, owner, st.span, nid, name=st.name,
-                                       function=func)
+            node_of[id(st)] = new_node(FUNCTION_ENTRY, owner, st.span, nid, st.name, func, [])
             continue
         if isinstance(st, VarDecl):
             # before the initializer's function expressions record their defs

@@ -1,15 +1,18 @@
 """TierJS frontend: lexer, recursive-descent parser, emitter, call resolution.
 
-The lexer reads the source once, with one token pattern.  Its token kinds are
-IDENT (keywords included), NUMBER, STRING, PUNCT, ANNOT (an annotation
-comment), UI_BLOCK (the verbatim block after ``@ui``) and EOF.  A token holds
-its start and end offsets; its ``span``, with line and col, is built from the
-lexer's line-start table only where it is kept: in an AST node, a call-site
-label or an error.  A line is the number of ``"\\n"`` before the offset plus 1
-(``"\\r"`` starts no line), and a col is the 1-based code-point offset in that
-line.  A STRING token's value is its body as written between double quotes
-(a single-quoted body gets its bare ``"`` escaped and its ``\\'`` unescaped),
-which the emitter writes back unchanged.
+The lexer reads the source once, with one token pattern; each match skips the
+whitespace and ``//`` comments in front of one token.  A token is a plain
+``(kind, value, start, end)`` tuple, ``start`` and ``end`` being the offsets
+of its text.  Its kinds are IDENT (keywords included), NUMBER, STRING, PUNCT,
+ANNOT (an annotation comment), UI_BLOCK (the verbatim block after ``@ui``)
+and EOF.  ``Lexer.span`` builds a token's ``Span``, with line and col, from
+the lexer's line-start table, and the parser calls it only where a span is
+kept: in an AST node, a call-site label or an error.  A line is the number of
+``"\\n"`` before the offset plus 1 (``"\\r"`` starts no line), and a col is
+the 1-based code-point offset in that line.  A STRING token's value is its
+body as written between double quotes (a single-quoted body gets its bare
+``"`` escaped and its ``\\'`` unescaped), which the emitter writes back
+unchanged.
 
 Binary operators are parsed by precedence climbing over one table,
 ``_BIN_LEVELS``, which the emitter also reads to place parentheses.  Nesting
@@ -22,13 +25,14 @@ starts with ``@``; one comment may carry several annotations (e.g. a
 the syntactically next block, declaration or statement.  Plain block comments
 and ``//`` line comments are ignored.
 
-``parse`` walks the statements once, in pre-order (``_walk``); the walk
+``parse`` walks the statements once, in pre-order (``walk``); the walk
 enters a function expression's body right after the statement that holds it.
 It carries the ES5 scope chain: one global scope, and one per function and
 function-expression body.  From that one walk ``parse`` applies ``@config``,
 lists the declarations, records the call sites with their scopes and keeps
 the steps for the dependence graph.  ``resolve_calls`` walks nothing: it
-looks each recorded callee up in its scope chain.
+looks each recorded callee up in its scope chain.  ``advisor.apply_advice``
+runs the same walk over the tree it edits, and parses no text.
 
 AST equality ignores spans, so ``parse(emit(program))`` equals ``program``
 slice for slice and statement for statement.
@@ -39,7 +43,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from decimal import Decimal
 
 from .errors import (
@@ -61,7 +64,6 @@ from .syntax import (
     Call,
     CallSiteInfo,
     Declaration,
-    Expr,
     ExprStmt,
     ForStmt,
     FuncExpr,
@@ -90,37 +92,26 @@ from .syntax import (
 
 KEYWORDS = {"var", "function", "if", "else", "while", "for", "return", "true", "false", "null", "this"}
 
-# One alternative per token kind.  ``\s``, ``\w`` and ``\d`` mean
-# ``str.isspace``, ``str.isalnum`` or ``_``, and ``str.isdecimal``.  No class
-# means ``str.isalpha``, so the lexer rejects an IDENT whose first character
-# is a number other than a decimal digit (``²``, ``½``, ``Ⅻ``).
+# Whitespace and ``//`` comments, then one alternative per token kind; a match
+# that ends before any token group is the end of the text or a lexing error.
+# ``\s``, ``\w`` and ``\d`` mean ``str.isspace``, ``str.isalnum`` or ``_``,
+# and ``str.isdecimal``.  No class means ``str.isalpha``, so the lexer rejects
+# an IDENT whose first character is a number other than a decimal digit
+# (``²``, ``½``, ``Ⅻ``).  A COMMENT of two characters is an unterminated
+# ``/*``.
 _TOKEN = re.compile(
-    r"""(?P<SKIP>\s+|//[^\n]*)
-      | (?P<COMMENT>/\*)
-      | (?P<NUMBER>\d[\d.]*)
-      | (?P<IDENT>(?:[^\W\d]|\$)[\w$]*)
-      | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
-      | (?P<PUNCT>[=!<>]=|&&|\|\||[{}()\[\];,.:=<>+\-*/%!])""",
+    r"""(?:\s+|//[^\n]*)*
+      (?: (?P<COMMENT>/\*(?:.*?\*/)?)
+        | (?P<NUMBER>\d[\d.]*)
+        | (?P<IDENT>(?:[^\W\d]|\$)[\w$]*)
+        | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
+        | (?P<PUNCT>[=!<>]=|&&|\|\||[{}()\[\];,.:=<>+\-*/%!])
+      )?""",
     re.VERBOSE | re.DOTALL,
 )
 
 # How a single-quoted string body is written between double quotes.
 _REQUOTE = {'"': '\\"', "\\'": "'"}
-
-
-@dataclass(slots=True)
-class Token:
-    kind: str  # IDENT NUMBER STRING PUNCT ANNOT UI_BLOCK EOF
-    value: str
-    start: int  # offsets of the token's text in the source
-    end: int
-    line_starts: list = field(repr=False, compare=False)  # the lexer's line table
-
-    @property
-    def span(self) -> Span:
-        """The token's Span; its line and col are looked up in the line table."""
-        line = bisect_right(self.line_starts, self.start)
-        return Span(self.start, self.end, line, self.start - self.line_starts[line - 1] + 1)
 
 
 class Lexer:
@@ -129,45 +120,57 @@ class Lexer:
         self.filename = filename
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
+    def span(self, tok: tuple) -> Span:
+        """A token's Span; its line and col are looked up in the line table."""
+        start, lines = tok[2], self.line_starts
+        line = bisect_right(lines, start)
+        # tuple.__new__ skips Span.__new__, a Python function, on the parser's
+        # hottest path.
+        return tuple.__new__(Span, (start, tok[3], line, start - lines[line - 1] + 1))
+
     def error(self, msg: str, pos: int):
-        span = Token("", "", pos, pos, self.line_starts).span
+        span = self.span(("", "", pos, pos))
         raise ParseError(msg, span.line, span.col, self.filename)
 
-    def tokens(self) -> list[Token]:
-        text, lines, out, i, n = self.text, self.line_starts, [], 0, len(self.text)
-        while i < n:
-            m = _TOKEN.match(text, i)
-            if m is None:
-                quote = text[i] in "'\""
-                self.error("unterminated string" if quote else f"unexpected character {text[i]!r}", i)
-            kind, end = m.lastgroup, m.end()
+    def tokens(self) -> list[tuple]:
+        """The ``(kind, value, start, end)`` tokens, ending with EOF."""
+        text, out, n, pos, match = self.text, [], len(self.text), 0, _TOKEN.match
+        while True:
+            m = match(text, pos)
+            kind = m.lastgroup
+            if kind is None:
+                pos = m.end()
+                if pos == n:
+                    break
+                quote = text[pos] in "'\""
+                self.error("unterminated string" if quote else f"unexpected character {text[pos]!r}", pos)
+            start, pos = m.start(kind), m.end()
             if kind == "COMMENT":
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    self.error("unterminated comment", i)
-                inner, end = text[i + 2 : j], j + 2
+                if pos - start == 2:
+                    self.error("unterminated comment", start)
+                inner = text[start + 2 : pos - 2]
                 if inner.strip().startswith("@"):
-                    out.append(Token("ANNOT", inner, i, end, lines))
-                    if self._is_ui_comment(inner):
-                        end = self._capture_ui_block(out, end)
-            elif kind == "IDENT" and not (text[i].isalpha() or text[i] in "_$"):
-                self.error(f"unexpected character {text[i]!r}", i)
-            elif kind == "STRING":
-                body = text[i + 1 : end - 1]
-                if text[i] == "'":
+                    out.append(("ANNOT", inner, start, pos))
+                    if "@ui" in inner and self._is_ui_comment(inner):
+                        pos = self._capture_ui_block(out, pos)
+                continue
+            if kind == "STRING":
+                body = text[start + 1 : pos - 1]
+                if text[start] == "'":
                     body = re.sub(r'"|\\.', lambda m: _REQUOTE.get(m[0], m[0]), body, flags=re.S)
-                out.append(Token(kind, body, i, end, lines))
-            elif kind != "SKIP":
-                out.append(Token(kind, m.group(), i, end, lines))
-            i = end
-        out.append(Token("EOF", "", n, n, lines))
+                out.append((kind, body, start, pos))
+                continue
+            if kind == "IDENT" and not (text[start].isalpha() or text[start] in "_$"):
+                self.error(f"unexpected character {text[start]!r}", start)
+            out.append((kind, text[start:pos], start, pos))
+        out.append(("EOF", "", n, n))
         return out
 
     @staticmethod
     def _is_ui_comment(inner: str) -> bool:
         return any(m.group(1) == "ui" for m in re.finditer(r"@(\w+)", inner))
 
-    def _capture_ui_block(self, out: list[Token], pos: int) -> int:
+    def _capture_ui_block(self, out: list, pos: int) -> int:
         """Capture the block after a @ui comment verbatim (HTML-ish content)."""
         text, n = self.text, len(self.text)
         i = pos
@@ -186,7 +189,7 @@ class Lexer:
             j += 1
         if depth != 0:
             self.error("unterminated @ui block", i)
-        out.append(Token("UI_BLOCK", text[i + 1 : j], i, j + 1, self.line_starts))
+        out.append(("UI_BLOCK", text[i + 1 : j], i, j + 1))
         return j + 1
 
 
@@ -195,8 +198,9 @@ class Lexer:
 _TIERS = {"client", "server"}
 
 
-def parse_annotation_comment(inner: str, span: Span, filename: str = "<input>") -> list[Annotation]:
-    """Split one annotation comment into its individual annotations."""
+def parse_annotation_comment(inner: str, span: Span, filename: str = "<input>") -> list[tuple]:
+    """Split one annotation comment into its annotations' (kind, args) pairs;
+    ``span``, the comment's, places a parse error."""
     out = []
     matches = list(re.finditer(r"@(\w+)", inner))
     for idx, m in enumerate(matches):
@@ -214,7 +218,7 @@ def parse_annotation_comment(inner: str, span: Span, filename: str = "<input>") 
             args = idents
         else:
             args = re.findall(r"[\w$]+", arg_text)
-        out.append(Annotation(kind, args, span))
+        out.append((kind, args))
     return out
 
 
@@ -263,20 +267,22 @@ MAX_NESTING = 100
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], filename: str = "<input>"):
-        self._rest = iter(tokens)
+    def __init__(self, lexer: Lexer):
+        self._rest = iter(lexer.tokens())
         self.tok = next(self._rest)  # the current token
-        self.filename = filename
+        self.span = lexer.span
+        self.filename = lexer.filename
         self.depth = 0
+        self._annotations = {}  # annotation comment text -> its (kind, args) pairs
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         """Consume the current token; the EOF token, the last, is never consumed."""
         tok = self.tok
         self.tok = next(self._rest, tok)
         return tok
 
     def error(self, msg: str):
-        span = self.tok.span
+        span = self.span(self.tok)
         raise ParseError(msg, span.line, span.col, self.filename)
 
     def deeper(self) -> None:
@@ -287,45 +293,48 @@ class Parser:
 
     def at_punct(self, value: str) -> bool:
         t = self.tok
-        return t.kind == "PUNCT" and t.value == value
+        return t[1] == value and t[0] == "PUNCT"
 
-    def at_keyword(self, word: str) -> bool:
+    def expect(self, value: str) -> tuple:
+        """Consume the PUNCT or IDENT token ``value``."""
         t = self.tok
-        return t.kind == "IDENT" and t.value == word
-
-    def expect(self, value: str) -> Token:
-        t = self.tok
-        if t.kind in ("PUNCT", "IDENT") and t.value == value:
-            return self.advance()
-        self.error(f"expected {value!r}, found {t.value or t.kind!r}")
+        if t[1] == value and (t[0] == "PUNCT" or t[0] == "IDENT"):
+            self.tok = next(self._rest, t)
+            return t
+        self.error(f"expected {value!r}, found {t[1] or t[0]!r}")
 
     # -- program -----------------------------------------------------------
 
     def parse_program(self) -> tuple[list, list]:
         """Returns (slices, shared statements); @config resolution happens later."""
         slices, shared = [], []
-        while self.tok.kind != "EOF":
+        while self.tok[0] != "EOF":
             annotations = self._pending_annotations()
-            kinds = {a.kind for a in annotations}
-            if AnnotationKind.SLICE in kinds:
+            if any(a.kind is AnnotationKind.SLICE for a in annotations):
                 slices.append(self._parse_slice(annotations))
             else:
                 shared.append(self._parse_statement(annotations))
         return slices, shared
 
     def _pending_annotations(self) -> list:
+        """The annotations of the comments at the current token.  Each comment
+        text is split once; each occurrence gets its own span and args lists."""
         annotations = []
-        while self.tok.kind == "ANNOT":
+        while self.tok[0] == "ANNOT":
             tok = self.advance()
-            annotations.extend(parse_annotation_comment(tok.value, tok.span, self.filename))
+            span = self.span(tok)
+            pairs = self._annotations.get(tok[1])
+            if pairs is None:
+                pairs = self._annotations[tok[1]] = parse_annotation_comment(tok[1], span, self.filename)
+            annotations += [Annotation(kind, list(args), span) for kind, args in pairs]
         return annotations
 
     def _parse_slice(self, annotations: list) -> SliceDecl:
         name = next(a.args[0] for a in annotations if a.kind is AnnotationKind.SLICE)
-        start = self.tok.span
-        if self.tok.kind == "UI_BLOCK":
+        start = self.span(self.tok)
+        if self.tok[0] == "UI_BLOCK":
             tok = self.advance()
-            body = [UiBlock(text=tok.value, span=tok.span)]
+            body = [UiBlock(tok[1], [], self.span(tok))]
             return SliceDecl(name, body, None, annotations, start)
         self.expect("{")
         body = self._statements_until_brace()
@@ -335,9 +344,9 @@ class Parser:
         self.deeper()
         body = []
         while not self.at_punct("}"):
-            if self.tok.kind == "EOF":
+            if self.tok[0] == "EOF":
                 self.error("expected '}'")
-            annotations = self._pending_annotations()
+            annotations = self._pending_annotations() if self.tok[0] == "ANNOT" else []
             body.append(self._parse_statement(annotations))
         self.expect("}")
         self.depth -= 1
@@ -349,33 +358,24 @@ class Parser:
         if annotations is None:
             annotations = self._pending_annotations()
         tok = self.tok
-        if tok.kind == "UI_BLOCK":
+        if tok[0] == "UI_BLOCK":
             self.advance()
-            return UiBlock(text=tok.value, annotations=annotations, span=tok.span)
-        if {a.kind for a in annotations} & {AnnotationKind.UI}:
+            return UiBlock(tok[1], annotations, self.span(tok))
+        if annotations and any(a.kind is AnnotationKind.UI for a in annotations):
             self.error("@ui annotation must precede a block")
-        if self.at_keyword("var"):
-            return self._parse_var_decl(annotations)
-        if self.at_keyword("function"):
-            return self._parse_function_decl(annotations)
-        if self.at_keyword("if"):
-            return self._parse_if(annotations)
-        if self.at_keyword("while"):
-            return self._parse_while(annotations)
-        if self.at_keyword("for"):
-            return self._parse_for(annotations)
-        if self.at_keyword("return"):
-            return self._parse_return(annotations)
-        if self.at_punct("{"):
-            span = self.advance().span
-            return BlockStmt(self._statements_until_brace(), annotations, span)
-        span = tok.span
+        if tok[0] == "IDENT":
+            parse_keyword = _KEYWORD_STATEMENTS.get(tok[1])
+            if parse_keyword is not None:
+                return parse_keyword(self, annotations)
+        elif tok[1] == "{" and tok[0] == "PUNCT":
+            self.advance()
+            return BlockStmt(self._statements_until_brace(), annotations, self.span(tok))
         expr = self.parse_expr()
         self.expect(";")
-        return ExprStmt(expr, annotations, span)
+        return ExprStmt(expr, annotations, self.span(tok))
 
     def _parse_var_decl(self, annotations: list) -> VarDecl:
-        span = self.expect("var").span
+        span = self.span(self.expect("var"))
         name = self._ident_name()
         init = None
         if self.at_punct("="):
@@ -385,7 +385,7 @@ class Parser:
         return VarDecl(name, init, annotations, span)
 
     def _parse_function_decl(self, annotations: list) -> FunctionDecl:
-        span = self.expect("function").span
+        span = self.span(self.expect("function"))
         name = self._ident_name()
         params = self._parse_params()
         self.expect("{")
@@ -398,28 +398,32 @@ class Parser:
 
     def _comma_list(self, close: str, item) -> list:
         """``item()`` results separated by commas, up to and including ``close``."""
-        items = []
-        while not self.at_punct(close):
+        items, tok = [], self.tok
+        while tok[1] != close or tok[0] != "PUNCT":
             items.append(item())
-            if not self.at_punct(close):
+            tok = self.tok
+            if tok[1] != close or tok[0] != "PUNCT":
                 self.expect(",")
-        self.expect(close)
+                tok = self.tok
+        self.tok = next(self._rest, tok)
         return items
 
     def _ident_name(self) -> str:
         tok = self.tok
-        if tok.kind != "IDENT" or tok.value in KEYWORDS:
+        if tok[0] != "IDENT" or tok[1] in KEYWORDS:
             self.error("expected identifier")
-        return self.advance().value
+        self.tok = next(self._rest, tok)
+        return tok[1]
 
     def _parse_if(self, annotations: list) -> IfStmt:
-        span = self.expect("if").span
+        span = self.span(self.expect("if"))
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         then = self._branch_body()
         orelse = []
-        if self.at_keyword("else"):
+        tok = self.tok
+        if tok[1] == "else" and tok[0] == "IDENT":
             self.advance()
             orelse = self._branch_body()
         return IfStmt(cond, then, orelse, annotations, span)
@@ -434,24 +438,22 @@ class Parser:
         return body
 
     def _parse_while(self, annotations: list) -> WhileStmt:
-        span = self.expect("while").span
+        span = self.span(self.expect("while"))
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         return WhileStmt(cond, self._branch_body(), annotations, span)
 
     def _parse_for(self, annotations: list) -> ForStmt:
-        span = self.expect("for").span
+        span = self.span(self.expect("for"))
         self.expect("(")
         init = None
-        if not self.at_punct(";"):
-            if self.at_keyword("var"):
-                # reuse var parsing; it consumes the ';'
-                init = self._parse_var_decl([])
-            else:
-                start = self.tok.span
-                init = ExprStmt(self.parse_expr(), [], start)
-                self.expect(";")
+        tok = self.tok
+        if tok[1] == "var" and tok[0] == "IDENT":
+            init = self._parse_var_decl([])  # it consumes the ';'
+        elif not self.at_punct(";"):
+            init = ExprStmt(self.parse_expr(), [], self.span(tok))
+            self.expect(";")
         else:
             self.advance()
         cond = None if self.at_punct(";") else self.parse_expr()
@@ -461,7 +463,7 @@ class Parser:
         return ForStmt(init, cond, update, self._branch_body(), annotations, span)
 
     def _parse_return(self, annotations: list) -> ReturnStmt:
-        span = self.expect("return").span
+        span = self.span(self.expect("return"))
         value = None
         if not self.at_punct(";"):
             value = self.parse_expr()
@@ -472,14 +474,16 @@ class Parser:
 
     def parse_expr(self):
         """An expression: a binary one, or an assignment, which groups to the right."""
-        self.deeper()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nested too deeply")
         expr = self._parse_binary(1)
         tok = self.tok
-        if tok.kind == "PUNCT" and tok.value == "=":
+        if tok[1] == "=" and tok[0] == "PUNCT":
             self.advance()
             if not isinstance(expr, (Ident, Member, Index)):
                 self.error("invalid assignment target")
-            expr = Assign(expr, self.parse_expr(), tok.span)
+            expr = Assign(expr, self.parse_expr(), self.span(tok))
         self.depth -= 1
         return expr
 
@@ -491,88 +495,92 @@ class Parser:
         depth = self.depth
         while True:
             tok = self.tok
-            prec = _PREC.get(tok.value, 0) if tok.kind == "PUNCT" else 0
+            prec = _PREC.get(tok[1], 0) if tok[0] == "PUNCT" else 0
             if prec < min_prec:
                 self.depth = depth
                 return left
             self.advance()
-            left = Binary(tok.value, left, self._parse_binary(prec + 1), tok.span)
+            left = Binary(tok[1], left, self._parse_binary(prec + 1), self.span(tok))
             self.deeper()
 
     def _parse_unary(self):
+        """A prefix operator and its operand, or a primary expression and its
+        chain of member, index and call links."""
         tok = self.tok
-        if tok.kind == "PUNCT" and tok.value in ("!", "-"):
+        kind, value = tok[0], tok[1]
+        if kind == "IDENT" and value not in KEYWORDS:
+            self.tok = next(self._rest, tok)
+            expr = Ident(value, self.span(tok))
+        elif kind == "PUNCT" and (value == "!" or value == "-"):
             self.advance()
             self.deeper()
-            expr = Unary(tok.value, self._parse_unary(), tok.span)
+            expr = Unary(value, self._parse_unary(), self.span(tok))
             self.depth -= 1
             return expr
-        return self._parse_postfix()
-
-    def _parse_postfix(self):
-        expr = self._parse_primary()
+        else:
+            expr = self._parse_primary()
         depth = self.depth
         while True:
             tok = self.tok
-            if tok.kind != "PUNCT" or tok.value not in (".", "[", "("):
+            value = tok[1]
+            if tok[0] != "PUNCT" or value not in (".", "[", "("):
                 self.depth = depth
                 return expr
             self.advance()
-            if tok.value == ".":
-                expr = Member(expr, self._ident_name(), tok.span)
-            elif tok.value == "[":
+            if value == ".":
+                expr = Member(expr, self._ident_name(), self.span(tok))
+            elif value == "[":
                 index = self.parse_expr()
                 self.expect("]")
-                expr = Index(expr, index, tok.span)
+                expr = Index(expr, index, self.span(tok))
             else:
-                expr = Call(expr, self._comma_list(")", self.parse_expr), tok.span)
+                expr = Call(expr, self._comma_list(")", self.parse_expr), self.span(tok))
             self.deeper()
 
     def _parse_primary(self):
+        """A literal, a keyword or a bracketed expression; ``_parse_unary``
+        reads the other identifiers."""
         tok = self.tok
-        if tok.kind == "NUMBER":
+        kind, value = tok[0], tok[1]
+        if kind == "NUMBER":
             try:
-                value = float(tok.value)
+                number = float(value)
             except ValueError:
-                self.error(f"malformed number {tok.value!r}")
-            if value == math.inf:
+                self.error(f"malformed number {value!r}")
+            if number == math.inf:
                 self.error("number too large for a float")
             self.advance()
-            return NumberLit(value, tok.span)
-        if tok.kind == "STRING":
+            return NumberLit(number, self.span(tok))
+        if kind == "STRING":
             self.advance()
-            return StringLit(tok.value, tok.span)
-        if tok.kind == "IDENT":
-            if tok.value in ("true", "false"):
-                self.advance()
-                return BoolLit(tok.value == "true", tok.span)
-            if tok.value == "null":
-                self.advance()
-                return NullLit(tok.span)
-            if tok.value == "this":
-                self.advance()
-                return ThisExpr(tok.span)
-            if tok.value == "function":
+            return StringLit(value, self.span(tok))
+        if kind == "IDENT":
+            if value == "function":
                 return self._parse_func_expr()
-            if tok.value in KEYWORDS:
-                self.error(f"unexpected keyword {tok.value!r}")
+            if value not in ("true", "false", "null", "this"):
+                self.error(f"unexpected keyword {value!r}")
             self.advance()
-            return Ident(tok.value, tok.span)
-        if self.at_punct("("):
-            self.advance()
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
-        if self.at_punct("["):
-            span = self.advance().span
-            return ArrayLit(self._comma_list("]", self.parse_expr), span)
-        if self.at_punct("{"):
-            span = self.advance().span
-            return ObjectLit(self._comma_list("}", self._object_entry), span)
-        self.error(f"unexpected token {tok.value or tok.kind!r}")
+            if value == "null":
+                return NullLit(self.span(tok))
+            if value == "this":
+                return ThisExpr(self.span(tok))
+            return BoolLit(value == "true", self.span(tok))
+        if kind == "PUNCT":
+            if value == "(":
+                self.advance()
+                expr = self.parse_expr()
+                self.expect(")")
+                return expr
+            if value == "[":
+                self.advance()
+                return ArrayLit(self._comma_list("]", self.parse_expr), self.span(tok))
+            if value == "{":
+                self.advance()
+                return ObjectLit(self._comma_list("}", self._object_entry), self.span(tok))
+        self.error(f"unexpected token {value or kind!r}")
 
     def _parse_func_expr(self) -> FuncExpr:
-        span = self.expect("function").span
+        span = self.span(self.expect("function"))
         params = self._parse_params()
         self.expect("{")
         body = self._statements_until_brace()
@@ -580,67 +588,94 @@ class Parser:
 
     def _object_entry(self) -> tuple:
         tok = self.tok
-        if tok.kind not in ("IDENT", "STRING"):
+        if tok[0] not in ("IDENT", "STRING"):
             self.error("expected object key")
         self.advance()
         self.expect(":")
-        return tok.value, self.parse_expr()
+        return tok[1], self.parse_expr()
+
+
+# The statements that start with a keyword, by keyword.
+_KEYWORD_STATEMENTS = {
+    "var": Parser._parse_var_decl,
+    "function": Parser._parse_function_decl,
+    "if": Parser._parse_if,
+    "while": Parser._parse_while,
+    "for": Parser._parse_for,
+    "return": Parser._parse_return,
+}
 
 
 def parse(source_text: str, filename: str = "<input>") -> SourceProgram:
     """Parse TierJS text into a SourceProgram; its call sites are recorded,
     not yet resolved."""
-    tokens = Lexer(source_text, filename).tokens()
-    slices, shared = Parser(tokens, filename).parse_program()
-    program = SourceProgram(slices=slices, shared_top_level=shared, filename=filename)
-    program.steps, program.declarations, program.call_sites = _walk(program)
+    slices, shared = Parser(Lexer(source_text, filename)).parse_program()
+    program = walk(SourceProgram(slices=slices, shared_top_level=shared, filename=filename))
     _apply_configs(program)
     return program
 
 
-def _walk(program: SourceProgram) -> tuple[list, list, list]:
-    """The one pre-order walk, carrying the scope chain: its steps, the
-    declarations and the unresolved call sites.
+# Expression nodes that hold no expression: the walk does not look inside them.
+_LEAVES = frozenset({Ident, NumberLit, StringLit, BoolLit, NullLit, ThisExpr})
+
+
+def walk(program: SourceProgram) -> SourceProgram:
+    """The one pre-order walk, carrying the scope chain.  It sets
+    ``program``'s steps, declarations and unresolved call sites, and returns
+    ``program``.
 
     The steps come in the order the dependence graph numbers its nodes.  A
     slice or statement is a ``(node, owner, scope, parent, exprs)`` tuple,
     ``parent`` being the statement that holds it (None at the top) and
     ``exprs`` its expressions' nodes in pre-order; a call site is its
-    CallSiteInfo.  An expression's calls come before its function
-    expressions' bodies, and those before the statement's nested statements.
-    A None step ends the bodies of the innermost statement not yet ended."""
+    CallSiteInfo.  Expression by expression, the statement's calls come
+    before its function expressions' bodies, and those before its nested
+    statements.  A function expression is listed in ``exprs`` but not
+    entered: its body is walked as statements, in its own scope.  A None step
+    ends the bodies of the innermost statement not yet ended."""
     steps, decls, calls = [], [], []
 
     def visit(stmts, owner, scope, parent):
         for st in stmts:
-            exprs, kids, bodies = [], list(subnodes(st)), False
+            exprs, kids, ended = [], [], False
             steps.append((st, owner, scope, parent, exprs))
             if isinstance(st, (VarDecl, FunctionDecl)):
                 decls.append(Declaration(st.name, "var" if isinstance(st, VarDecl) else "function",
                                          owner, st))
                 scope.names.setdefault(st.name, []).append(decls[-1])
-            for expr in (k for k in kids if isinstance(k, Expr)):
-                inner = list(_iter_expr(expr))
-                exprs += inner
-                for n in inner:
-                    if isinstance(n, Call):
+            for kid in subnodes(st):
+                if isinstance(kid, Stmt):
+                    kids.append(kid)
+                    continue
+                stack, bodies = [kid], []
+                while stack:
+                    n = stack.pop()
+                    exprs.append(n)
+                    cls = type(n)
+                    if cls in _LEAVES:
+                        continue
+                    if cls is FuncExpr:
+                        bodies.append(n)
+                        continue
+                    if cls is Call:
                         calls.append(CallSiteInfo(n, st, owner, scope))
                         steps.append(calls[-1])
-                for fx in inner:
-                    if isinstance(fx, FuncExpr):
-                        visit(fx.body, owner, _function_scope(fx, scope), st)
-                        bodies = True
-            if bodies:
+                    stack += reversed(subnodes(n))
+                for fx in bodies:
+                    visit(fx.body, owner, _function_scope(fx, scope), st)
+                    ended = True
+            if ended:
                 steps.append(None)
             inside = _function_scope(st, scope) if isinstance(st, FunctionDecl) else scope
-            visit([k for k in kids if isinstance(k, Stmt)], owner, inside, st)
+            visit(kids, owner, inside, st)
 
     top = Scope()
     for s in program.slices:
         steps.append((s, s.name, top, None, []))
         visit(s.body, s.name, top, None)
     visit(program.shared_top_level, SHARED, top, None)
-    return steps, decls, calls
+    program.steps, program.declarations, program.call_sites = steps, decls, calls
+    return program
 
 
 def _function_scope(fn, parent: Scope) -> Scope:
@@ -675,15 +710,6 @@ def iter_annotated_nodes(program: SourceProgram):
     for step in program.steps:
         if isinstance(step, tuple):
             yield step[0], step[0].annotations
-
-
-def _iter_expr(expr):
-    """Pre-order walk of an expression tree.  A FuncExpr is yielded but not
-    entered: its body is walked as statements, in its own function scope."""
-    yield expr
-    if not isinstance(expr, FuncExpr):
-        for child in subnodes(expr):
-            yield from _iter_expr(child)
 
 
 # --- Call resolution ------------------------------------------------------
@@ -744,7 +770,7 @@ def _emit_annotations(anns: list, indent: str) -> str:
 def _emit_key(key: str) -> str:
     """An object key as written: bare if the lexer reads it back as one IDENT."""
     m = _TOKEN.fullmatch(key)
-    if m and m.lastgroup == "IDENT" and (key[0].isalpha() or key[0] in "_$"):
+    if m and m.lastgroup == "IDENT" and m.start("IDENT") == 0 and (key[0].isalpha() or key[0] in "_$"):
         return key
     return f'"{key}"'
 

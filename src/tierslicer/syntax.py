@@ -269,18 +269,20 @@ def _node_fields(cls) -> tuple:
     return tuple(f.name for f in fields(cls) if "Expr" in f.type or "Stmt" in f.type)
 
 
-def subnodes(node):
+def subnodes(node) -> list:
     """The Expr and Stmt values held by ``node``'s fields, in field order.
 
-    List fields yield their items, and an ObjectLit entry yields its value.
+    List fields give their items, and an ObjectLit entry, the one kind of
+    list item that is a tuple, gives its value.
     """
+    out = []
     for name in _node_fields(type(node)):
         value = getattr(node, name)
         if isinstance(value, list):
-            for item in value:
-                yield item[1] if isinstance(item, tuple) else item
+            out += [item[1] for item in value] if value and isinstance(value[0], tuple) else value
         elif value is not None:
-            yield value
+            out.append(value)
+    return out
 
 
 # --- Program structure ----------------------------------------------------
@@ -357,7 +359,7 @@ class SourceProgram:
     call_sites: list = field(default_factory=list)  # CallSiteInfo
     warnings: list = field(default_factory=list)  # resolution diagnostics (str)
     filename: str = "<input>"
-    steps: list = field(default_factory=list, repr=False, compare=False)  # see frontend._walk
+    steps: list = field(default_factory=list, repr=False, compare=False)  # see frontend.walk
 
     def slice_names(self):
         return [s.name for s in self.slices]

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
-from conftest import fixture_problem, load_fixture
+from conftest import fixture_path, fixture_problem, load_fixture
+from genprog import random_full_placement, random_source
+from tierslicer import frontend
 from tierslicer.advisor import (
     Advice,
     AdviceKind,
@@ -10,18 +15,19 @@ from tierslicer.advisor import (
     advise,
     advise_function_moves,
     advise_replication,
+    applicable_advice,
     apply_advice,
     incoming_counts,
     refine_loop,
     render_report,
     report_json,
 )
-from tierslicer.depgraph import build_pdg, placement_problem
-from tierslicer.errors import TargetNotFoundError
+from tierslicer.depgraph import build_pdg, placement_problem, to_json
+from tierslicer.errors import AllInvalidError, TargetNotFoundError, TooManySlicesError
 from tierslicer.frontend import emit, iter_annotated_nodes, parse, resolve_calls
 from tierslicer.model import Tier
 from tierslicer.placement import Placement
-from tierslicer.search import GaConfig
+from tierslicer.search import GaConfig, exhaustive_oracle
 
 
 def tracker_setup():
@@ -144,6 +150,96 @@ def test_apply_advice_leaves_the_input_program_untouched():
     once = emit(apply_advice(program, advices))
     assert snapshot() == before
     assert emit(apply_advice(program, advices)) == once
+
+
+# --- The edited tree against its own re-parse ----------------------------------
+
+
+def _cases():
+    """(label, program, advice): each fixture under its oracle placement and
+    under all-``both``, and 24 generated programs under seeded placements,
+    with the advice ``advise`` gives that ``apply_advice`` can act on."""
+    placements = []
+    for name in sorted(p.name for p in fixture_path(".").glob("*.tjs")):
+        program = load_fixture(name)
+        problem = placement_problem(build_pdg(program))
+        try:
+            placements.append((f"{name} oracle", program, exhaustive_oracle(problem)[0]))
+        except (AllInvalidError, TooManySlicesError):
+            pass
+        placements.append((f"{name} both", program, Placement(
+            fixed=dict(problem.fixed), searched={s: Tier.BOTH for s in problem.unplaced})))
+    for seed in range(24):
+        program = resolve_calls(parse(random_source(seed), f"random-{seed}.tjs"))
+        problem = placement_problem(build_pdg(program))
+        placements.append((f"random-{seed}", program,
+                           random_full_placement(problem, np.random.default_rng(seed))))
+    for label, program, placement in placements:
+        graph = build_pdg(program)
+        advices = advise(graph, placement_problem(graph), placement, program)
+        yield label, program, applicable_advice(program, advices)
+
+
+CASES = list(_cases())
+
+
+def _facts(program) -> tuple:
+    """What the rest of the pipeline reads of a program, spans left out."""
+    graph = json.loads(to_json(build_pdg(program)))
+    for node in graph["nodes"]:
+        node["span"] = None
+    return ((program.slices, program.shared_top_level),
+            [(d.name, d.kind, d.owner) for d in program.declarations],
+            [(c.callee_name, c.owner, c.resolved_owner, c.unresolved_reason)
+             for c in program.call_sites],
+            graph)
+
+
+def test_edit_cases_draw_both_advice_kinds():
+    moves = sum(a.kind is AdviceKind.MOVE_FUNCTION for _, _, adv in CASES for a in adv)
+    generated = [adv for label, _, adv in CASES if label.startswith("random-")
+                 and any(a.kind is AdviceKind.MOVE_FUNCTION for a in adv)]
+    assert len(generated) >= 20
+    assert moves and any(a.kind is AdviceKind.REPLICATE_DECLARATION
+                         for _, _, adv in CASES for a in adv)
+
+
+@pytest.mark.parametrize("label,program,advices", CASES, ids=[c[0] for c in CASES])
+def test_edited_tree_equals_its_reparse(label, program, advices):
+    edited = apply_advice(program, advices)
+    reparsed = resolve_calls(parse(emit(edited), program.filename))
+    assert _facts(edited) == _facts(reparsed)
+    assert [s.fixed_tier for s in edited.slices] == [s.fixed_tier for s in reparsed.slices]
+
+
+def test_apply_advice_parses_and_emits_no_text(monkeypatch):
+    program, graph, problem, placement = tracker_setup()
+    advices = advise(graph, problem, placement, program)
+
+    def refuse(*_):
+        raise AssertionError("apply_advice went through text")
+
+    monkeypatch.setattr(frontend, "parse", refuse)
+    monkeypatch.setattr(frontend, "emit", refuse)
+    refined = apply_advice(program, advices)
+    assert len(refined.slices) == len(program.slices) + sum(
+        a.kind is AdviceKind.MOVE_FUNCTION for a in advices)
+
+
+def test_a_moved_function_keeps_its_source_span():
+    src = (
+        "/* @config data : server, ui : client */\n"
+        "/* @slice data */\n{ var n = 1;\n  function hot(x) { return x; } }\n"
+        "/* @slice ui */\n{ function go() { hot(1); hot(2); } }\n"
+    )
+    program = resolve_calls(parse(src))
+    hot = program.slices[0].body[1]
+    refined = apply_advice(program, [Advice(AdviceKind.MOVE_FUNCTION, "hot", "data", 0, 2)])
+    moved = refined.slices[-1].body[0]
+    assert moved.span == hot.span and (moved.span.line, moved.span.col) == (4, 3)
+    assert src[moved.span.start:].startswith("function hot(x)")
+    assert [c.resolved for c in refined.call_sites] == [moved, moved]
+    assert refined.slices[-1].fixed_tier is None
 
 
 def test_fresh_slice_names_avoid_collisions():

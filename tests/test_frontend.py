@@ -201,8 +201,10 @@ _texts = st.lists(
 def test_token_positions_equal_a_naive_count(text):
     """Line is the number of newlines before a token plus one, and col its
     1-based offset from the last newline; a carriage return starts no line."""
-    for tok in Lexer(text).tokens():
-        assert (tok.span.line, tok.span.col) == _naive_line_col(text, tok.span.start)
+    lexer = Lexer(text)
+    for tok in lexer.tokens():
+        span = lexer.span(tok)
+        assert (span.line, span.col) == _naive_line_col(text, span.start)
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,6 +217,50 @@ def test_unterminated_literal_is_reported_where_it_opens(prefix, sep, opener, bo
     kind = "comment" if opener == "/*" else "string"
     assert err.value.message == f"unterminated {kind}"
     assert (err.value.line, err.value.col) == _naive_line_col(text, start)
+
+
+# Each lexer match skips the whitespace and comments in front of one token, so
+# these pin the edges of a match: (kind, value, start, end) of every token, or
+# the error's (message, line, col).  Recorded before the skip moved into the
+# token pattern.
+LEXER_BOUNDARIES = [
+    ("abé", [("IDENT", "abé", 0, 3), ("EOF", "", 3, 3)]),
+    ("x²", [("IDENT", "x²", 0, 2), ("EOF", "", 2, 2)]),
+    ("½", ("unexpected character '½'", 1, 1)),
+    ("1٣", [("NUMBER", "1٣", 0, 2), ("EOF", "", 2, 2)]),
+    ("$a_1", [("IDENT", "$a_1", 0, 4), ("EOF", "", 4, 4)]),
+    ("a/b", [("IDENT", "a", 0, 1), ("PUNCT", "/", 1, 2), ("IDENT", "b", 2, 3), ("EOF", "", 3, 3)]),
+    ("a/*c*/b", [("IDENT", "a", 0, 1), ("IDENT", "b", 6, 7), ("EOF", "", 7, 7)]),
+    ("a /* @reply */ b", [("IDENT", "a", 0, 1), ("ANNOT", " @reply ", 2, 14),
+                          ("IDENT", "b", 15, 16), ("EOF", "", 16, 16)]),
+    ("//x", [("EOF", "", 3, 3)]),
+    ("  /*", ("unterminated comment", 1, 3)),
+    ("'it\\'s'", [("STRING", "it's", 0, 7), ("EOF", "", 7, 7)]),
+    ('"a\\"b"', [("STRING", 'a\\"b', 0, 6), ("EOF", "", 6, 6)]),
+    ("a\r\nb\r\n", [("IDENT", "a", 0, 1), ("IDENT", "b", 3, 4), ("EOF", "", 6, 6)]),
+    ("/* @ui */ { <p>{x}</p> }", [("ANNOT", " @ui ", 0, 9), ("UI_BLOCK", " <p>{x}</p> ", 10, 24),
+                                  ("EOF", "", 24, 24)]),
+    ("", [("EOF", "", 0, 0)]),
+    ("  \n\t ", [("EOF", "", 5, 5)]),
+]
+
+
+@pytest.mark.parametrize("text, expected", LEXER_BOUNDARIES)
+def test_lexer_boundaries(text, expected):
+    if isinstance(expected, tuple):
+        with pytest.raises(ParseError) as err:
+            Lexer(text).tokens()
+        assert (err.value.message, err.value.line, err.value.col) == expected
+    else:
+        assert Lexer(text).tokens() == expected
+
+
+@pytest.mark.parametrize("key, written", [
+    (" a", '" a"'), ("a b", '"a b"'), ("//x", '"//x"'), ("é", "é"), ("x²", "x²"),
+])
+def test_emit_writes_a_key_bare_only_if_it_is_one_identifier_token(key, written):
+    program = parse(f'/* @slice a */\n{{ var o = {{"{key}": 1}}; }}\n')
+    assert emit(program) == "/* @slice a */\n{\n  var o = {" + written + ": 1};\n}\n"
 
 
 # --- Operator precedence against an independent reference -------------------

@@ -55,7 +55,8 @@ def _span(span) -> tuple:
 
 
 def token_digest(text: str) -> str:
-    rows = [(t.kind, t.value, _span(t.span)) for t in Lexer(text).tokens()]
+    lexer = Lexer(text)
+    rows = [(tok[0], tok[1], _span(lexer.span(tok))) for tok in lexer.tokens()]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
