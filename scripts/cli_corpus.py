@@ -47,7 +47,9 @@ GENPROG_SEEDS = range(6)
 # draws replication advice `refine --apply` cannot act on, a call to a nested
 # function from outside its body, an inner function that shadows a
 # top-level one, and a moved function that holds a nested function
-# declaration and a function expression, beside a replicated var.
+# declaration and a function expression, beside a replicated var; and a
+# slice whose only statement is an annotated @ui block, which
+# `refine --apply` must print with its annotation.
 EXTRA = {
     "func_expr.tjs": """\
 /* @config ui : client, db : server */
@@ -107,6 +109,9 @@ EXTRA = {
 {
   function main() { load(1); load(2); load(3); save(4, 5); }
 }
+""",
+    "lone_ui.tjs": """\
+/* @config a : client */ /* @slice a */ { /* @ui */ { <div>x</div> } }
 """,
 }
 

@@ -192,14 +192,13 @@ def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
     iterations = 0
     history = []
     while True:
-        graph = build_pdg(program)
-        problem = placement_problem(graph)
+        problem = placement_problem(program)
         result = run(problem, ga_config)
         history.append(result.best_fitness)
         if result.best_fitness == 1.0:
             break
-        advices = applicable_advice(
-            program, advise(graph, problem, result.best_placement, program, advisor_config))
+        advices = applicable_advice(program, advise(
+            build_pdg(program), problem, result.best_placement, program, advisor_config))
         if not advices or iterations >= max_iterations:
             break
         program = apply_advice(program, advices)

@@ -7,10 +7,19 @@ failure.
 Each command imports the stages it runs when it runs, so start-up loads only
 click and the domain types, and only the commands that search (``assign``,
 ``stats``, ``refine`` and ``advise`` without ``--placement``) load numpy.
+Likewise only ``graph``, ``advise``, ``stats`` (and ``assign --runs``
+above 1) and ``refine`` build the dependence graph, the ones that read it;
+the others read the call table off the front end's walk.
+
+A command runs with the cyclic garbage collector paused, and the collector's
+state is restored on the way out, whatever the exit code.  The trees a command
+builds hold no reference cycles, so refcounting frees them and a collection
+would only scan live objects.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -54,12 +63,13 @@ def load_program(path: str):
 
 
 def load_problem(path: str) -> tuple:
-    """``(program, dependence graph, placement problem)`` of the source file ``path``."""
-    from .depgraph import build_pdg, placement_problem
+    """``(program, placement problem)`` of the source file ``path``.  The call
+    table is read off the walk's call sites, so no dependence graph is built:
+    a command that reads the graph builds it itself."""
+    from .depgraph import placement_problem
 
     program = load_program(path)
-    graph = build_pdg(program)
-    return program, graph, placement_problem(graph)
+    return program, placement_problem(program)
 
 
 def load_placement(path: str, problem: PlacementProblem):
@@ -130,14 +140,28 @@ def ga_options(fn):
 
 
 class _Main(click.Group):
-    """Maps a search that finds no valid placement to exit code 4."""
+    """Maps a search that finds no valid placement to exit code 4, and runs
+    the command with the cyclic garbage collector paused.
+
+    An exit code that a command raises, or exit code 4, is raised from
+    here, once the handler is done, so its traceback holds none of the
+    command's frames: an in-process caller that keeps the SystemExit, as
+    click's CliRunner does, keeps no tree the command built."""
 
     def invoke(self, ctx):
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except AllInvalidError as exc:
             click.echo(f"search failed: {exc}", err=True)
-            sys.exit(EXIT_SEARCH_FAILURE)
+            code = EXIT_SEARCH_FAILURE
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            if enabled:
+                gc.enable()
+        sys.exit(code)
 
 
 @click.group(cls=_Main)
@@ -213,10 +237,10 @@ def cmd_assign(path, runs, jobs, csv_path, output, **ga):
     from .fitness import evaluate
     from .search import run
 
-    program, graph, problem = load_problem(path)
+    program, problem = load_problem(path)
     config = make_config(GaConfig, **ga)
     if runs > 1:
-        _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
+        _stats_mode(program, problem, config, runs, jobs, csv_path)
         return
     result = run(problem, config)
     write_or_echo(result.best_placement.to_json(), output)
@@ -233,17 +257,18 @@ def cmd_assign(path, runs, jobs, csv_path, output, **ga):
 @click.option("--csv", "csv_path", type=click.Path(), default=None)
 def cmd_stats(path, runs, jobs, csv_path, **ga):
     """Run the search many times and summarize the tier distribution."""
-    program, graph, problem = load_problem(path)
+    program, problem = load_problem(path)
     config = make_config(GaConfig, **ga)
-    _stats_mode(program, graph, problem, config, runs, jobs, csv_path)
+    _stats_mode(program, problem, config, runs, jobs, csv_path)
 
 
-def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
+def _stats_mode(program, problem, config, runs, jobs, csv_path):
     import csv
     import io
     import statistics
 
     from . import advisor as advisor_mod
+    from .depgraph import build_pdg
     from .search import run_many
 
     results = run_many(problem, config, runs, jobs)
@@ -257,7 +282,7 @@ def _stats_mode(program, graph, problem, config, runs, jobs, csv_path):
     gens = [r.generations_used for r in results]
     fits = [r.best_fitness for r in results]
 
-    advices = advisor_mod.advise(graph, problem, results[0].best_placement, program)
+    advices = advisor_mod.advise(build_pdg(program), problem, results[0].best_placement, program)
     data_adv = sum(1 for a in advices if a.kind is advisor_mod.AdviceKind.REPLICATE_DECLARATION)
     slice_adv = sum(1 for a in advices if a.kind is advisor_mod.AdviceKind.MOVE_FUNCTION)
 
@@ -298,7 +323,7 @@ def cmd_oracle(path, cap, output):
     from .exact import exhaustive_oracle
     from .fitness import evaluate
 
-    _, _, problem = load_problem(path)
+    _, problem = load_problem(path)
     try:
         placement, fitness_value = exhaustive_oracle(problem, cap=cap)
     except TooManySlicesError as exc:
@@ -320,9 +345,10 @@ def cmd_advise(path, placement_path, move_threshold, as_json, **ga):
     import json
 
     from . import advisor as advisor_mod
+    from .depgraph import build_pdg
     from .fitness import evaluate
 
-    program, graph, problem = load_problem(path)
+    program, problem = load_problem(path)
     config = None if placement_path else make_config(GaConfig, **ga)
     adv_cfg = make_config(AdvisorConfig, move_threshold=move_threshold)
     if placement_path:
@@ -332,7 +358,7 @@ def cmd_advise(path, placement_path, move_threshold, as_json, **ga):
 
         placement = run(problem, config).best_placement
     fitness_value = evaluate(problem, placement).program
-    advices = advisor_mod.advise(graph, problem, placement, program, adv_cfg)
+    advices = advisor_mod.advise(build_pdg(program), problem, placement, program, adv_cfg)
     if as_json:
         click.echo(json.dumps(advisor_mod.report_json(fitness_value, advices),
                               indent=2, sort_keys=True))
@@ -381,7 +407,7 @@ def cmd_split(path, placement_path):
     """Structural per-tier listing for PATH under a placement."""
     from .placement import classify_calls, is_valid
 
-    program, _, problem = load_problem(path)
+    program, problem = load_problem(path)
     placement = load_placement(placement_path, problem)
     valid, bad = is_valid(problem, placement)
     if not valid:

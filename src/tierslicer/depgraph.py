@@ -11,6 +11,10 @@ name binds, as a callee does, in the innermost scope declaring it: to that
 scope's first var of the name, or to nothing for a parameter or function.
 Node ids follow the walk, and edges come in three runs: control edges in
 that order, call edges in call-site order, data edges in first-def order.
+The graph keeps the program it was built from.  The call table
+(``placement_problem``) is read off the walk's call sites, in the same order
+as the graph's CALL_SITE nodes, so a command that reads only the table builds
+no graph.
 
 The collapsed slice graph aggregates cross-slice edges in *dependence*
 orientation: call edges already point caller -> callee; data edges are
@@ -26,6 +30,7 @@ from typing import NamedTuple
 
 from .model import SHARED, CallRecord, PlacementProblem, Tier
 from .syntax import (
+    AnnotationKind,
     Assign,
     Call,
     CallSiteInfo,
@@ -70,10 +75,9 @@ class PdgEdge(NamedTuple):
 
 @dataclass
 class DependenceGraph:
+    program: SourceProgram = field(repr=False, compare=False)  # the graph's source
     nodes: list = field(default_factory=list)
     edges: list = field(default_factory=list)
-    slice_order: list = field(default_factory=list)
-    fixed: dict = field(default_factory=dict)  # name -> "client"/"server"
 
 
 @dataclass
@@ -92,10 +96,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
     requires resolve_calls to have run.  A statement's reads and writes count
     after the bodies of its function expressions, so a statement that holds
     some waits for its None step."""
-    graph = DependenceGraph(
-        slice_order=list(program.slice_names()),
-        fixed={s.name: s.fixed_tier for s in program.slices if s.fixed_tier},
-    )
+    graph = DependenceGraph(program)
     nodes = graph.nodes
     defs: dict[int, list[int]] = {}  # id(var Declaration) -> def node ids
     uses: dict[int, set[int]] = {}  # id(var Declaration) -> use node ids
@@ -180,7 +181,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
 
 
 def collapse_to_slice_graph(graph: DependenceGraph) -> SliceGraph:
-    vertices = list(graph.slice_order)
+    vertices = graph.program.slice_names()
     if any(n.slice == SHARED and n.kind != ENTRY for n in graph.nodes):
         vertices.append(SHARED)
     counts: dict[tuple, int] = {}
@@ -199,31 +200,35 @@ def collapse_to_slice_graph(graph: DependenceGraph) -> SliceGraph:
     return SliceGraph(tuple(vertices), counts)
 
 
-def placement_problem(graph: DependenceGraph) -> PlacementProblem:
-    """Slice list, fixed tiers and call table: the sole input to fitness.
+_REPLY_KINDS = (AnnotationKind.REPLY, AnnotationKind.BROADCAST)  # what makes a call annotated
 
-    Calls are listed in node order, ``site_id`` being the index.  Shared-owned
-    callees are recorded as SHARED (always local); call sites in shared code
-    and unresolved/external calls are left out, and the unresolved in-slice
-    call sites are counted.
+
+def placement_problem(source: SourceProgram | DependenceGraph) -> PlacementProblem:
+    """Slice list, fixed tiers and call table of a walked and resolved
+    program, or of the program a graph was built from: the sole input to
+    fitness.  It reads the walk's call sites and builds no graph.
+
+    Calls are listed in call-site order, which is the graph's node order,
+    ``site_id`` being the index.  Shared-owned callees are recorded as SHARED
+    (always local); call sites in shared code and unresolved/external calls
+    are left out, and the unresolved in-slice call sites are counted.
     """
-    callee_slice = {e.src: graph.nodes[e.dst].slice for e in graph.edges if e.kind == CALL}
+    program = source.program if isinstance(source, DependenceGraph) else source
     calls = []
     unresolved = 0
-    for n in graph.nodes:
-        if n.kind != CALL_SITE or n.slice == SHARED:
+    for site in program.call_sites:
+        if site.owner == SHARED:
             continue
-        if n.id not in callee_slice:
-            if n.unresolved in ("undeclared", "ambiguous"):
+        if site.resolved is None:
+            if site.unresolved_reason in ("undeclared", "ambiguous"):
                 unresolved += 1
             continue
-        annotated = bool({"reply", "broadcast"} & set(n.annotations))
-        label = f"{n.span[2]}:{n.span[3]}"
-        calls.append(
-            CallRecord(len(calls), n.slice, callee_slice[n.id], n.name or "", annotated, label)
-        )
-    fixed = {name: Tier(tier) for name, tier in graph.fixed.items()}
-    return PlacementProblem(tuple(graph.slice_order), fixed, tuple(calls), unresolved)
+        annotated = any(a.kind in _REPLY_KINDS for a in site.stmt.annotations)
+        label = f"{site.node.span.line}:{site.node.span.col}"
+        calls.append(CallRecord(len(calls), site.owner, site.resolved_owner, site.callee_name,
+                                annotated, label))
+    fixed = {s.name: Tier(s.fixed_tier) for s in program.slices if s.fixed_tier}
+    return PlacementProblem(tuple(program.slice_names()), fixed, tuple(calls), unresolved)
 
 
 # --- Serialization --------------------------------------------------------
@@ -232,8 +237,8 @@ def placement_problem(graph: DependenceGraph) -> PlacementProblem:
 def to_json(graph: DependenceGraph) -> str:
     payload = {
         "slices": [
-            {"name": name, "fixedTier": graph.fixed.get(name)}
-            for name in graph.slice_order
+            {"name": s.name, "fixedTier": s.fixed_tier}
+            for s in graph.program.slices
         ],
         "nodes": [
             {

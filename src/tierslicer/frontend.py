@@ -632,50 +632,57 @@ def walk(program: SourceProgram) -> SourceProgram:
     before its function expressions' bodies, and those before its nested
     statements.  A function expression is listed in ``exprs`` but not
     entered: its body is walked as statements, in its own scope.  A None step
-    ends the bodies of the innermost statement not yet ended."""
+    ends the bodies of the innermost statement not yet ended.
+
+    The call sites, in the same order, are the call table's source
+    (``depgraph.placement_problem``).  Nothing the walk builds refers back to
+    itself, so a walked tree is freed by refcount, not by the cyclic
+    collector."""
     steps, decls, calls = [], [], []
-
-    def visit(stmts, owner, scope, parent):
-        for st in stmts:
-            exprs, kids, ended = [], [], False
-            steps.append((st, owner, scope, parent, exprs))
-            if isinstance(st, (VarDecl, FunctionDecl)):
-                decls.append(Declaration(st.name, "var" if isinstance(st, VarDecl) else "function",
-                                         owner, st))
-                scope.names.setdefault(st.name, []).append(decls[-1])
-            for kid in subnodes(st):
-                if isinstance(kid, Stmt):
-                    kids.append(kid)
-                    continue
-                stack, bodies = [kid], []
-                while stack:
-                    n = stack.pop()
-                    exprs.append(n)
-                    cls = type(n)
-                    if cls in _LEAVES:
-                        continue
-                    if cls is FuncExpr:
-                        bodies.append(n)
-                        continue
-                    if cls is Call:
-                        calls.append(CallSiteInfo(n, st, owner, scope))
-                        steps.append(calls[-1])
-                    stack += reversed(subnodes(n))
-                for fx in bodies:
-                    visit(fx.body, owner, _function_scope(fx, scope), st)
-                    ended = True
-            if ended:
-                steps.append(None)
-            inside = _function_scope(st, scope) if isinstance(st, FunctionDecl) else scope
-            visit(kids, owner, inside, st)
-
     top = Scope()
     for s in program.slices:
         steps.append((s, s.name, top, None, []))
-        visit(s.body, s.name, top, None)
-    visit(program.shared_top_level, SHARED, top, None)
+        _visit(s.body, s.name, top, None, steps, decls, calls)
+    _visit(program.shared_top_level, SHARED, top, None, steps, decls, calls)
     program.steps, program.declarations, program.call_sites = steps, decls, calls
     return program
+
+
+def _visit(stmts, owner, scope, parent, steps, decls, calls):
+    """``walk``'s recursion over ``stmts``, appending to its three lists; a
+    module function, as a closure that calls itself is a reference cycle."""
+    for st in stmts:
+        exprs, kids, ended = [], [], False
+        steps.append((st, owner, scope, parent, exprs))
+        if isinstance(st, (VarDecl, FunctionDecl)):
+            decls.append(Declaration(st.name, "var" if isinstance(st, VarDecl) else "function",
+                                     owner, st))
+            scope.names.setdefault(st.name, []).append(decls[-1])
+        for kid in subnodes(st):
+            if isinstance(kid, Stmt):
+                kids.append(kid)
+                continue
+            stack, bodies = [kid], []
+            while stack:
+                n = stack.pop()
+                exprs.append(n)
+                cls = type(n)
+                if cls in _LEAVES:
+                    continue
+                if cls is FuncExpr:
+                    bodies.append(n)
+                    continue
+                if cls is Call:
+                    calls.append(CallSiteInfo(n, st, owner, scope))
+                    steps.append(calls[-1])
+                stack += reversed(subnodes(n))
+            for fx in bodies:
+                _visit(fx.body, owner, _function_scope(fx, scope), st, steps, decls, calls)
+                ended = True
+        if ended:
+            steps.append(None)
+        inside = _function_scope(st, scope) if isinstance(st, FunctionDecl) else scope
+        _visit(kids, owner, inside, st, steps, decls, calls)
 
 
 def _function_scope(fn, parent: Scope) -> Scope:
@@ -867,7 +874,7 @@ def emit(program: SourceProgram) -> str:
     parts = []
     for s in program.slices:
         parts.append(_emit_annotations(s.annotations, ""))
-        if len(s.body) == 1 and isinstance(s.body[0], UiBlock):
+        if len(s.body) == 1 and isinstance(s.body[0], UiBlock) and not s.body[0].annotations:
             parts.append("{" + s.body[0].text + "}\n")
         else:
             parts.append("{\n" + emit_block(s.body, "  ") + "}\n")

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import fixture_path
-from tierslicer import advisor, search
+from conftest import fixture_path, fixture_problem
+from tierslicer import advisor, cli, depgraph, search
 from tierslicer.advisor import AdvisorConfig
 from tierslicer.cli import main
+from tierslicer.errors import AllInvalidError
+from tierslicer.exact import exhaustive_oracle
+from tierslicer.model import Tier
+from tierslicer.placement import Placement
 from tierslicer.search import GaConfig
+
+ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 
 
 @pytest.fixture()
@@ -478,3 +485,111 @@ def test_parse_counts_annotations_inside_function_expressions(runner, tmp_path):
     result = invoke(runner, "parse", path)
     assert result.exit_code == 0
     assert "annotations: placement=1 communication=1 sharing=0 failure=0\n" in result.output
+
+
+def placement_files(tmp_path, name) -> list:
+    """The fixture's oracle placement, where one exists, and its all-both
+    placement, written to files."""
+    problem = fixture_problem(name)
+    placements = [Placement(fixed=dict(problem.fixed),
+                            searched={s: Tier.BOTH for s in problem.unplaced})]
+    try:
+        placements.append(exhaustive_oracle(problem)[0])
+    except AllInvalidError:
+        pass
+    paths = []
+    for k, placement in enumerate(placements):
+        paths.append(tmp_path / f"{k}.json")
+        paths[-1].write_text(placement.to_json())
+    return paths
+
+
+def patch_build_pdg(monkeypatch, fn):
+    """Replace ``build_pdg`` in every module that calls it."""
+    for module in (depgraph, advisor):
+        monkeypatch.setattr(module, "build_pdg", fn)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_commands_that_read_no_graph_build_none(runner, tmp_path, monkeypatch, name):
+    path = fixture_path(name)
+    commands = [("parse", path), ("oracle", path), ("assign", path, "--seed", 3),
+                *(("split", path, "--placement", p) for p in placement_files(tmp_path, name))]
+
+    def outputs():
+        return [(r.exit_code, r.stdout) for r in (invoke(runner, *c) for c in commands)]
+
+    before = outputs()
+
+    def refuse(program):
+        raise AssertionError("build_pdg called")
+
+    patch_build_pdg(monkeypatch, refuse)
+    assert outputs() == before
+
+
+@pytest.mark.parametrize("command", [
+    ("graph",), ("graph", "--json"), ("advise",), ("advise", "--json"), ("stats", "--runs", 2),
+    ("assign", "--runs", 2), ("refine",), ("refine", "--apply"),
+])
+def test_commands_that_read_the_graph_build_it(runner, monkeypatch, command):
+    built = []
+    real = depgraph.build_pdg
+    patch_build_pdg(monkeypatch, lambda program: built.append(program) or real(program))
+    result = invoke(runner, command[0], fixture_path("unicorn_v2.tjs"), *command[1:])
+    assert result.exit_code == 0, result.stderr
+    assert built
+
+
+def exit_case(tmp_path, code: int) -> tuple:
+    """CLI arguments that end in exit code ``code``."""
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps({
+        "fixed": {"gateway": "server", "panel": "client"},
+        "searched": {"view": "client", "cache": "client", "audit": "client"},
+    }))
+    hopeless = tmp_path / "hopeless.tjs"
+    hopeless.write_text(HOPELESS)
+    return {
+        0: ("parse", fixture_path("tracker.tjs")),
+        1: ("advise", fixture_path("tracker.tjs"), "--threshold", 2.0),
+        2: ("parse", tmp_path / "no-such-file.tjs"),
+        3: ("split", fixture_path("relay.tjs"), "--placement", placement),
+        4: ("assign", hopeless),
+    }[code]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("code", [0, 1, 2, 3, 4])
+def test_a_command_pauses_the_collector_and_restores_it(runner, tmp_path, monkeypatch,
+                                                        enabled, code):
+    args = exit_case(tmp_path, code)
+    seen = []  # the collector's state while the command loads its program
+    real = cli.load_program
+    monkeypatch.setattr(cli, "load_program", lambda path: seen.append(gc.isenabled())
+                        or real(path))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        result = invoke(runner, *args)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert result.exit_code == code
+    assert seen == [False]
+    assert after is enabled
+
+
+@pytest.mark.parametrize("code", [2, 3, 4])
+def test_an_exit_keeps_no_frame_of_the_command(runner, tmp_path, code):
+    """So an in-process caller that keeps the exit keeps no tree the command
+    built."""
+    result = invoke(runner, *exit_case(tmp_path, code))
+    assert result.exit_code == code
+    assert result.exception.__context__ is None
+    frames, tb = [], result.exc_info[2]
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert "invoke" in frames
+    assert not [name for name in frames if name.startswith(("cmd_", "load_"))]

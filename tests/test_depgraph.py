@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
 from conftest import fixture_path, fixture_problem, load_fixture
 from genprog import random_source
+from perfbench.programs import layered_program
 from tierslicer import emit, parse, resolve_calls
 from tierslicer.depgraph import (
     CALL,
@@ -121,8 +124,9 @@ def test_placement_problem_from_tracker(manifest):
 def test_json_round_trip(name):
     graph = build_pdg(load_fixture(name))
     payload = json.loads(to_json(graph))
-    assert [s["name"] for s in payload["slices"]] == graph.slice_order
-    assert {s["name"]: s["fixedTier"] for s in payload["slices"] if s["fixedTier"]} == graph.fixed
+    program = graph.program
+    assert [s["name"] for s in payload["slices"]] == program.slice_names()
+    assert [s["fixedTier"] for s in payload["slices"]] == [s.fixed_tier for s in program.slices]
     assert [PdgNode(**{**n, "span": tuple(n["span"])}) for n in payload["nodes"]] == graph.nodes
     assert [PdgEdge(e["from"], e["to"], e["kind"]) for e in payload["edges"]] == graph.edges
 
@@ -510,3 +514,58 @@ def test_pdg_declarations_are_the_program_declarations(name):
     graph = build_pdg(program)
     assert [(n.slice, n.span.start) for n in graph.nodes if n.kind == DECLARATION] == [
         (d.owner, d.node.span.start) for d in program.declarations]
+
+
+# A @broadcast call, an ambiguous call and shared code that calls into a
+# slice, which no fixture or generated program has.
+BROADCAST_SOURCE = """\
+/* @config hub : server, ui : client */
+/* @slice hub */
+{
+  function push(m) { /* @broadcast */ show(m); util(m); return twice(m); }
+  function twice(a) { return a; }
+  function twice(b) { return b; }
+}
+/* @slice ui */
+{ function show(m) { return util(m); } }
+function util(x) { return show(x); }
+"""
+
+CORPUS_EXTRA = runpy.run_path(str(Path(__file__).parent.parent / "scripts" / "cli_corpus.py"))["EXTRA"]
+
+
+def agreement_sources():
+    """(label, source): the fixtures, 200 generated programs, layered
+    programs from 2 to 158 helper slices, three corpus programs with nested
+    functions and function expressions, and the inline programs here."""
+    for name in ALL_FIXTURES:
+        yield name, fixture_path(name).read_text()
+    for seed in range(200):
+        yield f"random-{seed}.tjs", random_source(seed)
+    for seed in range(30):
+        yield f"layered-{seed}.tjs", layered_program(
+            seed, 2 + 26 * (seed % 7), funcs=(1, 2, 3), calls=(1, 2, 3, 4, 5), shared=seed % 3)[0]
+    for name in ("func_expr.tjs", "nested.tjs", "moved_nested.tjs"):
+        yield name, CORPUS_EXTRA[name]
+    yield from INLINE_SOURCES.items()
+    yield "broadcast.tjs", BROADCAST_SOURCE
+
+
+def test_the_call_table_is_the_graphs_call_sites():
+    """The i-th call record is the i-th non-shared CALL_SITE node with a CALL
+    edge, and the unresolved count is that of the in-slice sites left
+    undeclared or ambiguous; a graph gives its program's table."""
+    for label, text in agreement_sources():
+        program = resolve_calls(parse(text, label))
+        graph = build_pdg(program)
+        problem = placement_problem(program)
+        callee = {e.src: graph.nodes[e.dst].slice for e in graph.edges if e.kind == CALL}
+        sites = [n for n in graph.nodes if n.kind == CALL_SITE and n.slice != SHARED]
+        assert [(c.caller, c.callee, c.callee_name, c.label, c.annotated)
+                for c in problem.calls] == [
+            (n.slice, callee[n.id], n.name, f"{n.span.line}:{n.span.col}",
+             bool({"reply", "broadcast"} & set(n.annotations)))
+            for n in sites if n.id in callee], label
+        assert problem.unresolved_calls == sum(
+            1 for n in sites if n.id not in callee and n.unresolved in ("undeclared", "ambiguous"))
+        assert placement_problem(graph) == problem

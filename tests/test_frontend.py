@@ -88,6 +88,24 @@ def test_string_escapes_survive_emit_parse_rounds():
     assert emit(reparsed) == once
 
 
+def test_a_lone_annotated_ui_block_keeps_its_annotation():
+    """A slice whose only statement is a ``@ui`` block is not the slice-level
+    ``@ui`` form: emit keeps the block and its annotation."""
+    program = parse("/* @config a : client */ /* @slice a */ { /* @ui */ { <div>x</div> } }")
+    once = emit(program)
+    assert "/* @ui */" in once
+    reparsed = parse(once)
+    assert reparsed.slices == program.slices
+    assert emit(reparsed) == once
+
+
+def test_a_slice_level_ui_block_stays_bare():
+    program = parse("/* @config a : client */ /* @slice a @ui */ { <div>x</div> }")
+    once = emit(program)
+    assert once.endswith("@ui */\n{ <div>x</div> }\n")
+    assert parse(once).slices == program.slices
+
+
 def test_config_fixes_slice_tiers():
     program = load_fixture("tracker.tjs")
     tiers = {s.name: s.fixed_tier for s in program.slices}
