@@ -49,7 +49,9 @@ GENPROG_SEEDS = range(6)
 # top-level one, and a moved function that holds a nested function
 # declaration and a function expression, beside a replicated var; and a
 # slice whose only statement is an annotated @ui block, which
-# `refine --apply` must print with its annotation.
+# `refine --apply` must print with its annotation; and statements that hold
+# a function expression and also read and write vars, beside member and
+# index assignment targets.
 EXTRA = {
     "func_expr.tjs": """\
 /* @config ui : client, db : server */
@@ -112,6 +114,28 @@ EXTRA = {
 """,
     "lone_ui.tjs": """\
 /* @config a : client */ /* @slice a */ { /* @ui */ { <div>x</div> } }
+""",
+    "closure.tjs": """\
+/* @config ui : client, db : server */
+/* @slice db */
+{
+  var rows = [];
+  var count = 0;
+  var index = {};
+  function put(k, v) { rows[k] = v; index.last = k; count = count + 1; return count; }
+  function each(fn) { return fn(rows[count]); }
+  count = index[count] = each(function (r) { rows[count] = r; index.seen = count; return r; }) + rows.length;
+}
+/* @slice ui */
+{
+  var view = {items: []};
+  function show(k) {
+    view.items[k] = put(k, count);
+    view.total = each(function (r) { count = r + k; return view.items[count]; });
+    return view;
+  }
+  function main() { show(1); show(2); show(3); }
+}
 """,
 }
 

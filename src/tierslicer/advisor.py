@@ -72,7 +72,7 @@ def advise_replication(graph: DependenceGraph, placement: Placement,
             continue
         decl_mask = _tier_mask(placement, decl.owner)
         evidence = []
-        for reader in readers.get(node.id, []):
+        for reader in sorted(readers.get(node.id, []), key=lambda n: n.id):  # source order
             if reader.function is None:
                 continue
             if not (_tier_mask(placement, reader.slice) & decl_mask):

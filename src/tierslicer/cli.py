@@ -143,10 +143,11 @@ class _Main(click.Group):
     """Maps a search that finds no valid placement to exit code 4, and runs
     the command with the cyclic garbage collector paused.
 
-    An exit code that a command raises, or exit code 4, is raised from
-    here, once the handler is done, so its traceback holds none of the
-    command's frames: an in-process caller that keeps the SystemExit, as
-    click's CliRunner does, keeps no tree the command built."""
+    An exit code that a command raises, a click error's (shown as click
+    shows it) or exit code 4 is raised from here, once the handler is done,
+    so the exit's traceback and context hold none of the command's frames:
+    an in-process caller that keeps the SystemExit, as click's CliRunner
+    does, keeps no tree the command built."""
 
     def invoke(self, ctx):
         enabled = gc.isenabled()
@@ -156,6 +157,9 @@ class _Main(click.Group):
         except AllInvalidError as exc:
             click.echo(f"search failed: {exc}", err=True)
             code = EXIT_SEARCH_FAILURE
+        except click.ClickException as exc:
+            exc.show()
+            code = exc.exit_code
         except SystemExit as exc:
             code = exc.code
         finally:

@@ -6,9 +6,10 @@ follow def-use over lexically scoped variable names, call edges connect call
 sites to the entry of their resolved callee.
 
 The graph is built in one pass over the steps of the front end's walk,
-which hold each statement's scope and expressions.  A read or write of a
-name binds, as a callee does, in the innermost scope declaring it: to that
-scope's first var of the name, or to nothing for a parameter or function.
+which hold each statement's scope and the names its expressions read and
+write; the builder visits no expression.  A read or write of a name binds,
+as a callee does, in the innermost scope declaring it: to that scope's first
+var of the name, or to nothing for a parameter or function.
 Node ids follow the walk, and edges come in three runs: control edges in
 that order, call edges in call-site order, data edges in first-def order.
 The graph keeps the program it was built from.  The call table
@@ -31,12 +32,8 @@ from typing import NamedTuple
 from .model import SHARED, CallRecord, PlacementProblem, Tier
 from .syntax import (
     AnnotationKind,
-    Assign,
-    Call,
     CallSiteInfo,
-    FuncExpr,
     FunctionDecl,
-    Ident,
     SliceDecl,
     SourceProgram,
     Span,
@@ -93,9 +90,9 @@ def _annotation_kinds(stmt) -> list:
 
 def build_pdg(program: SourceProgram) -> DependenceGraph:
     """Build the dependence graph in one pass over the front end's walk;
-    requires resolve_calls to have run.  A statement's reads and writes count
-    after the bodies of its function expressions, so a statement that holds
-    some waits for its None step."""
+    requires resolve_calls to have run.  Each statement's recorded reads and
+    writes bind in its scope.  They count after the bodies of its function
+    expressions, so a statement that holds some waits for its None step."""
     graph = DependenceGraph(program)
     nodes = graph.nodes
     defs: dict[int, list[int]] = {}  # id(var Declaration) -> def node ids
@@ -109,7 +106,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             graph.edges.append(PdgEdge(parent, nid, CONTROL))
         return nid
 
-    def bind(nid: int, scope, reads: list, writes: list):
+    def bind(nid: int, scope, reads, writes):
         """Node ``nid`` defines and uses the vars its names bind to in ``scope``."""
         for name in writes:
             decl = scope.var(name)
@@ -135,7 +132,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             if step.resolved is not None:
                 calls.append((cid, step.resolved))
             continue
-        st, owner, scope, parent, exprs = step
+        st, owner, scope, parent, reads, writes, bodies = step
         if isinstance(st, (SliceDecl, UiBlock)):
             continue
         parent = entry if parent is None else node_of[id(parent)]
@@ -150,20 +147,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             continue
         if isinstance(st, VarDecl):
             # before the initializer's function expressions record their defs
-            bind(nid, scope, [], [st.name])
-        # Pre-order: a Call or Assign comes before its callee or target.
-        reads, writes, not_read, bodies = [], [], set(), False
-        for n in exprs:
-            if isinstance(n, Call):
-                not_read.add(id(n.callee))
-            elif isinstance(n, Assign):
-                not_read.add(id(n.target))
-                if isinstance(n.target, Ident):
-                    writes.append(n.target.name)
-            elif isinstance(n, Ident) and id(n) not in not_read:
-                reads.append(n.name)
-            elif isinstance(n, FuncExpr):
-                bodies = True
+            bind(nid, scope, (), (st.name,))
         if bodies:
             waiting.append((nid, scope, reads, writes))
         else:

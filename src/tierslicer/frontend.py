@@ -30,9 +30,11 @@ enters a function expression's body right after the statement that holds it.
 It carries the ES5 scope chain: one global scope, and one per function and
 function-expression body.  From that one walk ``parse`` applies ``@config``,
 lists the declarations, records the call sites with their scopes and keeps
-the steps for the dependence graph.  ``resolve_calls`` walks nothing: it
-looks each recorded callee up in its scope chain.  ``advisor.apply_advice``
-runs the same walk over the tree it edits, and parses no text.
+the steps for the dependence graph, with the names each statement reads and
+writes, so no later stage scans an expression for them.  ``resolve_calls``
+walks nothing: it looks each recorded callee up in its scope chain.
+``advisor.apply_advice`` runs the same walk over the tree it edits, and
+parses no text.
 
 AST equality ignores spans, so ``parse(emit(program))`` equals ``program``
 slice for slice and statement for statement.
@@ -625,14 +627,17 @@ def walk(program: SourceProgram) -> SourceProgram:
     ``program``.
 
     The steps come in the order the dependence graph numbers its nodes.  A
-    slice or statement is a ``(node, owner, scope, parent, exprs)`` tuple,
-    ``parent`` being the statement that holds it (None at the top) and
-    ``exprs`` its expressions' nodes in pre-order; a call site is its
-    CallSiteInfo.  Expression by expression, the statement's calls come
-    before its function expressions' bodies, and those before its nested
-    statements.  A function expression is listed in ``exprs`` but not
-    entered: its body is walked as statements, in its own scope.  A None step
-    ends the bodies of the innermost statement not yet ended.
+    slice or statement is a ``(node, owner, scope, parent, reads, writes,
+    bodies)`` tuple, ``parent`` being the statement that holds it (None at the
+    top), ``reads`` and ``writes`` the names its expressions read and assign
+    in pre-order (``()`` for none: an Ident is a read unless it is a callee or
+    an assignment's target, and an Ident target is a write) and ``bodies``
+    whether it holds function expressions.  A call site is its CallSiteInfo.
+    Expression by expression, the statement's calls come before its function
+    expressions' bodies, and those before its nested statements.  A function
+    expression is not entered: its body is walked as statements, in its own
+    scope.  A None step ends the bodies of the innermost statement not yet
+    ended.
 
     The call sites, in the same order, are the call table's source
     (``depgraph.placement_problem``).  Nothing the walk builds refers back to
@@ -641,7 +646,7 @@ def walk(program: SourceProgram) -> SourceProgram:
     steps, decls, calls = [], [], []
     top = Scope()
     for s in program.slices:
-        steps.append((s, s.name, top, None, []))
+        steps.append((s, s.name, top, None, (), (), False))
         _visit(s.body, s.name, top, None, steps, decls, calls)
     _visit(program.shared_top_level, SHARED, top, None, steps, decls, calls)
     program.steps, program.declarations, program.call_sites = steps, decls, calls
@@ -652,8 +657,8 @@ def _visit(stmts, owner, scope, parent, steps, decls, calls):
     """``walk``'s recursion over ``stmts``, appending to its three lists; a
     module function, as a closure that calls itself is a reference cycle."""
     for st in stmts:
-        exprs, kids, ended = [], [], False
-        steps.append((st, owner, scope, parent, exprs))
+        at, reads, writes, kids, ended = len(steps), [], [], [], False
+        steps.append(None)  # the statement's step, once its expressions are read
         if isinstance(st, (VarDecl, FunctionDecl)):
             decls.append(Declaration(st.name, "var" if isinstance(st, VarDecl) else "function",
                                      owner, st))
@@ -665,20 +670,26 @@ def _visit(stmts, owner, scope, parent, steps, decls, calls):
             stack, bodies = [kid], []
             while stack:
                 n = stack.pop()
-                exprs.append(n)
                 cls = type(n)
-                if cls in _LEAVES:
-                    continue
-                if cls is FuncExpr:
+                if cls is Ident:
+                    reads.append(n.name)
+                elif cls is FuncExpr:
                     bodies.append(n)
-                    continue
-                if cls is Call:
+                elif cls is Call:
                     calls.append(CallSiteInfo(n, st, owner, scope))
                     steps.append(calls[-1])
-                stack += reversed(subnodes(n))
+                    stack += reversed(n.args)
+                    if type(n.callee) is not Ident:
+                        stack.append(n.callee)
+                elif cls is Assign and type(n.target) is Ident:
+                    writes.append(n.target.name)
+                    stack.append(n.value)
+                elif cls not in _LEAVES:
+                    stack += reversed(subnodes(n))
             for fx in bodies:
                 _visit(fx.body, owner, _function_scope(fx, scope), st, steps, decls, calls)
                 ended = True
+        steps[at] = (st, owner, scope, parent, reads or (), writes or (), ended)
         if ended:
             steps.append(None)
         inside = _function_scope(st, scope) if isinstance(st, FunctionDecl) else scope

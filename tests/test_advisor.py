@@ -22,7 +22,7 @@ from tierslicer.advisor import (
     render_report,
     report_json,
 )
-from tierslicer.depgraph import build_pdg, placement_problem, to_json
+from tierslicer.depgraph import DATA, DECLARATION, build_pdg, placement_problem, to_json
 from tierslicer.errors import AllInvalidError, TargetNotFoundError, TooManySlicesError
 from tierslicer.frontend import emit, iter_annotated_nodes, parse, resolve_calls
 from tierslicer.model import Tier
@@ -47,11 +47,12 @@ def test_tracker_advice_matches_manifest(manifest):
 
 
 def test_replication_advice_lists_dependent_functions():
+    """In the order of their reading nodes, whatever the order of the DATA edges."""
     program, graph, problem, placement = tracker_setup()
     advices = advise_replication(graph, placement, program, incoming_counts(problem, placement))
-    by_target = {a.target: a for a in advices}
-    assert "getMeetings" in by_target["meetings"].dependent_functions
-    assert "getTasks" in by_target["tasks"].dependent_functions
+    by_target = {a.target: a.dependent_functions for a in advices}
+    assert by_target == {"meetings": ["getMeetings", "addMeeting"],
+                         "tasks": ["getTasks", "addTask"]}
 
 
 def test_move_advice_carries_incoming_counts():
@@ -210,6 +211,21 @@ def test_edited_tree_equals_its_reparse(label, program, advices):
     reparsed = resolve_calls(parse(emit(edited), program.filename))
     assert _facts(edited) == _facts(reparsed)
     assert [s.fixed_tier for s in edited.slices] == [s.fixed_tier for s in reparsed.slices]
+
+
+@pytest.mark.parametrize("label,program,advices", CASES, ids=[c[0] for c in CASES])
+def test_dependent_functions_follow_their_first_reader(label, program, advices):
+    graph = build_pdg(program)
+    first = {}  # (declaration, its slice, reading function) -> first reading node
+    for e in graph.edges:
+        decl, reader = graph.nodes[e.src], graph.nodes[e.dst]
+        if e.kind == DATA and decl.kind == DECLARATION:
+            key = (decl.name, decl.slice, reader.function)
+            first[key] = min(first.get(key, e.dst), e.dst)
+    for a in advices:
+        if a.kind is AdviceKind.REPLICATE_DECLARATION:
+            order = [first[(a.target, a.owner, f)] for f in a.dependent_functions]
+            assert order == sorted(order)
 
 
 def test_apply_advice_parses_and_emits_no_text(monkeypatch):

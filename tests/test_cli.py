@@ -312,6 +312,9 @@ def test_advise_json_mode(runner, tmp_path):
 def test_advise_bad_threshold_is_usage_error(runner):
     result = invoke(runner, "advise", fixture_path("tracker.tjs"), "--threshold", 2.0)
     assert result.exit_code == 1
+    assert result.stderr == ("Usage: main advise [OPTIONS] PATH\n"
+                             "Try 'main advise --help' for help.\n\n"
+                             "Error: move threshold must lie in [0, 1)\n")
 
 
 @pytest.mark.parametrize("args, error", [
@@ -580,10 +583,10 @@ def test_a_command_pauses_the_collector_and_restores_it(runner, tmp_path, monkey
     assert after is enabled
 
 
-@pytest.mark.parametrize("code", [2, 3, 4])
+@pytest.mark.parametrize("code", [1, 2, 3, 4])
 def test_an_exit_keeps_no_frame_of_the_command(runner, tmp_path, code):
     """So an in-process caller that keeps the exit keeps no tree the command
-    built."""
+    built; a usage error raised in a command (code 1) is no exception."""
     result = invoke(runner, *exit_case(tmp_path, code))
     assert result.exit_code == code
     assert result.exception.__context__ is None

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import runpy
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,8 @@ from conftest import fixture_path, load_fixture
 from genprog import random_source
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
 from tierslicer.frontend import Lexer, emit, iter_annotated_nodes, parse, resolve_calls
-from tierslicer.syntax import AnnotationKind, Assign, Binary, Ident, NumberLit, Unary, VarDecl
+from tierslicer.syntax import (AnnotationKind, Assign, Binary, Call, FuncExpr, Ident, NumberLit, Stmt,
+                               Unary, VarDecl, subnodes)
 
 ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 
@@ -388,3 +392,80 @@ def test_comma_lists_accept_a_trailing_comma():
     program = parse("/* @slice a */\n{ function g(a,) { return [a,]; } var o = {k: g(1,),}; }\n")
     assert emit(program) == emit(parse("/* @slice a */\n"
                                        "{ function g(a) { return [a]; } var o = {k: g(1)}; }\n"))
+
+
+# Member and index targets and callees, calls nested in arguments and in
+# callees, chained assignments and function expressions: as a callee, as an
+# argument, in an object literal and in a for loop's parts.
+NAME_USES = """\
+/* @slice a */
+{
+  var o = {}; var arr = []; var k = 0; var n = 1;
+  function f(x) { return x; }
+  o.p = k; arr[k] = n; o.q.r = arr[n + k]; arr[f(k)][n] = o; this.t = n;
+  o.m(k, n); arr[k](n); o.p.m(f(k)); f(f(k), f(n))(o); (o)(k);
+  k = n = f(arr[k]) + o.p; arr[k] = o.p = n;
+  var g = function (p) { k = p + n; return f(p); };
+  o.cb = function (v) { return v + k; }; arr[n] = f(function () { n = k; }, k);
+  (function (z) { return z + n; })(k);
+  k = {a: n, b: function () { return o; }, c: [k, f(n)]};
+  if (f(k) && !o.p) { n = -k; }
+  for (k = f(0); k < n; k = k + arr[k]) { f(k); }
+  for (var i = function () { return k; }; i(); i = null) { n = i; }
+}
+"""
+
+
+def _reference_names(st) -> tuple:
+    """``st``'s reads, writes and whether it holds function expressions, by
+    a pre-order scan of every expression node of its own (function
+    expressions not entered) that skips callees and assignment targets and
+    takes an Ident target as a write."""
+    order = []
+
+    def scan(node):
+        order.append(node)
+        if not isinstance(node, FuncExpr):
+            for kid in subnodes(node):
+                scan(kid)
+
+    for kid in subnodes(st):
+        if not isinstance(kid, Stmt):
+            scan(kid)
+    reads, writes, skipped = [], [], set()
+    for n in order:
+        if isinstance(n, Call):
+            skipped.add(id(n.callee))
+        elif isinstance(n, Assign):
+            skipped.add(id(n.target))
+            if isinstance(n.target, Ident):
+                writes.append(n.target.name)
+        elif isinstance(n, Ident) and id(n) not in skipped:
+            reads.append(n.name)
+    return reads, writes, any(isinstance(n, FuncExpr) for n in order)
+
+
+def _name_use_sources():
+    """(name, text): fixtures, generated programs, corpus and inline programs."""
+    extra = runpy.run_path(str(Path(__file__).parent.parent / "scripts" / "cli_corpus.py"))["EXTRA"]
+    yield from ((name, fixture_path(name).read_text()) for name in ALL_FIXTURES)
+    yield from ((f"random-{seed}.tjs", random_source(seed)) for seed in range(6))
+    yield from ((name, extra[name]) for name in ("closure.tjs", "func_expr.tjs", "moved_nested.tjs"))
+    yield from INLINE_PROGRAMS.items()
+    yield "name_uses.tjs", NAME_USES
+
+
+NAME_USE_SOURCES = dict(_name_use_sources())
+
+
+@pytest.mark.parametrize("name", NAME_USE_SOURCES)
+def test_the_walk_records_each_statements_reads_and_writes(name):
+    """As the reference scan classifies them, in the same order; no step
+    holds an expression node."""
+    steps = [s for s in parse(NAME_USE_SOURCES[name], name).steps if isinstance(s, tuple)]
+    assert steps
+    for st, _, _, _, reads, writes, bodies in steps:
+        assert (list(reads), list(writes), bodies) == _reference_names(st)
+        assert all(isinstance(n, str) for n in (*reads, *writes))
+        assert reads or reads == ()
+        assert writes or writes == ()
