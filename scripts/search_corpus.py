@@ -44,7 +44,8 @@ WIDE = ((9, 11), (12, 11), (20, 11), (11, 12), (12, 12), (21, 12),
         (4, 13), (8, 13), (12, 16), (19, 16))
 
 # The default and criterion 2's configuration, early stops, the smallest
-# population, no mutation, no crossover and a single generation.
+# population, no mutation, no crossover, a single generation, and an odd
+# population with a budget that is no multiple of the draws' block.
 CONFIGS = {
     "default": GaConfig(),
     "criterion2": GaConfig(tournament_size=1, rng_seed=1000),
@@ -53,6 +54,7 @@ CONFIGS = {
     "no-mutation": GaConfig(mutation_prob=0.0, rng_seed=21),
     "no-crossover": GaConfig(crossover_prob=0.0, rng_seed=31),
     "one-generation": GaConfig(max_generations=1, rng_seed=41),
+    "pop31": GaConfig(population_size=31, tournament_size=1, max_generations=37, rng_seed=51),
 }
 
 

@@ -738,9 +738,10 @@ def resolve_calls(program: SourceProgram) -> SourceProgram:
 
     A callee resolves when the innermost scope declaring its name declares
     exactly one function of it.  With more it is ambiguous; with none (a
-    parameter, a var, or no scope at all) undeclared.  Both stay unresolved
-    and produce warnings; member/index callees are treated as external
-    library calls and excluded silently.
+    parameter, a var, or no scope at all) undeclared, and the warning names
+    what the name binds to.  Both stay unresolved and produce warnings;
+    member/index callees are treated as external library calls and excluded
+    silently.
     """
     warnings: list[str] = []
     for info in program.call_sites:
@@ -749,13 +750,16 @@ def resolve_calls(program: SourceProgram) -> SourceProgram:
             info.unresolved_reason = "non-identifier"
             continue
         name = info.callee_name = call.callee.name
-        funcs = [d for d in info.scope.lookup(name) if d is not None and d.kind == "function"]
+        bindings = info.scope.lookup(name)
+        funcs = [d for d in bindings if d is not None and d.kind == "function"]
         if len(funcs) == 1:
             info.resolved = funcs[0].node
             info.resolved_owner = funcs[0].owner
         elif not funcs:
             info.unresolved_reason = "undeclared"
-            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (no declaration)"))
+            why = ("no declaration" if not bindings else
+                   f"a {'parameter' if bindings[0] is None else 'var'}, not a function")
+            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' ({why})"))
         else:
             info.unresolved_reason = "ambiguous"
             warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (ambiguous: {len(funcs)} declarations)"))

@@ -244,7 +244,7 @@ WALKER_CALL_SITES = [
 WALKER_WARNINGS = [
     "walker.tjs:22:57: unresolved call to 'ghost' (no declaration)",
     "walker.tjs:25:8: unresolved call to 'dup' (ambiguous: 2 declarations)",
-    "walker.tjs:26:12: unresolved call to 'handler' (no declaration)",
+    "walker.tjs:26:12: unresolved call to 'handler' (a var, not a function)",
     "walker.tjs:37:25: unresolved call to 'missing' (no declaration)",
 ]
 
@@ -437,7 +437,20 @@ def test_a_parameter_shadows_a_top_level_function():
     src = ("/* @slice a */ { function f(x) { return x; } function g(f) { return f(1); }\n"
            "  function k() { return f(2); } }\n")
     assert call_table(src, "param.tjs") == (
-        [("a", "a", "f", "2:26")], 1, ["param.tjs:1:70: unresolved call to 'f' (no declaration)"])
+        [("a", "a", "f", "2:26")], 1, ["param.tjs:1:70: unresolved call to 'f' (a parameter, not a function)"])
+
+
+def test_an_undeclared_callee_warning_names_its_binding():
+    """A parameter or a var callee is bound, but not to a function; the
+    reason stays ``undeclared`` and the warning says what the name is."""
+    src = ("/* @slice a */ { var v = 1; function g(p) { return p(1) + v(2) + w(3); } }\n")
+    program = resolve_calls(parse(src, "bound.tjs"))
+    assert [s.unresolved_reason for s in program.call_sites] == ["undeclared"] * 3
+    assert program.warnings == [
+        "bound.tjs:1:53: unresolved call to 'p' (a parameter, not a function)",
+        "bound.tjs:1:60: unresolved call to 'v' (a var, not a function)",
+        "bound.tjs:1:67: unresolved call to 'w' (no declaration)",
+    ]
 
 
 def test_data_uses_bind_by_the_same_scope_rule():

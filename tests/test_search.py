@@ -205,6 +205,12 @@ def same_stream(rng):
     return twin
 
 
+def cached_half(rng):
+    """The 32-bit half ``rng`` holds for its next bounded draw, or None."""
+    state = rng.bit_generator.state
+    return state["uinteger"] if state["has_uint32"] else None
+
+
 # (population, tournament size): odd and even populations, tournaments of
 # one, of four and of the whole population.
 STREAM_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 3), (30, 1), (30, 4), (30, 30),
@@ -231,8 +237,10 @@ def test_batched_draws_equal_numpys_calls(P, T, n):
             streams.keep(keep)
             refs = [ref for ref, k in zip(refs, keep) if k]
             ks = [k for k, kept in zip(ks, keep) if kept]
+    streams.rewind()  # give back the words fetched for later generations
     assert ([rng.bit_generator.state["state"] for rng in streams.rngs]
             == [ref.bit_generator.state["state"] for ref in refs])
+    assert [cached_half(rng) for rng in streams.rngs] == [cached_half(ref) for ref in refs]
 
 
 PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
@@ -283,7 +291,7 @@ def test_a_rejected_half_is_redrawn_as_numpy_draws_it(segment, h, word, spare, m
         n_pairs = P_FORCED // 2
         first = {"entrants": 0, "positions": 2 * n_pairs * 4 + n_pairs * n,
                  "values": 2 * n_pairs * 4 + n_pairs * n + 2 * n_pairs}[segment]
-        halves = _layout(spare is not None, True, n, config)[0]
+        halves = _layout(spare is not None, True, n, P_FORCED, 4)[0]
         low = next(i for i in halves[first:] if i > 0 and i % 2 == 0)  # 0 is the cached half
         plant_word(bit_generator, low // 2 - 1, word)
     if spare is not None:
@@ -650,28 +658,36 @@ def test_no_unplaced_slices_and_an_invalid_config_placement_fail_every_search():
 
 
 def assert_table_rows_equal_the_kernel(problem, genomes):
-    """Within the cap, ``_Scorer`` reads build_scores's table: each row's
-    validity must be eval_population's, its fitness must be the same double on
-    every valid row, and its tie key its genome index in problem order.  Given
-    the oracle's genome as its target, it settles on that genome's row alone;
-    with no valid placement any genome serves as the target."""
+    """Within the cap, ``_Scorer`` ranks rows by keys read from build_scores's
+    table.  Ranked one row per run, each row's validity must be
+    eval_population's, its fitness must be the same double on every valid row,
+    and its genome its index in problem order.  Ranked in runs of a shuffled
+    population, each run's valid rows must come first, in ``_ranking``'s order.
+    Given the oracle's genome as its target, it settles on that genome's row
+    alone, and as one run that row is the best; with no valid placement any
+    genome serves as the target."""
     compiled = compile_problem(problem)
     verdict = oracle_verdict(problem)
     target = genomes[0] if verdict is None else np.array(verdict[0], dtype=np.int8)
     scorer = _Scorer(compiled, target)
-    assert scorer.table is not None
-    score, valid, tie = scorer(genomes)
+    assert scorer.keys is not None
+    order, valid, row_fitness, row_index = scorer.rank(genomes, 1)
+    np.testing.assert_array_equal(order, np.arange(len(genomes)))
     fitness, kernel_valid = eval_population(compiled, genomes)
     np.testing.assert_array_equal(valid, kernel_valid)
-    assert scorer.fitness(score[valid]) == fitness[valid].tolist()
+    assert np.array(row_fitness)[valid].tolist() == fitness[valid].tolist()
     n = compiled.n_genes
     index = (genomes.astype(np.int64) - 1) @ 3 ** np.arange(n - 1, -1, -1)
-    np.testing.assert_array_equal(tie, [index])
-    settled = scorer.settled(tie, np.arange(len(genomes)))
-    assert settled == (genomes == target).all(axis=1).tolist()
-    if verdict is not None:  # the target is the first of the best valid rows
-        best = np.flatnonzero(valid & (score == score[valid].max()))
-        assert settled.index(True) == best[0]
+    assert row_index == index.tolist()
+    assert scorer.settled(row_index) == (genomes == target).all(axis=1).tolist()
+    shuffled = np.random.default_rng(n).permutation(len(genomes))
+    for size in (len(genomes), len(genomes) // 3):
+        order, valid, _, _ = scorer.rank(genomes[shuffled], size)
+        want = _ranking(index[shuffled][None], fitness[shuffled], valid, size)
+        np.testing.assert_array_equal(order[valid[order]], want[valid[want]])
+    _, _, best_fitness, best = scorer.rank(genomes, len(genomes))
+    if verdict is not None:
+        assert scorer.settled(best) == [True] and best_fitness == [verdict[1]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -737,6 +753,9 @@ PATH_CASES += [("random_flat_problem(28)-early",
 PATH_CASES += [(f"tied-{name}", lambda name=name: TIED[name], CRITERION_2, 10) for name in TIED]
 PATH_CASES += [("tied-wide-12-n11", lambda: wide_flat_problem(12, 11), CRITERION_2, 10),
                ("random_problem(13)-batch", lambda: random_problem(13), GaConfig(), 4)]
+# Scores at each boundary of build_scores's integer types, in the sort keys.
+PATH_CASES += [(f"fan-out-{n_calls}", lambda n_calls=n_calls: fan_out_problem(n_calls),
+                GaConfig(max_generations=20, rng_seed=3), 3) for n_calls in (180, 181, 46341)]
 
 
 @pytest.mark.parametrize("make, config, runs", [case[1:] for case in PATH_CASES],
@@ -783,7 +802,7 @@ def test_settled_runs_give_what_full_runs_give(make, config, runs, monkeypatch):
 
     monkeypatch.setattr(search, "_next_generation", counted)
     settled = outcome()
-    monkeypatch.setattr(_Scorer, "settled", lambda self, tie, rows: [False] * len(rows))
+    monkeypatch.setattr(_Scorer, "settled", lambda self, best: [False] * len(best))
     assert outcome() == settled
     if len(problem.unplaced) > search.ORACLE_CAP:  # past the cap, runs leave early
         assert bred[0] < bred[1]
@@ -829,6 +848,78 @@ def test_settled_runs_leave_the_batch(monkeypatch):
     assert max(calls) <= 299
     assert sum(c < 299 for c in calls) >= 15
     assert sum(calls) < 20 * 299 / 2
+
+
+# --- Draws fetched in blocks -------------------------------------------------
+
+
+def block_problems():
+    """The fixtures, random_problem(0-11), rare-valid flat draws (valid
+    fractions 0.0002, 0.0014 and 0.0005, so seedings often hold one valid row
+    and runs start with k = 1) and a wide draw past the cap."""
+    problems = [fixture_problem(name) for name in FIXTURES_WITH_GENES]
+    problems += [random_problem(seed) for seed in range(12)]
+    problems += [random_flat_problem(np.random.default_rng(seed)) for seed in (0, 5, 159)]
+    return problems + [wide_flat_problem(8, 13)]
+
+
+# Odd and tiny populations, tournaments of one, of three and of the whole
+# population, one generation and a budget that is no multiple of a block.
+BLOCK_CONFIGS = [GaConfig(population_size=P, tournament_size=T, max_generations=budget,
+                          rng_seed=P + T + budget)
+                 for P in (2, 3, 31) for T in sorted({1, 3, P}) if T <= P for budget in (1, 37)]
+
+
+def block_outcomes():
+    return [search_outcome(problem, config, 3)
+            for problem in block_problems() for config in BLOCK_CONFIGS]
+
+
+@pytest.fixture(scope="module")
+def default_block_outcomes():
+    return block_outcomes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, search._BLOCK])
+def test_results_do_not_depend_on_the_block_size(block, default_block_outcomes, monkeypatch):
+    monkeypatch.setattr(search, "_BLOCK", block)
+    assert block_outcomes() == default_block_outcomes
+
+
+@pytest.mark.parametrize("generation", [1, search._BLOCK - 1])
+@pytest.mark.parametrize("segment", ["entrants", "positions", "values"])
+def test_a_rejected_half_later_in_a_block_is_redrawn(segment, generation, monkeypatch):
+    # As in test_a_rejected_half_is_redrawn_as_numpy_draws_it, a zero half in
+    # the middle run of three, here in the second and in the last generation
+    # of the run's first block.
+    config = GaConfig(population_size=P_FORCED, tournament_size=4)
+    n, k = (17, 20) if segment == "positions" else (5, 17)
+    rngs = [np.random.default_rng(80 + r) for r in range(3)]
+    tables = search._tables(n, P_FORCED, 4, search._BLOCK)
+    kind = 1  # a fresh generator caches no half, and k > 1
+    n_pairs = P_FORCED // 2
+    if segment == "entrants":
+        halves = tables.entrants[kind, generation]
+    else:
+        halves = tables.ints[kind, generation][slice(0, 2 * n_pairs) if segment == "positions"
+                                              else slice(2 * n_pairs, None)]
+    low = next(int(h) for h in halves if h % 2 == 0)  # its first fresh low half
+    plant_word(rngs[1].bit_generator, low // 2 - 1, 0x5EED << 32)
+    refs = [same_stream(rng) for rng in rngs]
+    streams = _Streams(rngs, n, config)
+    redrawn = []
+
+    def draw_alone(*args):
+        redrawn.append((streams.step, *args[1:]))
+        return _draw_alone(*args)
+
+    monkeypatch.setattr(search, "_draw_alone", draw_alone)
+    for _ in range(generation + 3):
+        assert_same_draws(streams, refs, [k] * 3, n, config)
+    assert redrawn == [(generation, k, n, config)]
+    streams.rewind()
+    assert ([rng.bit_generator.state["state"] for rng in streams.rngs]
+            == [ref.bit_generator.state["state"] for ref in refs])
 
 
 # --- Closure seeding ------------------------------------------------------
