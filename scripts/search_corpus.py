@@ -3,10 +3,13 @@
 
 The corpus is every bundled fixture with unplaced slices, then the
 ``genprog`` problems ``random_problem(0..39)``, ``random_flat_problem`` of
-generator seeds 0-29 and the ``wide_flat_problem`` draws in ``WIDE``, with 11,
-12, 13 and 16 unplaced slices, all unfiltered, so some have rare valid
-placements or none.  The draws of 13 and 16 slices lie past ``ORACLE_CAP``,
-where the search scores rows with ``eval_population``.  Each problem runs
+generator seeds 0-29, the ``wide_flat_problem`` draws in ``WIDE``, with 11,
+12, 13 and 16 unplaced slices, and the ``random_problem(seed, n)`` draws in
+``DENSE``, with 16, 24 and 40, all unfiltered, so some have rare valid
+placements or none.  The draws of 13 slices and more lie past
+``ORACLE_CAP``, where the search scores rows with ``eval_population``: the
+wide draws there hold 12-27 calls, the dense draws 43-121, most of them
+between two unplaced slices.  Each problem runs
 one ``run_many`` batch under every configuration in ``CONFIGS``.  Each line
 reads ``problem<TAB>configuration<TAB>sha256`` of the batch's
 ``SearchResult``s (placement, fitness, validity, generations, history and
@@ -42,6 +45,8 @@ RUNS = 4
 # (generator seed, unplaced slices) of the wide_flat_problem draws.
 WIDE = ((9, 11), (12, 11), (20, 11), (11, 12), (12, 12), (21, 12),
         (4, 13), (8, 13), (12, 16), (19, 16))
+# (generator seed, helper slices) of the random_problem draws past the cap.
+DENSE = ((0, 16), (1, 24), (2, 40), (3, 16), (4, 24), (5, 40))
 
 # The default and criterion 2's configuration, early stops, the smallest
 # population, no mutation, no crossover, a single generation, and an odd
@@ -70,6 +75,8 @@ def problems():
         yield f"random_flat_problem({seed})", random_flat_problem(np.random.default_rng(seed))
     for seed, n in WIDE:
         yield f"wide_flat_problem({seed}, {n})", wide_flat_problem(seed, n)
+    for seed, n in DENSE:
+        yield f"random_problem({seed}, {n})", random_problem(seed, n)
 
 
 def digest(problem, config) -> str:

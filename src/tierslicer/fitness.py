@@ -3,9 +3,8 @@
 Per slice: the fraction of its calls that stay local (1.0 for call-free
 slices, which then carry zero weight).  Per program: the ratio of local calls
 to total calls (1.0 with no calls), which is the call-count-weighted mean over
-slices and the same double ``kernels.eval_population`` returns for the
-placement's genome.  Both sums run over ``placement.classify_placement`` in
-plain Python.
+slices and the double ``kernels.eval_population`` reads from the pair terms
+for the placement's genome.  Both sums run over ``classify_placement``.
 """
 
 from __future__ import annotations

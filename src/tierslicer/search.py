@@ -27,10 +27,11 @@ key each, read from a table built once per ``run_many`` call from
 genes' place values, is its flat index into the table, and its key orders it
 by validity, score and genome index; one stable ``argsort`` ranks every run.
 A row is valid iff its score is >= 0; its fitness is the score over the call
-count.  Past the cap ``kernels.eval_population`` scores the rows, one
-``np.lexsort`` ranks them and the genome columns are the tie keys.  Invalid
-rows steer nothing, as valid rows rank first and only they enter
-tournaments, so both paths give the same runs.  Either way ties break
+count.  Past the cap ``kernels.eval_population`` gathers the rows' scores
+from the same pair terms of ``kernels.compile_problem``, one ``np.lexsort``
+ranks them and the genome columns are the tie keys.  Invalid rows steer
+nothing, as valid rows rank first and only they enter tournaments, so both
+paths give the same runs.  Either way ties break
 toward the lexicographically smaller genome, gene 0 first.
 ``exact.optimum``'s minimum cut names the lexicographically smallest
 optimum, and a run whose best row is that genome is settled: no genome

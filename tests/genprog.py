@@ -156,6 +156,29 @@ def gene_order_scores(compiled) -> np.ndarray:
     return build_scores(compiled).astype(np.int64, order="C")
 
 
+def rule_counts(problem):
+    """Every genome's local and violating call counts by ``model.call_rule``,
+    two int64 arrays of shape ``(3,) * n`` indexed like ``gene_order_scores``.
+    Each gene's masks lie along its own axis, so each kind of call
+    (caller, callee, annotated) is ruled once and broadcast-added, times the
+    number of its calls.  No kernel code runs."""
+    from collections import Counter
+
+    from tierslicer.model import SHARED, call_rule
+
+    n = len(problem.unplaced)
+    mask = {SHARED: 3, **{s: t.mask for s, t in problem.fixed.items()}}
+    for g, name in enumerate(problem.unplaced):
+        mask[name] = np.arange(1, 4).reshape((1,) * g + (3,) + (1,) * (n - 1 - g))
+    local, violating = np.zeros((3,) * n, dtype=np.int64), np.zeros((3,) * n, dtype=np.int64)
+    kinds = Counter((rec.caller, rec.callee, rec.annotated) for rec in problem.calls)
+    for (caller, callee, annotated), count in kinds.items():
+        ok, bad = call_rule(mask[caller], mask[callee], annotated)
+        local += count * np.asarray(ok, dtype=np.int64)
+        violating += count * np.asarray(bad, dtype=np.int64)
+    return local, violating
+
+
 def valid_fraction(problem) -> float:
     return float((build_scores(compile_problem(problem)) >= 0).mean())
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_problem
-from genprog import random_flat_problem, random_problem, wide_flat_problem
+from genprog import random_flat_problem, random_problem, rule_counts, wide_flat_problem
 from tierslicer.errors import AllInvalidError
 from tierslicer.exact import SINK, SOURCE, _arcs
 from tierslicer.fitness import evaluate
-from tierslicer.kernels import classify_rows, compile_problem
 from tierslicer.model import CallRecord, PlacementProblem, Tier
 from tierslicer.placement import is_valid
 from tierslicer.search import GaConfig, exhaustive_oracle, run_many
@@ -45,13 +44,11 @@ def test_the_cut_charges_every_genome_what_call_rule_does(source):
         problems = [fixture_problem(name) for name in (
             "unicorn_v1.tjs", "unicorn_v6.tjs", "relay.tjs", "relay_reply.tjs", "meetings.tjs")]
     for problem in problems:
-        compiled = compile_problem(problem)
-        n = compiled.n_genes
+        n = len(problem.unplaced)
         genomes = np.array(list(product((1, 2, 3), repeat=n)), dtype=np.int8).reshape(3**n, n)
-        _, local, violating = classify_rows(compiled, genomes)
-        remote, bad = (~local).sum(axis=1), violating.sum(axis=1)
-        expected = remote + len(problem.calls) * bad
-        assert cut_costs(problem, genomes) == expected.tolist()
+        local, bad = rule_counts(problem)
+        expected = len(problem.calls) - local + len(problem.calls) * bad
+        assert cut_costs(problem, genomes) == expected.ravel().tolist()
 
 
 def test_a_call_chain_past_the_recursion_limit():

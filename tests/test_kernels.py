@@ -9,22 +9,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_problem
-from genprog import fan_out_problem, gene_order_scores, random_flat_problem, random_problem
+from genprog import (fan_out_problem, gene_order_scores, random_flat_problem, random_problem,
+                     rule_counts)
 from tierslicer.fitness import evaluate
-from tierslicer.kernels import (
-    _MASKS,
-    build_scores,
-    classify_rows,
-    compile_problem,
-    eval_population,
-)
-from tierslicer.model import SHARED, CallRecord, Direction, PlacementProblem, Tier, call_rule
+from tierslicer.kernels import build_scores, compile_problem, eval_population
+from tierslicer.model import ORACLE_CAP, SHARED, CallRecord, Direction, PlacementProblem, Tier
 from tierslicer.placement import classify_calls, is_valid
-from tierslicer.search import genome_to_placement
+from tierslicer.search import genome_to_placement, optimum
 
 
 def full_enumeration(n: int) -> np.ndarray:
     return np.array(list(product((1, 2, 3), repeat=n)), dtype=np.int8)
+
+
+def assert_rows_equal_evaluate(problem, genomes):
+    """eval_population's fitness double and verdict on each row are
+    evaluate's and is_valid's; returns the verdicts."""
+    fitness, valid = eval_population(compile_problem(problem), genomes)
+    for genome, f, v in zip(genomes, fitness, valid):
+        placement = genome_to_placement(problem, genome)
+        assert f == evaluate(problem, placement).program
+        assert bool(v) == is_valid(problem, placement)[0]
+    return valid
 
 
 def test_kernel_equals_evaluate_exactly_on_random_problems():
@@ -34,36 +40,57 @@ def test_kernel_equals_evaluate_exactly_on_random_problems():
     rng = np.random.default_rng(11)
     for _ in range(30):
         problem = random_flat_problem(rng)
-        compiled = compile_problem(problem)
-        genomes = rng.integers(1, 4, size=(64, compiled.n_genes), dtype=np.int8)
-        fitness, valid = eval_population(compiled, genomes)
-        for genome, f, v in zip(genomes, fitness, valid):
-            placement = genome_to_placement(problem, genome)
-            assert f == evaluate(problem, placement).program
-            assert bool(v) == is_valid(problem, placement)[0]
+        genomes = rng.integers(1, 4, size=(64, len(problem.unplaced)), dtype=np.int8)
+        assert_rows_equal_evaluate(problem, genomes)
+    # Past the cap: layered problems of 16-40 genes and 37-126 calls, many of
+    # them between two genes; random rows, and the optimum so that valid rows
+    # show too.
+    rng = np.random.default_rng(12)
+    valid = []
+    for seed in range(4):
+        for n in (16, 24, 40):
+            problem = random_problem(seed, n)
+            genomes = rng.integers(1, 4, size=(64, n), dtype=np.int8)
+            genomes[0] = optimum(problem)[1]
+            valid.extend(assert_rows_equal_evaluate(problem, genomes))
+    assert any(valid) and not all(valid)
+    # fan_out_problem(46_341)'s scores run down to -(46_342 * 46_341), past
+    # the int32 range, and ten idle genes put it past the cap.  Rows: all
+    # client; g0 on the server and the rest on the client, the lowest score;
+    # g0 on both, every call remote and half of them violating; g1 on both
+    # and g2 on the server, half the calls local and none violating.
+    fan_out = fan_out_problem(46_341)
+    problem = replace(fan_out, slices=fan_out.slices + tuple(f"idle{i}" for i in range(10)))
+    assert len(problem.unplaced) > ORACLE_CAP
+    genomes = rng.integers(1, 4, size=(4, 13), dtype=np.int8)
+    genomes[:, :3] = [[1, 1, 1], [2, 1, 1], [3, 1, 2], [1, 3, 2]]
+    valid = assert_rows_equal_evaluate(problem, genomes)
+    np.testing.assert_array_equal(valid, [True, False, False, True])
 
 
 @settings(max_examples=40, deadline=None)
 @given(layered=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_pure_python_rule_equals_the_kernel_on_every_genome(layered, seed):
     # classify_calls and evaluate apply call_rule call by call in Python; the
-    # kernel applies it to arrays.  On every genome of a small unfiltered
-    # problem they must agree on each call's locality, direction and
-    # violation, on validity and on the fitness double.
+    # kernel sums it into pair terms.  On every genome of a small unfiltered
+    # problem the kernel's score must be the local call count less
+    # n_calls + 1 per violating call, as classify_calls labels them, each
+    # remote call must point toward its callee's tier, and validity and the
+    # fitness double must agree.
     problem = random_problem(seed) if layered else random_flat_problem(np.random.default_rng(seed))
     assume(len(problem.unplaced) <= 6)
     compiled = compile_problem(problem)
     genomes = full_enumeration(compiled.n_genes)
-    callee, local, violating = classify_rows(compiled, genomes)
+    scores = gene_order_scores(compiled).ravel()
     fitness, valid = eval_population(compiled, genomes)
     toward = {1: Direction.SERVER_TO_CLIENT, 2: Direction.CLIENT_TO_SERVER}
     for i, genome in enumerate(genomes):
         placement = genome_to_placement(problem, genome)
         classified = classify_calls(problem, placement)
-        assert [c.local for c in classified] == local[i].tolist()
-        assert [c.violating for c in classified] == violating[i].tolist()
+        local, violating = sum(c.local for c in classified), sum(c.violating for c in classified)
+        assert scores[i] == local - (len(problem.calls) + 1) * violating
         assert [c.direction for c in classified] == [
-            None if ok else toward[mask] for ok, mask in zip(local[i].tolist(), callee[i].tolist())]
+            None if c.local else toward[placement.mask(c.record.callee)] for c in classified]
         report = evaluate(problem, placement)
         assert report.program == fitness[i]
         assert report.valid == is_valid(problem, placement)[0] == valid[i]
@@ -122,34 +149,19 @@ def test_fixed_tiers_and_annotations_are_compiled_in():
 # --- The score table over the whole placement space ------------------------
 
 
-def per_call_counts(compiled, genomes):
-    """Each genome's local and violating call counts, taken one call at a time
-    through eval_population."""
-    local = np.zeros(len(genomes), dtype=np.int64)
-    violating = np.zeros(len(genomes), dtype=np.int64)
-    for i in range(compiled.n_calls):
-        one = replace(compiled, **{field: getattr(compiled, field)[i:i + 1] for field in (
-            "caller_gene", "caller_mask", "callee_gene", "callee_mask", "annotated")})
-        fitness, valid = eval_population(one, genomes)
-        local += fitness.astype(np.int64)
-        violating += ~valid
-    return local, violating
-
-
 def assert_scores_match_the_kernel(problem):
-    """build_scores's scores, in gene order, against full_enumeration +
-    eval_population, genome by
-    genome: >= 0 exactly where valid, the local count where valid, and the
-    local count minus n_calls + 1 per violating call everywhere."""
+    """build_scores's scores, in gene order, against eval_population and
+    rule_counts, genome by genome: >= 0 exactly where valid, the local count
+    where valid, and the local count minus n_calls + 1 per violating call
+    everywhere."""
     compiled = compile_problem(problem)
     n, n_calls = compiled.n_genes, compiled.n_calls
     scores = gene_order_scores(compiled)
     assert scores.shape == (3,) * n and scores.dtype == np.int64
-    genomes = full_enumeration(n)
     scores = scores.ravel()  # C order: the order of full_enumeration
-    fitness, valid = eval_population(compiled, genomes)
+    fitness, valid = eval_population(compiled, full_enumeration(n))
     np.testing.assert_array_equal(scores >= 0, valid)
-    local, violating = per_call_counts(compiled, genomes)
+    local, violating = (counts.ravel() for counts in rule_counts(problem))
     if n_calls:
         np.testing.assert_array_equal(local / n_calls, fitness)
     np.testing.assert_array_equal(scores[valid], local[valid])
@@ -244,38 +256,12 @@ def test_placement_scores_align_a_high_gene_with_its_lower_partners():
     assert (scores >= 0).any() and (scores < 0).any()
 
 
-def per_term_scores(compiled):
-    """The scores summed the direct way: every pair-of-genes term is
-    broadcast-added into the whole (3,) * n array."""
-    n, ncalls = compiled.n_genes, compiled.n_calls
-    scores = np.zeros((3,) * n, dtype=np.int64)
-    if ncalls == 0:
-        return scores
-    cg, eg = compiled.caller_gene, compiled.callee_gene
-    a = np.where(cg[:, None] >= 0, _MASKS, compiled.caller_mask[:, None])
-    b = np.where(eg[:, None] >= 0, _MASKS, compiled.callee_mask[:, None])
-    local, bad = call_rule(a[:, :, None], b[:, None, :], compiled.annotated[:, None, None])
-    grid = local.astype(np.int64) - (ncalls + 1) * bad
-    swap = cg > eg
-    grid[swap] = grid[swap].transpose(0, 2, 1)
-    ends = np.stack([np.minimum(cg, eg), np.maximum(cg, eg)], axis=1)
-    pairs, term_of = np.unique(ends, axis=0, return_inverse=True)
-    terms = np.zeros((len(pairs), 3, 3), dtype=np.int64)
-    np.add.at(terms, term_of.ravel(), grid)
-    for (g, h), term in zip(pairs.tolist(), terms):
-        shape = [1] * n
-        if h < 0:
-            scores += term[0, 0]
-        elif g < 0:
-            shape[h] = 3
-            scores += term[0].reshape(shape)
-        elif g == h:
-            shape[g] = 3
-            scores += term.diagonal().reshape(shape)
-        else:
-            shape[g] = shape[h] = 3
-            scores += term.reshape(shape)
-    return scores
+def per_term_scores(problem):
+    """The scores summed the direct way, from the call table: every kind of
+    call's score under call_rule broadcast-added into the whole (3,) * n
+    array along its end genes' axes."""
+    local, violating = rule_counts(problem)
+    return local - (len(problem.calls) + 1) * violating
 
 
 def test_placement_scores_equal_the_per_term_sum():
@@ -287,8 +273,7 @@ def test_placement_scores_equal_the_per_term_sum():
     problems += [random_problem(seed) for seed in range(60)]
     problems += [SPREAD, EVERY_KIND]
     for problem in problems:
-        compiled = compile_problem(problem)
-        scores, expected = gene_order_scores(compiled), per_term_scores(compiled)
+        scores, expected = gene_order_scores(compile_problem(problem)), per_term_scores(problem)
         assert scores.shape == expected.shape and scores.dtype == np.int64
         assert scores.flags.c_contiguous
         np.testing.assert_array_equal(scores, expected)
@@ -300,13 +285,11 @@ def test_placement_scores_equal_the_per_term_sum():
     (46_340, np.int32), (46_341, np.int64),
 ])
 def test_scores_use_the_narrowest_type_that_holds_them(n_calls, dtype):
-    compiled = compile_problem(fan_out_problem(n_calls))
+    problem = fan_out_problem(n_calls)
+    compiled = compile_problem(problem)
     assert build_scores(compiled).dtype == dtype
-    # Count each genome's local and violating calls one call at a time.
-    _, local, violating = classify_rows(compiled, full_enumeration(3))
-    expected = local.sum(axis=1) - (n_calls + 1) * violating.sum(axis=1)
+    expected = per_term_scores(problem).ravel()
     assert expected.min() == -(n_calls + 1) * n_calls and expected.max() == n_calls
     scores = gene_order_scores(compiled)
     assert scores.dtype == np.int64
     np.testing.assert_array_equal(scores.ravel(), expected)
-
