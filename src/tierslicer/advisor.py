@@ -126,9 +126,10 @@ def apply_advice(program: SourceProgram, advices: list) -> SourceProgram:
     slice an advice edits and each VarDecl that gains ``@replicated`` are
     copied, so no node of ``program`` changes.  There is no text round trip:
     the result's statements keep the spans of the source they were parsed
-    from, a moved function its own, and a new slice has the zero span and no
-    fixed tier.  The result has its own walk, so its declarations, call sites
-    and steps are its own, and its calls are resolved.
+    from, a moved function its own, and the result keeps that source's line
+    table; a new slice has the span ``(0, 0)`` and no fixed tier.  The result
+    has its own walk, so its declarations, call sites and steps are its own,
+    and its calls are resolved.
     """
     slices = list(program.slices)
     index = {s.name: k for k, s in enumerate(slices)}
@@ -165,7 +166,7 @@ def apply_advice(program: SourceProgram, advices: list) -> SourceProgram:
             ))
 
     work = SourceProgram(slices=slices, shared_top_level=program.shared_top_level,
-                         filename=program.filename)
+                         filename=program.filename, line_starts=program.line_starts)
     return frontend.resolve_calls(frontend.walk(work))
 
 

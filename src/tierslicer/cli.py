@@ -409,18 +409,18 @@ def cmd_refine(ctx, path, do_apply, max_iterations, move_threshold, output, **ga
 @click.option("--placement", "placement_path", type=click.Path(), required=True)
 def cmd_split(path, placement_path):
     """Structural per-tier listing for PATH under a placement."""
-    from .placement import classify_calls, is_valid
+    from .placement import classify_calls, violations
 
     program, problem = load_problem(path)
     placement = load_placement(placement_path, problem)
-    valid, bad = is_valid(problem, placement)
-    if not valid:
+    classified = classify_calls(problem, placement)
+    bad = violations(classified)
+    if bad:
         click.echo("invalid placement:", err=True)
         for c in bad:
             click.echo(f"  {path}:{c.record.label}: unannotated {c.direction.value} call "
                        f"to '{c.record.callee_name}'", err=True)
         sys.exit(EXIT_INVALID_PLACEMENT)
-    classified = classify_calls(problem, placement)
     shared_count = len(program.shared_top_level)
     for tier_name, bit in (("client", 1), ("server", 2)):
         click.echo(f"[{tier_name}]")

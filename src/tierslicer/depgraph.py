@@ -36,9 +36,9 @@ from .syntax import (
     FunctionDecl,
     SliceDecl,
     SourceProgram,
-    Span,
     UiBlock,
     VarDecl,
+    line_col,
 )
 
 ENTRY = "entry"
@@ -57,7 +57,7 @@ class PdgNode:
     id: int
     kind: str
     slice: str  # slice name or SHARED
-    span: Span = Span.zero()
+    span: tuple = (0, 0)  # source offsets, as syntax nodes keep them
     name: str | None = None  # declared name / callee name
     function: str | None = None  # enclosing function declaration, if any
     annotations: list = field(default_factory=list)  # annotation kind strings
@@ -117,7 +117,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             if decl is not None:
                 uses.setdefault(id(decl), set()).add(nid)
 
-    entry = new_node(ENTRY, SHARED, Span.zero(), None, None, None, [])
+    entry = new_node(ENTRY, SHARED, (0, 0), None, None, None, [])
     node_of = {}  # id(statement) -> its node id; a function's entry node
     calls, waiting = [], []
     for step in program.steps:
@@ -208,9 +208,9 @@ def placement_problem(source: SourceProgram | DependenceGraph) -> PlacementProbl
                 unresolved += 1
             continue
         annotated = any(a.kind in _REPLY_KINDS for a in site.stmt.annotations)
-        label = f"{site.node.span.line}:{site.node.span.col}"
+        line, col = line_col(program.line_starts, site.node.span[0])
         calls.append(CallRecord(len(calls), site.owner, site.resolved_owner, site.callee_name,
-                                annotated, label))
+                                annotated, f"{line}:{col}"))
     fixed = {s.name: Tier(s.fixed_tier) for s in program.slices if s.fixed_tier}
     return PlacementProblem(tuple(program.slice_names()), fixed, tuple(calls), unresolved)
 
@@ -219,6 +219,8 @@ def placement_problem(source: SourceProgram | DependenceGraph) -> PlacementProbl
 
 
 def to_json(graph: DependenceGraph) -> str:
+    """The graph as JSON; a node's span reads start, end, line and column."""
+    lines = graph.program.line_starts
     payload = {
         "slices": [
             {"name": s.name, "fixedTier": s.fixed_tier}
@@ -229,7 +231,7 @@ def to_json(graph: DependenceGraph) -> str:
                 "id": n.id,
                 "kind": n.kind,
                 "slice": n.slice,
-                "span": list(n.span),
+                "span": [*n.span, *line_col(lines, n.span[0])],
                 "name": n.name,
                 "function": n.function,
                 "annotations": list(n.annotations),

@@ -18,15 +18,15 @@ class ParseError(TierSlicerError):
         self.filename = filename
 
 
-class DuplicateSliceNameError(TierSlicerError):
+class DuplicateSliceNameError(ParseError):
     pass
 
 
-class UnknownAnnotationKindError(TierSlicerError):
+class UnknownAnnotationKindError(ParseError):
     pass
 
 
-class MalformedConfigError(TierSlicerError):
+class MalformedConfigError(ParseError):
     pass
 
 

@@ -5,14 +5,13 @@ whitespace and ``//`` comments in front of one token.  A token is a plain
 ``(kind, value, start, end)`` tuple, ``start`` and ``end`` being the offsets
 of its text.  Its kinds are IDENT (keywords included), NUMBER, STRING, PUNCT,
 ANNOT (an annotation comment), UI_BLOCK (the verbatim block after ``@ui``)
-and EOF.  ``Lexer.span`` builds a token's ``Span``, with line and col, from
-the lexer's line-start table, and the parser calls it only where a span is
-kept: in an AST node, a call-site label or an error.  A line is the number of
-``"\\n"`` before the offset plus 1 (``"\\r"`` starts no line), and a col is
-the 1-based code-point offset in that line.  A STRING token's value is its
-body as written between double quotes (a single-quoted body gets its bare
-``"`` escaped and its ``\\'`` unescaped), which the emitter writes back
-unchanged.
+and EOF.  A node's span is its token's ``(start, end)``; the parser works
+out no line or column.  The lexer's line-start table goes to the program,
+and ``syntax.line_col`` reads it where a position is printed: in a parse
+error, a resolution warning, a call-site label or ``graph --json``.  A
+STRING token's value is its body as written between double quotes (a
+single-quoted body gets its bare ``"`` escaped and its ``\\'`` unescaped),
+which the emitter writes back unchanged.
 
 Binary operators are parsed by precedence climbing over one table,
 ``_BIN_LEVELS``, which the emitter also reads to place parentheses.  Nesting
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from decimal import Decimal
 
 from .errors import (
@@ -81,7 +79,6 @@ from .syntax import (
     Scope,
     SliceDecl,
     SourceProgram,
-    Span,
     Stmt,
     StringLit,
     ThisExpr,
@@ -89,6 +86,7 @@ from .syntax import (
     Unary,
     VarDecl,
     WhileStmt,
+    line_col,
     subnodes,
 )
 
@@ -122,17 +120,9 @@ class Lexer:
         self.filename = filename
         self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
-    def span(self, tok: tuple) -> Span:
-        """A token's Span; its line and col are looked up in the line table."""
-        start, lines = tok[2], self.line_starts
-        line = bisect_right(lines, start)
-        # tuple.__new__ skips Span.__new__, a Python function, on the parser's
-        # hottest path.
-        return tuple.__new__(Span, (start, tok[3], line, start - lines[line - 1] + 1))
-
-    def error(self, msg: str, pos: int):
-        span = self.span(("", "", pos, pos))
-        raise ParseError(msg, span.line, span.col, self.filename)
+    def error(self, msg: str, pos: int, cls=ParseError):
+        """Raise ``cls``, a ParseError, at offset ``pos`` of the text."""
+        raise cls(msg, *line_col(self.line_starts, pos), self.filename)
 
     def tokens(self) -> list[tuple]:
         """The ``(kind, value, start, end)`` tokens, ending with EOF."""
@@ -200,23 +190,23 @@ class Lexer:
 _TIERS = {"client", "server"}
 
 
-def parse_annotation_comment(inner: str, span: Span, filename: str = "<input>") -> list[tuple]:
+def parse_annotation_comment(inner: str, start: int, lexer: Lexer) -> list[tuple]:
     """Split one annotation comment into its annotations' (kind, args) pairs;
-    ``span``, the comment's, places a parse error."""
+    an error is placed at ``start``, the comment's offset in ``lexer``'s text."""
     out = []
     matches = list(re.finditer(r"@(\w+)", inner))
     for idx, m in enumerate(matches):
         name = m.group(1)
         kind = ANNOTATION_NAMES.get(name)
         if kind is None:
-            raise UnknownAnnotationKindError(f"unknown annotation @{name}")
+            lexer.error(f"unknown annotation @{name}", start, UnknownAnnotationKindError)
         arg_text = inner[m.end() : matches[idx + 1].start() if idx + 1 < len(matches) else len(inner)]
         if kind is AnnotationKind.CONFIG:
-            args = _parse_config_args(arg_text)
+            args = _parse_config_args(arg_text, start, lexer)
         elif kind is AnnotationKind.SLICE:
             idents = re.findall(r"[\w$]+", arg_text)
             if len(idents) != 1:
-                raise ParseError("@slice takes exactly one name", span.line, span.col, filename)
+                lexer.error("@slice takes exactly one name", start)
             args = idents
         else:
             args = re.findall(r"[\w$]+", arg_text)
@@ -224,20 +214,18 @@ def parse_annotation_comment(inner: str, span: Span, filename: str = "<input>") 
     return out
 
 
-def _parse_config_args(arg_text: str) -> list:
+def _parse_config_args(arg_text: str, start: int, lexer: Lexer) -> list:
     pairs = []
     for chunk in arg_text.split(","):
         if not chunk.strip():
             continue
         parts = chunk.split(":")
-        if len(parts) != 2:
-            raise MalformedConfigError(f"malformed @config entry {chunk.strip()!r}")
-        name, tier = parts[0].strip(), parts[1].strip()
-        if not re.fullmatch(r"[\w$]+", name or "") or tier not in _TIERS:
-            raise MalformedConfigError(f"malformed @config entry {chunk.strip()!r}")
+        name, tier = (parts[0].strip(), parts[1].strip()) if len(parts) == 2 else ("", "")
+        if not re.fullmatch(r"[\w$]+", name) or tier not in _TIERS:
+            lexer.error(f"malformed @config entry {chunk.strip()!r}", start, MalformedConfigError)
         pairs.append((name, tier))
     if not pairs:
-        raise MalformedConfigError("@config carries no name : tier pairs")
+        lexer.error("@config carries no name : tier pairs", start, MalformedConfigError)
     return pairs
 
 
@@ -272,8 +260,7 @@ class Parser:
     def __init__(self, lexer: Lexer):
         self._rest = iter(lexer.tokens())
         self.tok = next(self._rest)  # the current token
-        self.span = lexer.span
-        self.filename = lexer.filename
+        self.lexer = lexer
         self.depth = 0
         self._annotations = {}  # annotation comment text -> its (kind, args) pairs
 
@@ -284,8 +271,7 @@ class Parser:
         return tok
 
     def error(self, msg: str):
-        span = self.span(self.tok)
-        raise ParseError(msg, span.line, span.col, self.filename)
+        self.lexer.error(msg, self.tok[2])
 
     def deeper(self) -> None:
         """Go one nesting level down; the caller restores ``depth`` on the way up."""
@@ -324,19 +310,19 @@ class Parser:
         annotations = []
         while self.tok[0] == "ANNOT":
             tok = self.advance()
-            span = self.span(tok)
+            span = tok[2:]
             pairs = self._annotations.get(tok[1])
             if pairs is None:
-                pairs = self._annotations[tok[1]] = parse_annotation_comment(tok[1], span, self.filename)
+                pairs = self._annotations[tok[1]] = parse_annotation_comment(tok[1], tok[2], self.lexer)
             annotations += [Annotation(kind, list(args), span) for kind, args in pairs]
         return annotations
 
     def _parse_slice(self, annotations: list) -> SliceDecl:
         name = next(a.args[0] for a in annotations if a.kind is AnnotationKind.SLICE)
-        start = self.span(self.tok)
+        start = self.tok[2:]
         if self.tok[0] == "UI_BLOCK":
             tok = self.advance()
-            body = [UiBlock(tok[1], [], self.span(tok))]
+            body = [UiBlock(tok[1], [], tok[2:])]
             return SliceDecl(name, body, None, annotations, start)
         self.expect("{")
         body = self._statements_until_brace()
@@ -362,7 +348,7 @@ class Parser:
         tok = self.tok
         if tok[0] == "UI_BLOCK":
             self.advance()
-            return UiBlock(tok[1], annotations, self.span(tok))
+            return UiBlock(tok[1], annotations, tok[2:])
         if annotations and any(a.kind is AnnotationKind.UI for a in annotations):
             self.error("@ui annotation must precede a block")
         if tok[0] == "IDENT":
@@ -371,13 +357,13 @@ class Parser:
                 return parse_keyword(self, annotations)
         elif tok[1] == "{" and tok[0] == "PUNCT":
             self.advance()
-            return BlockStmt(self._statements_until_brace(), annotations, self.span(tok))
+            return BlockStmt(self._statements_until_brace(), annotations, tok[2:])
         expr = self.parse_expr()
         self.expect(";")
-        return ExprStmt(expr, annotations, self.span(tok))
+        return ExprStmt(expr, annotations, tok[2:])
 
     def _parse_var_decl(self, annotations: list) -> VarDecl:
-        span = self.span(self.expect("var"))
+        span = self.expect("var")[2:]
         name = self._ident_name()
         init = None
         if self.at_punct("="):
@@ -387,7 +373,7 @@ class Parser:
         return VarDecl(name, init, annotations, span)
 
     def _parse_function_decl(self, annotations: list) -> FunctionDecl:
-        span = self.span(self.expect("function"))
+        span = self.expect("function")[2:]
         name = self._ident_name()
         params = self._parse_params()
         self.expect("{")
@@ -418,7 +404,7 @@ class Parser:
         return tok[1]
 
     def _parse_if(self, annotations: list) -> IfStmt:
-        span = self.span(self.expect("if"))
+        span = self.expect("if")[2:]
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -440,21 +426,21 @@ class Parser:
         return body
 
     def _parse_while(self, annotations: list) -> WhileStmt:
-        span = self.span(self.expect("while"))
+        span = self.expect("while")[2:]
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
         return WhileStmt(cond, self._branch_body(), annotations, span)
 
     def _parse_for(self, annotations: list) -> ForStmt:
-        span = self.span(self.expect("for"))
+        span = self.expect("for")[2:]
         self.expect("(")
         init = None
         tok = self.tok
         if tok[1] == "var" and tok[0] == "IDENT":
             init = self._parse_var_decl([])  # it consumes the ';'
         elif not self.at_punct(";"):
-            init = ExprStmt(self.parse_expr(), [], self.span(tok))
+            init = ExprStmt(self.parse_expr(), [], tok[2:])
             self.expect(";")
         else:
             self.advance()
@@ -465,7 +451,7 @@ class Parser:
         return ForStmt(init, cond, update, self._branch_body(), annotations, span)
 
     def _parse_return(self, annotations: list) -> ReturnStmt:
-        span = self.span(self.expect("return"))
+        span = self.expect("return")[2:]
         value = None
         if not self.at_punct(";"):
             value = self.parse_expr()
@@ -485,7 +471,7 @@ class Parser:
             self.advance()
             if not isinstance(expr, (Ident, Member, Index)):
                 self.error("invalid assignment target")
-            expr = Assign(expr, self.parse_expr(), self.span(tok))
+            expr = Assign(expr, self.parse_expr(), tok[2:])
         self.depth -= 1
         return expr
 
@@ -502,7 +488,7 @@ class Parser:
                 self.depth = depth
                 return left
             self.advance()
-            left = Binary(tok[1], left, self._parse_binary(prec + 1), self.span(tok))
+            left = Binary(tok[1], left, self._parse_binary(prec + 1), tok[2:])
             self.deeper()
 
     def _parse_unary(self):
@@ -512,11 +498,11 @@ class Parser:
         kind, value = tok[0], tok[1]
         if kind == "IDENT" and value not in KEYWORDS:
             self.tok = next(self._rest, tok)
-            expr = Ident(value, self.span(tok))
+            expr = Ident(value, tok[2:])
         elif kind == "PUNCT" and (value == "!" or value == "-"):
             self.advance()
             self.deeper()
-            expr = Unary(value, self._parse_unary(), self.span(tok))
+            expr = Unary(value, self._parse_unary(), tok[2:])
             self.depth -= 1
             return expr
         else:
@@ -530,13 +516,13 @@ class Parser:
                 return expr
             self.advance()
             if value == ".":
-                expr = Member(expr, self._ident_name(), self.span(tok))
+                expr = Member(expr, self._ident_name(), tok[2:])
             elif value == "[":
                 index = self.parse_expr()
                 self.expect("]")
-                expr = Index(expr, index, self.span(tok))
+                expr = Index(expr, index, tok[2:])
             else:
-                expr = Call(expr, self._comma_list(")", self.parse_expr), self.span(tok))
+                expr = Call(expr, self._comma_list(")", self.parse_expr), tok[2:])
             self.deeper()
 
     def _parse_primary(self):
@@ -552,10 +538,10 @@ class Parser:
             if number == math.inf:
                 self.error("number too large for a float")
             self.advance()
-            return NumberLit(number, self.span(tok))
+            return NumberLit(number, tok[2:])
         if kind == "STRING":
             self.advance()
-            return StringLit(value, self.span(tok))
+            return StringLit(value, tok[2:])
         if kind == "IDENT":
             if value == "function":
                 return self._parse_func_expr()
@@ -563,10 +549,10 @@ class Parser:
                 self.error(f"unexpected keyword {value!r}")
             self.advance()
             if value == "null":
-                return NullLit(self.span(tok))
+                return NullLit(tok[2:])
             if value == "this":
-                return ThisExpr(self.span(tok))
-            return BoolLit(value == "true", self.span(tok))
+                return ThisExpr(tok[2:])
+            return BoolLit(value == "true", tok[2:])
         if kind == "PUNCT":
             if value == "(":
                 self.advance()
@@ -575,14 +561,14 @@ class Parser:
                 return expr
             if value == "[":
                 self.advance()
-                return ArrayLit(self._comma_list("]", self.parse_expr), self.span(tok))
+                return ArrayLit(self._comma_list("]", self.parse_expr), tok[2:])
             if value == "{":
                 self.advance()
-                return ObjectLit(self._comma_list("}", self._object_entry), self.span(tok))
+                return ObjectLit(self._comma_list("}", self._object_entry), tok[2:])
         self.error(f"unexpected token {value or kind!r}")
 
     def _parse_func_expr(self) -> FuncExpr:
-        span = self.span(self.expect("function"))
+        span = self.expect("function")[2:]
         params = self._parse_params()
         self.expect("{")
         body = self._statements_until_brace()
@@ -611,9 +597,11 @@ _KEYWORD_STATEMENTS = {
 def parse(source_text: str, filename: str = "<input>") -> SourceProgram:
     """Parse TierJS text into a SourceProgram; its call sites are recorded,
     not yet resolved."""
-    slices, shared = Parser(Lexer(source_text, filename)).parse_program()
-    program = walk(SourceProgram(slices=slices, shared_top_level=shared, filename=filename))
-    _apply_configs(program)
+    lexer = Lexer(source_text, filename)
+    slices, shared = Parser(lexer).parse_program()
+    program = walk(SourceProgram(slices=slices, shared_top_level=shared, filename=filename,
+                                 line_starts=lexer.line_starts))
+    _apply_configs(program, lexer.error)
     return program
 
 
@@ -701,11 +689,14 @@ def _function_scope(fn, parent: Scope) -> Scope:
     return Scope(parent, {p: [None] for p in fn.params})
 
 
-def _apply_configs(program: SourceProgram) -> None:
+def _apply_configs(program: SourceProgram, error) -> None:
+    """Set each slice's fixed tier from the @config annotations; ``error``,
+    ``Lexer.error``, places a fault at its annotation comment."""
     names = set()
     for s in program.slices:
         if s.name in names:
-            raise DuplicateSliceNameError(f"duplicate slice name {s.name!r}")
+            at = next(a for a in s.annotations if a.kind is AnnotationKind.SLICE)
+            error(f"duplicate slice name {s.name!r}", at.span[0], DuplicateSliceNameError)
         names.add(s.name)
     assigned: dict[str, str] = {}
     for _, annotations in iter_annotated_nodes(program):
@@ -714,9 +705,9 @@ def _apply_configs(program: SourceProgram) -> None:
                 continue
             for name, tier in a.args:
                 if name not in names:
-                    raise MalformedConfigError(f"@config names undeclared slice {name!r}")
+                    error(f"@config names undeclared slice {name!r}", a.span[0], MalformedConfigError)
                 if assigned.get(name, tier) != tier:
-                    raise MalformedConfigError(f"conflicting tiers for slice {name!r}")
+                    error(f"conflicting tiers for slice {name!r}", a.span[0], MalformedConfigError)
                 assigned[name] = tier
     for s in program.slices:
         s.fixed_tier = assigned.get(s.name)
@@ -759,16 +750,17 @@ def resolve_calls(program: SourceProgram) -> SourceProgram:
             info.unresolved_reason = "undeclared"
             why = ("no declaration" if not bindings else
                    f"a {'parameter' if bindings[0] is None else 'var'}, not a function")
-            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' ({why})"))
+            warnings.append(_warn(program, call.span[0], f"unresolved call to '{name}' ({why})"))
         else:
             info.unresolved_reason = "ambiguous"
-            warnings.append(_warn(program, call.span, f"unresolved call to '{name}' (ambiguous: {len(funcs)} declarations)"))
+            warnings.append(_warn(program, call.span[0], f"unresolved call to '{name}' (ambiguous: {len(funcs)} declarations)"))
     program.warnings = warnings
     return program
 
 
-def _warn(program: SourceProgram, span: Span, msg: str) -> str:
-    return f"{program.filename}:{span.line}:{span.col}: {msg}"
+def _warn(program: SourceProgram, offset: int, msg: str) -> str:
+    line, col = line_col(program.line_starts, offset)
+    return f"{program.filename}:{line}:{col}: {msg}"
 
 
 # --- Emitter --------------------------------------------------------------

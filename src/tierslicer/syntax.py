@@ -5,33 +5,32 @@ are divided into named slices (annotated blocks); everything outside a slice
 is shared top-level code.  Annotations live in block comments and attach to
 the syntactically next block, declaration or statement.
 
-AST equality is structural and ignores spans: a program re-parsed from its
-own ``emit`` output equals the original.  ``subnodes`` is the one way
-analysis code steps into a node.
+A node's span is the ``(start, end)`` offsets of the token it starts at;
+``line_col`` works out a line and column where a position is printed.  AST
+equality is structural and ignores spans: a program re-parsed from its own
+``emit`` output equals the original.  ``subnodes`` is the one way analysis
+code steps into a node.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
-from typing import NamedTuple
 
 
-class Span(NamedTuple):
-    start: int
-    end: int
-    line: int
-    col: int
-
-    @staticmethod
-    def zero() -> "Span":
-        return Span(0, 0, 1, 1)
+def line_col(line_starts, offset: int) -> tuple[int, int]:
+    """The line and column of ``offset`` in a text whose lines start at
+    ``line_starts``: the number of ``"\\n"`` before it plus 1 (``"\\r"``
+    starts no line), and its 1-based code-point offset in that line."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
 
 
 def _span():
-    """A node's source position, which takes no part in AST equality."""
-    return field(default_factory=Span.zero, compare=False)
+    """A node's ``(start, end)`` offsets, which take no part in AST equality."""
+    return field(default=(0, 0), compare=False)
 
 
 class AnnotationKind(Enum):
@@ -74,7 +73,7 @@ class Annotation:
     kind: AnnotationKind
     # Identifier arguments; @config args are (name, tier) pairs.
     args: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 # --- Expressions ----------------------------------------------------------
@@ -88,63 +87,63 @@ class Expr:
 @dataclass(slots=True)
 class NumberLit(Expr):
     value: float
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class StringLit(Expr):
     value: str
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class NullLit(Expr):
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class ThisExpr(Expr):
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class Ident(Expr):
     name: str
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class Member(Expr):
     obj: Expr
     attr: str
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class Index(Expr):
     obj: Expr
     index: Expr
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class Call(Expr):
     callee: Expr
     args: list[Expr] = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class Unary(Expr):
     op: str
     operand: Expr = None
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
@@ -152,33 +151,33 @@ class Binary(Expr):
     op: str
     left: Expr = None
     right: Expr = None
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class Assign(Expr):
     target: Expr = None
     value: Expr = None
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class ObjectLit(Expr):
     entries: list[tuple[str, Expr]] = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class ArrayLit(Expr):
     elements: list[Expr] = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class FuncExpr(Expr):
     params: list = field(default_factory=list)
     body: list[Stmt] = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 # --- Statements -----------------------------------------------------------
@@ -194,7 +193,7 @@ class VarDecl(Stmt):
     name: str
     init: Expr | None = None
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
@@ -203,14 +202,14 @@ class FunctionDecl(Stmt):
     params: list = field(default_factory=list)
     body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class ExprStmt(Stmt):
     expr: Expr = None
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
@@ -219,7 +218,7 @@ class IfStmt(Stmt):
     then: list[Stmt] = field(default_factory=list)
     orelse: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
@@ -227,7 +226,7 @@ class WhileStmt(Stmt):
     cond: Expr = None
     body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
@@ -237,21 +236,21 @@ class ForStmt(Stmt):
     update: Expr | None = None
     body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class ReturnStmt(Stmt):
     value: Expr | None = None
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
 class BlockStmt(Stmt):
     body: list[Stmt] = field(default_factory=list)
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
@@ -260,7 +259,7 @@ class UiBlock(Stmt):
 
     text: str = ""
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @cache
@@ -294,7 +293,7 @@ class SliceDecl:
     body: list = field(default_factory=list)
     fixed_tier: str | None = None  # "client" | "server" | None
     annotations: list = field(default_factory=list)
-    span: Span = _span()
+    span: tuple = _span()
 
 
 @dataclass(slots=True)
@@ -360,6 +359,8 @@ class SourceProgram:
     warnings: list = field(default_factory=list)  # resolution diagnostics (str)
     filename: str = "<input>"
     steps: list = field(default_factory=list, repr=False, compare=False)  # see frontend.walk
+    # The offset at which each line of the parsed source starts; spans index that source.
+    line_starts: list = field(default_factory=lambda: [0], repr=False, compare=False)
 
     def slice_names(self):
         return [s.name for s in self.slices]

@@ -24,6 +24,11 @@ def fixture_problem(name: str):
     return placement_problem(build_pdg(load_fixture(name)))
 
 
+def naive_line_col(text: str, pos: int) -> tuple[int, int]:
+    """The line and column of offset ``pos``, by counting newlines."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 @pytest.fixture(scope="session")
 def manifest() -> dict:
     return json.loads((FIXTURES / "manifest.json").read_text())

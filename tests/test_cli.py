@@ -54,6 +54,32 @@ def test_parse_error_exits_2(runner, tmp_path, statement, col, message):
     assert result.stderr == f"{bad}:2:{col}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    ("source", "line", "col", "message"),
+    [
+        ("/* @slice a */\n{ }\n  /* @bogus */ var x;\n", 3, 3, "unknown annotation @bogus"),
+        ("/* @slice a */\n{ }\n\n /* @slice a */ { }\n", 4, 2, "duplicate slice name 'a'"),
+        ("/* @slice a */\n{ /* @config a : cloud */ var x; }\n", 2, 3,
+         "malformed @config entry 'a : cloud'"),
+        ("/* @slice a */\n{ }\nvar y;\n/* @config , */ var x;\n", 4, 1,
+         "@config carries no name : tier pairs"),
+        ("/* @slice a */\n{ }\n   /* @config b : client */ var x;\n", 3, 4,
+         "@config names undeclared slice 'b'"),
+        ("/* @config a : client */\n/* @slice a */\n{ }\n /* @config a : server */ var x;\n", 4, 2,
+         "conflicting tiers for slice 'a'"),
+    ],
+    ids=["unknown-annotation", "duplicate-slice", "malformed-config", "empty-config",
+         "undeclared-slice", "conflicting-tiers"],
+)
+def test_annotation_error_exits_2_at_its_comment(runner, tmp_path, source, line, col, message):
+    bad = tmp_path / "bad.tjs"
+    bad.write_text(source, encoding="utf-8")
+    result = invoke(runner, "parse", bad)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"{bad}:{line}:{col}: {message}\n"
+
+
 # Deeply nested statements, each built from its nesting count.
 NESTED = {
     "parens": lambda n: "var x = " + "(" * n + "1" + ")" * n + ";",

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fixture_path, fixture_problem, load_fixture
+from conftest import fixture_path, fixture_problem, load_fixture, naive_line_col
 from genprog import random_source
 from perfbench.programs import layered_program
-from tierslicer import emit, parse, resolve_calls
+from tierslicer import apply_advice, emit, parse, resolve_calls
+from tierslicer.advisor import Advice, AdviceKind
 from tierslicer.depgraph import (
     CALL,
     CALL_SITE,
@@ -27,6 +28,7 @@ from tierslicer.depgraph import (
     to_json,
 )
 from tierslicer.model import SHARED, Tier
+from tierslicer.syntax import line_col
 
 ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 
@@ -120,14 +122,28 @@ def test_placement_problem_from_tracker(manifest):
     assert problem.fixed["data"] is Tier.SERVER
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+# tracker.tjs after apply_advice has replicated a var and moved a function.
+ADVISED = "tracker.tjs advised"
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + [ADVISED])
 def test_json_round_trip(name):
-    graph = build_pdg(load_fixture(name))
+    """The JSON holds the graph, and each node's span reads its offsets and
+    the line and column of its start in the source, also after apply_advice
+    has moved statements: the edited program keeps its source's line table."""
+    source = fixture_path(name.split()[0]).read_text()
+    program = load_fixture(name.split()[0])
+    if name == ADVISED:
+        program = apply_advice(program, [Advice(AdviceKind.REPLICATE_DECLARATION, "meetings", "data"),
+                                         Advice(AdviceKind.MOVE_FUNCTION, "getMeetings", "data")])
+        assert program.slices[-1].name == "auto_getMeetings"
+    graph = build_pdg(program)
     payload = json.loads(to_json(graph))
-    program = graph.program
     assert [s["name"] for s in payload["slices"]] == program.slice_names()
     assert [s["fixedTier"] for s in payload["slices"]] == [s.fixed_tier for s in program.slices]
-    assert [PdgNode(**{**n, "span": tuple(n["span"])}) for n in payload["nodes"]] == graph.nodes
+    assert [PdgNode(**{**n, "span": tuple(n["span"][:2])}) for n in payload["nodes"]] == graph.nodes
+    assert [n["span"][2:] for n in payload["nodes"]] == [
+        list(naive_line_col(source, n["span"][0])) for n in payload["nodes"]]
     assert [PdgEdge(e["from"], e["to"], e["kind"]) for e in payload["edges"]] == graph.edges
 
 
@@ -267,7 +283,7 @@ WALKER_CALLS = [
 
 def call_site_rows(program):
     return [(s.owner, s.callee_name, s.resolved_owner, s.unresolved_reason,
-             type(s.stmt).__name__, s.node.span.line, s.node.span.col)
+             type(s.stmt).__name__, *line_col(program.line_starts, s.node.span[0]))
             for s in program.call_sites]
 
 
@@ -358,7 +374,8 @@ def test_function_expression_bodies_declare_and_call_like_any_other_code():
     assert program.warnings == FUNC_EXPR_WARNINGS
     graph = build_pdg(program)
     entry = {n.id: n.name for n in graph.nodes if n.kind == FUNCTION_ENTRY}
-    site = {n.id: (n.span.line, n.span.col) for n in graph.nodes if n.kind == CALL_SITE}
+    site = {n.id: line_col(program.line_starts, n.span[0])
+            for n in graph.nodes if n.kind == CALL_SITE}
     called = sorted((entry[e.dst], site[e.src]) for e in graph.edges if e.kind == CALL)
     assert called == [
         ("dup", (20, 78)), ("helper", (20, 19)), ("init", (2, 67)), ("pick", (8, 27)),
@@ -525,8 +542,8 @@ def test_pdg_declarations_are_the_program_declarations(name):
     source = INLINE_SOURCES.get(name) or fixture_path(name).read_text()
     program = resolve_calls(parse(source, name))
     graph = build_pdg(program)
-    assert [(n.slice, n.span.start) for n in graph.nodes if n.kind == DECLARATION] == [
-        (d.owner, d.node.span.start) for d in program.declarations]
+    assert [(n.slice, n.span) for n in graph.nodes if n.kind == DECLARATION] == [
+        (d.owner, d.node.span) for d in program.declarations]
 
 
 # A @broadcast call, an ambiguous call and shared code that calls into a
@@ -576,7 +593,7 @@ def test_the_call_table_is_the_graphs_call_sites():
         sites = [n for n in graph.nodes if n.kind == CALL_SITE and n.slice != SHARED]
         assert [(c.caller, c.callee, c.callee_name, c.label, c.annotated)
                 for c in problem.calls] == [
-            (n.slice, callee[n.id], n.name, f"{n.span.line}:{n.span.col}",
+            (n.slice, callee[n.id], n.name, "%d:%d" % line_col(program.line_starts, n.span[0]),
              bool({"reply", "broadcast"} & set(n.annotations)))
             for n in sites if n.id in callee], label
         assert problem.unresolved_calls == sum(

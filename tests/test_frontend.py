@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_path, load_fixture
+from conftest import fixture_path, load_fixture, naive_line_col
 from genprog import random_source
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
 from tierslicer.frontend import Lexer, emit, iter_annotated_nodes, parse, resolve_calls
 from tierslicer.syntax import (AnnotationKind, Assign, Binary, Call, FuncExpr, Ident, NumberLit, Stmt,
-                               Unary, VarDecl, subnodes)
+                               Unary, VarDecl, line_col, subnodes)
 
 ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 
@@ -198,10 +198,6 @@ def test_resolution_survives_round_trip(name):
     assert again == original
 
 
-def _naive_line_col(text: str, pos: int) -> tuple[int, int]:
-    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-
-
 _LETTERS = "abqzAQZ_$éßЖλ名"
 _ident = st.builds(str.__add__, st.sampled_from(_LETTERS), st.text(_LETTERS + "0189", max_size=5))
 _number = st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,3})?", fullmatch=True)
@@ -225,8 +221,7 @@ def test_token_positions_equal_a_naive_count(text):
     1-based offset from the last newline; a carriage return starts no line."""
     lexer = Lexer(text)
     for tok in lexer.tokens():
-        span = lexer.span(tok)
-        assert (span.line, span.col) == _naive_line_col(text, span.start)
+        assert line_col(lexer.line_starts, tok[2]) == naive_line_col(text, tok[2])
 
 
 @settings(max_examples=200, deadline=None)
@@ -238,7 +233,7 @@ def test_unterminated_literal_is_reported_where_it_opens(prefix, sep, opener, bo
         Lexer(text).tokens()
     kind = "comment" if opener == "/*" else "string"
     assert err.value.message == f"unterminated {kind}"
-    assert (err.value.line, err.value.col) == _naive_line_col(text, start)
+    assert (err.value.line, err.value.col) == naive_line_col(text, start)
 
 
 # Each lexer match skips the whitespace and comments in front of one token, so

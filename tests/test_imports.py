@@ -33,7 +33,7 @@ def unused_imports(text: str) -> list:
         if isinstance(node, ast.Name):
             used.add(node.id)
         for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
-            if isinstance(note, ast.Constant) and isinstance(note.value, str):  # "Span"
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):  # "Call"
                 used |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
                          if isinstance(n, ast.Name)}
     return [(line, name) for line, name in bound if name not in used]

@@ -6,7 +6,9 @@ build their spans on demand, and before the binary-operator parser became one
 precedence-climbing loop; they pin the positions those changes must keep.
 ``every_shape.tjs``'s AST digest was re-recorded once since, when a ``for``
 loop's expression init moved from the span of the ``;`` after it to the span
-of its own first token; that one node is its only change.
+of its own first token; that one node is its only change.  Since nodes keep
+only their ``(start, end)`` offsets, a row's line and column are looked up
+in the program's line table; the digests were kept, not re-recorded.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from conftest import fixture_path
 from genprog import random_source
 from tierslicer.errors import ParseError
 from tierslicer.frontend import Lexer, parse
+from tierslicer.syntax import line_col
 
 # Every statement kind, every binary level, unary operators, chained
 # assignment, postfix chains, literals of each kind, annotations and a @ui block.
@@ -50,13 +53,14 @@ PROGRAMS = {
 }
 
 
-def _span(span) -> tuple:
-    return (span.start, span.end, span.line, span.col)
+def _span(line_starts, span) -> tuple:
+    """``(start, end, line, col)``, the four numbers the digests were recorded over."""
+    return (*span, *line_col(line_starts, span[0]))
 
 
 def token_digest(text: str) -> str:
     lexer = Lexer(text)
-    rows = [(tok[0], tok[1], _span(lexer.span(tok))) for tok in lexer.tokens()]
+    rows = [(tok[0], tok[1], _span(lexer.line_starts, tok[2:])) for tok in lexer.tokens()]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -69,7 +73,7 @@ def ast_digest(program) -> str:
         if isinstance(item, (list, tuple)):
             stack.extend(reversed(item))
         elif dataclasses.is_dataclass(item):
-            rows.append((type(item).__name__, _span(item.span)))
+            rows.append((type(item).__name__, _span(program.line_starts, item.span)))
             stack.extend(reversed([getattr(item, f.name) for f in dataclasses.fields(item)
                                    if f.name != "span"]))
     return hashlib.sha256(repr(rows).encode()).hexdigest()
@@ -218,7 +222,7 @@ def test_parse_error_positions_are_frozen(source, message, line, col):
 
 
 def test_for_expression_init_starts_at_its_first_token():
-    (a,) = parse("/* @slice a */\n{ var xyz; for (x = 1; x < 2; x = x + 1) { } }").slices
-    init = a.body[1].init
-    assert (init.span.line, init.span.col) == (2, 17)  # the 'x', not the ';' at col 22
-    assert init.span.start == init.expr.target.span.start
+    program = parse("/* @slice a */\n{ var xyz; for (x = 1; x < 2; x = x + 1) { } }")
+    init = program.slices[0].body[1].init
+    assert line_col(program.line_starts, init.span[0]) == (2, 17)  # the 'x', not the ';' at col 22
+    assert init.span[0] == init.expr.target.span[0]
