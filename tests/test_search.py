@@ -760,7 +760,7 @@ PATH_CASES += [(f"fan-out-{n_calls}", lambda n_calls=n_calls: fan_out_problem(n_
 
 @pytest.mark.parametrize("make, config, runs", [case[1:] for case in PATH_CASES],
                          ids=[case[0] for case in PATH_CASES])
-def test_run_many_is_the_same_from_the_table_and_from_the_pair_terms(make, config, runs,
+def test_run_many_is_the_same_from_the_table_and_from_pair_terms(make, config, runs,
                                                                       monkeypatch):
     problem = make()
 
