@@ -16,7 +16,6 @@ from pathlib import Path
 
 from tierslicer import parse, placement_problem, resolve_calls
 from tierslicer.advisor import advise, render_report
-from tierslicer.depgraph import build_pdg
 from tierslicer.fitness import evaluate
 from tierslicer.kernels import build_scores, compile_problem
 from tierslicer.placement import Placement
@@ -39,8 +38,7 @@ def valid_count(problem):
 
 def describe(name):
     program = load(name)
-    graph = build_pdg(program)
-    problem = placement_problem(graph)
+    problem = placement_problem(program)
     n = len(problem.unplaced)
     entry = {
         "slices": list(problem.slices),
@@ -53,7 +51,7 @@ def describe(name):
     # The relay fixtures pin the validity rule: their entries hold the
     # valid-set count only.
     if entry["validPlacements"] == 0 or name.startswith("relay"):
-        return program, graph, problem, entry
+        return program, problem, entry
     best, fitness = exhaustive_oracle(problem)
     report = evaluate(problem, best)
     local = sum(sf.local_calls for sf in report.per_slice.values())
@@ -61,16 +59,16 @@ def describe(name):
     entry["oracleFitnessFraction"] = str(Fraction(local, len(problem.calls))) if problem.calls else "1"
     entry["oracleLocalCalls"] = local
     entry["oraclePlacement"] = {s: best.tier(s).value for s in problem.unplaced}
-    return program, graph, problem, entry
+    return program, problem, entry
 
 
 def build_manifest():
     manifest = {}
     for name in sorted(p.name for p in FIXTURES.glob("*.tjs")):
-        program, graph, problem, entry = describe(name)
+        program, problem, entry = describe(name)
         if name == "tracker.tjs":
             placement = Placement(fixed=dict(problem.fixed), searched={})
-            advices = advise(graph, problem, placement, program)
+            advices = advise(problem, placement, program)
             entry["advice"] = {
                 "replicate": [a.target for a in advices if a.kind.value == "replicate-declaration"],
                 "move": [a.target for a in advices if a.kind.value == "move-function-to-new-slice"],

@@ -6,6 +6,9 @@ remotely more than locally should be replicated; a function in a fixed slice
 that is called remotely much more than locally should move to a fresh
 unplaced slice so the search can relocate (or duplicate) it.
 
+A var's readers come from the front end's walk, their names bound by
+``Scope.var`` as the dependence graph's data edges are, so no graph is built.
+
 ``AdvisorConfig`` and ``MAX_REFINE_ITERATIONS`` live in ``model``.  Only
 ``refine_loop`` searches, so only it imports ``search`` and with it numpy.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import frontend
-from .depgraph import DATA, DECLARATION, DependenceGraph, build_pdg, placement_problem
+from .depgraph import placement_problem
 from .errors import TargetNotFoundError
 from .fitness import offline_percent, report_header
 from .model import MAX_REFINE_ITERATIONS, SHARED, AdvisorConfig, GaConfig, PlacementProblem
@@ -55,33 +58,35 @@ def _tier_mask(placement: Placement, slice_name: str) -> int:
     return placement.mask(slice_name)
 
 
-def advise_replication(graph: DependenceGraph, placement: Placement,
-                       program: SourceProgram, incoming: dict) -> list:
-    # The graph's declaration nodes are the program's declarations, in order.
-    decl_nodes = [n for n in graph.nodes if n.kind == DECLARATION]
-    readers: dict[int, list] = {}
-    for e in graph.edges:
-        if e.kind == DATA:
-            readers.setdefault(e.src, []).append(graph.nodes[e.dst])
+def advise_replication(placement: Placement, program: SourceProgram, incoming: dict) -> list:
+    """Advice to replicate each slice var read in functions called remotely
+    more than locally.  A var declaration's readers are the other statements
+    that read, by ``Scope.var``, a var its own statement defines: its name and
+    each name its initializer assigns.  They come in step order."""
+    statements = [step for step in program.steps if isinstance(step, tuple)]
+    readers: dict[int, list] = {}  # id(var Declaration) -> its readers' indices
+    for k, (_, _, scope, _, reads, _, _) in enumerate(statements):
+        for decl in map(scope.var, reads):
+            if decl is not None:
+                readers.setdefault(id(decl), []).append(k)
 
     out = []
-    for decl, node in zip(program.declarations, decl_nodes, strict=True):
-        if decl.kind != "var" or decl.owner == SHARED:
+    for k, (st, owner, scope, _, _, writes, _) in enumerate(statements):
+        if (not isinstance(st, VarDecl) or owner == SHARED
+                or any(a.kind is AnnotationKind.REPLICATED for a in st.annotations)):
             continue
-        if any(a.kind is AnnotationKind.REPLICATED for a in decl.node.annotations):
-            continue
-        decl_mask = _tier_mask(placement, decl.owner)
+        defined = {id(d) for d in map(scope.var, (st.name, *writes)) if d is not None}
+        decl_mask = _tier_mask(placement, owner)
         evidence = []
-        for reader in sorted(readers.get(node.id, []), key=lambda n: n.id):  # source order
-            if reader.function is None:
-                continue
-            if not (_tier_mask(placement, reader.slice) & decl_mask):
-                continue  # reader lives on a disjoint tier
-            local, remote = incoming.get((reader.slice, reader.function), (0, 0))
-            if remote > local and reader.function not in evidence:
-                evidence.append(reader.function)
+        for j in sorted({j for key in defined for j in readers.get(key, ()) if j != k}):
+            reader_owner, function = statements[j][1], statements[j][2].function
+            if function is None or not (_tier_mask(placement, reader_owner) & decl_mask):
+                continue  # outside any function, or on a disjoint tier
+            local, remote = incoming.get((reader_owner, function), (0, 0))
+            if remote > local and function not in evidence:
+                evidence.append(function)
         if evidence:
-            out.append(Advice(AdviceKind.REPLICATE_DECLARATION, decl.name, decl.owner,
+            out.append(Advice(AdviceKind.REPLICATE_DECLARATION, st.name, owner,
                               dependent_functions=evidence))
     return out
 
@@ -99,11 +104,11 @@ def advise_function_moves(problem: PlacementProblem, program: SourceProgram, inc
     return out
 
 
-def advise(graph: DependenceGraph, problem: PlacementProblem, placement: Placement,
-           program: SourceProgram, config: AdvisorConfig = AdvisorConfig()) -> list:
+def advise(problem: PlacementProblem, placement: Placement, program: SourceProgram,
+           config: AdvisorConfig = AdvisorConfig()) -> list:
     """Both advice kinds, from one classification of ``problem``'s calls."""
     incoming = incoming_counts(problem, placement)
-    return (advise_replication(graph, placement, program, incoming)
+    return (advise_replication(placement, program, incoming)
             + advise_function_moves(problem, program, incoming, config))
 
 
@@ -199,7 +204,7 @@ def refine_loop(program: SourceProgram, ga_config: GaConfig = GaConfig(),
         if result.best_fitness == 1.0:
             break
         advices = applicable_advice(program, advise(
-            build_pdg(program), problem, result.best_placement, program, advisor_config))
+            problem, result.best_placement, program, advisor_config))
         if not advices or iterations >= max_iterations:
             break
         program = apply_advice(program, advices)

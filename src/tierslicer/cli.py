@@ -7,9 +7,9 @@ failure.
 Each command imports the stages it runs when it runs, so start-up loads only
 click and the domain types, and only the commands that search (``assign``,
 ``stats``, ``refine`` and ``advise`` without ``--placement``) load numpy.
-Likewise only ``graph``, ``advise``, ``stats`` (and ``assign --runs``
-above 1) and ``refine`` build the dependence graph, the ones that read it;
-the others read the call table off the front end's walk.
+Likewise only ``graph`` builds the dependence graph, which it prints; the
+others read the call table off the front end's walk, and the advisor reads
+the walk's name bindings.
 
 A command runs with the cyclic garbage collector paused, and the collector's
 state is restored on the way out, whatever the exit code.  The trees a command
@@ -272,7 +272,6 @@ def _stats_mode(program, problem, config, runs, jobs, csv_path):
     import statistics
 
     from . import advisor as advisor_mod
-    from .depgraph import build_pdg
     from .search import run_many
 
     results = run_many(problem, config, runs, jobs)
@@ -286,7 +285,7 @@ def _stats_mode(program, problem, config, runs, jobs, csv_path):
     gens = [r.generations_used for r in results]
     fits = [r.best_fitness for r in results]
 
-    advices = advisor_mod.advise(build_pdg(program), problem, results[0].best_placement, program)
+    advices = advisor_mod.advise(problem, results[0].best_placement, program)
     data_adv = sum(1 for a in advices if a.kind is advisor_mod.AdviceKind.REPLICATE_DECLARATION)
     slice_adv = sum(1 for a in advices if a.kind is advisor_mod.AdviceKind.MOVE_FUNCTION)
 
@@ -349,7 +348,6 @@ def cmd_advise(path, placement_path, move_threshold, as_json, **ga):
     import json
 
     from . import advisor as advisor_mod
-    from .depgraph import build_pdg
     from .fitness import evaluate
 
     program, problem = load_problem(path)
@@ -362,7 +360,7 @@ def cmd_advise(path, placement_path, move_threshold, as_json, **ga):
 
         placement = run(problem, config).best_placement
     fitness_value = evaluate(problem, placement).program
-    advices = advisor_mod.advise(build_pdg(program), problem, placement, program, adv_cfg)
+    advices = advisor_mod.advise(problem, placement, program, adv_cfg)
     if as_json:
         click.echo(json.dumps(advisor_mod.report_json(fitness_value, advices),
                               indent=2, sort_keys=True))

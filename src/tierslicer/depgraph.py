@@ -14,8 +14,8 @@ Node ids follow the walk, and edges come in three runs: control edges in
 that order, call edges in call-site order, data edges in first-def order.
 The graph keeps the program it was built from.  The call table
 (``placement_problem``) is read off the walk's call sites, in the same order
-as the graph's CALL_SITE nodes, so a command that reads only the table builds
-no graph.
+as the graph's CALL_SITE nodes, and the advisor reads the walk's bindings,
+so only the ``graph`` command builds a graph.
 
 The collapsed slice graph aggregates cross-slice edges in *dependence*
 orientation: call edges already point caller -> callee; data edges are
@@ -127,7 +127,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
         if isinstance(step, CallSiteInfo):
             parent = node_of[id(step.stmt)]
             cid = new_node(CALL_SITE, step.owner, step.node.span, parent, step.callee_name,
-                           nodes[parent].function, _annotation_kinds(step.stmt),
+                           step.scope.function, _annotation_kinds(step.stmt),
                            step.unresolved_reason)
             if step.resolved is not None:
                 calls.append((cid, step.resolved))
@@ -136,8 +136,7 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
         if isinstance(st, (SliceDecl, UiBlock)):
             continue
         parent = entry if parent is None else node_of[id(parent)]
-        up = nodes[parent]
-        func = up.name if up.kind == FUNCTION_ENTRY else up.function
+        func = scope.function
         named = isinstance(st, (VarDecl, FunctionDecl))
         nid = node_of[id(st)] = new_node(
             DECLARATION if named else STATEMENT, owner, st.span, parent,

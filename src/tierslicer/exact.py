@@ -23,7 +23,7 @@ forward along residual arcs and zeros backward.  Nothing recurses.
 from __future__ import annotations
 
 from .errors import AllInvalidError, TooManySlicesError
-from .model import ORACLE_CAP, SHARED, TIER_FROM_MASK, PlacementProblem
+from .model import ORACLE_CAP, SHARED, TIER_FROM_MASK, PlacementProblem, Tier
 from .placement import Placement
 
 SOURCE, SINK = 0, 1
@@ -117,16 +117,45 @@ class _Residual:
         return True
 
 
+def server_closure(problem: PlacementProblem) -> set:
+    """The slices that every valid placement puts on the server.
+
+    By ``call_rule`` a call violates iff it is unannotated, its caller holds
+    the server and its callee does not.  So the slices that hold the server
+    are closed forward along unannotated calls, and the least such set is the
+    closure of the fixed server slices and of shared code, which runs on
+    both tiers.  If that closure reaches a slice fixed on the client, no
+    placement is valid, and ``AllInvalidError`` names the slice.
+    """
+    on_server = {SHARED: True, **{s: t is Tier.SERVER for s, t in problem.fixed.items()}}
+    callees = {}
+    for call in problem.calls:
+        if not call.annotated:
+            callees.setdefault(call.caller, []).append(call.callee)
+    stack = [s for s, on in on_server.items() if on]
+    reached = set(stack)
+    while stack:
+        for callee in callees.get(stack.pop(), ()):
+            if not on_server.get(callee, True):
+                raise AllInvalidError(
+                    f"no placement is valid: the client slice {callee!r} is reached "
+                    "from the server by calls without @reply or @broadcast")
+            if callee not in reached:
+                reached.add(callee)
+                stack.append(callee)
+    return reached
+
+
 def optimum(problem: PlacementProblem) -> tuple:
     """``(remote calls, genome)`` of the lexicographically smallest valid
     genome with the fewest remote calls, its masks in ``problem.unplaced``
-    order; ``(None, None)`` when no placement is valid."""
+    order.  When no placement is valid, ``server_closure`` raises."""
     weight, inf = _arcs(problem)
     n_genes = len(problem.unplaced)
     graph = _Residual(2 * n_genes + 2, weight)
     remote = graph.max_flow()
     if remote >= inf:
-        return None, None
+        server_closure(problem)  # no placement is valid, so this raises
     value = [None] * len(graph.out)
     graph.settle(value, [(SOURCE, 1), (SINK, 0)])
     genome = [next(mask for mask in (1, 2, 3)
@@ -148,7 +177,7 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
 
     Ties break toward the genome-lexicographically smallest placement.
     Returns (best Placement, best fitness).  A negative ``cap`` raises
-    ValueError.
+    ValueError, and no valid placement ``AllInvalidError``.
     """
     if cap < 0:
         raise ValueError(f"oracle cap must be >= 0, not {cap}")
@@ -156,8 +185,6 @@ def exhaustive_oracle(problem: PlacementProblem, cap: int = ORACLE_CAP):
     if n > cap:
         raise TooManySlicesError(f"{n} unplaced slices exceed the oracle cap {cap}")
     remote, genome = optimum(problem)
-    if genome is None:
-        raise AllInvalidError("every searched placement is invalid")
     n_calls = len(problem.calls)
     fitness = (n_calls - remote) / n_calls if n_calls else 1.0
     return genome_to_placement(problem, genome), fitness

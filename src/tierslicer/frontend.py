@@ -29,11 +29,11 @@ enters a function expression's body right after the statement that holds it.
 It carries the ES5 scope chain: one global scope, and one per function and
 function-expression body.  From that one walk ``parse`` applies ``@config``,
 lists the declarations, records the call sites with their scopes and keeps
-the steps for the dependence graph, with the names each statement reads and
-writes, so no later stage scans an expression for them.  ``resolve_calls``
-walks nothing: it looks each recorded callee up in its scope chain.
-``advisor.apply_advice`` runs the same walk over the tree it edits, and
-parses no text.
+the steps for the dependence graph and the advisor, with the names each
+statement reads and writes, so no later stage scans an expression for them.
+``resolve_calls`` walks nothing: it looks each recorded callee up in its
+scope chain.  ``advisor.apply_advice`` runs the same walk over the tree it
+edits, and parses no text.
 
 AST equality ignores spans, so ``parse(emit(program))`` equals ``program``
 slice for slice and statement for statement.
@@ -686,7 +686,8 @@ def _visit(stmts, owner, scope, parent, steps, decls, calls):
 
 def _function_scope(fn, parent: Scope) -> Scope:
     """A fresh scope for ``fn``'s body, holding its parameters."""
-    return Scope(parent, {p: [None] for p in fn.params})
+    function = fn.name if isinstance(fn, FunctionDecl) else parent.function
+    return Scope(parent, {p: [None] for p in fn.params}, function)
 
 
 def _apply_configs(program: SourceProgram, error) -> None:

@@ -13,13 +13,13 @@ never parent.  Replacement is generational with 1-elitism on the best valid
 individual.  A run stops at its first valid individual with fitness 1.0, once
 settled (below) or after the generation budget, and then leaves the batch.
 
-Before seeding, ``_closure_genome`` settles whether any placement is valid:
-the slices that hold the server must be closed forward along unannotated
-calls, so one exists iff the closure of the fixed server slices reaches no
-slice fixed on the client, and if none exists ``run_many`` raises
+Before seeding, ``exact.server_closure`` settles whether any placement is
+valid: the slices that hold the server must be closed forward along
+unannotated calls, so one exists iff the closure of the fixed server slices
+reaches no slice fixed on the client, and if none exists it raises
 ``AllInvalidError``.  A run seeds up to ``_SEED_RETRIES`` random
 populations; if none holds a valid row, row 0 of its last one becomes the
-closure genome, which is valid, so no run fails its batch.
+closure genome (the closure on the server), which is valid.
 
 Up to ``ORACLE_CAP`` unplaced slices the rows are ranked by one int64 sort
 key each, read from a table built once per ``run_many`` call from
@@ -69,11 +69,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AllInvalidError
-from .exact import exhaustive_oracle, genome_to_placement, optimum  # noqa: F401 (re-exported)
+from .exact import exhaustive_oracle, genome_to_placement  # noqa: F401 (re-exported)
+from .exact import optimum, server_closure
 from .fitness import evaluate
 from .kernels import build_scores, compile_problem, eval_population
-from .model import ORACLE_CAP, SHARED, GaConfig, PlacementProblem, Tier
+from .model import ORACLE_CAP, GaConfig, PlacementProblem
 from .placement import Placement
 
 _SEED_RETRIES = 10
@@ -188,36 +188,6 @@ class _Scorer:
         if self.keys is None:
             return (best == self.target).all(axis=1).tolist()
         return [i == self.target for i in best]
-
-
-def _closure_genome(problem: PlacementProblem) -> np.ndarray:
-    """A valid genome: server for the slices that every valid placement puts
-    on the server, client for the rest.
-
-    By ``call_rule`` a call violates iff it is unannotated, its caller holds
-    the server and its callee does not.  So the slices that hold the server
-    are closed forward along unannotated calls, and the least such set is the
-    closure of the fixed server slices and of shared code, which runs on
-    both tiers.  If that closure reaches a slice fixed on the client, no
-    placement is valid, and ``AllInvalidError`` names the slice.
-    """
-    on_server = {SHARED: True, **{s: t is Tier.SERVER for s, t in problem.fixed.items()}}
-    callees = {}
-    for call in problem.calls:
-        if not call.annotated:
-            callees.setdefault(call.caller, []).append(call.callee)
-    stack = [s for s, on in on_server.items() if on]
-    reached = set(stack)
-    while stack:
-        for callee in callees.get(stack.pop(), ()):
-            if not on_server.get(callee, True):
-                raise AllInvalidError(
-                    f"no placement is valid: the client slice {callee!r} is reached "
-                    "from the server by calls without @reply or @broadcast")
-            if callee not in reached:
-                reached.add(callee)
-                stack.append(callee)
-    return np.array([2 if s in reached else 1 for s in problem.unplaced], dtype=np.int8)
 
 
 def _seed_populations(scorer: _Scorer, config: GaConfig, rngs, fallback) -> np.ndarray:
@@ -450,12 +420,6 @@ class _Streams:
         state.update(has_uint32=int(self.spare[r]), uinteger=self.half[r])
         bit_generator.state = state
 
-    def rewind(self) -> None:
-        """Give back every run's words past its next generation."""
-        for r in range(len(self.rngs)):
-            self._rewind(r)
-        self._update()
-
     def _fill(self, runs: list, ks: list) -> None:
         """Fetch and decode a block for each of ``runs``, from this step,
         whose generations now have ``ks`` valid rows.  When every run fills,
@@ -604,7 +568,8 @@ def run_many(problem: PlacementProblem, config: GaConfig, runs: int, jobs: int =
             return [result for block in blocks for result in block]
     if runs < 1:
         return []
-    fallback = _closure_genome(problem)  # raises if no placement is valid
+    closure = server_closure(problem)  # raises if no placement is valid
+    fallback = np.array([2 if s in closure else 1 for s in problem.unplaced], dtype=np.int8)
     n = len(problem.unplaced)
     if n == 0:  # one placement: the @config tiers
         fitness = evaluate(problem, Placement(fixed=dict(problem.fixed), searched={})).program

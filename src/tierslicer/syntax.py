@@ -311,10 +311,13 @@ class Scope:
     """An ES5 scope (ECMA-262 5.1 §10.5): the global one, or a function or
     function-expression body's.  ``names`` maps each name declared in it to
     its parameters (None, first), then its var and function Declarations in
-    walk order.  Blocks and slices open no scope."""
+    walk order.  ``function`` names the innermost function declaration
+    enclosing it (None at the top); a function expression's scope takes its
+    parent's.  Blocks and slices open no scope."""
 
     parent: Scope | None = None
     names: dict = field(default_factory=dict)
+    function: str | None = None
 
     def lookup(self, name: str) -> list:
         """``name``'s bindings in the innermost scope declaring it, or []."""

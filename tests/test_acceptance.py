@@ -20,7 +20,7 @@ from genprog import random_flat_problem, random_full_placement, random_problems
 from tierslicer.advisor import (AdviceKind, advise, advise_function_moves, apply_advice,
                                 incoming_counts, refine_loop, render_report)
 from tierslicer.cli import main as cli_main
-from tierslicer.depgraph import build_pdg, placement_problem
+from tierslicer.depgraph import placement_problem
 from tierslicer.fitness import evaluate
 from tierslicer.model import SHARED, Tier
 from tierslicer.placement import Placement, classify_calls, is_valid
@@ -135,9 +135,8 @@ def test_criterion_4_refinement_trajectory(manifest):
 
     final = refine_loop(load_fixture("unicorn_v6.tjs"), SEARCH_CONFIG)
     v6_problem = fixture_problem("unicorn_v6.tjs")
-    v6_graph = build_pdg(load_fixture("unicorn_v6.tjs"))
     best_v6, _ = exhaustive_oracle(v6_problem)
-    advice_count = len(advise(v6_graph, v6_problem, best_v6, load_fixture("unicorn_v6.tjs")))
+    advice_count = len(advise(v6_problem, best_v6, load_fixture("unicorn_v6.tjs")))
     ok = (monotone and fitnesses[-1] == 1.0 and final.fitness == 1.0
           and final.iterations == 0 and advice_count == 0)
     trend = " -> ".join(f"{f:.4f}" for f in fitnesses)
@@ -146,8 +145,7 @@ def test_criterion_4_refinement_trajectory(manifest):
 
 def test_criterion_5_auto_apply_slice_growth(manifest):
     program = load_fixture("tracker.tjs")
-    graph = build_pdg(program)
-    problem = placement_problem(graph)
+    problem = placement_problem(program)
     placement = Placement(fixed=dict(problem.fixed), searched={})
     moves = advise_function_moves(problem, program, incoming_counts(problem, placement))
     k = len(manifest["tracker.tjs"]["advice"]["move"])
@@ -159,10 +157,9 @@ def test_criterion_5_auto_apply_slice_growth(manifest):
 
 def test_criterion_6_advice_report_golden(manifest):
     program = load_fixture("tracker.tjs")
-    graph = build_pdg(program)
-    problem = placement_problem(graph)
+    problem = placement_problem(program)
     placement = Placement(fixed=dict(problem.fixed), searched={})
-    advices = advise(graph, problem, placement, program)
+    advices = advise(problem, placement, program)
     replicate = [a.target for a in advices if a.kind is AdviceKind.REPLICATE_DECLARATION]
     moved = [a.target for a in advices if a.kind is AdviceKind.MOVE_FUNCTION]
     rendered = render_report(evaluate(problem, placement).program, advices)

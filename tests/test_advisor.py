@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import json
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fixture_path, fixture_problem, load_fixture
 from genprog import random_full_placement, random_source
+from perfbench.programs import layered_program
 from tierslicer import frontend
 from tierslicer.advisor import (
     Advice,
     AdviceKind,
     AdvisorConfig,
+    _tier_mask,
     advise,
     advise_function_moves,
     advise_replication,
@@ -25,39 +29,38 @@ from tierslicer.advisor import (
 from tierslicer.depgraph import DATA, DECLARATION, build_pdg, placement_problem, to_json
 from tierslicer.errors import AllInvalidError, TargetNotFoundError, TooManySlicesError
 from tierslicer.frontend import emit, iter_annotated_nodes, parse, resolve_calls
-from tierslicer.model import Tier
+from tierslicer.model import SHARED, Tier
 from tierslicer.placement import Placement
 from tierslicer.search import GaConfig, exhaustive_oracle
-from tierslicer.syntax import line_col
+from tierslicer.syntax import AnnotationKind, line_col
 
 
 def tracker_setup():
     program = load_fixture("tracker.tjs")
-    graph = build_pdg(program)
-    problem = placement_problem(graph)
+    problem = placement_problem(program)
     placement = Placement(fixed=dict(problem.fixed), searched={})
-    return program, graph, problem, placement
+    return program, problem, placement
 
 
 def test_tracker_advice_matches_manifest(manifest):
-    program, graph, problem, placement = tracker_setup()
-    advices = advise(graph, problem, placement, program)
+    program, problem, placement = tracker_setup()
+    advices = advise(problem, placement, program)
     expected = manifest["tracker.tjs"]["advice"]
     assert [a.target for a in advices if a.kind is AdviceKind.REPLICATE_DECLARATION] == expected["replicate"]
     assert [a.target for a in advices if a.kind is AdviceKind.MOVE_FUNCTION] == expected["move"]
 
 
 def test_replication_advice_lists_dependent_functions():
-    """In the order of their reading nodes, whatever the order of the DATA edges."""
-    program, graph, problem, placement = tracker_setup()
-    advices = advise_replication(graph, placement, program, incoming_counts(problem, placement))
+    """In the order of their reading statements."""
+    program, problem, placement = tracker_setup()
+    advices = advise_replication(placement, program, incoming_counts(problem, placement))
     by_target = {a.target: a.dependent_functions for a in advices}
     assert by_target == {"meetings": ["getMeetings", "addMeeting"],
                          "tasks": ["getTasks", "addTask"]}
 
 
 def test_move_advice_carries_incoming_counts():
-    program, graph, problem, placement = tracker_setup()
+    program, problem, placement = tracker_setup()
     advices = advise_function_moves(problem, program, incoming_counts(problem, placement))
     counts = {a.target: (a.local_incoming, a.remote_incoming) for a in advices}
     assert counts["getMeetings"] == (0, 4)
@@ -81,7 +84,7 @@ def test_move_threshold_arithmetic():
         "}\n"
     )
     program = resolve_calls(parse(src))
-    problem = placement_problem(build_pdg(program))
+    problem = placement_problem(program)
     placement = Placement(fixed={"hub": Tier.SERVER, "ui": Tier.CLIENT}, searched={})
     incoming = incoming_counts(problem, placement)
     below = advise_function_moves(problem, program, incoming, AdvisorConfig(move_threshold=0.2))
@@ -92,11 +95,10 @@ def test_move_threshold_arithmetic():
 
 def test_replicated_vars_get_no_replication_advice():
     program = load_fixture("unicorn_v3.tjs")
-    graph = build_pdg(program)
-    problem = placement_problem(graph)
+    problem = placement_problem(program)
     placement = Placement(fixed=dict(problem.fixed),
                           searched={s: Tier.CLIENT for s in problem.unplaced})
-    assert advise_replication(graph, placement, program, incoming_counts(problem, placement)) == []
+    assert advise_replication(placement, program, incoming_counts(problem, placement)) == []
 
 
 def test_advisor_config_validation():
@@ -107,7 +109,7 @@ def test_advisor_config_validation():
 
 
 def test_apply_advice_grows_one_slice_per_move(manifest):
-    program, _, problem, placement = tracker_setup()
+    program, problem, placement = tracker_setup()
     moves = advise_function_moves(problem, program, incoming_counts(problem, placement))
     refined = apply_advice(program, moves)
     assert len(refined.slices) == len(program.slices) + len(moves)
@@ -120,11 +122,11 @@ def test_apply_advice_grows_one_slice_per_move(manifest):
 
 
 def test_apply_advice_marks_declarations_replicated():
-    program, graph, problem, placement = tracker_setup()
-    replicate = advise_replication(graph, placement, program, incoming_counts(problem, placement))
+    program, problem, placement = tracker_setup()
+    replicate = advise_replication(placement, program, incoming_counts(problem, placement))
     refined = apply_advice(program, replicate)
     data = next(s for s in refined.slices if s.name == "data")
-    from tierslicer.syntax import AnnotationKind, VarDecl
+    from tierslicer.syntax import VarDecl
 
     flagged = [st.name for st in data.body if isinstance(st, VarDecl)
                and any(a.kind is AnnotationKind.REPLICATED for a in st.annotations)]
@@ -137,8 +139,8 @@ def test_apply_advice_marks_declarations_replicated():
 
 
 def test_apply_advice_leaves_the_input_program_untouched():
-    program, graph, problem, placement = tracker_setup()
-    advices = advise(graph, problem, placement, program)
+    program, problem, placement = tracker_setup()
+    advices = advise(problem, placement, program)
     assert {a.kind for a in advices} == set(AdviceKind)  # replicate and move advice
 
     def snapshot():
@@ -164,7 +166,7 @@ def _cases():
     placements = []
     for name in sorted(p.name for p in fixture_path(".").glob("*.tjs")):
         program = load_fixture(name)
-        problem = placement_problem(build_pdg(program))
+        problem = placement_problem(program)
         try:
             placements.append((f"{name} oracle", program, exhaustive_oracle(problem)[0]))
         except (AllInvalidError, TooManySlicesError):
@@ -173,12 +175,11 @@ def _cases():
             fixed=dict(problem.fixed), searched={s: Tier.BOTH for s in problem.unplaced})))
     for seed in range(24):
         program = resolve_calls(parse(random_source(seed), f"random-{seed}.tjs"))
-        problem = placement_problem(build_pdg(program))
+        problem = placement_problem(program)
         placements.append((f"random-{seed}", program,
                            random_full_placement(problem, np.random.default_rng(seed))))
     for label, program, placement in placements:
-        graph = build_pdg(program)
-        advices = advise(graph, placement_problem(graph), placement, program)
+        advices = advise(placement_problem(program), placement, program)
         yield label, program, applicable_advice(program, advices)
 
 
@@ -230,8 +231,8 @@ def test_dependent_functions_follow_their_first_reader(label, program, advices):
 
 
 def test_apply_advice_parses_and_emits_no_text(monkeypatch):
-    program, graph, problem, placement = tracker_setup()
-    advices = advise(graph, problem, placement, program)
+    program, problem, placement = tracker_setup()
+    advices = advise(problem, placement, program)
 
     def refuse(*_):
         raise AssertionError("apply_advice went through text")
@@ -273,7 +274,7 @@ def test_fresh_slice_names_avoid_collisions():
 
 
 def test_apply_advice_unknown_target_raises():
-    program, _, _, _ = tracker_setup()
+    program, _, _ = tracker_setup()
     with pytest.raises(TargetNotFoundError):
         apply_advice(program, [Advice(AdviceKind.MOVE_FUNCTION, "nope", "data")])
 
@@ -295,11 +296,11 @@ def test_refine_loop_improves_the_tracker():
 
 
 def test_render_report_golden_bytes(manifest):
-    program, graph, problem, placement = tracker_setup()
+    program, problem, placement = tracker_setup()
     from tierslicer.fitness import evaluate
 
     fitness = evaluate(problem, placement).program
-    advices = advise(graph, problem, placement, program)
+    advices = advise(problem, placement, program)
     assert render_report(fitness, advices) == manifest["tracker.tjs"]["report"]
 
 
@@ -308,8 +309,8 @@ def test_render_report_omits_empty_sections():
 
 
 def test_report_json_shape():
-    program, graph, problem, placement = tracker_setup()
-    advices = advise(graph, problem, placement, program)
+    program, problem, placement = tracker_setup()
+    advices = advise(problem, placement, program)
     payload = report_json(0.1, advices)
     assert payload["offlinePercent"] == 10
     assert [r["name"] for r in payload["replicate"]] == ["meetings", "tasks"]
@@ -317,3 +318,102 @@ def test_report_json_shape():
         "getMeetings", "getTasks", "addMeeting", "addTask"
     ]
     assert payload["move"][0]["remoteIncoming"] == 4
+
+
+# --- Replication advice against the dependence graph --------------------------
+
+
+def replication_from_graph(placement, program, incoming) -> list:
+    """``advise_replication`` read off ``build_pdg``: a var's readers are the
+    heads of the DATA edges out of its declaration node, in node order."""
+    graph = build_pdg(program)
+    readers = {}
+    for e in graph.edges:
+        if e.kind == DATA:
+            readers.setdefault(e.src, []).append(graph.nodes[e.dst])
+    decl_nodes = [n for n in graph.nodes if n.kind == DECLARATION]
+    out = []
+    for decl, node in zip(program.declarations, decl_nodes, strict=True):
+        if decl.kind != "var" or decl.owner == SHARED or any(
+                a.kind is AnnotationKind.REPLICATED for a in decl.node.annotations):
+            continue
+        evidence = []
+        for reader in sorted(readers.get(node.id, []), key=lambda n: n.id):
+            if reader.function is None or not (
+                    _tier_mask(placement, reader.slice) & _tier_mask(placement, decl.owner)):
+                continue
+            local, remote = incoming.get((reader.slice, reader.function), (0, 0))
+            if remote > local and reader.function not in evidence:
+                evidence.append(reader.function)
+        if evidence:
+            out.append(Advice(AdviceKind.REPLICATE_DECLARATION, decl.name, decl.owner,
+                              dependent_functions=evidence))
+    return out
+
+
+# `y`'s initializer assigns `z`, which `f` reads before `g` reads `y`; `twice`
+# is declared twice in one scope; a function expression reads `x`, which its
+# own initializer reads too; only its own initializer reads `c`.
+QUIRKS_SOURCE = """\
+/* @config ui : client */
+/* @slice db */
+{
+  function f() { return z; }
+  function g() { return y; }
+  var y = z = 3;
+  var z;
+  var twice = 1;
+  var twice = 2;
+  function h() { return twice; }
+  var x = x + 1;
+  function k() { var run = function () { return x; }; var c = c + 1; return run(); }
+}
+/* @slice ui */
+{ function main() { f(); g(); h(); k(); } }
+"""
+
+CORPUS_EXTRA = runpy.run_path(str(Path(__file__).parent.parent / "scripts" / "cli_corpus.py"))["EXTRA"]
+
+
+def replication_sources(group: str):
+    """(label, source) pairs of one group of programs."""
+    if group == "fixtures":
+        for name in sorted(p.name for p in fixture_path(".").glob("*.tjs")):
+            yield name, fixture_path(name).read_text()
+    elif group == "genprog":
+        for seed in range(200):
+            yield f"random-{seed}.tjs", random_source(seed)
+    elif group == "layered":
+        for seed in range(50):
+            yield f"layered-{seed}.tjs", layered_program(
+                seed, 2 + 9 * (seed % 5), funcs=(1, 2, 3), calls=(1, 2, 3, 4, 5),
+                shared=seed % 3)[0]
+    elif group == "corpus":
+        yield from CORPUS_EXTRA.items()
+    else:
+        yield "quirks.tjs", QUIRKS_SOURCE
+
+
+@pytest.mark.parametrize("group", ["fixtures", "genprog", "layered", "corpus", "quirks"])
+def test_replication_advice_agrees_with_the_graphs_data_edges(group):
+    rng = np.random.default_rng(33)
+    advised = 0
+    for label, text in replication_sources(group):
+        program = resolve_calls(parse(text, label))
+        problem = placement_problem(program)
+        for _ in range(8):
+            placement = random_full_placement(problem, rng)
+            incoming = incoming_counts(problem, placement)
+            expected = replication_from_graph(placement, program, incoming)
+            assert advise_replication(placement, program, incoming) == expected, label
+            advised += len(expected)
+    assert advised
+
+
+def test_replication_readers_come_in_source_order_across_the_vars_a_declaration_defines():
+    program = resolve_calls(parse(QUIRKS_SOURCE, "quirks.tjs"))
+    problem = placement_problem(program)
+    placement = Placement(fixed=dict(problem.fixed), searched={"db": Tier.SERVER})
+    advices = advise_replication(placement, program, incoming_counts(problem, placement))
+    assert [(a.target, a.dependent_functions) for a in advices] == [
+        ("y", ["f", "g"]), ("z", ["f"]), ("twice", ["h"]), ("twice", ["h"]), ("x", ["k"])]

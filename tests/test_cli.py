@@ -276,6 +276,17 @@ def test_search_commands_exit_4_when_the_only_placement_is_invalid(runner, tmp_p
     assert result.stderr.startswith("search failed: ")
 
 
+@pytest.mark.parametrize("text", [HOPELESS, CONFIG_ONLY_HOPELESS], ids=["unplaced", "config-only"])
+def test_oracle_exits_4_with_the_reason_assign_gives(runner, tmp_path, text):
+    hopeless = tmp_path / "hopeless.tjs"
+    hopeless.write_text(text)
+    results = [invoke(runner, command, hopeless) for command in ("assign", "oracle")]
+    assert [r.exit_code for r in results] == [4, 4]
+    assert results[0].stderr == results[1].stderr == (
+        "search failed: no placement is valid: the client slice 'cli' is reached "
+        "from the server by calls without @reply or @broadcast\n")
+
+
 def test_stats_mode_table_and_csv(runner, tmp_path):
     csv_path = tmp_path / "stats.csv"
     result = invoke(runner, "stats", fixture_path("unicorn_v4.tjs"),
@@ -465,7 +476,7 @@ def test_refine_without_apply_prints_what_advise_prints(runner, monkeypatch, nam
     real_run, real_advise = search.run, advisor.advise
     monkeypatch.setattr(search, "run", lambda problem, config: seen.append(config)
                         or real_run(problem, config))
-    monkeypatch.setattr(advisor, "advise", lambda *args: seen.append(args[4])
+    monkeypatch.setattr(advisor, "advise", lambda *args: seen.append(args[3])
                         or real_advise(*args))
     for options, configs in ADVISE_OPTIONS:
         seen.clear()
@@ -534,16 +545,20 @@ def placement_files(tmp_path, name) -> list:
 
 
 def patch_build_pdg(monkeypatch, fn):
-    """Replace ``build_pdg`` in every module that calls it."""
-    for module in (depgraph, advisor):
-        monkeypatch.setattr(module, "build_pdg", fn)
+    """Replace ``build_pdg`` in ``depgraph``, the one module that calls it."""
+    monkeypatch.setattr(depgraph, "build_pdg", fn)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
 def test_commands_that_read_no_graph_build_none(runner, tmp_path, monkeypatch, name):
     path = fixture_path(name)
+    placements = placement_files(tmp_path, name)
     commands = [("parse", path), ("oracle", path), ("assign", path, "--seed", 3),
-                *(("split", path, "--placement", p) for p in placement_files(tmp_path, name))]
+                ("assign", path, "--runs", 2), ("stats", path, "--runs", 2),
+                ("advise", path), ("advise", path, "--json"),
+                ("refine", path), ("refine", path, "--apply"),
+                *((command, path, "--placement", p)
+                  for command in ("split", "advise") for p in placements)]
 
     def outputs():
         return [(r.exit_code, r.stdout) for r in (invoke(runner, *c) for c in commands)]
@@ -562,12 +577,14 @@ def test_commands_that_read_no_graph_build_none(runner, tmp_path, monkeypatch, n
     ("assign", "--runs", 2), ("refine",), ("refine", "--apply"),
 ])
 def test_commands_that_read_the_graph_build_it(runner, monkeypatch, command):
+    """Only ``graph`` reads the dependence graph, so it alone builds one; the
+    advisor reads the front end's bindings."""
     built = []
     real = depgraph.build_pdg
     patch_build_pdg(monkeypatch, lambda program: built.append(program) or real(program))
     result = invoke(runner, command[0], fixture_path("unicorn_v2.tjs"), *command[1:])
     assert result.exit_code == 0, result.stderr
-    assert built
+    assert bool(built) == (command[0] == "graph")
 
 
 def exit_case(tmp_path, code: int) -> tuple:

@@ -56,11 +56,12 @@ def test_no_stage_leaves_cyclic_garbage(name, paused_gc):
     problem = placement_problem(program)
     placement = Placement(fixed=dict(problem.fixed),
                           searched={s: Tier.CLIENT for s in problem.unplaced})
-    advices = applicable_advice(program, advise(build_pdg(program), problem, placement, program))
+    advices = applicable_advice(program, advise(problem, placement, program))
     stages = {
         "parse": (parse, text, name),
         "resolve_calls": (lambda: resolve_calls(parse(text, name)),),
         "walk": (walk, program),
+        "advise": (advise, problem, placement, program),
         "apply_advice": (apply_advice, program, advices),
         "apply_advice []": (apply_advice, program, []),
         "build_pdg": (build_pdg, program),

@@ -22,7 +22,6 @@ from tierslicer.search import (
     _layout,
     _Scorer,
     _Streams,
-    _closure_genome,
     _next_generation,
     _ranking,
     exhaustive_oracle,
@@ -30,6 +29,7 @@ from tierslicer.search import (
     run,
     run_many,
     seed_population,
+    server_closure,
 )
 
 
@@ -211,6 +211,13 @@ def cached_half(rng):
     return state["uinteger"] if state["has_uint32"] else None
 
 
+def rewind(streams):
+    """Give back every run's words past its next generation."""
+    for r in range(len(streams.rngs)):
+        streams._rewind(r)
+    streams._update()
+
+
 # (population, tournament size): odd and even populations, tournaments of
 # one, of four and of the whole population.
 STREAM_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 3), (30, 1), (30, 4), (30, 30),
@@ -237,7 +244,7 @@ def test_batched_draws_equal_numpys_calls(P, T, n):
             streams.keep(keep)
             refs = [ref for ref, k in zip(refs, keep) if k]
             ks = [k for k, kept in zip(ks, keep) if kept]
-    streams.rewind()  # give back the words fetched for later generations
+    rewind(streams)  # give back the words fetched for later generations
     assert ([rng.bit_generator.state["state"] for rng in streams.rngs]
             == [ref.bit_generator.state["state"] for ref in refs])
     assert [cached_half(rng) for rng in streams.rngs] == [cached_half(ref) for ref in refs]
@@ -917,12 +924,19 @@ def test_a_rejected_half_later_in_a_block_is_redrawn(segment, generation, monkey
     for _ in range(generation + 3):
         assert_same_draws(streams, refs, [k] * 3, n, config)
     assert redrawn == [(generation, k, n, config)]
-    streams.rewind()
+    rewind(streams)
     assert ([rng.bit_generator.state["state"] for rng in streams.rngs]
             == [ref.bit_generator.state["state"] for ref in refs])
 
 
 # --- Closure seeding ------------------------------------------------------
+
+
+def closure_genome(problem):
+    """The genome ``run_many`` falls back on: server for the slices in the
+    server closure, client for the rest."""
+    closure = server_closure(problem)
+    return np.array([2 if s in closure else 1 for s in problem.unplaced], dtype=np.int8)
 
 
 @settings(max_examples=60, deadline=None)
@@ -941,9 +955,9 @@ def test_the_closure_finds_a_valid_genome_iff_one_exists(seed, layered):
     valid = eval_population(compiled, genomes)[1]
     if not valid.any():
         with pytest.raises(AllInvalidError, match="is reached from the server"):
-            _closure_genome(problem)
+            server_closure(problem)
         return
-    genome = _closure_genome(problem)
+    genome = closure_genome(problem)
     assert genome.dtype == np.int8 and set(genome.tolist()) <= {1, 2}
     assert eval_population(compiled, genome[None])[1][0]
     # Every valid genome holds the server wherever the closure genome does.
@@ -961,7 +975,7 @@ def test_a_run_whose_seedings_all_fail_starts_from_the_closure_genome():
         rng = np.random.default_rng(seed)
         seedings = [seed_population(config, compiled.n_genes, rng) for _ in range(10)]
         assert any(eval_population(compiled, pop)[1].any() for pop in seedings) == (seed in (0, 2))
-    genome = _closure_genome(problem).tolist()
+    genome = closure_genome(problem).tolist()
     _, optimum = exhaustive_oracle(problem)
     for budget in (config, GaConfig()):
         batch = run_many(problem, budget, 4)
