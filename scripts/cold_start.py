@@ -5,7 +5,12 @@
 
 Each round runs every command once on each tree, each call in a fresh
 interpreter, the trees in alternating order (BEFORE first in even rounds),
-after one untimed round that compiles each tree's bytecode.
+after one untimed round that writes each tree's bytecode.  Each tree's
+calls share a bytecode cache of their own (``PYTHONPYCACHEPREFIX``) in a
+temporary directory, written whatever ``PYTHONDONTWRITEBYTECODE`` says, so
+every timed call loads cached bytecode, standard library included, and no
+``__pycache__`` is written into either tree.  The header says how many
+``.pyc`` files each cache holds.
 The commands are ``parse``, ``graph``, ``oracle``, ``split --placement`` and
 ``assign`` on the bundled ``relay.tjs``, and ``--help``; the placement file
 is the oracle's answer, written once to a temporary directory.  A call
@@ -30,9 +35,11 @@ FIXTURE = Path(__file__).resolve().parent.parent / "src" / "tierslicer" / "fixtu
 LAUNCH = "import sys; from tierslicer.cli import main; sys.argv[0] = 'tierslicer'; main()"
 
 
-def cli(src: Path, *args) -> float:
-    """Seconds of one CLI call in a fresh interpreter that imports from ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
+def cli(src: Path, cache: Path, *args) -> float:
+    """Seconds of one CLI call in a fresh interpreter that imports from ``src``
+    and reads and writes its bytecode under ``cache``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": str(cache)}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     start = time.perf_counter()
     subprocess.run([sys.executable, "-c", LAUNCH, *map(str, args)], env=env, check=True,
                    stdout=subprocess.DEVNULL)
@@ -54,7 +61,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         placement = Path(tmp) / "placement.json"
-        cli(trees[0], "oracle", FIXTURE, "-o", placement)
+        caches = (Path(tmp) / "before", Path(tmp) / "after")
+        cli(trees[0], caches[0], "oracle", FIXTURE, "-o", placement)
         commands = {
             "parse": ("parse", FIXTURE),
             "graph": ("graph", FIXTURE),
@@ -64,16 +72,19 @@ def main(argv=None) -> int:
             "--help": ("--help",),
         }
         seconds = {name: ([], []) for name in commands}
-        for r in range(-1, args.rounds):  # round -1 compiles each tree's bytecode, untimed
+        for r in range(-1, args.rounds):  # round -1 writes each tree's bytecode, untimed
             order = (0, 1) if r % 2 == 0 else (1, 0)
             for name, command in commands.items():
                 for side in order:
-                    elapsed = cli(trees[side], *command)
+                    elapsed = cli(trees[side], caches[side], *command)
                     if r >= 0:
                         seconds[name][side].append(elapsed)
+            if r == -1:
+                cached = [sum(1 for _ in cache.rglob("*.pyc")) for cache in caches]
 
     print(f"{args.rounds} alternating rounds, Python {platform.python_version()}, "
-          f"{os.cpu_count()} cores; wall ms, median (min-max)")
+          f"{os.cpu_count()} cores; bytecode cached per tree, {cached[0]} and {cached[1]} "
+          f".pyc files; wall ms, median (min-max)")
     print(f"{'command':<20}{'before':>20}{'after':>20}  after faster")
     for name, (before, after) in seconds.items():
         cells = [f"{1e3 * statistics.median(s):.0f} ({1e3 * min(s):.0f}-{1e3 * max(s):.0f})"

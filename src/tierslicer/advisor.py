@@ -15,7 +15,7 @@ A var's readers come from the front end's walk, their names bound by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import frontend
@@ -62,7 +62,8 @@ def advise_replication(placement: Placement, program: SourceProgram, incoming: d
     """Advice to replicate each slice var read in functions called remotely
     more than locally.  A var declaration's readers are the other statements
     that read, by ``Scope.var``, a var its own statement defines: its name and
-    each name its initializer assigns.  They come in step order."""
+    each name its initializer assigns.  They come in step order.  A var
+    declared twice in one scope is advised once, at its first declaration."""
     statements = [step for step in program.steps if isinstance(step, tuple)]
     readers: dict[int, list] = {}  # id(var Declaration) -> its readers' indices
     for k, (_, _, scope, _, reads, _, _) in enumerate(statements):
@@ -75,7 +76,10 @@ def advise_replication(placement: Placement, program: SourceProgram, incoming: d
         if (not isinstance(st, VarDecl) or owner == SHARED
                 or any(a.kind is AnnotationKind.REPLICATED for a in st.annotations)):
             continue
-        defined = {id(d) for d in map(scope.var, (st.name, *writes)) if d is not None}
+        binding = scope.var(st.name)
+        if binding is not None and binding.node is not st:
+            continue  # the binding's own declaration gives the advice
+        defined = {id(d) for d in (binding, *map(scope.var, writes)) if d is not None}
         decl_mask = _tier_mask(placement, owner)
         evidence = []
         for j in sorted({j for key in defined for j in readers.get(key, ()) if j != k}):
@@ -145,7 +149,8 @@ def apply_advice(program: SourceProgram, advices: list) -> SourceProgram:
         if k is None:
             raise TargetNotFoundError(f"slice {owner!r} not found")
         if k < len(program.slices) and slices[k] is program.slices[k]:
-            slices[k] = replace(slices[k], body=list(slices[k].body))
+            s = slices[k]
+            slices[k] = SliceDecl(s.name, list(s.body), s.fixed_tier, s.annotations, s.span)
         return slices[k].body
 
     for advice in advices:
@@ -156,19 +161,16 @@ def apply_advice(program: SourceProgram, advices: list) -> SourceProgram:
                 raise TargetNotFoundError(f"var {advice.target!r} not in slice {advice.owner!r}")
             target = stmts[k]
             if not any(a.kind is AnnotationKind.REPLICATED for a in target.annotations):
-                stmts[k] = replace(target, annotations=[*target.annotations,
-                                                        Annotation(AnnotationKind.REPLICATED)])
+                stmts[k] = VarDecl(target.name, target.init, [
+                    *target.annotations, Annotation(AnnotationKind.REPLICATED, [])], target.span)
         else:
             k = _find_stmt(stmts, FunctionDecl, advice.target)
             if k is None:
                 raise TargetNotFoundError(f"function {advice.target!r} not in slice {advice.owner!r}")
             name = _fresh_slice_name(f"auto_{advice.target}", index.keys())
             index[name] = len(slices)
-            slices.append(SliceDecl(
-                name=name,
-                body=[stmts.pop(k)],
-                annotations=[Annotation(AnnotationKind.SLICE, [name])],
-            ))
+            slices.append(SliceDecl(name, [stmts.pop(k)], None,
+                                    [Annotation(AnnotationKind.SLICE, [name])]))
 
     work = SourceProgram(slices=slices, shared_top_level=program.shared_top_level,
                          filename=program.filename, line_starts=program.line_starts)

@@ -605,10 +605,6 @@ def parse(source_text: str, filename: str = "<input>") -> SourceProgram:
     return program
 
 
-# Expression nodes that hold no expression: the walk does not look inside them.
-_LEAVES = frozenset({Ident, NumberLit, StringLit, BoolLit, NullLit, ThisExpr})
-
-
 def walk(program: SourceProgram) -> SourceProgram:
     """The one pre-order walk, carrying the scope chain.  It sets
     ``program``'s steps, declarations and unresolved call sites, and returns
@@ -672,7 +668,7 @@ def _visit(stmts, owner, scope, parent, steps, decls, calls):
                 elif cls is Assign and type(n.target) is Ident:
                     writes.append(n.target.name)
                     stack.append(n.value)
-                elif cls not in _LEAVES:
+                elif cls.kids:
                     stack += reversed(subnodes(n))
             for fx in bodies:
                 _visit(fx.body, owner, _function_scope(fx, scope), st, steps, decls, calls)

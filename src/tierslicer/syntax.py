@@ -5,19 +5,22 @@ are divided into named slices (annotated blocks); everything outside a slice
 is shared top-level code.  Annotations live in block comments and attach to
 the syntactically next block, declaration or statement.
 
-A node's span is the ``(start, end)`` offsets of the token it starts at;
-``line_col`` works out a line and column where a position is printed.  AST
-equality is structural and ignores spans: a program re-parsed from its own
-``emit`` output equals the original.  ``subnodes`` is the one way analysis
-code steps into a node.
+Every tree node is a ``Node``, which states the contract once.  A node class
+declares its fields as ``__slots__``, in constructor order with ``span``
+last, and names in ``kids`` the fields that hold Expr or Stmt values;
+``Node`` writes its constructor, in which every field but ``span`` is
+required.  A node's span is the ``(start, end)`` offsets of the token it
+starts at; ``line_col`` works out a line and column where a position is
+printed.  AST equality is structural and ignores spans: a program re-parsed
+from its own ``emit`` output equals the original.  Nodes are unhashable.
+``subnodes`` is the one way analysis code steps into a node.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 
 
 def line_col(line_starts, offset: int) -> tuple[int, int]:
@@ -26,11 +29,6 @@ def line_col(line_starts, offset: int) -> tuple[int, int]:
     starts no line), and its 1-based code-point offset in that line."""
     line = bisect_right(line_starts, offset)
     return line, offset - line_starts[line - 1] + 1
-
-
-def _span():
-    """A node's ``(start, end)`` offsets, which take no part in AST equality."""
-    return field(default=(0, 0), compare=False)
 
 
 class AnnotationKind(Enum):
@@ -68,214 +66,176 @@ ANNOTATION_CATEGORIES = {
 }
 
 
-@dataclass(slots=True)
-class Annotation:
-    kind: AnnotationKind
-    # Identifier arguments; @config args are (name, tier) pairs.
-    args: list = field(default_factory=list)
-    span: tuple = _span()
+class Node:
+    """A syntax-tree node; the module docstring states the contract."""
+
+    __slots__ = ()
+    kids = ()
+
+    def __init_subclass__(cls):
+        """Write ``cls.__init__(self, f1, ..., span=(0, 0))``, one assignment per field."""
+        names = cls.__slots__
+        if names:
+            scope = {}
+            exec(f"def __init__(self, {', '.join(names[:-1] + ('span=(0, 0)',))}):"
+                 + "".join(f"\n    self.{n} = {n}" for n in names), scope)
+            cls.__init__ = scope["__init__"]
+
+    def __eq__(self, other):
+        """Same type and equal fields, ``span`` left out; a node is unhashable."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__[:-1])
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Annotation(Node):
+    # ``args``: identifier arguments; @config args are (name, tier) pairs.
+    __slots__ = ("kind", "args", "span")
 
 
 # --- Expressions ----------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Expr:
-    pass
+class Expr(Node):
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class NumberLit(Expr):
-    value: float
-    span: tuple = _span()
+    __slots__ = ("value", "span")
 
 
-@dataclass(slots=True)
 class StringLit(Expr):
-    value: str
-    span: tuple = _span()
+    __slots__ = ("value", "span")
 
 
-@dataclass(slots=True)
 class BoolLit(Expr):
-    value: bool
-    span: tuple = _span()
+    __slots__ = ("value", "span")
 
 
-@dataclass(slots=True)
 class NullLit(Expr):
-    span: tuple = _span()
+    __slots__ = ("span",)
 
 
-@dataclass(slots=True)
 class ThisExpr(Expr):
-    span: tuple = _span()
+    __slots__ = ("span",)
 
 
-@dataclass(slots=True)
 class Ident(Expr):
-    name: str
-    span: tuple = _span()
+    __slots__ = ("name", "span")
 
 
-@dataclass(slots=True)
 class Member(Expr):
-    obj: Expr
-    attr: str
-    span: tuple = _span()
+    __slots__ = ("obj", "attr", "span")
+    kids = ("obj",)
 
 
-@dataclass(slots=True)
 class Index(Expr):
-    obj: Expr
-    index: Expr
-    span: tuple = _span()
+    __slots__ = ("obj", "index", "span")
+    kids = ("obj", "index")
 
 
-@dataclass(slots=True)
 class Call(Expr):
-    callee: Expr
-    args: list[Expr] = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("callee", "args", "span")
+    kids = ("callee", "args")
 
 
-@dataclass(slots=True)
 class Unary(Expr):
-    op: str
-    operand: Expr = None
-    span: tuple = _span()
+    __slots__ = ("op", "operand", "span")
+    kids = ("operand",)
 
 
-@dataclass(slots=True)
 class Binary(Expr):
-    op: str
-    left: Expr = None
-    right: Expr = None
-    span: tuple = _span()
+    __slots__ = ("op", "left", "right", "span")
+    kids = ("left", "right")
 
 
-@dataclass(slots=True)
 class Assign(Expr):
-    target: Expr = None
-    value: Expr = None
-    span: tuple = _span()
+    __slots__ = ("target", "value", "span")
+    kids = ("target", "value")
 
 
-@dataclass(slots=True)
 class ObjectLit(Expr):
-    entries: list[tuple[str, Expr]] = field(default_factory=list)
-    span: tuple = _span()
+    # ``entries``: (key, Expr) pairs.
+    __slots__ = ("entries", "span")
+    kids = ("entries",)
 
 
-@dataclass(slots=True)
 class ArrayLit(Expr):
-    elements: list[Expr] = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("elements", "span")
+    kids = ("elements",)
 
 
-@dataclass(slots=True)
 class FuncExpr(Expr):
-    params: list = field(default_factory=list)
-    body: list[Stmt] = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("params", "body", "span")
+    kids = ("body",)
 
 
 # --- Statements -----------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Stmt:
-    pass
+class Stmt(Node):
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class VarDecl(Stmt):
-    name: str
-    init: Expr | None = None
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("name", "init", "annotations", "span")  # init may be None
+    kids = ("init",)
 
 
-@dataclass(slots=True)
 class FunctionDecl(Stmt):
-    name: str
-    params: list = field(default_factory=list)
-    body: list[Stmt] = field(default_factory=list)
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("name", "params", "body", "annotations", "span")
+    kids = ("body",)
 
 
-@dataclass(slots=True)
 class ExprStmt(Stmt):
-    expr: Expr = None
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("expr", "annotations", "span")
+    kids = ("expr",)
 
 
-@dataclass(slots=True)
 class IfStmt(Stmt):
-    cond: Expr = None
-    then: list[Stmt] = field(default_factory=list)
-    orelse: list[Stmt] = field(default_factory=list)
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("cond", "then", "orelse", "annotations", "span")
+    kids = ("cond", "then", "orelse")
 
 
-@dataclass(slots=True)
 class WhileStmt(Stmt):
-    cond: Expr = None
-    body: list[Stmt] = field(default_factory=list)
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("cond", "body", "annotations", "span")
+    kids = ("cond", "body")
 
 
-@dataclass(slots=True)
 class ForStmt(Stmt):
-    init: Stmt | None = None  # VarDecl or ExprStmt, semicolon-less
-    cond: Expr | None = None
-    update: Expr | None = None
-    body: list[Stmt] = field(default_factory=list)
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    # ``init`` is a semicolon-less VarDecl or ExprStmt; init, cond and update may be None.
+    __slots__ = ("init", "cond", "update", "body", "annotations", "span")
+    kids = ("init", "cond", "update", "body")
 
 
-@dataclass(slots=True)
 class ReturnStmt(Stmt):
-    value: Expr | None = None
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("value", "annotations", "span")  # value may be None
+    kids = ("value",)
 
 
-@dataclass(slots=True)
 class BlockStmt(Stmt):
-    body: list[Stmt] = field(default_factory=list)
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+    __slots__ = ("body", "annotations", "span")
+    kids = ("body",)
 
 
-@dataclass(slots=True)
 class UiBlock(Stmt):
     """A @ui block: stored verbatim, excluded from dependence analysis."""
 
-    text: str = ""
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
-
-
-@cache
-def _node_fields(cls) -> tuple:
-    """Names of the fields of ``cls`` whose declared type names Expr or Stmt."""
-    return tuple(f.name for f in fields(cls) if "Expr" in f.type or "Stmt" in f.type)
+    __slots__ = ("text", "annotations", "span")
 
 
 def subnodes(node) -> list:
-    """The Expr and Stmt values held by ``node``'s fields, in field order.
+    """The Expr and Stmt values held by ``node``'s ``kids``, in field order.
 
     List fields give their items, and an ObjectLit entry, the one kind of
     list item that is a tuple, gives its value.
     """
     out = []
-    for name in _node_fields(type(node)):
+    for name in node.kids:
         value = getattr(node, name)
         if isinstance(value, list):
             out += [item[1] for item in value] if value and isinstance(value[0], tuple) else value
@@ -287,13 +247,10 @@ def subnodes(node) -> list:
 # --- Program structure ----------------------------------------------------
 
 
-@dataclass(slots=True)
-class SliceDecl:
-    name: str
-    body: list = field(default_factory=list)
-    fixed_tier: str | None = None  # "client" | "server" | None
-    annotations: list = field(default_factory=list)
-    span: tuple = _span()
+class SliceDecl(Node):
+    # ``fixed_tier``: "client", "server" or None.
+    __slots__ = ("name", "body", "fixed_tier", "annotations", "span")
+    kids = ("body",)
 
 
 @dataclass(slots=True)

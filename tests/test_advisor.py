@@ -325,8 +325,10 @@ def test_report_json_shape():
 
 def replication_from_graph(placement, program, incoming) -> list:
     """``advise_replication`` read off ``build_pdg``: a var's readers are the
-    heads of the DATA edges out of its declaration node, in node order."""
+    heads of the DATA edges out of its declaration node, in node order.  A
+    var declared again in the scope of its binding draws no advice."""
     graph = build_pdg(program)
+    scopes = {id(step[0]): step[2] for step in program.steps if isinstance(step, tuple)}
     readers = {}
     for e in graph.edges:
         if e.kind == DATA:
@@ -336,6 +338,9 @@ def replication_from_graph(placement, program, incoming) -> list:
     for decl, node in zip(program.declarations, decl_nodes, strict=True):
         if decl.kind != "var" or decl.owner == SHARED or any(
                 a.kind is AnnotationKind.REPLICATED for a in decl.node.annotations):
+            continue
+        binding = scopes[id(decl.node)].var(decl.name)
+        if binding is not None and binding is not decl:
             continue
         evidence = []
         for reader in sorted(readers.get(node.id, []), key=lambda n: n.id):
@@ -416,4 +421,4 @@ def test_replication_readers_come_in_source_order_across_the_vars_a_declaration_
     placement = Placement(fixed=dict(problem.fixed), searched={"db": Tier.SERVER})
     advices = advise_replication(placement, program, incoming_counts(problem, placement))
     assert [(a.target, a.dependent_functions) for a in advices] == [
-        ("y", ["f", "g"]), ("z", ["f"]), ("twice", ["h"]), ("twice", ["h"]), ("x", ["k"])]
+        ("y", ["f", "g"]), ("z", ["f"]), ("twice", ["h"]), ("x", ["k"])]

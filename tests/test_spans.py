@@ -8,12 +8,13 @@ precedence-climbing loop; they pin the positions those changes must keep.
 loop's expression init moved from the span of the ``;`` after it to the span
 of its own first token; that one node is its only change.  Since nodes keep
 only their ``(start, end)`` offsets, a row's line and column are looked up
-in the program's line table; the digests were kept, not re-recorded.
+in the program's line table; the digests were kept, not re-recorded.  Nor
+were they when nodes stopped being dataclasses: the walk reads a ``Node``'s
+slots, which are its old fields in the same order.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -22,7 +23,8 @@ from conftest import fixture_path
 from genprog import random_source
 from tierslicer.errors import ParseError
 from tierslicer.frontend import Lexer, parse
-from tierslicer.syntax import line_col
+from tierslicer.syntax import (BoolLit, Expr, ExprStmt, Ident, Node, NullLit, NumberLit, ObjectLit,
+                               ReturnStmt, Stmt, StringLit, ThisExpr, line_col)
 
 # Every statement kind, every binary level, unary operators, chained
 # assignment, postfix chains, literals of each kind, annotations and a @ui block.
@@ -66,16 +68,15 @@ def token_digest(text: str) -> str:
 
 def ast_digest(program) -> str:
     """sha256 over (type, span) of every node, annotations included, in
-    pre-order over the dataclass fields."""
+    pre-order over each node's fields in slot order."""
     rows, stack = [], [program.slices, program.shared_top_level]
     while stack:
         item = stack.pop()
         if isinstance(item, (list, tuple)):
             stack.extend(reversed(item))
-        elif dataclasses.is_dataclass(item):
+        elif isinstance(item, Node):
             rows.append((type(item).__name__, _span(program.line_starts, item.span)))
-            stack.extend(reversed([getattr(item, f.name) for f in dataclasses.fields(item)
-                                   if f.name != "span"]))
+            stack.extend(reversed([getattr(item, name) for name in item.__slots__[:-1]]))
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -212,6 +213,54 @@ FROZEN_ERRORS = [
 def test_token_and_node_spans_are_frozen(name):
     text = PROGRAMS[name]
     assert (token_digest(text), ast_digest(parse(text, name))) == FROZEN_DIGESTS[name]
+
+
+def _node_classes(cls=Node) -> set:
+    """Every class below ``cls`` that declares fields."""
+    out = set()
+    for sub in cls.__subclasses__():
+        out |= _node_classes(sub) | ({sub} if sub.__slots__ else set())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_kids_name_the_fields_that_hold_nodes_and_equality_skips_spans(name):
+    """A hand-written ``kids`` names every field that holds an Expr or Stmt,
+    and its fields hold nothing else but None, lists of them and ObjectLit
+    ``(key, Expr)`` pairs.  Equality ignores spans, not classes; nodes are
+    unhashable."""
+    program = parse(PROGRAMS[name], name)
+    stack, seen = [*program.slices, *program.shared_top_level], set()
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        with pytest.raises(TypeError):
+            hash(node)
+        for field in node.__slots__:
+            value = getattr(node, field)
+            items = value if isinstance(value, list) else [value]
+            if field not in node.kids:
+                flat = [x for item in items for x in (item if isinstance(item, tuple) else [item])]
+                assert not any(isinstance(x, (Expr, Stmt)) for x in flat), (type(node), field)
+                stack += [x for x in flat if isinstance(x, Node)]  # annotations
+                continue
+            if type(node) is ObjectLit:
+                assert all(type(item) is tuple and type(item[0]) is str for item in items)
+                items = [item[1] for item in items]
+            assert all(isinstance(item, (Expr, Stmt)) for item in items if item is not None)
+            assert value is not None or field in ("init", "cond", "update", "value")
+            stack += [item for item in items if item is not None]
+    if name == "every_shape.tjs":
+        assert seen == _node_classes()
+
+    shifted = parse("\n  " + PROGRAMS[name], name)
+    assert (shifted.slices, shifted.shared_top_level) == (program.slices, program.shared_top_level)
+    assert ((shifted.slices or shifted.shared_top_level)[0].span
+            != (program.slices or program.shared_top_level)[0].span)
+    for a, b in [(NullLit((0, 4)), ThisExpr((0, 4))), (StringLit("x"), Ident("x")),
+                 (NumberLit(1.0), BoolLit(True)),
+                 (ExprStmt(Ident("x"), []), ReturnStmt(Ident("x"), []))]:
+        assert a != b and a == type(a)(*(getattr(a, f) for f in a.__slots__[:-1]), (7, 9))
 
 
 @pytest.mark.parametrize("source, message, line, col", FROZEN_ERRORS)
