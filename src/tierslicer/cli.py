@@ -319,10 +319,10 @@ def _stats_mode(program, problem, config, runs, jobs, csv_path):
 @click.argument("path", type=click.Path())
 @click.option("--oracle-cap", "cap", type=click.IntRange(min=0), default=ORACLE_CAP,
               show_default=True,
-              help="Maximum number of unplaced slices to enumerate.")
+              help="Refuse more unplaced slices than this.")
 @click.option("-o", "--output", type=click.Path(), default=None)
 def cmd_oracle(path, cap, output):
-    """Exhaustively enumerate all placements of PATH's unplaced slices."""
+    """Place PATH's unplaced slices optimally, by one minimum cut."""
     from .exact import exhaustive_oracle
     from .fitness import evaluate
 

@@ -13,11 +13,17 @@ weight 1 and t_b -> t_a, of weight 1 with @reply or @broadcast and else
 TPAMI 26(2), 2004).  The arc t_g -> c_g of weight ``inf`` keeps gene g's mask
 nonempty; a fixed bit is the source if 1 and the sink if 0.  So a minimum
 cut below ``inf`` is the fewest remote calls of a valid placement, and none
-is valid otherwise.  The minimum cuts are the sets that hold the source, not
-the sink, and every head of a residual arc out of them (Picard & Queyranne,
-Math. Prog. Study 13, 1980), so the smallest optimum fixes genes 0, 1, ...
-in turn to the smallest mask whose bits spread without a conflict, ones
-forward along residual arcs and zeros backward.  Nothing recurses.
+is valid otherwise.  The calls from and to fixed or shared slices are the
+arcs out of the source and into the sink, so most of the flow runs along
+paths of at most three arcs: ``max_flow`` saturates those it meets in one
+pass, and Dinic's phases, each of whose breadth-first searches stops at the
+sink's level, augment the rest.  The flow stops once it reaches ``inf``.
+Every maximum flow leaves the same minimum cuts: the sets that hold the
+source, not the sink, and every head of a residual arc out of them (Picard
+& Queyranne, Math. Prog. Study 13, 1980).  So the smallest optimum, which
+fixes genes 0, 1, ... in turn to the smallest mask whose bits spread without
+a conflict, ones forward along residual arcs and zeros backward, does not
+depend on which maximum flow is found.  Nothing recurses.
 """
 
 from __future__ import annotations
@@ -58,31 +64,44 @@ class _Residual:
             self.head += [v, u]
             self.cap += [w, 0]
 
-    def max_flow(self) -> int:
-        """Dinic's algorithm: per level graph, augment along paths found by an
-        explicit-stack search that skips each node's dead arcs."""
+    def max_flow(self, limit: int) -> int:
+        """The value of a maximum flow, or of a flow of at least ``limit``.
+
+        One pass over the arcs out of the source first saturates the residual
+        paths source -> sink, source -> u -> sink and source -> u -> v -> sink
+        that it meets, which carry most of the flow.  Dinic's algorithm
+        augments the rest: per level graph, whose search stops at the sink's
+        level, along paths found by an explicit-stack search that skips each
+        node's dead arcs.
+        """
         out, head, cap = self.out, self.head, self.cap
-        flow = 0
-        while True:
+        to_sink = {head[e]: e ^ 1 for e in out[SINK]}  # u -> its arc u -> sink
+        flow = self._augment((to_sink[SOURCE],)) if SOURCE in to_sink else 0
+        for e in out[SOURCE]:
+            for a in out[head[e]]:
+                if not cap[e]:
+                    break
+                v = head[a]
+                if cap[a] and (v == SINK or v in to_sink):
+                    flow += self._augment((e, a) if v == SINK else (e, a, to_sink[v]))
+        while flow < limit:
             level = [-1] * len(out)
             level[SOURCE] = 0
             queue = [SOURCE]
             for u in queue:  # breadth first: the loop reads what it appends
+                if level[SINK] >= 0:  # every node below the sink's level is labelled
+                    break
                 for e in out[u]:
                     if cap[e] and level[head[e]] < 0:
                         level[head[e]] = level[u] + 1
                         queue.append(head[e])
             if level[SINK] < 0:
-                return flow
+                break
             nxt = [0] * len(out)  # each node's first arc not known to be dead
             path, u = [], SOURCE
             while True:
                 if u == SINK:
-                    push = min(cap[e] for e in path)
-                    for e in path:
-                        cap[e] -= push
-                        cap[e ^ 1] += push
-                    flow += push
+                    flow += self._augment(path)
                     path, u = [], SOURCE
                 arcs, i = out[u], nxt[u]
                 while i < len(arcs) and not (cap[arcs[i]] and level[head[arcs[i]]] == level[u] + 1):
@@ -96,6 +115,16 @@ class _Residual:
                     nxt[u] += 1
                 else:
                     break
+        return flow
+
+    def _augment(self, path) -> int:
+        """Push the most that the arcs of ``path`` take, and return it."""
+        cap = self.cap
+        push = min(map(cap.__getitem__, path))
+        for e in path:
+            cap[e] -= push
+            cap[e ^ 1] += push
+        return push
 
     def settle(self, value: list, seeds) -> bool:
         """Set the bits that ``seeds``, ``(node, bit)`` pairs, force on the
@@ -153,7 +182,7 @@ def optimum(problem: PlacementProblem) -> tuple:
     weight, inf = _arcs(problem)
     n_genes = len(problem.unplaced)
     graph = _Residual(2 * n_genes + 2, weight)
-    remote = graph.max_flow()
+    remote = graph.max_flow(inf)
     if remote >= inf:
         server_closure(problem)  # no placement is valid, so this raises
     value = [None] * len(graph.out)

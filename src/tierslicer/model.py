@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 # Owner marker for statements outside every slice.  Shared code is duplicated
 # into whichever tier uses it, so shared callees are always local.
@@ -81,8 +82,10 @@ class PlacementProblem:
             if tier is Tier.BOTH:
                 raise ValueError("fixed slices may only be client or server")
 
-    @property
+    @cached_property
     def unplaced(self) -> tuple:
+        """The slices without a fixed tier, in slice order; read once, as
+        nothing changes ``slices`` or ``fixed`` after construction."""
         return tuple(s for s in self.slices if s not in self.fixed)
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_problem
+from conftest import FIXTURES, fixture_problem
 from genprog import random_flat_problem, random_problem, rule_counts, wide_flat_problem
 from tierslicer.errors import AllInvalidError
-from tierslicer.exact import SINK, SOURCE, _arcs
+from tierslicer.exact import SINK, SOURCE, _arcs, _Residual, optimum
 from tierslicer.fitness import evaluate
 from tierslicer.model import CallRecord, PlacementProblem, Tier
 from tierslicer.placement import is_valid
@@ -51,17 +51,71 @@ def test_the_cut_charges_every_genome_what_call_rule_does(source):
         assert cut_costs(problem, genomes) == expected.ravel().tolist()
 
 
-def test_a_call_chain_past_the_recursion_limit():
-    # srv -> g0 -> g1 -> ... -> g4999 -> cli: only srv -> g0 carries @reply, so
-    # no gene may hold the server, and the flow runs along all 5,001 arcs.
-    genes = [f"g{i}" for i in range(5000)]
+def call_chain(n):
+    """srv -> g0 -> g1 -> ... -> g{n-1} -> cli: only srv -> g0 carries @reply,
+    so no gene may hold the server, and the flow runs along all n + 1 arcs."""
+    genes = [f"g{i}" for i in range(n)]
     names = ["srv", *genes, "cli"]
     calls = tuple(CallRecord(i, a, b, f"f{i}", i == 0)
                   for i, (a, b) in enumerate(zip(names, names[1:])))
-    problem = PlacementProblem(tuple(names), {"srv": Tier.SERVER, "cli": Tier.CLIENT}, calls)
-    placement, fitness = exhaustive_oracle(problem, cap=5000)
+    return PlacementProblem(tuple(names), {"srv": Tier.SERVER, "cli": Tier.CLIENT}, calls)
+
+
+def test_a_call_chain_past_the_recursion_limit():
+    placement, fitness = exhaustive_oracle(call_chain(5000), cap=5000)
     assert set(placement.searched.values()) == {Tier.CLIENT}
     assert fitness == 5000 / 5001
+
+
+def certify_max_flow(problem):
+    """Check that ``max_flow`` leaves a maximum flow whose value is the cut
+    that ``optimum``'s genome pays, or a flow of at least ``inf`` when no
+    placement is valid."""
+    weight, inf = _arcs(problem)
+    graph = _Residual(2 * len(problem.unplaced) + 2, weight)
+    value = graph.max_flow(inf)
+    head, cap = graph.head, graph.cap
+    # Arc e = 2k carries flow cap[e + 1], and the pair keeps its weight.
+    assert [cap[e] + cap[e + 1] for e in range(0, len(cap), 2)] == list(weight.values())
+    assert min(cap, default=0) >= 0
+    net = [0] * len(graph.out)
+    for e in range(0, len(cap), 2):
+        net[head[e + 1]] -= cap[e + 1]
+        net[head[e]] += cap[e + 1]
+    assert net[SINK] == -net[SOURCE] == value
+    assert not any(net[2:])  # conserved at every gene node
+    if value >= inf:
+        with pytest.raises(AllInvalidError):
+            optimum(problem)
+        return
+    reached, stack = {SOURCE}, [SOURCE]
+    while stack:
+        for e in graph.out[stack.pop()]:
+            if cap[e] and head[e] not in reached:
+                reached.add(head[e])
+                stack.append(head[e])
+    assert SINK not in reached  # no augmenting path is left
+    remote, genome = optimum(problem)
+    assert remote == value == cut_costs(problem, np.array([genome], dtype=np.int8))[0]
+
+
+@pytest.mark.parametrize("source", ["flat", "layered", "wide", "fixtures", "chain"])
+def test_the_flow_is_maximum_and_its_value_is_the_optimums_cut(source):
+    # A certificate of optimality that needs no enumeration, so it holds past the cap.
+    if source == "flat":
+        rng = np.random.default_rng(43)
+        problems = [random_flat_problem(rng) for _ in range(60)]
+    elif source == "layered":
+        problems = [random_problem(seed) for seed in range(8)]
+    elif source == "wide":
+        problems = [wide_flat_problem(seed, n) for seed, n in enumerate(range(13, 41, 3))]
+    elif source == "fixtures":
+        names = sorted(p.name for p in FIXTURES.glob("*.tjs"))
+        problems = [fixture_problem(name) for name in names]
+    else:
+        problems = [call_chain(5000)]
+    for problem in problems:
+        certify_max_flow(problem)
 
 
 @settings(max_examples=8, deadline=None)

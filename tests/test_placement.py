@@ -87,6 +87,7 @@ def _enumerate_validity(name):
 def test_relay_validity_set():
     problem, invalid = _enumerate_validity("relay.tjs")
     assert problem.unplaced == ("view", "cache", "audit")
+    assert problem.unplaced is problem.unplaced  # computed once
     # the unannotated gateway->render call breaks exactly when view is client-only
     assert invalid == {c for c in product(Tier, repeat=3) if c[0] is Tier.CLIENT}
 
