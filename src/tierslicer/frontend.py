@@ -1,7 +1,10 @@
 """TierJS frontend: lexer, recursive-descent parser, emitter, call resolution.
 
-The lexer reads the source once, with one token pattern; each match skips the
-whitespace and ``//`` comments in front of one token.  A token is a plain
+The lexer reads the source with one ``findall`` of one token pattern, whose
+two groups are the whitespace and ``//`` comments in front of a token and the
+token's text; a token's offsets are a running sum of their lengths, and its
+kind follows from its first character.  A pass stops where a ``@ui`` comment
+may end, as the block after one is captured verbatim.  A token is a plain
 ``(kind, value, start, end)`` tuple, ``start`` and ``end`` being the offsets
 of its text.  Its kinds are IDENT (keywords included), NUMBER, STRING, PUNCT,
 ANNOT (an annotation comment), UI_BLOCK (the verbatim block after ``@ui``)
@@ -14,9 +17,11 @@ single-quoted body gets its bare ``"`` escaped and its ``\\'`` unescaped),
 which the emitter writes back unchanged.
 
 Binary operators are parsed by precedence climbing over one table,
-``_BIN_LEVELS``, which the emitter also reads to place parentheses.  Nesting
-deeper than ``MAX_NESTING`` levels is a parse error, so the recursive walks
-over the tree stay within Python's recursion limit.
+``_BIN_LEVELS``, which the emitter also reads to place parentheses; one loop
+reads an operand with its prefix operator or postfix chain, then the binary
+operators after it.  Nesting deeper than ``MAX_NESTING`` levels is a parse
+error, so the recursive walks over the tree stay within Python's recursion
+limit.
 
 Annotations are written inside ``/* ... */`` comments whose stripped text
 starts with ``@``; one comment may carry several annotations (e.g. a
@@ -92,23 +97,33 @@ from .syntax import (
 
 KEYWORDS = {"var", "function", "if", "else", "while", "for", "return", "true", "false", "null", "this"}
 
-# Whitespace and ``//`` comments, then one alternative per token kind; a match
-# that ends before any token group is the end of the text or a lexing error.
-# ``\s``, ``\w`` and ``\d`` mean ``str.isspace``, ``str.isalnum`` or ``_``,
-# and ``str.isdecimal``.  No class means ``str.isalpha``, so the lexer rejects
-# an IDENT whose first character is a number other than a decimal digit
-# (``²``, ``½``, ``Ⅻ``).  A COMMENT of two characters is an unterminated
-# ``/*``.
+# Whitespace and ``//`` comments in the first group, one token's text in the
+# second; one ``findall`` lexes a whole range.  An empty token is the end of
+# the range or a lexing error.  ``\s``, ``\w`` and ``\d`` mean
+# ``str.isspace``, ``str.isalnum`` or ``_``, and ``str.isdecimal``.  No class
+# means ``str.isalpha``, so the lexer rejects an IDENT whose first character is
+# a number other than a decimal digit (``²``, ``½``, ``Ⅻ``).  A comment of two
+# characters is an unterminated ``/*``.
 _TOKEN = re.compile(
-    r"""(?:\s+|//[^\n]*)*
-      (?: (?P<COMMENT>/\*(?:.*?\*/)?)
-        | (?P<NUMBER>\d[\d.]*)
-        | (?P<IDENT>(?:[^\W\d]|\$)[\w$]*)
-        | (?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
-        | (?P<PUNCT>[=!<>]=|&&|\|\||[{}()\[\];,.:=<>+\-*/%!])
-      )?""",
+    r"""(\s*(?://[^\n]*\s*)*)
+      ( [^\W\d][\w$]*|\$[\w$]*
+      | /\*(?:.*?\*/)?
+      | [=!<>]=?|&&|\|\||[{}()\[\];,.:+\-*/%]
+      | \d[\d.]*
+      | "[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*'
+      |)""",
     re.VERBOSE | re.DOTALL,
 )
+
+# A token's kind by its first character, where that is ASCII and settles it.
+# ``/`` starts a PUNCT or a comment; a non-ASCII character starts a NUMBER
+# (``str.isdecimal``), an IDENT (``str.isalpha``) or nothing the lexer accepts.
+_KIND_OF = {
+    **dict.fromkeys("{}()[];,.:=<>+-*%!&|", "PUNCT"),
+    **dict.fromkeys("\"'", "STRING"),
+    **dict.fromkeys("0123456789", "NUMBER"),
+    **dict.fromkeys("_$abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "IDENT"),
+}
 
 # How a single-quoted string body is written between double quotes.
 _REQUOTE = {'"': '\\"', "\\'": "'"}
@@ -125,38 +140,73 @@ class Lexer:
         raise cls(msg, *line_col(self.line_starts, pos), self.filename)
 
     def tokens(self) -> list[tuple]:
-        """The ``(kind, value, start, end)`` tokens, ending with EOF."""
-        text, out, n, pos, match = self.text, [], len(self.text), 0, _TOKEN.match
-        while True:
-            m = match(text, pos)
-            kind = m.lastgroup
-            if kind is None:
-                pos = m.end()
-                if pos == n:
-                    break
-                quote = text[pos] in "'\""
-                self.error("unterminated string" if quote else f"unexpected character {text[pos]!r}", pos)
-            start, pos = m.start(kind), m.end()
-            if kind == "COMMENT":
-                if pos - start == 2:
-                    self.error("unterminated comment", start)
-                inner = text[start + 2 : pos - 2]
-                if inner.strip().startswith("@"):
-                    out.append(("ANNOT", inner, start, pos))
-                    if "@ui" in inner and self._is_ui_comment(inner):
-                        pos = self._capture_ui_block(out, pos)
-                continue
-            if kind == "STRING":
-                body = text[start + 1 : pos - 1]
-                if text[start] == "'":
-                    body = re.sub(r'"|\\.', lambda m: _REQUOTE.get(m[0], m[0]), body, flags=re.S)
-                out.append((kind, body, start, pos))
-                continue
-            if kind == "IDENT" and not (text[start].isalpha() or text[start] in "_$"):
-                self.error(f"unexpected character {text[start]!r}", start)
-            out.append((kind, text[start:pos], start, pos))
-        out.append(("EOF", "", n, n))
+        """The ``(kind, value, start, end)`` tokens, ending with EOF.
+
+        A pass is one ``findall``, which lexes all of its range at once, and
+        no token may be read from a @ui block; so a pass ends where a @ui
+        comment may, just past the first ``*/`` after the next ``@ui``.  The
+        next pass starts after the block, or at that cut.  Where the cut falls
+        inside a token (``"@ui */"``), the pass is lexed again up to the end of
+        the text.  Each character is so lexed about once, however many @ui
+        blocks there are."""
+        text, out, pos = self.text, [], 0
+        while pos <= len(text):
+            at = text.find("@ui", pos)
+            at = text.find("*/", at) if at >= 0 else -1
+            mark = len(out)
+            nxt = self._pass(out, pos, at + 2 if at >= 0 else len(text))
+            if nxt is None:
+                del out[mark:]
+                nxt = self._pass(out, pos, len(text))
+            pos = nxt
         return out
+
+    def _pass(self, out: list, pos: int, cut: int) -> int | None:
+        """Lex ``text[pos:cut]`` into ``out`` and return where the next pass
+        starts, past the end of the text after EOF; None if the cut is not
+        where a comment ends."""
+        text, n, kind_of = self.text, len(self.text), _KIND_OF
+        for space, tok in _TOKEN.findall(text, pos, cut):
+            start = pos + len(space)
+            if not tok:
+                if cut < n:
+                    return None
+                if start == n:
+                    out.append(("EOF", "", n, n))
+                    return n + 1
+                quote = text[start] in "'\""
+                self.error("unterminated string" if quote else f"unexpected character {text[start]!r}", start)
+            pos = start + len(tok)
+            c = tok[0]
+            kind = kind_of.get(c)
+            if kind is None:
+                if c == "/":
+                    if tok == "/":
+                        out.append(("PUNCT", tok, start, pos))
+                        continue
+                    if len(tok) == 2:
+                        if cut < n:
+                            return None
+                        self.error("unterminated comment", start)
+                    inner = tok[2:-2]
+                    if inner.strip().startswith("@"):
+                        out.append(("ANNOT", inner, start, pos))
+                        if "@ui" in inner and self._is_ui_comment(inner):
+                            return self._capture_ui_block(out, pos)
+                    if pos == cut:
+                        return pos
+                    continue
+                if c.isdecimal():
+                    kind = "NUMBER"
+                elif c.isalpha():
+                    kind = "IDENT"
+                else:
+                    self.error(f"unexpected character {c!r}", start)
+            elif kind == "STRING":
+                tok = tok[1:-1]
+                if c == "'":
+                    tok = re.sub(r'"|\\.', lambda m: _REQUOTE.get(m[0], m[0]), tok, flags=re.S)
+            out.append((kind, tok, start, pos))
 
     @staticmethod
     def _is_ui_comment(inner: str) -> bool:
@@ -330,13 +380,14 @@ class Parser:
 
     def _statements_until_brace(self) -> list:
         self.deeper()
-        body = []
-        while not self.at_punct("}"):
-            if self.tok[0] == "EOF":
+        body, tok = [], self.tok
+        while tok[1] != "}" or tok[0] != "PUNCT":
+            if tok[0] == "EOF":
                 self.error("expected '}'")
-            annotations = self._pending_annotations() if self.tok[0] == "ANNOT" else []
+            annotations = self._pending_annotations() if tok[0] == "ANNOT" else []
             body.append(self._parse_statement(annotations))
-        self.expect("}")
+            tok = self.tok
+        self.tok = next(self._rest, tok)
         self.depth -= 1
         return body
 
@@ -349,8 +400,6 @@ class Parser:
         if tok[0] == "UI_BLOCK":
             self.advance()
             return UiBlock(tok[1], annotations, tok[2:])
-        if annotations and any(a.kind is AnnotationKind.UI for a in annotations):
-            self.error("@ui annotation must precede a block")
         if tok[0] == "IDENT":
             parse_keyword = _KEYWORD_STATEMENTS.get(tok[1])
             if parse_keyword is not None:
@@ -476,57 +525,53 @@ class Parser:
         return expr
 
     def _parse_binary(self, min_prec: int):
-        """Precedence climbing (Pratt, POPL 1973): a unary operand, then every
-        operator of binding power ``min_prec`` or more, each grouping to the
-        left; the right operand takes only operators that bind tighter."""
-        left = self._parse_unary()
+        """Precedence climbing (Pratt, POPL 1973) in one loop per operand.
+        The operand is a prefix operator and its operand, or a primary
+        expression and its chain of member, index and call links.  Then come
+        the operators of binding power ``min_prec`` or more, each grouping to
+        the left; the right operand takes only operators that bind tighter."""
+        tok = self.tok
+        kind, value = tok[0], tok[1]
         depth = self.depth
+        if kind == "PUNCT" and (value == "!" or value == "-"):
+            self.tok = next(self._rest, tok)
+            self.deeper()
+            left = Unary(value, self._parse_binary(_UNARY), tok[2:])
+            self.depth = depth
+        else:
+            if kind == "IDENT" and value not in KEYWORDS:
+                self.tok = next(self._rest, tok)
+                left = Ident(value, tok[2:])
+            else:
+                left = self._parse_primary()
+            while True:
+                tok = self.tok
+                value = tok[1]
+                if tok[0] != "PUNCT" or value not in (".", "[", "("):
+                    break
+                self.tok = next(self._rest, tok)
+                if value == ".":
+                    left = Member(left, self._ident_name(), tok[2:])
+                elif value == "[":
+                    index = self.parse_expr()
+                    self.expect("]")
+                    left = Index(left, index, tok[2:])
+                else:
+                    left = Call(left, self._comma_list(")", self.parse_expr), tok[2:])
+                self.deeper()
+            self.depth = depth
         while True:
             tok = self.tok
             prec = _PREC.get(tok[1], 0) if tok[0] == "PUNCT" else 0
             if prec < min_prec:
                 self.depth = depth
                 return left
-            self.advance()
+            self.tok = next(self._rest, tok)
             left = Binary(tok[1], left, self._parse_binary(prec + 1), tok[2:])
             self.deeper()
 
-    def _parse_unary(self):
-        """A prefix operator and its operand, or a primary expression and its
-        chain of member, index and call links."""
-        tok = self.tok
-        kind, value = tok[0], tok[1]
-        if kind == "IDENT" and value not in KEYWORDS:
-            self.tok = next(self._rest, tok)
-            expr = Ident(value, tok[2:])
-        elif kind == "PUNCT" and (value == "!" or value == "-"):
-            self.advance()
-            self.deeper()
-            expr = Unary(value, self._parse_unary(), tok[2:])
-            self.depth -= 1
-            return expr
-        else:
-            expr = self._parse_primary()
-        depth = self.depth
-        while True:
-            tok = self.tok
-            value = tok[1]
-            if tok[0] != "PUNCT" or value not in (".", "[", "("):
-                self.depth = depth
-                return expr
-            self.advance()
-            if value == ".":
-                expr = Member(expr, self._ident_name(), tok[2:])
-            elif value == "[":
-                index = self.parse_expr()
-                self.expect("]")
-                expr = Index(expr, index, tok[2:])
-            else:
-                expr = Call(expr, self._comma_list(")", self.parse_expr), tok[2:])
-            self.deeper()
-
     def _parse_primary(self):
-        """A literal, a keyword or a bracketed expression; ``_parse_unary``
+        """A literal, a keyword or a bracketed expression; ``_parse_binary``
         reads the other identifiers."""
         tok = self.tok
         kind, value = tok[0], tok[1]
@@ -643,9 +688,9 @@ def _visit(stmts, owner, scope, parent, steps, decls, calls):
     for st in stmts:
         at, reads, writes, kids, ended = len(steps), [], [], [], False
         steps.append(None)  # the statement's step, once its expressions are read
-        if isinstance(st, (VarDecl, FunctionDecl)):
-            decls.append(Declaration(st.name, "var" if isinstance(st, VarDecl) else "function",
-                                     owner, st))
+        kind = type(st)
+        if kind is VarDecl or kind is FunctionDecl:
+            decls.append(Declaration(st.name, "var" if kind is VarDecl else "function", owner, st))
             scope.names.setdefault(st.name, []).append(decls[-1])
         for kid in subnodes(st):
             if isinstance(kid, Stmt):
@@ -676,8 +721,9 @@ def _visit(stmts, owner, scope, parent, steps, decls, calls):
         steps[at] = (st, owner, scope, parent, reads or (), writes or (), ended)
         if ended:
             steps.append(None)
-        inside = _function_scope(st, scope) if isinstance(st, FunctionDecl) else scope
-        _visit(kids, owner, inside, st, steps, decls, calls)
+        if kids:
+            inside = _function_scope(st, scope) if kind is FunctionDecl else scope
+            _visit(kids, owner, inside, st, steps, decls, calls)
 
 
 def _function_scope(fn, parent: Scope) -> Scope:
@@ -711,10 +757,11 @@ def _apply_configs(program: SourceProgram, error) -> None:
 
 
 def iter_annotated_nodes(program: SourceProgram):
-    """Yields (node, annotations) pairs over the slices and every statement,
-    function-expression bodies included, in the order of the one walk."""
+    """Yields (node, annotations) pairs over the slices and statements that
+    carry annotations, function-expression bodies included, in the order of
+    the one walk."""
     for step in program.steps:
-        if isinstance(step, tuple):
+        if type(step) is tuple and step[0].annotations:
             yield step[0], step[0].annotations
 
 
@@ -781,7 +828,7 @@ def _emit_annotations(anns: list, indent: str) -> str:
 def _emit_key(key: str) -> str:
     """An object key as written: bare if the lexer reads it back as one IDENT."""
     m = _TOKEN.fullmatch(key)
-    if m and m.lastgroup == "IDENT" and m.start("IDENT") == 0 and (key[0].isalpha() or key[0] in "_$"):
+    if m and m[2] == key and (key[:1].isalpha() or key[:1] in ("_", "$")):
         return key
     return f'"{key}"'
 

@@ -101,6 +101,29 @@ def test_replicated_vars_get_no_replication_advice():
     assert advise_replication(placement, program, incoming_counts(problem, placement)) == []
 
 
+def test_a_shared_reader_of_a_slice_var_is_weighed_with_every_tier():
+    """A function in shared code that reads a slice's var takes every tier;
+    calls to it are local, so it never joins the evidence."""
+    src = (
+        "/* @config data : server, ui : client */\n"
+        "/* @slice data */\n{\n"
+        "  var rows = [];\n"
+        "  function count() { return rows; }\n"
+        "}\n"
+        "/* @slice ui */\n{\n"
+        "  function show() { count(); peek(); }\n"
+        "}\n"
+        "function peek() { return rows; }\n"
+    )
+    program = resolve_calls(parse(src))
+    problem = placement_problem(program)
+    placement = Placement(fixed=dict(problem.fixed), searched={})
+    assert advise(problem, placement, program) == [
+        Advice(AdviceKind.REPLICATE_DECLARATION, "rows", "data", dependent_functions=["count"]),
+        Advice(AdviceKind.MOVE_FUNCTION, "count", "data", local_incoming=0, remote_incoming=1),
+    ]
+
+
 def test_advisor_config_validation():
     with pytest.raises(ValueError):
         AdvisorConfig(move_threshold=1.0)
@@ -284,6 +307,11 @@ def test_refine_loop_stops_immediately_at_perfect_fitness():
     assert result.fitness == 1.0
     assert result.iterations == 0
     assert len(result.program.slices) == 6
+
+
+def test_refine_loop_needs_an_iteration():
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        refine_loop(load_fixture("tracker.tjs"), GaConfig(rng_seed=0), max_iterations=0)
 
 
 def test_refine_loop_improves_the_tracker():

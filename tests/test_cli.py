@@ -80,6 +80,19 @@ def test_annotation_error_exits_2_at_its_comment(runner, tmp_path, source, line,
     assert result.stderr == f"{bad}:{line}:{col}: {message}\n"
 
 
+@pytest.mark.parametrize(("statement", "col"), [("/* @reply @ui */ x();", 20),
+                                                ("/* @ui */ /* @reply */ { <p/> }", 13)],
+                         ids=["ui-before-a-call", "ui-before-a-comment"])
+def test_ui_annotation_not_before_a_block_exits_2(runner, tmp_path, statement, col):
+    """The lexer captures the block after a @ui comment, so nothing else may follow one."""
+    bad = tmp_path / "bad.tjs"
+    bad.write_text(f"/* @slice a */\n{{ {statement} }}\n", encoding="utf-8")
+    result = invoke(runner, "parse", bad)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"{bad}:2:{col}: expected '{{' after @ui annotation\n"
+
+
 # Deeply nested statements, each built from its nesting count.
 NESTED = {
     "parens": lambda n: "var x = " + "(" * n + "1" + ")" * n + ";",

@@ -25,6 +25,15 @@ def test_slice_offline_two_local_three_remote():
     assert a.offline_fraction == 0.4
 
 
+@pytest.mark.parametrize(("fixed", "message"), [
+    ({"b": Tier.CLIENT}, "fixed tier for unknown slice 'b'"),
+    ({"a": Tier.BOTH}, "fixed slices may only be client or server"),
+], ids=["unknown-slice", "both-tiers"])
+def test_placement_problem_rejects_a_bad_fixed_tier(fixed, message):
+    with pytest.raises(ValueError, match=message):
+        PlacementProblem(slices=("a",), fixed=fixed)
+
+
 def test_call_free_slice_scores_one_with_zero_weight():
     problem = PlacementProblem(
         slices=("quiet", "busy"),

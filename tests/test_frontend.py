@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture, naive_line_col
 from genprog import random_source
+from tierslicer import frontend
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
 from tierslicer.frontend import Lexer, emit, iter_annotated_nodes, parse, resolve_calls
 from tierslicer.syntax import (AnnotationKind, Assign, Binary, Call, FuncExpr, Ident, NumberLit, Stmt,
@@ -67,6 +68,21 @@ def test_generated_programs_round_trip_through_emit(seed):
     program = parse(random_source(seed), "random.tjs")
     once = emit(program)
     reparsed = parse(once, "random.tjs")
+    assert reparsed == program
+    assert emit(reparsed) == once
+
+
+@pytest.mark.parametrize(("statement", "written"), [
+    ("var t = false;", "var t = false;"),
+    ("for (i = 0; i < 3; i = i + 1) { f(i); }", "for (i = 0; i < 3; i = i + 1) {"),
+    ("for (; i < 3; ) { f(i); }", "for (; i < 3; ) {"),
+    ("for (;;) { f(i); }", "for (; ; ) {"),
+], ids=["false", "for-expression-init", "for-empty-init", "for-no-clauses"])
+def test_rarer_forms_round_trip_through_emit(statement, written):
+    program = parse("/* @slice a */\n{ var i = 0; function f(x) { return x; }\n  " + statement + "\n}\n")
+    once = emit(program)
+    assert f"\n  {written}\n" in once
+    reparsed = parse(once)
     assert reparsed == program
     assert emit(reparsed) == once
 
@@ -259,7 +275,44 @@ LEXER_BOUNDARIES = [
                                   ("EOF", "", 24, 24)]),
     ("", [("EOF", "", 0, 0)]),
     ("  \n\t ", [("EOF", "", 5, 5)]),
+    ("/* @ui */ { <p/> } x;", [("ANNOT", " @ui ", 0, 9), ("UI_BLOCK", " <p/> ", 10, 18),
+                               ("IDENT", "x", 19, 20), ("PUNCT", ";", 20, 21), ("EOF", "", 21, 21)]),
+    ("٣", [("NUMBER", "٣", 0, 1), ("EOF", "", 1, 1)]),
+    ("/*/", ("unterminated comment", 1, 1)),
+    ("'a\"b'", [("STRING", 'a\\"b', 0, 5), ("EOF", "", 5, 5)]),
+    ("&", ("unexpected character '&'", 1, 1)),
+    ("|", ("unexpected character '|'", 1, 1)),
+    ("a//c\nb", [("IDENT", "a", 0, 1), ("IDENT", "b", 5, 6), ("EOF", "", 6, 6)]),
+    ("x \n", [("IDENT", "x", 0, 1), ("EOF", "", 3, 3)]),
+    ('"@ui */" x', [("STRING", "@ui */", 0, 8), ("IDENT", "x", 9, 10), ("EOF", "", 10, 10)]),
+    ("// @ui */\nx", [("IDENT", "x", 10, 11), ("EOF", "", 11, 11)]),
+    ("a /* see @ui */ b", [("IDENT", "a", 0, 1), ("IDENT", "b", 16, 17), ("EOF", "", 17, 17)]),
+    ('"@ui" a /*/ b */ c', [("STRING", "@ui", 0, 5), ("IDENT", "a", 6, 7), ("IDENT", "c", 17, 18),
+                            ("EOF", "", 18, 18)]),
+    ("/* @ui */ { <p>'</p> } x", [("ANNOT", " @ui ", 0, 9), ("UI_BLOCK", " <p>'</p> ", 10, 22),
+                                  ("IDENT", "x", 23, 24), ("EOF", "", 24, 24)]),
 ]
+
+
+class _CountingPattern:
+    """The token pattern, counting the characters each ``findall`` is given."""
+
+    def __init__(self, pattern):
+        self.pattern, self.chars = pattern, 0
+
+    def findall(self, text, pos, endpos):
+        self.chars += endpos - pos
+        return self.pattern.findall(text, pos, endpos)
+
+
+def test_lexing_reads_each_character_once_however_many_ui_blocks(monkeypatch):
+    text = "".join(f"/* @slice s{i} */\n{{ var a{i} = 'it\\'s'; }}\n/* @ui */ {{ <p>Don't {{a{i}}}</p> }}\n"
+                   for i in range(200))
+    counting = _CountingPattern(frontend._TOKEN)
+    monkeypatch.setattr(frontend, "_TOKEN", counting)
+    tokens = Lexer(text).tokens()
+    assert sum(t[0] == "UI_BLOCK" for t in tokens) == 200
+    assert counting.chars <= len(text)
 
 
 @pytest.mark.parametrize("text, expected", LEXER_BOUNDARIES)

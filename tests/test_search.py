@@ -353,6 +353,10 @@ def test_run_with_no_unplaced_slices_degenerates(manifest):
     assert result.best_placement.searched == {}
 
 
+def test_run_many_with_no_runs_returns_nothing():
+    assert run_many(fixture_problem("meetings.tjs"), GaConfig(rng_seed=0), 0) == []
+
+
 def test_run_returns_valid_best_when_valid_placements_exist():
     problem = fixture_problem("relay.tjs")
     for seed in range(5):
