@@ -191,27 +191,22 @@ def placement_problem(source: SourceProgram | DependenceGraph) -> PlacementProbl
     program, or of the program a graph was built from: the sole input to
     fitness.  It reads the walk's call sites and builds no graph.
 
-    Calls are listed in call-site order, which is the graph's node order,
-    ``site_id`` being the index.  Shared-owned callees are recorded as SHARED
-    (always local); call sites in shared code and unresolved/external calls
-    are left out, and the unresolved in-slice call sites are counted.
+    Calls are listed in call-site order, which is the graph's node order.
+    Shared-owned callees are recorded as SHARED (always local); call sites in
+    shared code and unresolved/external calls are left out (an unresolved
+    site's ``unresolved_reason`` stays in ``program.call_sites``).
     """
     program = source.program if isinstance(source, DependenceGraph) else source
     calls = []
-    unresolved = 0
     for site in program.call_sites:
-        if site.owner == SHARED:
-            continue
-        if site.resolved is None:
-            if site.unresolved_reason in ("undeclared", "ambiguous"):
-                unresolved += 1
+        if site.owner == SHARED or site.resolved is None:
             continue
         annotated = any(a.kind in _REPLY_KINDS for a in site.stmt.annotations)
         line, col = line_col(program.line_starts, site.node.span[0])
-        calls.append(CallRecord(len(calls), site.owner, site.resolved_owner, site.callee_name,
+        calls.append(CallRecord(site.owner, site.resolved_owner, site.callee_name,
                                 annotated, f"{line}:{col}"))
     fixed = {s.name: Tier(s.fixed_tier) for s in program.slices if s.fixed_tier}
-    return PlacementProblem(tuple(program.slice_names()), fixed, tuple(calls), unresolved)
+    return PlacementProblem(tuple(program.slice_names()), fixed, tuple(calls))
 
 
 # --- Serialization --------------------------------------------------------

@@ -4,7 +4,7 @@ Per slice: the fraction of its calls that stay local (1.0 for call-free
 slices, which then carry zero weight).  Per program: the ratio of local calls
 to total calls (1.0 with no calls), which is the call-count-weighted mean over
 slices and the double ``kernels.eval_population`` reads from the pair terms
-for the placement's genome.  Both sums run over ``classify_placement``.
+for the placement's genome.  Both sums run over ``classify_calls``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import PlacementProblem
-from .placement import Placement, classify_placement
+from .placement import Placement, classify_calls
 
 
 @dataclass
@@ -30,12 +30,12 @@ class FitnessReport:
 
 
 def evaluate(problem: PlacementProblem, placement: Placement) -> FitnessReport:
-    classified = classify_placement(problem, placement)
+    classified = classify_calls(problem, placement)
     total = dict.fromkeys(problem.slices, 0)
     mine = dict.fromkeys(problem.slices, 0)
-    for rec, (_, local, _) in zip(problem.calls, classified):
-        total[rec.caller] += 1
-        mine[rec.caller] += local
+    for c in classified:
+        total[c.record.caller] += 1
+        mine[c.record.caller] += c.local
     per_slice = {
         name: SliceFitness(mine[name] / t if t else 1.0, mine[name], t)
         for name, t in total.items()
@@ -44,7 +44,7 @@ def evaluate(problem: PlacementProblem, placement: Placement) -> FitnessReport:
     return FitnessReport(
         per_slice=per_slice,
         program=sum(mine.values()) / n_calls if n_calls else 1.0,
-        valid=not any(bad for _, _, bad in classified),
+        valid=not any(c.violating for c in classified),
     )
 
 

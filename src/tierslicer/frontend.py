@@ -100,12 +100,13 @@ KEYWORDS = {"var", "function", "if", "else", "while", "for", "return", "true", "
 # Whitespace and ``//`` comments in the first group, one token's text in the
 # second; one ``findall`` lexes a whole range.  An empty token is the end of
 # the range or a lexing error.  ``\s``, ``\w`` and ``\d`` mean
-# ``str.isspace``, ``str.isalnum`` or ``_``, and ``str.isdecimal``.  No class
+# ``str.isspace``, ``str.isalnum`` or ``_``, and ``str.isdecimal``; U+FEFF, the
+# byte-order mark, is whitespace as well (ES5.1 section 7.2).  No class
 # means ``str.isalpha``, so the lexer rejects an IDENT whose first character is
 # a number other than a decimal digit (``²``, ``½``, ``Ⅻ``).  A comment of two
 # characters is an unterminated ``/*``.
 _TOKEN = re.compile(
-    r"""(\s*(?://[^\n]*\s*)*)
+    r"""([\s\ufeff]*(?://[^\n]*[\s\ufeff]*)*)
       ( [^\W\d][\w$]*|\$[\w$]*
       | /\*(?:.*?\*/)?
       | [=!<>]=?|&&|\|\||[{}()\[\];,.:+\-*/%]
@@ -216,7 +217,7 @@ class Lexer:
         """Capture the block after a @ui comment verbatim (HTML-ish content)."""
         text, n = self.text, len(self.text)
         i = pos
-        while i < n and text[i].isspace():
+        while i < n and (text[i].isspace() or text[i] == "\ufeff"):
             i += 1
         if i >= n or text[i] != "{":
             self.error("expected '{' after @ui annotation", i)

@@ -18,10 +18,10 @@ entries; ``build_scores`` adds the tables into the score of every one of the
 
 ``model.call_rule`` is tierslicer's one definition of which calls are local
 and which violate validity.  ``compile_problem`` applies it to numpy arrays;
-``placement.classify_placement`` (so ``classify_calls``, ``is_valid`` and
-``fitness.evaluate`` too) applies it call by call to Python ints, and
-``exact._arcs`` encodes it as the arcs of a cut.  Only the search imports
-this module, so only the commands that search load numpy.
+``placement.classify_calls`` (so ``is_valid`` and ``fitness.evaluate`` too)
+applies it call by call to Python ints, and ``exact._arcs`` encodes it as
+the arcs of a cut.  Only the search imports this module, so only the
+commands that search load numpy.
 """
 
 from __future__ import annotations

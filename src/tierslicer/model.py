@@ -52,11 +52,10 @@ class Direction(Enum):
     SERVER_TO_CLIENT = "server-to-client"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CallRecord:
     """One resolved call site owned by a slice."""
 
-    site_id: int
     caller: str  # owning slice name
     callee: str  # slice name or SHARED
     callee_name: str = ""
@@ -71,7 +70,6 @@ class PlacementProblem:
     slices: tuple  # ordered slice names
     fixed: dict = field(default_factory=dict)  # name -> Tier.CLIENT/SERVER
     calls: tuple = ()  # CallRecord, stable order
-    unresolved_calls: int = 0
 
     def __post_init__(self):
         self.slices = tuple(self.slices)

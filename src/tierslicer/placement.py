@@ -3,10 +3,10 @@
 A call from slice A to slice B is local iff tiers(A) is a subset of tiers(B)
 (with Both = {client, server}); shared callees are always local.  A placement
 is invalid iff some remote call needs a server-to-client hop and its call
-site carries neither @reply nor @broadcast.  ``classify_placement`` applies
+site carries neither @reply nor @broadcast.  ``classify_calls`` applies
 that rule's one definition, ``model.call_rule``, call by call in plain
-Python, so ``classify_calls``, ``is_valid`` and ``fitness.evaluate`` need no
-numpy.
+Python, so it, ``is_valid``, ``fitness.evaluate``, the advisor and ``split``
+need no numpy.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class Placement:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClassifiedCall:
     record: CallRecord
     local: bool
@@ -71,24 +71,17 @@ class ClassifiedCall:
 _TOWARD = {1: Direction.SERVER_TO_CLIENT, 2: Direction.CLIENT_TO_SERVER}
 
 
-def classify_placement(problem: PlacementProblem, placement: Placement) -> list:
-    """Per call, ``(callee mask, local, violating)`` under the placement;
-    every tier, @config ones included, comes from the placement, and shared
+def classify_calls(problem: PlacementProblem, placement: Placement) -> list:
+    """Label every resolved call Local or Remote under the placement; every
+    tier, @config ones included, comes from the placement, and shared
     callees carry mask 3, so they are always local."""
     mask = {SHARED: 3, **{name: placement.mask(name) for name in problem.slices}}
     out = []
     for rec in problem.calls:
         callee = mask[rec.callee]
-        out.append((callee, *call_rule(mask[rec.caller], callee, rec.annotated)))
+        local, bad = call_rule(mask[rec.caller], callee, rec.annotated)
+        out.append(ClassifiedCall(rec, local, None if local else _TOWARD[callee], bad))
     return out
-
-
-def classify_calls(problem: PlacementProblem, placement: Placement) -> list:
-    """Label every resolved call Local or Remote under the placement."""
-    return [
-        ClassifiedCall(rec, local, None if local else _TOWARD[callee], bad)
-        for rec, (callee, local, bad) in zip(problem.calls, classify_placement(problem, placement))
-    ]
 
 
 def violations(classified) -> list:

@@ -107,7 +107,7 @@ def random_flat_problem(rng: np.random.Generator):
     for i in range(int(rng.integers(1, 41))):
         caller = names[int(rng.integers(n_slices))]
         callee = SHARED if rng.random() < 0.1 else names[int(rng.integers(n_slices))]
-        calls.append(CallRecord(i, caller, callee, f"fn{i}", bool(rng.random() < 0.4)))
+        calls.append(CallRecord(caller, callee, f"fn{i}", bool(rng.random() < 0.4)))
     return PlacementProblem(names, fixed, tuple(calls))
 
 
@@ -125,7 +125,7 @@ def wide_flat_problem(seed: int, n_genes: int):
         callee = SHARED if rng.random() < 0.1 else names[int(rng.integers(len(names)))]
         if caller in names[n_genes:] and callee in (SHARED, *names[n_genes:]):
             continue
-        calls.append(CallRecord(len(calls), caller, callee, f"fn{len(calls)}",
+        calls.append(CallRecord(caller, callee, f"fn{len(calls)}",
                                 bool(rng.random() < 0.4)))
     return PlacementProblem(names, {"srv": Tier.SERVER, "cli": Tier.CLIENT}, tuple(calls))
 
@@ -138,7 +138,7 @@ def fan_out_problem(n_calls: int):
     from tierslicer.model import CallRecord, PlacementProblem
 
     return PlacementProblem(("g0", "g1", "g2"), {}, tuple(
-        CallRecord(i, "g0", ("g1", "g2")[i % 2], f"f{i}") for i in range(n_calls)))
+        CallRecord("g0", ("g1", "g2")[i % 2], f"f{i}") for i in range(n_calls)))
 
 
 def random_full_placement(problem, rng: np.random.Generator):

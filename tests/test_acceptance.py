@@ -230,12 +230,11 @@ def test_criterion_8_widening_monotonicity():
         tried += 1
         flat = Placement(searched={s: placement.tier(s) for s in problem.slices})
         widened = _widen(flat, {target})
-        before = {c.record.site_id: c for c in classify_calls(problem, flat)}
-        after = {c.record.site_id: c for c in classify_calls(problem, widened)}
-        flips = [r for r in problem.calls if before[r.site_id].local and not after[r.site_id].local]
+        pairs = list(zip(classify_calls(problem, flat), classify_calls(problem, widened)))
+        flips = [was.record for was, now in pairs if was.local and not now.local]
         callee_flips += sum(1 for r in flips if r.callee == target)
-        untouched_changes += sum(1 for r in problem.calls if target not in (r.caller, r.callee)
-                                 and before[r.site_id] != after[r.site_id])
+        untouched_changes += sum(1 for was, now in pairs if was != now
+                                 and target not in (was.record.caller, was.record.callee))
         fit_before = evaluate(problem, flat).program
         fit_after = evaluate(problem, widened).program
         closure = _widen(flat, _reachable(problem, target))

@@ -302,6 +302,17 @@ def test_apply_advice_unknown_target_raises():
         apply_advice(program, [Advice(AdviceKind.MOVE_FUNCTION, "nope", "data")])
 
 
+@pytest.mark.parametrize("advice, message", [
+    (Advice(AdviceKind.MOVE_FUNCTION, "getTasks", "nowhere"), "slice 'nowhere' not found"),
+    (Advice(AdviceKind.REPLICATE_DECLARATION, "nope", "data"), "var 'nope' not in slice 'data'"),
+], ids=["unknown-slice", "unknown-var"])
+def test_apply_advice_names_what_it_cannot_find(advice, message):
+    program, _, _ = tracker_setup()
+    with pytest.raises(TargetNotFoundError) as err:
+        apply_advice(program, [advice])
+    assert str(err.value) == message
+
+
 def test_refine_loop_stops_immediately_at_perfect_fitness():
     result = refine_loop(load_fixture("unicorn_v6.tjs"), GaConfig(rng_seed=0))
     assert result.fitness == 1.0

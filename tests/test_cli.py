@@ -147,6 +147,19 @@ def test_source_that_is_not_utf8_exits_2(runner, tmp_path, command):
     assert result.stderr == f"{bad}: not UTF-8: invalid continuation byte at byte 29\n"
 
 
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_a_byte_order_mark_is_whitespace(runner, tmp_path, name):
+    """A file saved with a UTF-8 byte-order mark reads as the same program."""
+    text = fixture_path(name).read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain.tjs", tmp_path / "marked.tjs"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    for command in ("parse", "oracle"):
+        want, got = invoke(runner, command, plain), invoke(runner, command, marked)
+        assert (got.exit_code, got.stdout) == (want.exit_code, want.stdout), command
+        assert want.exit_code == 0
+
+
 @pytest.mark.parametrize("args", [
     ("graph", "-o"), ("graph", "--json", "-o"), ("assign", "-o"), ("oracle", "-o"),
     ("refine", "--apply", "-o"), ("stats", "--runs", 2, "--csv"),

@@ -56,7 +56,7 @@ def call_chain(n):
     so no gene may hold the server, and the flow runs along all n + 1 arcs."""
     genes = [f"g{i}" for i in range(n)]
     names = ["srv", *genes, "cli"]
-    calls = tuple(CallRecord(i, a, b, f"f{i}", i == 0)
+    calls = tuple(CallRecord(a, b, f"f{i}", i == 0)
                   for i, (a, b) in enumerate(zip(names, names[1:])))
     return PlacementProblem(tuple(names), {"srv": Tier.SERVER, "cli": Tier.CLIENT}, calls)
 

@@ -15,7 +15,7 @@ def test_slice_offline_two_local_three_remote():
         slices=("a", "srv"),
         fixed={"srv": Tier.SERVER},
         calls=tuple(
-            CallRecord(i, "a", callee, f"f{i}")
+            CallRecord("a", callee, f"f{i}")
             for i, callee in enumerate(["a", SHARED, "srv", "srv", "srv"])
         ),
     )
@@ -37,7 +37,7 @@ def test_placement_problem_rejects_a_bad_fixed_tier(fixed, message):
 def test_call_free_slice_scores_one_with_zero_weight():
     problem = PlacementProblem(
         slices=("quiet", "busy"),
-        calls=(CallRecord(0, "busy", "quiet", "f"),),
+        calls=(CallRecord("busy", "quiet", "f"),),
     )
     placement = Placement(searched={"quiet": Tier.SERVER, "busy": Tier.CLIENT})
     report = evaluate(problem, placement)
@@ -50,7 +50,7 @@ def test_call_free_slice_scores_one_with_zero_weight():
 def test_all_intra_slice_calls_score_one():
     problem = PlacementProblem(
         slices=("a",),
-        calls=(CallRecord(0, "a", "a", "f"), CallRecord(1, "a", "a", "g")),
+        calls=(CallRecord("a", "a", "f"), CallRecord("a", "a", "g")),
     )
     report = evaluate(problem, Placement(searched={"a": Tier.SERVER}))
     assert report.program == 1.0 and report.valid
@@ -92,7 +92,7 @@ def test_invalid_placement_still_scores():
     problem = PlacementProblem(
         slices=("srv", "cli"),
         fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
-        calls=(CallRecord(0, "srv", "cli", "f"),),
+        calls=(CallRecord("srv", "cli", "f"),),
     )
     report = evaluate(problem, Placement(fixed=dict(problem.fixed), searched={}))
     assert report.program == 0.0

@@ -98,6 +98,21 @@ STRING_ESCAPES = r"""/* @slice a */
 """
 
 
+def test_emit_rejects_a_node_of_the_other_kind():
+    """The expression emitter given a statement, or the statement emitter
+    given an expression, names the node it cannot emit."""
+    with pytest.raises(TypeError, match="cannot emit VarDecl"):
+        frontend.emit_expr(VarDecl("x", None, []))
+    with pytest.raises(TypeError, match="cannot emit Ident"):
+        frontend.emit_stmt(Ident("x"), "  ")
+
+
+def test_a_node_reads_as_its_constructor_call():
+    node = Binary("+", Ident("a", (0, 1)), NumberLit(1.0, (4, 5)), (0, 5))
+    assert repr(node) == ("Binary(op='+', left=Ident(name='a', span=(0, 1)), "
+                          "right=NumberLit(value=1.0, span=(4, 5)), span=(0, 5))")
+
+
 def test_string_escapes_survive_emit_parse_rounds():
     program = parse(STRING_ESCAPES)
     once = emit(program)
@@ -291,6 +306,12 @@ LEXER_BOUNDARIES = [
                             ("EOF", "", 18, 18)]),
     ("/* @ui */ { <p>'</p> } x", [("ANNOT", " @ui ", 0, 9), ("UI_BLOCK", " <p>'</p> ", 10, 22),
                                   ("IDENT", "x", 23, 24), ("EOF", "", 24, 24)]),
+    # U+FEFF, the byte-order mark, is whitespace: between tokens, after a
+    # line comment, and before a @ui block.
+    ("a\ufeffb", [("IDENT", "a", 0, 1), ("IDENT", "b", 2, 3), ("EOF", "", 3, 3)]),
+    ("//c\n\ufeffx", [("IDENT", "x", 5, 6), ("EOF", "", 6, 6)]),
+    ("\ufeff/* @ui */\ufeff{ <p/> }", [("ANNOT", " @ui ", 1, 10), ("UI_BLOCK", " <p/> ", 11, 19),
+                                       ("EOF", "", 19, 19)]),
 ]
 
 

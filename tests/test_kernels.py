@@ -120,7 +120,7 @@ def test_empty_call_table_scores_one():
 
 
 def test_genome_shape_is_validated():
-    problem = PlacementProblem(slices=("a", "b"), calls=(CallRecord(0, "a", "b", "f"),))
+    problem = PlacementProblem(slices=("a", "b"), calls=(CallRecord("a", "b", "f"),))
     compiled = compile_problem(problem)
     with pytest.raises(ValueError):
         eval_population(compiled, np.ones((4, 3), dtype=np.int8))
@@ -130,7 +130,7 @@ def test_fixed_tiers_and_annotations_are_compiled_in():
     problem = PlacementProblem(
         slices=("srv", "x"),
         fixed={"srv": Tier.SERVER},
-        calls=(CallRecord(0, "srv", "x", "f", annotated=False),),
+        calls=(CallRecord("srv", "x", "f", annotated=False),),
     )
     fitness, valid = eval_population(compile_problem(problem), full_enumeration(1))
     # genomes: client, server, both -- the unannotated server call into a
@@ -140,7 +140,7 @@ def test_fixed_tiers_and_annotations_are_compiled_in():
     annotated = PlacementProblem(
         slices=("srv", "x"),
         fixed={"srv": Tier.SERVER},
-        calls=(CallRecord(0, "srv", "x", "f", annotated=True),),
+        calls=(CallRecord("srv", "x", "f", annotated=True),),
     )
     _, valid = eval_population(compile_problem(annotated), full_enumeration(1))
     assert valid.all()
@@ -187,18 +187,18 @@ EVERY_KIND = PlacementProblem(
     slices=("srv", "cli", "a", "b", "c"),
     fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
     calls=(
-        CallRecord(0, "a", "a", "f0"),  # inside one unplaced slice
-        CallRecord(1, "b", "b", "f1", annotated=True),
-        CallRecord(2, "srv", "cli", "f2", annotated=True),  # between two fixed slices
-        CallRecord(3, "cli", "srv", "f3"),
-        CallRecord(4, "c", "a", "f4"),  # the caller's gene is the higher one
-        CallRecord(5, "a", "c", "f5"),
-        CallRecord(6, "c", "b", "f6", annotated=True),
-        CallRecord(7, "b", SHARED, "f7"),  # shared callee
-        CallRecord(8, "srv", "b", "f8"),  # fixed caller
-        CallRecord(9, "c", "cli", "f9"),  # fixed callee
-        CallRecord(10, "a", "cli", "f10", annotated=True),
-        CallRecord(11, "c", "a", "f11"),  # a second call on the same pair of genes
+        CallRecord("a", "a", "f0"),  # inside one unplaced slice
+        CallRecord("b", "b", "f1", annotated=True),
+        CallRecord("srv", "cli", "f2", annotated=True),  # between two fixed slices
+        CallRecord("cli", "srv", "f3"),
+        CallRecord("c", "a", "f4"),  # the caller's gene is the higher one
+        CallRecord("a", "c", "f5"),
+        CallRecord("c", "b", "f6", annotated=True),
+        CallRecord("b", SHARED, "f7"),  # shared callee
+        CallRecord("srv", "b", "f8"),  # fixed caller
+        CallRecord("c", "cli", "f9"),  # fixed callee
+        CallRecord("a", "cli", "f10", annotated=True),
+        CallRecord("c", "a", "f11"),  # a second call on the same pair of genes
     ),
 )
 
@@ -217,7 +217,7 @@ def test_placement_scores_of_an_all_invalid_problem_are_negative():
     problem = PlacementProblem(
         slices=("srv", "cli", "x"),
         fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
-        calls=(CallRecord(0, "srv", "cli", "f"), CallRecord(1, "x", "x", "g")),
+        calls=(CallRecord("srv", "cli", "f"), CallRecord("x", "x", "g")),
     )
     scores = assert_scores_match_the_kernel(problem)
     np.testing.assert_array_equal(scores, [1 - 3] * 3)  # one local call, one violation
@@ -231,21 +231,21 @@ SPREAD = PlacementProblem(
     slices=("g0", "g1", "srv", "g2", "g3", "g4", "cli", "g5", "g6", "g7", "g8"),
     fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
     calls=(
-        CallRecord(0, "g8", "g1", "f0"),  # the high gene calls down
-        CallRecord(1, "g3", "g8", "f1"),  # and is called from below
-        CallRecord(2, "g8", "g6", "f2", annotated=True),
-        CallRecord(3, "g6", "g8", "f3"),
-        CallRecord(4, "g2", "g2", "f4"),
-        CallRecord(5, "srv", "g4", "f5"),
-        CallRecord(6, "g5", "cli", "f6", annotated=True),
-        CallRecord(7, "g7", SHARED, "f7"),
-        CallRecord(8, "cli", "srv", "f8"),
-        CallRecord(9, "srv", "cli", "f9", annotated=True),
-        CallRecord(10, "g5", "g1", "f10"),
-        CallRecord(11, "g7", "g3", "f11", annotated=True),
-        CallRecord(12, "g4", "g7", "f12"),
-        CallRecord(13, "srv", "g3", "f13", annotated=True),
-        CallRecord(14, "g8", "cli", "f14"),
+        CallRecord("g8", "g1", "f0"),  # the high gene calls down
+        CallRecord("g3", "g8", "f1"),  # and is called from below
+        CallRecord("g8", "g6", "f2", annotated=True),
+        CallRecord("g6", "g8", "f3"),
+        CallRecord("g2", "g2", "f4"),
+        CallRecord("srv", "g4", "f5"),
+        CallRecord("g5", "cli", "f6", annotated=True),
+        CallRecord("g7", SHARED, "f7"),
+        CallRecord("cli", "srv", "f8"),
+        CallRecord("srv", "cli", "f9", annotated=True),
+        CallRecord("g5", "g1", "f10"),
+        CallRecord("g7", "g3", "f11", annotated=True),
+        CallRecord("g4", "g7", "f12"),
+        CallRecord("srv", "g3", "f13", annotated=True),
+        CallRecord("g8", "cli", "f14"),
     ),
 )
 

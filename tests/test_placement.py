@@ -13,7 +13,7 @@ from tierslicer.placement import Placement, classify_calls, is_valid, violations
 def one_call_problem(annotated=False):
     return PlacementProblem(
         slices=("a", "b"),
-        calls=(CallRecord(0, "a", "b", "f", annotated),),
+        calls=(CallRecord("a", "b", "f", annotated),),
     )
 
 
@@ -49,7 +49,7 @@ def test_remote_directions():
 
 
 def test_shared_callee_always_local():
-    problem = PlacementProblem(slices=("a",), calls=(CallRecord(0, "a", SHARED, "f"),))
+    problem = PlacementProblem(slices=("a",), calls=(CallRecord("a", SHARED, "f"),))
     for tier in Tier:
         (c,) = classify_calls(problem, Placement(searched={"a": tier}))
         assert c.local
@@ -141,7 +141,7 @@ def test_config_slice_takes_its_tier_from_the_placement():
     # A placement may widen a @config slice (criterion 8 does); its tier then
     # comes from the placement, not from the problem's fixed map.
     problem = PlacementProblem(slices=("srv", "cli"), fixed={"srv": Tier.SERVER},
-                               calls=(CallRecord(0, "srv", "cli", "f"),))
+                               calls=(CallRecord("srv", "cli", "f"),))
     as_fixed = Placement(fixed={"srv": Tier.SERVER}, searched={"cli": Tier.CLIENT})
     widened = Placement(searched={"srv": Tier.BOTH, "cli": Tier.CLIENT})
     moved = Placement(searched={"srv": Tier.CLIENT, "cli": Tier.CLIENT})

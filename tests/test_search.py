@@ -368,7 +368,7 @@ def test_run_raises_when_every_placement_is_invalid():
     problem = PlacementProblem(
         slices=("srv", "cli", "x"),
         fixed={"srv": Tier.SERVER, "cli": Tier.CLIENT},
-        calls=(CallRecord(0, "srv", "cli", "f"),),
+        calls=(CallRecord("srv", "cli", "f"),),
     )
     with pytest.raises(AllInvalidError):
         run(problem, GaConfig(rng_seed=0))
@@ -449,7 +449,7 @@ def test_a_negative_oracle_cap_raises():
 
 def calls_between(pairs, annotated=()):
     """A call per (caller, callee) pair; the indices in ``annotated`` carry @reply."""
-    return tuple(CallRecord(i, a, b, f"f{i}", i in annotated) for i, (a, b) in enumerate(pairs))
+    return tuple(CallRecord(a, b, f"f{i}", i in annotated) for i, (a, b) in enumerate(pairs))
 
 
 # Problems whose optima tie, so the oracle must break ties in problem order;
@@ -656,7 +656,7 @@ def test_oracle_with_no_unplaced_slices_scores_the_config_placement(name, manife
 
 def test_no_unplaced_slices_and_an_invalid_config_placement_fail_every_search():
     problem = PlacementProblem(("a", "b"), {"a": Tier.SERVER, "b": Tier.CLIENT},
-                               (CallRecord(0, "a", "b", "show"),))
+                               (CallRecord("a", "b", "show"),))
     scores = gene_order_scores(compile_problem(problem))
     assert scores.shape == () and scores == -2  # 0 local calls, 1 violating
     with pytest.raises(AllInvalidError):
