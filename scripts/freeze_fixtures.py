@@ -5,23 +5,31 @@ Computes, for every bundled fixture, the values the test suite asserts
 against: exhaustive-oracle best fitness, call totals, the count of valid
 placements in the 3^n space, and (for the two-slice tracker) the advice
 report.  Values land in src/tierslicer/fixtures/manifest.json; review the
-diff before committing a regenerated manifest.
+diff before committing a regenerated manifest.  The script puts the repo's
+``src/`` on ``sys.path``, so it runs from a checkout without installing the
+package::
+
+    python3 scripts/freeze_fixtures.py
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from tierslicer import parse, placement_problem, resolve_calls
-from tierslicer.advisor import advise, render_report
-from tierslicer.fitness import evaluate
-from tierslicer.kernels import build_scores, compile_problem
-from tierslicer.placement import Placement
-from tierslicer.search import exhaustive_oracle
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "tierslicer" / "fixtures"
+from tierslicer import parse, placement_problem, resolve_calls  # noqa: E402
+from tierslicer.advisor import advise, render_report  # noqa: E402
+from tierslicer.fitness import evaluate  # noqa: E402
+from tierslicer.kernels import build_scores, compile_problem  # noqa: E402
+from tierslicer.placement import Placement  # noqa: E402
+from tierslicer.search import exhaustive_oracle  # noqa: E402
+
+FIXTURES = ROOT / "src" / "tierslicer" / "fixtures"
 
 
 def load(name):

@@ -6,8 +6,8 @@ remotely more than locally should be replicated; a function in a fixed slice
 that is called remotely much more than locally should move to a fresh
 unplaced slice so the search can relocate (or duplicate) it.
 
-A var's readers come from the front end's walk, their names bound by
-``Scope.var`` as the dependence graph's data edges are, so no graph is built.
+A var's readers come from ``frontend.def_use``, the table the dependence
+graph's data edges are drawn from, so no graph is built.
 
 ``AdvisorConfig`` and ``MAX_REFINE_ITERATIONS`` live in ``model``.  Only
 ``refine_loop`` searches, so only it imports ``search`` and with it numpy.
@@ -61,29 +61,30 @@ def _tier_mask(placement: Placement, slice_name: str) -> int:
 def advise_replication(placement: Placement, program: SourceProgram, incoming: dict) -> list:
     """Advice to replicate each slice var read in functions called remotely
     more than locally.  A var declaration's readers are the other statements
-    that read, by ``Scope.var``, a var its own statement defines: its name and
-    each name its initializer assigns.  They come in step order.  A var
-    declared twice in one scope is advised once, at its first declaration."""
-    statements = [step for step in program.steps if isinstance(step, tuple)]
-    readers: dict[int, list] = {}  # id(var Declaration) -> its readers' indices
-    for k, (_, _, scope, _, reads, _, _) in enumerate(statements):
-        for decl in map(scope.var, reads):
-            if decl is not None:
-                readers.setdefault(id(decl), []).append(k)
+    that read a var its own statement defines, by ``frontend.def_use``: its
+    name and each name its initializer assigns.  They come in step order.  A
+    var declared twice in one scope is advised once, at its first
+    declaration."""
+    steps = program.steps
+    defs, uses = frontend.def_use(program)
+    decl_of = {id(d): d for d in program.declarations}
+    defined: dict[int, list] = {}  # step index -> the var Declarations it defines
+    for key, at in defs.items():
+        for k in at:
+            defined.setdefault(k, []).append(decl_of[key])
 
     out = []
-    for k, (st, owner, scope, _, _, writes, _) in enumerate(statements):
+    for k in sorted(defined):  # a statement that defines no var has no readers
+        st, owner = steps[k][0], steps[k][1]
         if (not isinstance(st, VarDecl) or owner == SHARED
                 or any(a.kind is AnnotationKind.REPLICATED for a in st.annotations)):
             continue
-        binding = scope.var(st.name)
-        if binding is not None and binding.node is not st:
+        if any(d.name == st.name and d.node is not st for d in defined[k]):
             continue  # the binding's own declaration gives the advice
-        defined = {id(d) for d in (binding, *map(scope.var, writes)) if d is not None}
         decl_mask = _tier_mask(placement, owner)
         evidence = []
-        for j in sorted({j for key in defined for j in readers.get(key, ()) if j != k}):
-            reader_owner, function = statements[j][1], statements[j][2].function
+        for j in sorted({j for d in defined[k] for j in uses.get(id(d), ()) if j != k}):
+            reader_owner, function = steps[j][1], steps[j][2].function
             if function is None or not (_tier_mask(placement, reader_owner) & decl_mask):
                 continue  # outside any function, or on a disjoint tier
             local, remote = incoming.get((reader_owner, function), (0, 0))

@@ -5,17 +5,17 @@ owned by a slice (or shared).  Control edges follow block nesting, data edges
 follow def-use over lexically scoped variable names, call edges connect call
 sites to the entry of their resolved callee.
 
-The graph is built in one pass over the steps of the front end's walk,
-which hold each statement's scope and the names its expressions read and
-write; the builder visits no expression.  A read or write of a name binds,
-as a callee does, in the innermost scope declaring it: to that scope's first
-var of the name, or to nothing for a parameter or function.
-Node ids follow the walk, and edges come in three runs: control edges in
-that order, call edges in call-site order, data edges in first-def order.
-The graph keeps the program it was built from.  The call table
-(``placement_problem``) is read off the walk's call sites, in the same order
-as the graph's CALL_SITE nodes, and the advisor reads the walk's bindings,
-so only the ``graph`` command builds a graph.
+The graph is built in one pass over the steps of the front end's walk;
+the builder visits no expression.  Its data edges join the steps that
+``frontend.def_use`` lists for each var, the table the advisor reads too.  A
+read or write of a name binds, as a callee does, in the innermost scope
+declaring it: to that scope's first var of the name, or to nothing for a
+parameter or function.  Node ids follow the walk, and edges come in three
+runs: control edges in that order, call edges in call-site order, data edges
+in first-def order.  The graph keeps the program it was built from.  The
+call table (``placement_problem``) is read off the walk's call sites, in the
+same order as the graph's CALL_SITE nodes, so only the ``graph`` command
+builds a graph.
 
 The collapsed slice graph aggregates cross-slice edges in *dependence*
 orientation: call edges already point caller -> callee; data edges are
@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .frontend import def_use
 from .model import SHARED, CallRecord, PlacementProblem, Tier
 from .syntax import (
     AnnotationKind,
@@ -90,13 +91,10 @@ def _annotation_kinds(stmt) -> list:
 
 def build_pdg(program: SourceProgram) -> DependenceGraph:
     """Build the dependence graph in one pass over the front end's walk;
-    requires resolve_calls to have run.  Each statement's recorded reads and
-    writes bind in its scope.  They count after the bodies of its function
-    expressions, so a statement that holds some waits for its None step."""
+    requires resolve_calls to have run.  Its data edges join each var's
+    defining steps to its reading steps, by ``frontend.def_use``."""
     graph = DependenceGraph(program)
     nodes = graph.nodes
-    defs: dict[int, list[int]] = {}  # id(var Declaration) -> def node ids
-    uses: dict[int, set[int]] = {}  # id(var Declaration) -> use node ids
 
     def new_node(kind, owner, span, parent, name, function, annotations, unresolved=None) -> int:
         """A node, and its control edge from ``parent``."""
@@ -106,24 +104,11 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             graph.edges.append(PdgEdge(parent, nid, CONTROL))
         return nid
 
-    def bind(nid: int, scope, reads, writes):
-        """Node ``nid`` defines and uses the vars its names bind to in ``scope``."""
-        for name in writes:
-            decl = scope.var(name)
-            if decl is not None:
-                defs.setdefault(id(decl), []).append(nid)
-        for name in reads:
-            decl = scope.var(name)
-            if decl is not None:
-                uses.setdefault(id(decl), set()).add(nid)
-
     entry = new_node(ENTRY, SHARED, (0, 0), None, None, None, [])
     node_of = {}  # id(statement) -> its node id; a function's entry node
-    calls, waiting = [], []
-    for step in program.steps:
-        if step is None:
-            bind(*waiting.pop())
-            continue
+    node_at = {}  # step index -> the statement's node id
+    calls = []
+    for k, step in enumerate(program.steps):
         if isinstance(step, CallSiteInfo):
             parent = node_of[id(step.stmt)]
             cid = new_node(CALL_SITE, step.owner, step.node.span, parent, step.callee_name,
@@ -132,31 +117,25 @@ def build_pdg(program: SourceProgram) -> DependenceGraph:
             if step.resolved is not None:
                 calls.append((cid, step.resolved))
             continue
-        st, owner, scope, parent, reads, writes, bodies = step
+        st, owner, scope, parent = step
         if isinstance(st, (SliceDecl, UiBlock)):
             continue
         parent = entry if parent is None else node_of[id(parent)]
         func = scope.function
         named = isinstance(st, (VarDecl, FunctionDecl))
-        nid = node_of[id(st)] = new_node(
+        nid = node_of[id(st)] = node_at[k] = new_node(
             DECLARATION if named else STATEMENT, owner, st.span, parent,
             st.name if named else None, func, _annotation_kinds(st))
         if isinstance(st, FunctionDecl):
             node_of[id(st)] = new_node(FUNCTION_ENTRY, owner, st.span, nid, st.name, func, [])
-            continue
-        if isinstance(st, VarDecl):
-            # before the initializer's function expressions record their defs
-            bind(nid, scope, (), (st.name,))
-        if bodies:
-            waiting.append((nid, scope, reads, writes))
-        else:
-            bind(nid, scope, reads, writes)
     for cid, fn in calls:
         graph.edges.append(PdgEdge(cid, node_of[id(fn)], CALL))
+    defs, uses = def_use(program)
     seen = set()
-    for decl_key, def_nodes in defs.items():
-        for d in def_nodes:
-            for u in uses.get(decl_key, ()):
+    for decl_key, def_steps in defs.items():
+        readers = {node_at[u] for u in uses.get(decl_key, ())}
+        for d in map(node_at.__getitem__, def_steps):
+            for u in readers:
                 if d != u and (d, u) not in seen:
                     seen.add((d, u))
                     graph.edges.append(PdgEdge(d, u, DATA))

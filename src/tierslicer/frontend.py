@@ -33,12 +33,14 @@ and ``//`` line comments are ignored.
 enters a function expression's body right after the statement that holds it.
 It carries the ES5 scope chain: one global scope, and one per function and
 function-expression body.  From that one walk ``parse`` applies ``@config``,
-lists the declarations, records the call sites with their scopes and keeps
-the steps for the dependence graph and the advisor, with the names each
-statement reads and writes, so no later stage scans an expression for them.
+lists the declarations, records the call sites with their scopes, keeps the
+steps for the dependence graph and records the names each statement reads
+and writes, so no later stage scans an expression for them.
 ``resolve_calls`` walks nothing: it looks each recorded callee up in its
-scope chain.  ``advisor.apply_advice`` runs the same walk over the tree it
-edits, and parses no text.
+scope chain, and ``def_use`` each recorded name, for the dependence graph's
+data edges and the advisor's replication advice alike.
+``advisor.apply_advice`` runs the same walk over the tree it edits, and
+parses no text.
 
 AST equality ignores spans, so ``parse(emit(program))`` equals ``program``
 slice for slice and statement for statement.
@@ -653,46 +655,52 @@ def parse(source_text: str, filename: str = "<input>") -> SourceProgram:
 
 def walk(program: SourceProgram) -> SourceProgram:
     """The one pre-order walk, carrying the scope chain.  It sets
-    ``program``'s steps, declarations and unresolved call sites, and returns
-    ``program``.
+    ``program``'s steps, binds, declarations and unresolved call sites, and
+    returns ``program``.
 
     The steps come in the order the dependence graph numbers its nodes.  A
-    slice or statement is a ``(node, owner, scope, parent, reads, writes,
-    bodies)`` tuple, ``parent`` being the statement that holds it (None at the
-    top), ``reads`` and ``writes`` the names its expressions read and assign
-    in pre-order (``()`` for none: an Ident is a read unless it is a callee or
-    an assignment's target, and an Ident target is a write) and ``bodies``
-    whether it holds function expressions.  A call site is its CallSiteInfo.
-    Expression by expression, the statement's calls come before its function
-    expressions' bodies, and those before its nested statements.  A function
-    expression is not entered: its body is walked as statements, in its own
-    scope.  A None step ends the bodies of the innermost statement not yet
-    ended.
+    slice or statement is a ``(node, owner, scope, parent)`` tuple,
+    ``parent`` being the statement that holds it (None at the top).  A call
+    site is its CallSiteInfo.  Expression by expression, the statement's
+    calls come before its function expressions' bodies, and those before its
+    nested statements.  A function expression is not entered: its body is
+    walked as statements, in its own scope.
+
+    A bind is a ``(step index, scope, reads, writes)`` tuple: the names a
+    statement's expressions read and assign, in pre-order (an Ident is a
+    read unless it is a callee or an assignment's target, and an Ident target
+    is a write).  The binds come in the order they take effect, which
+    ``def_use`` keeps: a VarDecl binds its own name at its step, and a
+    statement's expressions bind after the bodies of their function
+    expressions.
 
     The call sites, in the same order, are the call table's source
     (``depgraph.placement_problem``).  Nothing the walk builds refers back to
     itself, so a walked tree is freed by refcount, not by the cyclic
     collector."""
-    steps, decls, calls = [], [], []
+    steps, binds, decls, calls = [], [], [], []
     top = Scope()
     for s in program.slices:
-        steps.append((s, s.name, top, None, (), (), False))
-        _visit(s.body, s.name, top, None, steps, decls, calls)
-    _visit(program.shared_top_level, SHARED, top, None, steps, decls, calls)
-    program.steps, program.declarations, program.call_sites = steps, decls, calls
+        steps.append((s, s.name, top, None))
+        _visit(s.body, s.name, top, None, steps, binds, decls, calls)
+    _visit(program.shared_top_level, SHARED, top, None, steps, binds, decls, calls)
+    program.steps, program.binds = steps, binds
+    program.declarations, program.call_sites = decls, calls
     return program
 
 
-def _visit(stmts, owner, scope, parent, steps, decls, calls):
-    """``walk``'s recursion over ``stmts``, appending to its three lists; a
+def _visit(stmts, owner, scope, parent, steps, binds, decls, calls):
+    """``walk``'s recursion over ``stmts``, appending to its four lists; a
     module function, as a closure that calls itself is a reference cycle."""
     for st in stmts:
-        at, reads, writes, kids, ended = len(steps), [], [], [], False
-        steps.append(None)  # the statement's step, once its expressions are read
+        at, reads, writes, kids = len(steps), [], [], []
+        steps.append((st, owner, scope, parent))
         kind = type(st)
         if kind is VarDecl or kind is FunctionDecl:
             decls.append(Declaration(st.name, "var" if kind is VarDecl else "function", owner, st))
             scope.names.setdefault(st.name, []).append(decls[-1])
+            if kind is VarDecl:
+                binds.append((at, scope, (), (st.name,)))
         for kid in subnodes(st):
             if isinstance(kid, Stmt):
                 kids.append(kid)
@@ -717,14 +725,26 @@ def _visit(stmts, owner, scope, parent, steps, decls, calls):
                 elif cls.kids:
                     stack += reversed(subnodes(n))
             for fx in bodies:
-                _visit(fx.body, owner, _function_scope(fx, scope), st, steps, decls, calls)
-                ended = True
-        steps[at] = (st, owner, scope, parent, reads or (), writes or (), ended)
-        if ended:
-            steps.append(None)
+                _visit(fx.body, owner, _function_scope(fx, scope), st, steps, binds, decls, calls)
+        if reads or writes:
+            binds.append((at, scope, reads, writes))
         if kids:
             inside = _function_scope(st, scope) if kind is FunctionDecl else scope
-            _visit(kids, owner, inside, st, steps, decls, calls)
+            _visit(kids, owner, inside, st, steps, binds, decls, calls)
+
+
+def def_use(program: SourceProgram) -> tuple[dict, dict]:
+    """``(defs, uses)`` of a walked program: for each var Declaration, keyed
+    by its ``id``, the indices of the steps that define it and of those that
+    read it, in bind order.  A name binds by ``Scope.var`` in its
+    statement's scope, to nothing for a parameter or a function."""
+    defs, uses = {}, {}
+    for at, scope, reads, writes in program.binds:
+        for table, names in ((defs, writes), (uses, reads)):
+            for decl in map(scope.var, names):
+                if decl is not None:
+                    table.setdefault(id(decl), []).append(at)
+    return defs, uses
 
 
 def _function_scope(fn, parent: Scope) -> Scope:

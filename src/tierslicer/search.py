@@ -360,25 +360,18 @@ class _Streams:
         self.half = [s["uinteger"] for s in states]  # its value
         # Each run's block: the step (generation drawn) it starts at, its
         # generations, its first one holding a rejected value (else its
-        # size), its start kind (the first index of the tables) and, from
-        # _allocate, its row in the block arrays.
+        # size) and its start kind (the first index of the tables).
         R = len(self.rngs)
         self.start, self.size, self.bad, self.kind = [0] * R, [0] * R, [0] * R, [0] * R
         self.step = 0
-        self._allocate()
-        self._update()
-
-    def _allocate(self) -> None:
-        """Fresh block arrays, one row per run.  A run that leaves the batch
-        keeps its row until every run fetches at once."""
-        R, B, n, T = len(self.rngs), self.block, self.n, self.config.tournament_size
-        n_pairs = self.config.population_size // 2
-        self.row = list(range(R))
+        # The block arrays, one row per run in the batch.
+        B, T, n_pairs = self.block, config.tournament_size, config.population_size // 2
         self.cache = np.empty((R, B + 1), dtype=np.uint32)  # the half cached at each generation
         self.entrant = np.empty((R, B, 2 * n_pairs * T), dtype=np.uint32)  # their halves
         self.uniform = np.empty((R, B, 3 * n_pairs))  # crossover, then mutation
         self.swap = np.empty((R, B, n_pairs, n), dtype=bool)
         self.ints = np.empty((R, B, 4 * n_pairs), dtype=np.int64)  # positions, then values
+        self._update()
 
     def _update(self) -> None:
         """Note the first step at which a run's block ends or holds a
@@ -386,17 +379,18 @@ class _Streams:
         self.due = min(s + b for s, b in zip(self.start, self.bad))
         self.common = self.start[0] if len(set(self.start)) == 1 else None
         self.starts = np.array(self.start)
-        self.rows = np.array(self.row)
-        if self.common is not None and self.row == list(range(len(self.cache))):
-            self.rows = slice(None)  # views, not copies
+        # views, not copies, where the runs share a block start
+        self.rows = slice(None) if self.common is not None else np.arange(len(self.start))
 
     def keep(self, keep) -> None:
-        """Drop the runs whose ``keep`` entry is false."""
+        """Drop the runs whose ``keep`` entry is false, and their rows."""
         runs = [r for r, k in enumerate(keep) if k]
         self.rngs = [self.rngs[r] for r in runs]
-        for name in ("spare", "half", "row", "start", "size", "bad", "kind"):
+        for name in ("spare", "half", "start", "size", "bad", "kind"):
             values = getattr(self, name)
             setattr(self, name, [values[r] for r in runs])
+        for name in ("cache", "entrant", "uniform", "swap", "ints"):
+            setattr(self, name, getattr(self, name)[runs])
         self._update()
 
     def _cut(self, r: int) -> None:
@@ -408,7 +402,7 @@ class _Streams:
             if words[self.size[r]] > words[at]:
                 self.rngs[r].bit_generator.advance(words[at] - words[self.size[r]])
             self.spare[r] = bool(self.tables.cached[self.kind[r], at] >= 0)
-            self.half[r] = int(self.cache[self.row[r], at]) if self.spare[r] else 0
+            self.half[r] = int(self.cache[r, at]) if self.spare[r] else 0
         self.start[r], self.size[r], self.bad[r] = self.step, 0, 0
 
     def _rewind(self, r: int) -> None:
@@ -422,13 +416,10 @@ class _Streams:
 
     def _fill(self, runs: list, ks: list) -> None:
         """Fetch and decode a block for each of ``runs``, from this step,
-        whose generations now have ``ks`` valid rows.  When every run fills,
-        the block arrays start afresh, one row per run."""
+        whose generations now have ``ks`` valid rows."""
         t, n, n_pairs = self.tables, self.n, self.config.population_size // 2
         for r in runs:
             self._cut(r)
-        if len(runs) == len(self.rngs) and len(runs) < len(self.cache):
-            self._allocate()
         left = min(self.block, max(1, self.config.max_generations - 1 - self.step))
         kinds = [2 * self.spare[r] + (k > 1) for r, k in zip(runs, ks)]
         for kind in set(kinds):  # the runs of one kind share the tables' rows
@@ -446,8 +437,7 @@ class _Streams:
             bad = ((m & 0xFFFFFFFF) < t.reject).any(axis=2)
             ints = (m >> 32).view(np.int64)
             ints[..., 2 * n_pairs:] += 1  # a mutation value is 1 + a value below 3
-            at = [self.row[r] for r in group]
-            at = slice(None) if at == list(range(len(self.cache))) else at
+            at = slice(None) if len(group) == len(self.rngs) else group
             # Where no half is cached, index -1 reads a half that goes unused.
             self.cache[at, :size + 1] = halves.take(t.cached[kind, :size + 1], axis=1)
             self.entrant[at, :size] = halves.take(t.entrants[kind, :size], axis=1)

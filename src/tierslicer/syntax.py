@@ -319,6 +319,7 @@ class SourceProgram:
     warnings: list = field(default_factory=list)  # resolution diagnostics (str)
     filename: str = "<input>"
     steps: list = field(default_factory=list, repr=False, compare=False)  # see frontend.walk
+    binds: list = field(default_factory=list, repr=False, compare=False)  # see frontend.walk
     # The offset at which each line of the parsed source starts; spans index that source.
     line_starts: list = field(default_factory=lambda: [0], repr=False, compare=False)
 

@@ -12,8 +12,8 @@ from genprog import random_source
 from tierslicer import frontend
 from tierslicer.errors import DuplicateSliceNameError, MalformedConfigError, ParseError
 from tierslicer.frontend import Lexer, emit, iter_annotated_nodes, parse, resolve_calls
-from tierslicer.syntax import (AnnotationKind, Assign, Binary, Call, FuncExpr, Ident, NumberLit, Stmt,
-                               Unary, VarDecl, line_col, subnodes)
+from tierslicer.syntax import (AnnotationKind, Assign, Binary, Call, CallSiteInfo, FuncExpr, Ident,
+                               NumberLit, Stmt, Unary, VarDecl, line_col, subnodes)
 
 ALL_FIXTURES = [p.name for p in sorted(fixture_path(".").glob("*.tjs"))]
 
@@ -486,8 +486,7 @@ NAME_USES = """\
 
 
 def _reference_names(st) -> tuple:
-    """``st``'s reads, writes and whether it holds function expressions, by
-    a pre-order scan of every expression node of its own (function
+    """``st``'s reads and writes, by a pre-order scan of every expression node of its own (function
     expressions not entered) that skips callees and assignment targets and
     takes an Ident target as a write."""
     order = []
@@ -511,7 +510,7 @@ def _reference_names(st) -> tuple:
                 writes.append(n.target.name)
         elif isinstance(n, Ident) and id(n) not in skipped:
             reads.append(n.name)
-    return reads, writes, any(isinstance(n, FuncExpr) for n in order)
+    return reads, writes
 
 
 def _name_use_sources():
@@ -529,12 +528,52 @@ NAME_USE_SOURCES = dict(_name_use_sources())
 
 @pytest.mark.parametrize("name", NAME_USE_SOURCES)
 def test_the_walk_records_each_statements_reads_and_writes(name):
-    """As the reference scan classifies them, in the same order; no step
-    holds an expression node."""
-    steps = [s for s in parse(NAME_USE_SOURCES[name], name).steps if isinstance(s, tuple)]
-    assert steps
-    for st, _, _, _, reads, writes, bodies in steps:
-        assert (list(reads), list(writes), bodies) == _reference_names(st)
+    """As the reference scan classifies them, in the same order, in one bind
+    after a VarDecl's own name; a statement that reads and writes no name
+    binds none, and no bind holds an expression node."""
+    program = parse(NAME_USE_SOURCES[name], name)
+    binds = {}
+    for at, scope, reads, writes in program.binds:
+        assert scope is program.steps[at][2]
         assert all(isinstance(n, str) for n in (*reads, *writes))
-        assert reads or reads == ()
-        assert writes or writes == ()
+        binds.setdefault(at, []).append((list(reads), list(writes)))
+    statements = [(k, step[0]) for k, step in enumerate(program.steps) if isinstance(step, tuple)]
+    assert statements
+    for k, st in statements:
+        expected = [([], [st.name])] if isinstance(st, VarDecl) else []
+        names = _reference_names(st)
+        if any(names):
+            expected.append(names)
+        assert binds.pop(k, []) == expected
+    assert not binds
+
+
+# ``x``'s third def is the outer statement, bound after its body's ``x = 1``;
+# ``y``'s declaration binds before its initializer's body assigns it; ``p``,
+# a parameter, binds to no var.
+BIND_ORDER = """\
+/* @slice a */
+{
+  var x;
+  x = function () { x = 1; return x; };
+  var y = function (p) { y = 2; p = 3; return y + x; };
+}
+"""
+
+
+def test_def_use_lists_each_vars_steps_in_bind_order():
+    """A def or use in a function expression's body comes before those of
+    the statement that holds it, and a VarDecl's own name before its
+    initializer's bodies.  Every step is a statement or a call site."""
+    program = parse(BIND_ORDER)
+    assert all(isinstance(step, (tuple, CallSiteInfo)) for step in program.steps)
+    at = {id(step[0]): k for k, step in enumerate(program.steps) if isinstance(step, tuple)}
+    x, assign_x, y = program.slices[0].body
+    inner_x, return_x = assign_x.expr.value.body
+    inner_y, _, return_y = y.init.body
+    defs, uses = frontend.def_use(program)
+    key = {d.name: id(d) for d in program.declarations}
+    assert defs == {key["x"]: [at[id(x)], at[id(inner_x)], at[id(assign_x)]],
+                    key["y"]: [at[id(y)], at[id(inner_y)]]}
+    assert uses == {key["x"]: [at[id(return_x)], at[id(return_y)]],
+                    key["y"]: [at[id(return_y)]]}
