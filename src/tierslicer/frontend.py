@@ -727,7 +727,7 @@ def _visit(stmts, owner, scope, parent, steps, binds, decls, calls):
             for fx in bodies:
                 _visit(fx.body, owner, _function_scope(fx, scope), st, steps, binds, decls, calls)
         if reads or writes:
-            binds.append((at, scope, reads, writes))
+            binds.append((at, scope, reads or (), writes or ()))
         if kids:
             inside = _function_scope(st, scope) if kind is FunctionDecl else scope
             _visit(kids, owner, inside, st, steps, binds, decls, calls)

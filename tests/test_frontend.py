@@ -530,12 +530,15 @@ NAME_USE_SOURCES = dict(_name_use_sources())
 def test_the_walk_records_each_statements_reads_and_writes(name):
     """As the reference scan classifies them, in the same order, in one bind
     after a VarDecl's own name; a statement that reads and writes no name
-    binds none, and no bind holds an expression node."""
+    binds none, an empty side is ``()``, and no bind holds an expression
+    node."""
     program = parse(NAME_USE_SOURCES[name], name)
     binds = {}
     for at, scope, reads, writes in program.binds:
         assert scope is program.steps[at][2]
         assert all(isinstance(n, str) for n in (*reads, *writes))
+        assert reads or reads == ()
+        assert writes or writes == ()
         binds.setdefault(at, []).append((list(reads), list(writes)))
     statements = [(k, step[0]) for k, step in enumerate(program.steps) if isinstance(step, tuple)]
     assert statements
